@@ -7,6 +7,7 @@ deterministic: fixed seeds, fixed corpora, fixed expectations.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -359,6 +360,20 @@ def test_criterion_8_sliding_window_trend(trend_runs):
         and elapsed < 120.0
     )
     report(8, ok, detail)
+
+
+#: sha256 over the sliding run's score records, one sorted-key JSON line
+#: each, as ``flowdetect run`` writes them.  The run holds 600 fits, 200 of
+#: them k-means, so a near-tie flip in the chosen k would change it.
+TREND_SLIDING_SCORES_SHA256 = "25ec3f798e7a3bc20f2835fcfd5f8cfdb71d85cbdd7b2b91511262e011ccb9f3"
+
+
+def test_criterion_8_sliding_scores_match_golden_digest(trend_runs):
+    digest = hashlib.sha256()
+    for record in trend_runs["runs"][5]:
+        digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
+    assert len(trend_runs["runs"][5]) == 13776
+    assert digest.hexdigest() == TREND_SLIDING_SCORES_SHA256
 
 
 # --------------------------------------------------------------- criterion 9
