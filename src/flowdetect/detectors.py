@@ -141,25 +141,22 @@ def silhouette(hours: Sequence[float], labels: Sequence[int]) -> float:
 
 def _silhouette_from_matrix(matrix: np.ndarray, labels: np.ndarray) -> float:
     n = matrix.shape[0]
-    uniq = np.unique(labels)
-    total = 0.0
-    for i in range(n):
-        own = labels[i]
-        mask_own = labels == own
-        own_size = int(mask_own.sum())
-        if own_size <= 1:
-            continue  # singleton: contributes 0
-        a = matrix[i, mask_own].sum() / (own_size - 1)
-        b = math.inf
-        for other in uniq:
-            if other == own:
-                continue
-            mask = labels == other
-            b = min(b, float(matrix[i, mask].mean()))
-        denom = max(a, b)
-        if denom > 0:
-            total += (b - a) / denom
-    return total / n
+    _, cluster, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    rows = np.arange(n)
+    onehot = np.zeros((n, sizes.size))
+    onehot[rows, cluster] = 1.0
+    sums = matrix @ onehot  # each point's distance sum to each cluster
+    own_size = sizes[cluster]
+    a = sums[rows, cluster] / np.maximum(own_size - 1, 1)
+    means = sums / sizes
+    means[rows, cluster] = math.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    # Singletons contribute 0, as do points with a = b = 0.
+    keep = (own_size > 1) & (denom > 0)
+    s = np.divide(b - a, denom, out=np.zeros(n), where=keep)
+    # A running sum, so the total adds the terms in point order.
+    return float(np.cumsum(s)[-1]) / n
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +177,12 @@ class Detector(ABC):
 
     ``trained_version`` is the window version the model was last fitted on,
     ``-1`` when never fitted.  Scoring is side-effect free and only allowed
-    on fitted models.
+    on fitted models.  ``fit_partial`` needs at least ``min_samples``
+    training samples.
     """
 
     name = "detector"
+    min_samples = 1
 
     def __init__(self) -> None:
         self.trained_version = -1
@@ -199,6 +198,12 @@ class Detector(ABC):
     @abstractmethod
     def score_partial(self, minute: float, event_id: str | None = None) -> Score:
         """Score one event by its minute of the day."""
+
+    def _require_samples(self, n: int) -> None:
+        if n < self.min_samples:
+            raise NotEnoughDataError(
+                f"{self.name} needs at least {self.min_samples} samples, got {n}"
+            )
 
     def _require_trained(self) -> None:
         if not self.is_trained:
@@ -239,6 +244,7 @@ class CircularKMeans(Detector):
     """
 
     name = "kmeans"
+    min_samples = 3
 
     def __init__(self, threshold: float = 1.5, seed: int = 0):
         super().__init__()
@@ -251,8 +257,7 @@ class CircularKMeans(Detector):
     def fit_partial(self, minutes: Sequence[float], version: int = 0) -> "CircularKMeans":
         hours = minutes_to_hours(minutes)
         n = hours.size
-        if n < 3:
-            raise NotEnoughDataError(f"kmeans needs at least 3 samples, got {n}")
+        self._require_samples(n)
         matrix = _circ_dist(hours[:, None], hours[None, :])
         best_k, best_score, best_labels, best_centroids = 0, -math.inf, None, None
         for k in range(2, min(KMEANS_MAX_CLUSTERS, n - 1) + 1):
@@ -380,6 +385,7 @@ class WrappedKde(Detector):
     """
 
     name = "kde"
+    min_samples = 2
 
     def __init__(self, percentile: float = 0.5):
         super().__init__()
@@ -392,8 +398,7 @@ class WrappedKde(Detector):
     def fit_partial(self, minutes: Sequence[float], version: int = 0) -> "WrappedKde":
         hours = minutes_to_hours(minutes)
         n = hours.size
-        if n < 2:
-            raise NotEnoughDataError(f"kde needs at least 2 samples, got {n}")
+        self._require_samples(n)
         sd = float(np.std(hours))
         q75, q25 = np.percentile(hours, [75.0, 25.0])
         spread = min(sd, float(q75 - q25) / 1.34)
@@ -451,6 +456,7 @@ class CosineLof(Detector):
     """
 
     name = "lof"
+    min_samples = 3
 
     def __init__(self, percentile: float = 95.0, n_neighbors: int = 20):
         super().__init__()
@@ -469,8 +475,7 @@ class CosineLof(Detector):
     def fit_partial(self, minutes: Sequence[float], version: int = 0) -> "CosineLof":
         hours = minutes_to_hours(minutes)
         n = hours.size
-        if n < 3:
-            raise NotEnoughDataError(f"lof needs at least 3 samples, got {n}")
+        self._require_samples(n)
         fitted = copy.copy(self)
         fitted.hours = hours
         fitted.k_eff = min(self.n_neighbors, n - 1)

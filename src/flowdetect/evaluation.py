@@ -64,7 +64,9 @@ def roc_curve(
     """Threshold sweep over ``values``; higher means more anomalous.
 
     Returns points sorted from (0, 0) to (1, 1) plus the trapezoidal AUC.
-    Both classes must be present.
+    Both classes must be present.  One sort and one pass (Fawcett 2006):
+    each distinct value, taken as the threshold, adds one point once every
+    record tied at it has been counted.
     """
     if len(values) != len(labels):
         raise InputError("scores and labels differ in length")
@@ -72,11 +74,16 @@ def roc_curve(
     negatives = len(labels) - positives
     if positives == 0 or negatives == 0:
         raise InputError("ROC requires both classes in the labels")
+    ranked = sorted(zip(values, labels), key=lambda pair: pair[0], reverse=True)
     points = [(0.0, 0.0)]
-    for threshold in sorted(set(values), reverse=True):
-        tp = sum(1 for v, y in zip(values, labels) if v >= threshold and y == 1)
-        fp = sum(1 for v, y in zip(values, labels) if v >= threshold and y == 0)
-        points.append((fp / negatives, tp / positives))
+    tp = fp = 0
+    for i, (value, label) in enumerate(ranked):
+        if label == 1:
+            tp += 1
+        elif label == 0:
+            fp += 1
+        if i + 1 == len(ranked) or ranked[i + 1][0] != value:
+            points.append((fp / negatives, tp / positives))
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         auc += (x1 - x0) * (y1 + y0) / 2.0

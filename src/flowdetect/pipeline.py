@@ -219,7 +219,14 @@ def build_spec(
             detectors=names,
         )
 
-    fresh_detectors({})  # fail fast on bad detector configuration
+    # Fail fast on bad detector configuration, and on a training minimum
+    # that would let g1 hand a detector fewer samples than it can fit.
+    needed = max(detector.min_samples for detector in fresh_detectors({}).values())
+    if config.min_training_instances < needed:
+        raise ConfigurationError(
+            f"min_training_instances={config.min_training_instances} is below "
+            f"{needed}, the fewest samples the configured detectors can fit"
+        )
 
     @lru_cache(maxsize=4096)
     def parse(text: str):

@@ -118,3 +118,26 @@ def majority_rule(binaries) -> bool:
     """Alert rule restated from scratch: strict majority of votes cast."""
     ones = sum(1 for b in binaries if b == 1)
     return ones > len(binaries) // 2
+
+
+def silhouette(hours, labels):
+    """Mean silhouette (Rousseeuw 1987) under the circular distance.
+
+    Point by point: ``a`` is the mean distance to the rest of its own
+    cluster, ``b`` the smallest mean distance to another cluster.  A
+    singleton scores 0, and so does a point with ``a = b = 0``.
+    """
+    n = len(hours)
+    total = 0.0
+    for i in range(n):
+        own = [j for j in range(n) if labels[j] == labels[i] and j != i]
+        if not own:
+            continue
+        a = _mean([circular_distance(hours[i], hours[j]) for j in own])
+        b = min(
+            _mean([circular_distance(hours[i], hours[j]) for j in range(n) if labels[j] == other])
+            for other in set(labels) - {labels[i]}
+        )
+        if max(a, b) > 0.0:
+            total += (b - a) / max(a, b)
+    return total / n

@@ -151,6 +151,38 @@ def test_silhouette_needs_two_clusters():
         silhouette([8.0, 9.0], [0, 0])
 
 
+def test_silhouette_matches_oracle():
+    rng = np.random.default_rng(1987)
+    cases = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 40))
+        # A coarse grid makes coincident points (a = b = 0) common.
+        grid = rng.choice([0.5, 2.0, 0.0])
+        hours = rng.uniform(0.0, 24.0, n)
+        if grid:
+            hours = np.floor(hours / grid) * grid
+        # Non-contiguous label values; small clusters give singletons.
+        values = rng.choice([-7, 0, 3, 10, 42], size=int(rng.integers(2, 6)), replace=False)
+        labels = rng.choice(values, n).tolist()
+        if len(set(labels)) < 2:
+            continue
+        got = silhouette(hours, labels)
+        assert got == pytest.approx(oracles.silhouette(hours.tolist(), labels), abs=1e-12)
+        cases += 1
+    assert cases > 250
+
+
+def test_silhouette_corner_cases_match_oracle():
+    for hours, labels in [
+        ([8.0, 8.0, 8.0, 8.0], [1, 1, 5, 5]),  # a = b = 0 everywhere
+        ([3.0, 3.0, 20.0], [4, 4, 9]),  # a singleton beside a coincident pair
+        ([1.0, 23.0, 12.0, 12.5, 6.0], [2, 2, 7, 7, 11]),
+    ]:
+        got = silhouette(hours, labels)
+        assert got == pytest.approx(oracles.silhouette(hours, labels), abs=1e-12)
+    assert silhouette([8.0, 8.0, 8.0, 8.0], [1, 1, 5, 5]) == 0.0
+
+
 # --------------------------------------------------------------------- k-means
 
 TWO_CLUSTER_MINUTES = [470 + 2 * i for i in range(10)] + [1310 + 2 * i for i in range(10)]
@@ -341,6 +373,15 @@ def test_lof_outlier_flagged_against_tight_cluster():
 def test_lof_caps_neighbourhood_at_n_minus_one():
     model = CosineLof(n_neighbors=20).fit_partial([100, 200, 300, 400, 500])
     assert model.k_eff == 4
+
+
+def test_min_samples_is_the_fewest_samples_each_detector_fits():
+    for cls, minimum in ((WrappedKde, 2), (CircularKMeans, 3), (CosineLof, 3)):
+        assert cls.min_samples == minimum
+        samples = [480 + 30 * i for i in range(minimum)]
+        assert cls().fit_partial(samples).is_trained
+        with pytest.raises(NotEnoughDataError, match=f"at least {minimum} samples"):
+            cls().fit_partial(samples[:-1])
 
 
 def test_lof_guards():

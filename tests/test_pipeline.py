@@ -7,6 +7,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from flowdetect import synth
 from flowdetect.detectors import CircularKMeans, CosineLof, WrappedKde
 from flowdetect.engine import (
     UNBOUNDED,
@@ -172,6 +173,25 @@ def test_build_spec_requires_detectors():
         build_spec(PipelineConfig(detectors={}))
     with pytest.raises(ConfigurationError):
         build_spec(PipelineConfig(detectors={"svm": {}}))
+
+
+def test_training_minimum_below_detector_minimum_is_rejected_at_build():
+    # kmeans and lof fit from 3 samples; a minimum of 2 would hand them 2
+    # at event 6 of this stream, so the build refuses it.
+    events = [
+        Event("e", (e.user, e.when.strftime(FMT), e.event_id))
+        for e in synth.generate(3, 4, 0.05, seed=1)
+    ]
+    small = WindowConfig(2, 1, "instance")
+    with pytest.raises(ConfigurationError, match="min_training_instances=2"):
+        Pipeline(PipelineConfig(window=small, min_training_instances=2))
+
+    # What the check lets through runs to the end of the same stream.
+    kde_only = PipelineConfig(window=small, detectors={"kde": {}}, min_training_instances=2)
+    # Each of the 3 users is scored from its window-size + 1st event on.
+    assert len(run(Pipeline(kde_only), events)) == len(events) - 3 * 2
+    three = PipelineConfig(window=WindowConfig(3, 1, "instance"), min_training_instances=3)
+    assert len(run(Pipeline(three), events)) == len(events) - 3 * 3
 
 
 # ------------------------------------------------------------ warmup and fit
