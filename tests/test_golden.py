@@ -8,13 +8,40 @@ that alters them on purpose updates the digests and says why.
 from __future__ import annotations
 
 import hashlib
+import json
 
+from flowdetect import synth
 from flowdetect.cli import main as cli_main
+from flowdetect.detectors import CircularKMeans, CosineLof, WrappedKde
+from flowdetect.engine import Event
+from flowdetect.pipeline import Pipeline
+from flowdetect.windowing import DEFAULT_DATE_FORMAT
 
 #: sha256 of ``alerts.jsonl`` and ``scores.jsonl`` for the criterion-9
 #: corpus: synth with 12 users, 14 weeks, rate 0.05, seed 3, default config.
 CRITERION_9_ALERTS_SHA256 = "c4334765773422d18b129393ae1b9689d02c3faaeb24d8eee9458300b3c67e3a"
 CRITERION_9_SCORES_SHA256 = "ee62a4813815bcce6455737efe3f7cbda7dbdab4fb432061b0ddf31c8cf8a50b"
+
+#: sha256 of each user's refits, in order, over the same corpus replayed
+#: through ``Pipeline``: the JSON list of ``[detector, trained_version]``,
+#: with k-means' chosen k appended.  Each user's window fills once in 14
+#: weeks, so every detector is fitted once per user.
+_K2 = "7119c151925fa62673346caa5b4b116e7e315f7b22e114aa6ea78e4ebabd1814"
+_K3 = "a395c61f1df432db486e36ec483d1538fde8ab5c3f5a1ec214ca8f73b6208ba9"
+CRITERION_9_FIT_HISTORY_SHA256 = {
+    "U0000": "493bfdb89b627e33207011dc7a9a29e7737f6d1771a427e8e99b32d315f05825",
+    "U0001": _K2,
+    "U0002": _K2,
+    "U0003": _K3,
+    "U0004": _K2,
+    "U0005": _K3,
+    "U0006": _K3,
+    "U0007": _K2,
+    "U0008": _K2,
+    "U0009": _K2,
+    "U0010": "4230e92855bf29c60e0ca31d6bc4685c4316ced18a9ea93610296bb6d81f3a81",
+    "U0011": _K3,
+}
 
 
 def test_criterion_9_corpus_outputs_match_golden_digests(tmp_path, capsys):
@@ -33,3 +60,40 @@ def test_criterion_9_corpus_outputs_match_golden_digests(tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(alerts.read_bytes()).hexdigest() == CRITERION_9_ALERTS_SHA256
     assert hashlib.sha256(scores.read_bytes()).hexdigest() == CRITERION_9_SCORES_SHA256
+
+
+def _fit_histories(monkeypatch) -> dict[str, list[list]]:
+    """Replay the criterion-9 corpus; return each user's refits in order.
+
+    A refit is recorded as ``[detector, trained_version]``, plus the chosen
+    k for k-means.
+    """
+    fits: list[list] = []
+    for cls in (CircularKMeans, WrappedKde, CosineLof):
+
+        def recording(self, minutes, version=0, _fit=cls.fit_partial):
+            fitted = _fit(self, minutes, version)
+            entry = [fitted.name, fitted.trained_version]
+            if isinstance(fitted, CircularKMeans):
+                entry.append(fitted.chosen_k)
+            fits.append(entry)
+            return fitted
+
+        monkeypatch.setattr(cls, "fit_partial", recording)
+
+    pipeline = Pipeline()
+    histories: dict[str, list[list]] = {}
+    for e in synth.generate(12, 14, 0.05, seed=3):
+        before = len(fits)
+        pipeline.process_event(Event("e", (e.user, e.when.strftime(DEFAULT_DATE_FORMAT), e.event_id)))
+        histories.setdefault(e.user, []).extend(fits[before:])
+    return histories
+
+
+def test_criterion_9_corpus_fit_histories_match_golden_digests(monkeypatch):
+    histories = _fit_histories(monkeypatch)
+    digests = {
+        user: hashlib.sha256(json.dumps(fits).encode()).hexdigest()
+        for user, fits in sorted(histories.items())
+    }
+    assert digests == CRITERION_9_FIT_HISTORY_SHA256
