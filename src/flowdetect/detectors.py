@@ -22,7 +22,7 @@ import math
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -178,11 +178,13 @@ class Detector(ABC):
     ``trained_version`` is the window version the model was last fitted on,
     ``-1`` when never fitted.  Scoring is side-effect free and only allowed
     on fitted models.  ``fit_partial`` needs at least ``min_samples``
-    training samples.
+    training samples.  ``param_keys`` maps each external configuration key
+    the type accepts to its constructor keyword.
     """
 
     name = "detector"
     min_samples = 1
+    param_keys: Mapping[str, str] = {}
 
     def __init__(self) -> None:
         self.trained_version = -1
@@ -245,6 +247,7 @@ class CircularKMeans(Detector):
 
     name = "kmeans"
     min_samples = 3
+    param_keys = {"kmeans_parameter": "threshold", "seed": "seed"}
 
     def __init__(self, threshold: float = 1.5, seed: int = 0):
         super().__init__()
@@ -386,6 +389,7 @@ class WrappedKde(Detector):
 
     name = "kde"
     min_samples = 2
+    param_keys = {"kde_parameter": "percentile"}
 
     def __init__(self, percentile: float = 0.5):
         super().__init__()
@@ -457,6 +461,7 @@ class CosineLof(Detector):
 
     name = "lof"
     min_samples = 3
+    param_keys = {"lof_parameter": "percentile", "n_neighbors": "n_neighbors"}
 
     def __init__(self, percentile: float = 95.0, n_neighbors: int = 20):
         super().__init__()
@@ -547,51 +552,37 @@ def _lof_ratio(neighbour_density: float, own_density: float) -> float:
 
 DEFAULT_DETECTORS = ("kde", "kmeans", "lof")
 
-DETECTOR_TYPES: dict[str, Callable[..., Detector]] = {
+DETECTOR_TYPES: dict[str, type[Detector]] = {
     "kde": WrappedKde,
     "kmeans": CircularKMeans,
     "lof": CosineLof,
 }
 
-#: External parameter key -> constructor keyword, per detector.
-_PARAM_KEYS = {
-    "kde": {"kde_parameter": "percentile"},
-    "kmeans": {"kmeans_parameter": "threshold", "seed": "seed"},
-    "lof": {"lof_parameter": "percentile", "n_neighbors": "n_neighbors"},
-}
 
-
-def register_detector(name: str, factory: Callable[..., Detector]) -> None:
+def register_detector(name: str, cls: type[Detector]) -> None:
     """Expose an additional detector type to ``init_map``."""
-    DETECTOR_TYPES[name] = factory
+    DETECTOR_TYPES[name] = cls
 
 
-def init_map(
-    kmeans_params: dict | None = None,
-    kde_params: dict | None = None,
-    lof_params: dict | None = None,
-    detectors: Sequence[str] | None = None,
-) -> dict[str, Detector]:
+def init_map(params: Mapping[str, Mapping] | None = None) -> dict[str, Detector]:
     """Build fresh detector instances keyed by name, in sorted order.
 
-    Parameter dicts use the external configuration keys (``kde_parameter``,
-    ``kmeans_parameter``, ``lof_parameter``, ``seed``, ``n_neighbors``).
-    Unknown detector names or parameter keys raise ``ConfigurationError``;
-    out-of-range parameter values only warn.
+    ``params`` maps each detector to build to its parameters, keyed by the
+    external configuration keys its type declares in ``param_keys``;
+    ``None`` builds the defaults.  Unknown detector names or parameter keys
+    raise ``ConfigurationError``; out-of-range parameter values only warn.
     """
-    requested = list(detectors) if detectors is not None else list(DEFAULT_DETECTORS)
-    provided = {"kde": kde_params, "kmeans": kmeans_params, "lof": lof_params}
+    if params is None:
+        params = {name: {} for name in DEFAULT_DETECTORS}
     out: dict[str, Detector] = {}
-    for name in sorted(set(requested)):
-        factory = DETECTOR_TYPES.get(name)
-        if factory is None:
+    for name in sorted(params):
+        cls = DETECTOR_TYPES.get(name)
+        if cls is None:
             raise ConfigurationError(f"unknown detector {name!r}")
         kwargs: dict[str, Any] = {}
-        params = provided.get(name) or {}
-        key_map = _PARAM_KEYS.get(name, {})
-        for key, value in params.items():
-            if key not in key_map:
+        for key, value in (params[name] or {}).items():
+            if key not in cls.param_keys:
                 raise ConfigurationError(f"unknown {name} parameter {key!r}")
-            kwargs[key_map[key]] = value
-        out[name] = factory(**kwargs)
+            kwargs[cls.param_keys[key]] = value
+        out[name] = cls(**kwargs)
     return out

@@ -13,8 +13,12 @@ enclosing environment with its own attribute bindings, lets its parts fire
 transitions and update bindings in sequence, applies its own action, then
 splits the result back into local attributes (kept on the node's state) and
 enclosing updates (propagated to the caller).  Guards must be side-effect
-free; actions receive a mutable scratch mapping that is committed only when
-the whole step succeeds.
+free.  An action receives a scratch copy of its environment; names it
+rebinds there reach the new state only when the whole step succeeds.  The
+copy is shallow: values held in environments are shared between the input
+state and the new one, so an action that mutates such a value in place
+(a window, training data, a detector map, a score board) changes the input
+state as well, even when a later part of the step fails.
 
 Determinism: automaton transitions are tried in declaration order and the
 first enabled one fires; quantified domains are iterated in ascending order
@@ -487,7 +491,9 @@ def step(
 
     Returns ``(new_state, new_enclosing_env)`` when some part of the tree
     fired, or ``None`` when the whole tree refuses the event.  The input
-    state is never modified.
+    state's nodes and bindings are not rebound, but the values bound in it
+    are shared with the new state: an action that mutates one in place
+    changes the input state too, even if a later part of the step fails.
     """
     return _step(spec, state, event, env or EMPTY_ENV, defs or {})
 

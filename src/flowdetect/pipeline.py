@@ -10,14 +10,15 @@ isolated instance of the same machine:
 * a parsing side that folds the event into the user's sliding window.
 
 The scoring side runs first, so an event is always scored against a state
-that does not include itself.
+that does not include itself.  ``Pipeline.process_event`` parses each
+event's date once and binds it as ``when`` at the root of the step, where
+both sides read it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable, Mapping
 
 from .detectors import DEFAULT_DETECTORS, init_map
@@ -26,6 +27,7 @@ from .engine import (
     Automaton,
     Call,
     Capture,
+    Env,
     Event,
     EventPattern,
     Flow,
@@ -211,33 +213,32 @@ def build_spec(
     counters = counters if counters is not None else RunCounters()
     vote = vote_fn if vote_fn is not None else majority_vote
 
-    def fresh_detectors(env: Mapping[str, Any]) -> dict:
-        return init_map(
-            kmeans_params=config.detectors.get("kmeans"),
-            kde_params=config.detectors.get("kde"),
-            lof_params=config.detectors.get("lof"),
-            detectors=names,
-        )
-
-    # Fail fast on bad detector configuration, and on a training minimum
-    # that would let g1 hand a detector fewer samples than it can fit.
-    needed = max(detector.min_samples for detector in fresh_detectors({}).values())
+    # Fail fast on bad detector configuration, on a training minimum that
+    # would let g1 hand a detector fewer samples than it can fit, and on a
+    # sliding instance window too small ever to reach that minimum: when g1
+    # looks, it holds at most window_size + sliding_size - 1 samples.
+    needed = max(detector.min_samples for detector in init_map(config.detectors).values())
     if config.min_training_instances < needed:
         raise ConfigurationError(
             f"min_training_instances={config.min_training_instances} is below "
             f"{needed}, the fewest samples the configured detectors can fit"
         )
-
-    @lru_cache(maxsize=4096)
-    def parse(text: str):
-        return parse_timestamp(text, config.date_format)
+    window = config.window
+    if window.type == "instance" and window.sliding_size > 0:
+        held = window.window_size + window.sliding_size - 1
+        if held < config.min_training_instances:
+            raise ConfigurationError(
+                f"an instance window of {window.window_size} sliding by "
+                f"{window.sliding_size} holds at most {held} samples, below "
+                f"min_training_instances={config.min_training_instances}"
+            )
 
     pattern = EventPattern(
         "e", (Ref("userId"), Capture("eventDate", str), Capture("eventId", str))
     )
 
     def ingest_action(env) -> None:
-        formatting_data(env["data"], env["window"], parse(env["eventDate"]))
+        formatting_data(env["data"], env["window"], env["when"])
 
     def train_action(env) -> None:
         d = env["d"]
@@ -248,7 +249,7 @@ def build_spec(
         counters.retrains += 1
 
     def detect_action(env) -> None:
-        when = parse(env["eventDate"])
+        when = env["when"]
         minute = when.hour * 60 + when.minute
         d = env["d"]
         env["scores"].add(d, env["detectors"][d].score_partial(minute, env["eventId"]))
@@ -261,9 +262,8 @@ def build_spec(
             for (name, raw), binary in zip(board.raw_scores, board.scores)
         }
         votes = sum(board.scores)
-        alerts = env["alerts"]
-        before = len(alerts)
-        vote(board, alerts, env["eventId"], env["eventDate"], user_id=env["userId"])
+        raised: list[Alert] = []
+        vote(board, raised, env["eventId"], env["eventDate"], user_id=env["userId"])
         if cast and score_sink is not None:
             score_sink(
                 ScoredEvent(
@@ -272,7 +272,7 @@ def build_spec(
                     event_date=env["eventDate"],
                     votes=votes,
                     cast=cast,
-                    alert=len(alerts) > before,
+                    alert=bool(raised),
                     detectors=snapshot,
                 )
             )
@@ -291,7 +291,7 @@ def build_spec(
             name="detectors",
             var="d",
             domain=tuple(names),
-            attrs=[("detectors", fresh_detectors)],
+            attrs=[("detectors", lambda env: init_map(config.detectors))],
             body=Call(name="detector", callee="detector_instance"),
         ),
         right=_loop("voting", pattern, action=vote_action),
@@ -301,7 +301,6 @@ def build_spec(
         attrs=[
             ("window", lambda env: Window(config.window)),
             ("data", lambda env: {}),
-            ("alerts", lambda env: []),
         ],
         left=scoring,
         right=_loop("parser", pattern, action=ingest_action),
@@ -324,29 +323,27 @@ class Pipeline:
             score_sink=self._score_buffer.append,
         )
         self.state = init(self.spec, defs=self.defs)
-        self.alerts: list[Alert] = []
-        self._alerts_seen: dict[str, int] = {}
 
     def process_event(self, event: Event) -> list[Alert]:
         """Run one event through the machine; return the alerts it raised."""
         if event.name != "e" or len(event.args) != 3:
             raise InputError(f"expected e(userId, eventDate, eventId), got {event}")
-        user, event_date, _ = event.args
         try:
-            parse_timestamp(event_date, self.config.date_format)
+            when = parse_timestamp(event.args[1], self.config.date_format)
         except InputError:
             self.counters.skipped_dates += 1
             return []
-        result = step(self.spec, self.state, event, defs=self.defs)
+        scored = len(self._score_buffer)
+        result = step(self.spec, self.state, event, Env({"when": when}), defs=self.defs)
         if result is None:
             raise EngineError(f"pipeline refused event {event!r}")
         self.state, _ = result
         self.counters.events += 1
-        per_user = self.state.instances[user].env["alerts"]
-        seen = self._alerts_seen.get(user, 0)
-        fresh = list(per_user[seen:])
-        self._alerts_seen[user] = len(per_user)
-        self.alerts.extend(fresh)
+        fresh = [
+            Alert(r.event_id, r.votes, r.event_date, r.user_id)
+            for r in self._score_buffer[scored:]
+            if r.alert
+        ]
         self.counters.alerts += len(fresh)
         return fresh
 

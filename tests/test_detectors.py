@@ -411,11 +411,11 @@ def test_init_map_defaults():
 
 
 def test_init_map_applies_external_parameter_keys():
-    detectors = init_map(
-        kmeans_params={"kmeans_parameter": 2.5, "seed": 7},
-        kde_params={"kde_parameter": 2.0},
-        lof_params={"lof_parameter": 80.0, "n_neighbors": 5},
-    )
+    detectors = init_map({
+        "kmeans": {"kmeans_parameter": 2.5, "seed": 7},
+        "kde": {"kde_parameter": 2.0},
+        "lof": {"lof_parameter": 80.0, "n_neighbors": 5},
+    })
     assert detectors["kmeans"].threshold == 2.5
     assert detectors["kmeans"].seed == 7
     assert detectors["kde"].percentile == 2.0
@@ -424,16 +424,16 @@ def test_init_map_applies_external_parameter_keys():
 
 
 def test_init_map_subset_and_errors():
-    assert list(init_map(detectors=["kde"])) == ["kde"]
+    assert list(init_map({"kde": {}})) == ["kde"]
     with pytest.raises(ConfigurationError):
-        init_map(detectors=["svm"])
+        init_map({"svm": {}})
     with pytest.raises(ConfigurationError):
-        init_map(kde_params={"bogus": 1})
+        init_map({"kde": {"bogus": 1}})
 
 
 def test_init_map_warns_on_out_of_range_parameters():
     with pytest.warns(UserWarning):
-        init_map(kde_params={"kde_parameter": 10.0})
+        init_map({"kde": {"kde_parameter": 10.0}})
 
 
 def test_register_detector_extends_registry():
@@ -442,7 +442,7 @@ def test_register_detector_extends_registry():
 
     register_detector("stub", Stub)
     try:
-        detectors = init_map(detectors=["stub", "kde"])
+        detectors = init_map({"stub": {}, "kde": {}})
         assert list(detectors) == ["kde", "stub"]
         assert isinstance(detectors["stub"], Stub)
     finally:

@@ -7,8 +7,17 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from flowdetect import pipeline as pipeline_module
 from flowdetect import synth
-from flowdetect.detectors import CircularKMeans, CosineLof, WrappedKde
+from flowdetect.detectors import (
+    DETECTOR_TYPES,
+    CircularKMeans,
+    CosineLof,
+    Detector,
+    Score,
+    WrappedKde,
+    register_detector,
+)
 from flowdetect.engine import (
     UNBOUNDED,
     Call,
@@ -26,7 +35,7 @@ from flowdetect.pipeline import (
     detection_guard,
     training_guard,
 )
-from flowdetect.windowing import Window, WindowConfig
+from flowdetect.windowing import Window, WindowConfig, parse_timestamp
 
 FMT = "%m/%d/%Y %H:%M:%S"
 START = datetime(2010, 1, 4)  # a Monday
@@ -146,7 +155,7 @@ def test_build_spec_shape():
 
     per_user = root.body
     assert isinstance(per_user, Flow)
-    assert {name for name, _ in per_user.attrs} == {"window", "data", "alerts"}
+    assert {name for name, _ in per_user.attrs} == {"window", "data"}
 
     scoring = per_user.left
     detectors = scoring.left
@@ -192,6 +201,21 @@ def test_training_minimum_below_detector_minimum_is_rejected_at_build():
     assert len(run(Pipeline(kde_only), events)) == len(events) - 3 * 2
     three = PipelineConfig(window=WindowConfig(3, 1, "instance"), min_training_instances=3)
     assert len(run(Pipeline(three), events)) == len(events) - 3 * 3
+
+    # A sliding instance window holds at most window_size + sliding_size - 1
+    # samples when g1 looks, so one that holds fewer than the minimum would
+    # never train; the build refuses it.
+    for size, slide, least in ((2, 1, 3), (4, 2, 6), (10, 5, 30)):
+        never = PipelineConfig(
+            window=WindowConfig(size, slide, "instance"), min_training_instances=least
+        )
+        with pytest.raises(ConfigurationError, match=f"holds at most {size + slide - 1}"):
+            Pipeline(never)
+    for size, slide, least in ((2, 2, 3), (5, 5, 9)):
+        just = PipelineConfig(
+            window=WindowConfig(size, slide, "instance"), min_training_instances=least
+        )
+        assert run(Pipeline(just), events)
 
 
 # ------------------------------------------------------------ warmup and fit
@@ -246,6 +270,41 @@ def test_off_hours_event_alerts_and_matches_direct_fits():
     # prequential: the event was scored first, ingested after
     data = pipeline.training_data_for("alice")
     assert any(180 in samples for samples in data.values())
+
+
+class LevelDetector(Detector):
+    """Scores every event at its configured level."""
+
+    name = "level"
+    param_keys = {"level_parameter": "level"}
+
+    def __init__(self, level: float = 0.0):
+        super().__init__()
+        self.level = level
+
+    def fit_partial(self, minutes, version=0):
+        fitted = LevelDetector(self.level)
+        fitted.trained_version = version
+        return fitted
+
+    def score_partial(self, minute, event_id=None):
+        return Score(0, self.level)
+
+
+def test_registered_detector_receives_its_declared_parameters():
+    register_detector("level", LevelDetector)
+    try:
+        config = PipelineConfig(
+            window=WindowConfig(3, 1, "week"), detectors={"level": {"level_parameter": 7.5}}
+        )
+        records = run(Pipeline(config), weekday_events("solo", 4))
+        assert records and all(r.detectors["level"]["raw"] == 7.5 for r in records)
+
+        bogus = PipelineConfig(detectors={"level": {"kde_parameter": 1.0}})
+        with pytest.raises(ConfigurationError, match="unknown level parameter"):
+            Pipeline(bogus)
+    finally:
+        del DETECTOR_TYPES["level"]
 
 
 def test_detector_subset_votes_alone():
@@ -323,6 +382,24 @@ def test_detector_iteration_order_does_not_matter():
 
 
 # ------------------------------------------------------------------ bad input
+
+def test_each_timestamp_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counting(text, date_format):
+        calls.append(text)
+        return parse_timestamp(text, date_format)
+
+    monkeypatch.setattr(pipeline_module, "parse_timestamp", counting)
+    events = weekday_events("alice", 4)  # scored from event 31 on
+    events.insert(35, Event("e", ("alice", "yesterday", "bad-1")))
+    pipeline = Pipeline(weekly_config())
+    records = run(pipeline, events)
+    assert records and all(r.cast == 3 for r in records)
+    assert len(calls) == len(events)
+    assert pipeline.counters.skipped_dates == 1
+    assert pipeline.counters.events == len(events) - 1
+
 
 def test_malformed_events_are_rejected():
     pipeline = Pipeline(weekly_config())
