@@ -7,18 +7,21 @@ isolated operand instance per routing value, created lazily for unbounded
 domains) and ``Call`` (delegation to a named specification with argument
 binding).
 
-Execution is a labelled transition relation over immutable runtime states.
-Each step threads an environment of variable bindings: a node combines the
-enclosing environment with its own attribute bindings, lets its parts fire
-transitions and update bindings in sequence, applies its own action, then
-splits the result back into local attributes (kept on the node's state) and
-enclosing updates (propagated to the caller).  Guards must be side-effect
-free.  An action receives a scratch copy of its environment; names it
-rebinds there reach the new state only when the whole step succeeds.  The
-copy is shallow: values held in environments are shared between the input
-state and the new one, so an action that mutates such a value in place
-(a window, training data, a detector map, a score board) changes the input
-state as well, even when a later part of the step fails.
+Execution is a labelled transition relation over runtime states.  Each
+step threads one mutable scope of variable bindings down the tree.  Entering
+a node binds its attributes (a call's parameters, a quantified variable)
+into the scope and remembers what they shadow; leaving it runs the node
+action on the scope, pops the node's attributes into its new local
+environment and restores what they shadowed, so every other name travels
+outward to the caller.  A refusing node pops its bindings and leaves the
+scope as it found it.  Guards must be side-effect free.
+
+Ownership: a successful step consumes the state it is given (the instance
+maps of quantified nodes are updated in place once the whole step has
+succeeded), and a refused step, or one that raises, leaves it untouched.
+Values bound in environments are not copied, so an action that mutates one
+in place (a window, training data, a detector map, a score board) changes
+it for good, even when a later part of the step fails.
 
 Determinism: automaton transitions are tried in declaration order and the
 first enabled one fires; quantified domains are iterated in ascending order
@@ -49,9 +52,7 @@ Action = Callable[[MutableMapping[str, Any]], None]
 class Env(Mapping):
     """Immutable map from variable names to values.
 
-    ``override`` implements right-biased union, ``restrict`` and ``subtract``
-    split a map on a set of names.  For any environment ``e`` and name set
-    ``v``, ``e.restrict(v)`` and ``e.subtract(v)`` partition ``e``.
+    ``override`` implements right-biased union.
     """
 
     __slots__ = ("_bindings",)
@@ -70,26 +71,6 @@ class Env(Mapping):
             return self
         merged = dict(self._bindings)
         merged.update(other)
-        return Env._wrap(merged)
-
-    def restrict(self, names: Iterable[str]) -> Env:
-        keep = set(names)
-        return Env._wrap({k: v for k, v in self._bindings.items() if k in keep})
-
-    def subtract(self, names: Iterable[str]) -> Env:
-        drop = set(names)
-        return Env._wrap({k: v for k, v in self._bindings.items() if k not in drop})
-
-    def set(self, name: str, value: Any) -> Env:
-        merged = dict(self._bindings)
-        merged[name] = value
-        return Env._wrap(merged)
-
-    def without(self, name: str) -> Env:
-        if name not in self._bindings:
-            return self
-        merged = dict(self._bindings)
-        del merged[name]
         return Env._wrap(merged)
 
     def __getitem__(self, name: str) -> Any:
@@ -433,7 +414,7 @@ def _init(spec: Node, env: Env, defs: Mapping[str, Node]) -> Any:
         return FlowState(local, _init(spec.left, inner_env, defs), _init(spec.right, inner_env, defs))
     if isinstance(spec, QuantifiedFlow):
         instances = {
-            value: _init(spec.body, inner_env.set(spec.var, value), defs)
+            value: _init(spec.body, inner_env.override({spec.var: value}), defs)
             for value in sorted(spec.domain)
         }
         return QuantifiedFlowState(local, instances)
@@ -441,7 +422,7 @@ def _init(spec: Node, env: Env, defs: Mapping[str, Node]) -> Any:
         if isinstance(spec.domain, _UnboundedDomain):
             return QuantifiedInterleaveState(local, {})
         instances = {
-            value: _init(spec.body, inner_env.set(spec.var, value), defs)
+            value: _init(spec.body, inner_env.override({spec.var: value}), defs)
             for value in sorted(spec.domain)
         }
         return QuantifiedInterleaveState(local, instances)
@@ -490,91 +471,84 @@ def step(
     """Attempt one transition on ``event``.
 
     Returns ``(new_state, new_enclosing_env)`` when some part of the tree
-    fired, or ``None`` when the whole tree refuses the event.  The input
-    state's nodes and bindings are not rebound, but the values bound in it
-    are shared with the new state: an action that mutates one in place
-    changes the input state too, even if a later part of the step fails.
+    fired, or ``None`` when the whole tree refuses the event.  A successful
+    step consumes ``state``: the new state shares its unchanged parts, and
+    the instance maps of its quantified nodes are updated in place.  A
+    refused step, or one that raises, leaves ``state`` and ``env`` as they
+    were, apart from values an action mutated in place.
     """
-    return _step(spec, state, event, env or EMPTY_ENV, defs or {})
+    scope = dict(env) if env else {}
+    commits: list[tuple[dict, Any, Any]] = []
+    new_state = _step(spec, state, event, scope, defs or {}, commits)
+    if new_state is None:
+        return None
+    for instances, value, instance in commits:
+        instances[value] = instance
+    return new_state, Env._wrap(scope)
 
 
-def _step(spec, state, event, enclosing, defs):
+def _step(spec, state, event, scope, defs, commits):
     _check_shape(spec, state)
-    if isinstance(spec, Automaton):
-        return _step_automaton(spec, state, event, enclosing, defs)
-    if isinstance(spec, Flow):
-        return _step_flow(spec, state, event, enclosing, defs)
-    if isinstance(spec, QuantifiedFlow):
-        return _step_qflow(spec, state, event, enclosing, defs)
-    if isinstance(spec, QuantifiedInterleave):
-        return _step_qinterleave(spec, state, event, enclosing, defs)
-    if isinstance(spec, Call):
-        return _step_call(spec, state, event, enclosing, defs)
-    raise SpecificationError(f"unknown node type {type(spec).__name__}")
+    return _STEPPERS[type(spec)](spec, state, event, scope, defs, commits)
 
 
-def _run_action(action: Action | None, env: Env) -> Env:
-    if action is None:
-        return env
-    scratch = dict(env)
-    action(scratch)
-    return Env(scratch)
+def _bind(scope: dict, bindings: Mapping[str, Any]) -> dict:
+    """Bind ``bindings`` into ``scope``; return the bindings they shadow."""
+    shadowed = {name: scope[name] for name in bindings if name in scope}
+    scope.update(bindings)
+    return shadowed
 
 
-def _split(spec: Node, enclosing: Env, combined: Env, make_state) -> tuple[Any, Env]:
-    """Apply the node action, then partition bindings into local and enclosing."""
-    final = _run_action(spec.action, combined)
-    names = spec.attr_names()
-    local = final.restrict(names)
-    out = enclosing.override(final.subtract(names))
-    return make_state(local), out
+def _unbind(scope: dict, names: Iterable[str], shadowed: dict) -> dict:
+    """Pop ``names`` out of ``scope``, restore what they shadowed, return them."""
+    popped = {name: scope.pop(name) for name in names if name in scope}
+    scope.update(shadowed)
+    return popped
 
 
-def _restore(env: Env, name: str, reference: Env) -> Env:
-    """Reset ``name`` to its binding in ``reference`` (or drop it)."""
-    if name in reference:
-        return env.set(name, reference[name])
-    return env.without(name)
+def _leave(spec: Node, scope: dict, shadowed: dict) -> Env:
+    """Run the node action, then pop the node's attributes into its local env."""
+    if spec.action is not None:
+        spec.action(scope)
+    return Env._wrap(_unbind(scope, (name for name, _ in spec.attrs), shadowed))
 
 
-def _step_automaton(spec, state, event, enclosing, defs):
-    combined = enclosing.override(state.env)
+def _step_automaton(spec, state, event, scope, defs, commits):
+    shadowed = _bind(scope, state.env._bindings)
     for t in spec.transitions:
         if t.source != state.current:
             continue
-        captures = t.pattern.match(event, combined)
+        captures = t.pattern.match(event, scope)
         if captures is None:
             continue
-        scope = combined.override(captures)
+        # Captures are transient: bound for the guard and action only.
+        hidden = _bind(scope, captures)
         if t.guard is not None and not t.guard(scope):
+            _unbind(scope, captures, hidden)
             continue
-        after = _run_action(t.action, scope)
-        # Captures are transient: restore whatever they shadowed.
-        for name in captures:
-            after = _restore(after, name, combined)
-        return _split(spec, enclosing, after, lambda local: AutomatonState(t.target, local))
+        if t.action is not None:
+            t.action(scope)
+        _unbind(scope, captures, hidden)
+        return AutomatonState(t.target, _leave(spec, scope, shadowed))
+    _unbind(scope, state.env._bindings, shadowed)
     return None
 
 
-def _step_flow(spec, state, event, enclosing, defs):
-    combined = enclosing.override(state.env)
-    fired = False
-    new_left, new_right = state.left, state.right
-    result = _step(spec.left, state.left, event, combined, defs)
-    if result is not None:
-        new_left, combined = result
-        fired = True
-    result = _step(spec.right, state.right, event, combined, defs)
-    if result is not None:
-        new_right, combined = result
-        fired = True
-    if not fired:
+def _step_flow(spec, state, event, scope, defs, commits):
+    shadowed = _bind(scope, state.env._bindings)
+    left = _step(spec.left, state.left, event, scope, defs, commits)
+    right = _step(spec.right, state.right, event, scope, defs, commits)
+    if left is None and right is None:
+        _unbind(scope, state.env._bindings, shadowed)
         return None
-    return _split(spec, enclosing, combined, lambda local: FlowState(local, new_left, new_right))
+    return FlowState(
+        _leave(spec, scope, shadowed),
+        state.left if left is None else left,
+        state.right if right is None else right,
+    )
 
 
-def _step_qflow(spec, state, event, enclosing, defs):
-    combined = enclosing.override(state.env)
+def _step_qflow(spec, state, event, scope, defs, commits):
     values = list(state.instances)
     if spec.order_hook is not None:
         ordered = list(spec.order_hook(values))
@@ -584,24 +558,23 @@ def _step_qflow(spec, state, event, enclosing, defs):
             )
     else:
         ordered = sorted(values)
+    shadowed = _bind(scope, state.env._bindings)
+    hidden = {spec.var: scope[spec.var]} if spec.var in scope else {}
     fired = False
-    new_instances = dict(state.instances)
-    current = combined
     for value in ordered:
-        result = _step(spec.body, state.instances[value], event, current.set(spec.var, value), defs)
-        if result is None:
-            continue
-        new_instances[value], current = result
-        fired = True
+        scope[spec.var] = value
+        instance = _step(spec.body, state.instances[value], event, scope, defs, commits)
+        if instance is not None:
+            commits.append((state.instances, value, instance))
+            fired = True
+    _unbind(scope, (spec.var,), hidden)
     if not fired:
+        _unbind(scope, state.env._bindings, shadowed)
         return None
-    current = _restore(current, spec.var, combined)
-    return _split(
-        spec, enclosing, current, lambda local: QuantifiedFlowState(local, new_instances)
-    )
+    return QuantifiedFlowState(_leave(spec, scope, shadowed), state.instances)
 
 
-def _step_qinterleave(spec, state, event, enclosing, defs):
+def _step_qinterleave(spec, state, event, scope, defs, commits):
     if spec.route_arg >= len(event.args):
         raise InputError(
             f"node {spec.name!r}: event {event.name!r} has no argument "
@@ -614,38 +587,41 @@ def _step_qinterleave(spec, state, event, enclosing, defs):
         hash(value)
     except TypeError as exc:
         raise InputError(f"node {spec.name!r}: routing value is not hashable") from exc
-
-    combined = enclosing.override(state.env)
-    if value in state.instances:
-        instance = state.instances[value]
-    elif isinstance(spec.domain, _UnboundedDomain):
-        instance = _init(spec.body, combined.set(spec.var, value), defs)
-    else:
+    instance = state.instances.get(value)
+    if instance is None and not isinstance(spec.domain, _UnboundedDomain):
         return None  # outside a bounded domain
 
-    result = _step(spec.body, instance, event, combined.set(spec.var, value), defs)
-    if result is None:
+    shadowed = _bind(scope, state.env._bindings)
+    hidden = _bind(scope, {spec.var: value})
+    if instance is None:
+        instance = _init(spec.body, Env(scope), defs)
+    instance = _step(spec.body, instance, event, scope, defs, commits)
+    _unbind(scope, (spec.var,), hidden)
+    if instance is None:
+        _unbind(scope, state.env._bindings, shadowed)
         return None
-    new_instance, current = result
-    new_instances = dict(state.instances)
-    new_instances[value] = new_instance
-    current = _restore(current, spec.var, combined)
-    return _split(
-        spec, enclosing, current, lambda local: QuantifiedInterleaveState(local, new_instances)
-    )
+    commits.append((state.instances, value, instance))
+    return QuantifiedInterleaveState(_leave(spec, scope, shadowed), state.instances)
 
 
-def _step_call(spec, state, event, enclosing, defs):
+def _step_call(spec, state, event, scope, defs, commits):
     callee = defs.get(spec.callee)
     if callee is None:
         raise SpecificationError(f"call {spec.name!r}: unresolved callee {spec.callee!r}")
-    combined = enclosing.override(state.env)
-    result = _step(callee, state.inner, event, combined, defs)
-    if result is None:
-        return None
-    new_inner, out = result
-    # Parameters are constant; strip them before propagating updates.
-    return CallState(state.env, new_inner), enclosing.override(out.subtract(callee.params))
+    # Parameters are constant; pop them before propagating updates.
+    shadowed = _bind(scope, state.env._bindings)
+    inner = _step(callee, state.inner, event, scope, defs, commits)
+    _unbind(scope, state.env._bindings, shadowed)
+    return None if inner is None else CallState(state.env, inner)
+
+
+_STEPPERS = {
+    Automaton: _step_automaton,
+    Flow: _step_flow,
+    QuantifiedFlow: _step_qflow,
+    QuantifiedInterleave: _step_qinterleave,
+    Call: _step_call,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ The scoring side runs first, so an event is always scored against a state
 that does not include itself.  ``Pipeline.process_event`` parses each
 event's date once and binds it as ``when`` at the root of the step, where
 both sides read it.
+
+The ingest, train, detect and vote actions mutate nested values in place
+(the window, the training data, the detector map, the score board), so they
+are not transactional: if a step raises after ``train_action`` has run, the
+engine leaves the user's machine state as it was, but the refitted detector
+stays in its detector map.
 """
 
 from __future__ import annotations

@@ -151,19 +151,12 @@ class Window:
         )
 
 
-def formatting_data(
-    data: TrainingData,
-    window: Window,
-    when: Union[datetime, str],
-    date_format: str = DEFAULT_DATE_FORMAT,
-) -> None:
+def formatting_data(data: TrainingData, window: Window, when: datetime) -> None:
     """Fold one event into the training data, evicting what slid out.
 
     ``data`` and ``window`` are updated in place.  Sub-minute precision is
     dropped: the stored sample is ``hour * 60 + minute``.
     """
-    if isinstance(when, str):
-        when = parse_timestamp(when, date_format)
     minute = when.hour * 60 + when.minute
     if window.config.type == "instance":
         data.setdefault(0, []).append(minute)

@@ -77,28 +77,6 @@ def test_env_override_is_right_biased():
     assert dict(merged) == {"a": 1, "b": 9, "c": 3}
 
 
-def test_env_set_without():
-    env = Env({"a": 1})
-    assert dict(env.set("b", 2)) == {"a": 1, "b": 2}
-    assert dict(env.set("b", 2).without("a")) == {"b": 2}
-    assert env.without("missing") == env
-    assert dict(env) == {"a": 1}  # originals untouched
-
-
-@given(
-    bindings=st.dictionaries(st.text(min_size=1, max_size=3), st.integers(), max_size=8),
-    names=st.sets(st.text(min_size=1, max_size=3), max_size=8),
-)
-def test_env_restrict_subtract_partition(bindings, names):
-    env = Env(bindings)
-    kept = env.restrict(names)
-    rest = env.subtract(names)
-    assert set(kept) <= names
-    assert set(rest).isdisjoint(names)
-    assert {**rest, **kept} == bindings
-    assert len(kept) + len(rest) == len(env)
-
-
 # ------------------------------------------------------------ events, patterns
 
 def test_event_name_must_be_non_empty():
@@ -318,6 +296,21 @@ def test_quantified_flow_fires_selectively():
     assert step(spec, state, Event("t", (9,))) is None  # all instances refuse
 
 
+def test_quantified_flow_failed_instance_leaves_state_untouched():
+    def count_then_fail(env):
+        env["hits"] = env["hits"] + 1
+        if env["x"] == 2:
+            raise RuntimeError("bad action")
+
+    body = loop("fragile", attrs=(("hits", 0),), action=count_then_fail)
+    spec = QuantifiedFlow(name="partial", attrs=(("acc", 0),), var="x", domain=(1, 2, 3), body=body)
+    state = init(spec)
+    before = dump_state(state)
+    with pytest.raises(RuntimeError):
+        step(spec, state, Event("tick"))  # instance 1 fired, instance 2 raised
+    assert dump_state(state) == before
+
+
 def test_quantified_flow_instances_get_fresh_attr_values():
     body = loop("own", attrs=(("bucket", lambda env: []),), action=lambda env: env["bucket"].append(1))
     spec = QuantifiedFlow(name="fresh", var="x", domain=(1, 2), body=body)
@@ -381,6 +374,51 @@ def test_interleave_refusal_discards_lazy_instance():
     assert step(spec, state, Event("e", ("carol", -5))) is None
     assert dump_state(state) == before
     assert state.instances == {}
+
+
+def test_interleave_step_replaces_only_the_routed_instance_in_place():
+    spec = routed_spec()
+    state = run_events(spec, [Event("e", ("alice", 1)), Event("e", ("bob", 10))])
+    instances = dict(state.instances)
+    new_state, _ = step(spec, state, Event("e", ("alice", 2)))
+    assert new_state.instances is state.instances  # no per-event copy of the map
+    assert new_state.instances["bob"] is instances["bob"]
+    assert new_state.instances["alice"] is not instances["alice"]
+    assert dict(new_state.instances["alice"].env) == {"c": 3}
+
+
+def fail_on_negative(env):
+    if env["k"] < 0:
+        raise RuntimeError("bad action")
+
+
+def test_interleave_failed_step_leaves_state_untouched():
+    pattern = EventPattern("e", (Ref("u"), Capture("k")))
+    body = Flow(
+        name="pair",
+        left=loop("counter", pattern, attrs=(("c", 0),), action=inc("c")),
+        right=loop("fragile", pattern, action=fail_on_negative),
+    )
+    spec = QuantifiedInterleave(name="users", var="u", domain=UNBOUNDED, body=body)
+    state = run_events(spec, [Event("e", ("alice", 1))])
+    before = dump_state(state)
+    with pytest.raises(RuntimeError):
+        step(spec, state, Event("e", ("alice", -1)))  # counter fired, fragile raised
+    assert dump_state(state) == before
+    with pytest.raises(RuntimeError):
+        step(spec, state, Event("e", ("bob", -1)))
+    assert set(state.instances) == {"alice"}
+
+
+def test_nested_interleave_commits_nothing_when_a_later_operand_raises():
+    pattern = EventPattern("e", (Capture("u"), Capture("k")))
+    spec = Flow(name="outer", left=routed_spec(), right=loop("fragile", pattern, action=fail_on_negative))
+    state = run_events(spec, [Event("e", ("alice", 1))])
+    before = dump_state(state)
+    for user in ("alice", "bob"):
+        with pytest.raises(RuntimeError):
+            step(spec, state, Event("e", (user, -1)))  # the interleave fired first
+        assert dump_state(state) == before
 
 
 def test_interleave_routing_errors():

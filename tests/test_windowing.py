@@ -174,16 +174,16 @@ def test_instance_minute_range():
 def test_formatting_data_week_roundtrip():
     window = Window(WindowConfig(3, 1, "week"))
     data: dict[int, list[int]] = {}
-    formatting_data(data, window, "01/04/2010 08:05:00")
+    formatting_data(data, window, datetime(2010, 1, 4, 8, 5))
     assert data == {201001: [485]}
-    formatting_data(data, window, "01/04/2010 09:00:30")  # seconds dropped
+    formatting_data(data, window, datetime(2010, 1, 4, 9, 0, 30))  # seconds dropped
     assert data == {201001: [485, 540]}
-    formatting_data(data, window, "01/11/2010 10:00:00")
-    formatting_data(data, window, "01/18/2010 11:00:00")
+    formatting_data(data, window, datetime(2010, 1, 11, 10, 0))
+    formatting_data(data, window, datetime(2010, 1, 18, 11, 0))
     assert window.version == 1
     assert sorted(data) == [201001, 201002, 201003]
     # week 4 fills past capacity: week 1 evicted from window and data
-    formatting_data(data, window, "01/25/2010 12:00:00")
+    formatting_data(data, window, datetime(2010, 1, 25, 12, 0))
     assert window.version == 2
     assert sorted(data) == [201002, 201003, 201004]
 
@@ -192,10 +192,10 @@ def test_formatting_data_drops_stale_events():
     window = Window(WindowConfig(2, 1, "week"))
     data: dict[int, list[int]] = {}
     for day in (4, 11, 18):  # three consecutive Mondays
-        formatting_data(data, window, f"01/{day:02d}/2010 08:00:00")
+        formatting_data(data, window, datetime(2010, 1, day, 8, 0))
     assert window.version == 2
     before = {k: list(v) for k, v in data.items()}
-    formatting_data(data, window, "01/05/2010 08:00:00")  # in evicted week
+    formatting_data(data, window, datetime(2010, 1, 5, 8, 0))  # in evicted week
     assert data == before
     assert window.stale_drops == 1
 
@@ -204,7 +204,7 @@ def test_formatting_data_instance_trims_oldest():
     window = Window(WindowConfig(2, 1, "instance"))
     data: dict[int, list[int]] = {}
     for hour in (1, 2, 3):
-        formatting_data(data, window, f"01/04/2010 {hour:02d}:00:00")
+        formatting_data(data, window, datetime(2010, 1, 4, hour, 0))
     assert data == {0: [120, 180]}
     assert window.instance_count == 2
 
