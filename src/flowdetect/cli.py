@@ -107,7 +107,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(
         f"events={c.events} users={pipeline.user_count} alerts={c.alerts} "
         f"retrains={c.retrains} skipped_dates={c.skipped_dates} "
-        f"malformed_rows={stats.malformed} filtered_rows={stats.filtered}"
+        f"malformed_rows={stats.malformed} filtered_rows={stats.filtered} "
+        f"stale_drops={pipeline.stale_drops}"
     )
     return 0
 

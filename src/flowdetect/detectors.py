@@ -136,16 +136,22 @@ def silhouette(hours: Sequence[float], labels: Sequence[int]) -> float:
     if len(set(lab.tolist())) < 2:
         raise ValueError("silhouette requires at least two clusters")
     matrix = _circ_dist(arr[:, None], arr[None, :])
-    return _silhouette_from_matrix(matrix, lab)
+    return _silhouette_from_sums(*_cluster_sums(matrix, lab))
 
 
-def _silhouette_from_matrix(matrix: np.ndarray, labels: np.ndarray) -> float:
-    n = matrix.shape[0]
+def _cluster_sums(
+    matrix: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each point's distance sum to each cluster, its cluster and the sizes."""
     _, cluster, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    onehot = np.zeros((matrix.shape[0], sizes.size))
+    onehot[np.arange(matrix.shape[0]), cluster] = 1.0
+    return matrix @ onehot, cluster, sizes
+
+
+def _silhouette_from_sums(sums: np.ndarray, cluster: np.ndarray, sizes: np.ndarray) -> float:
+    n = sums.shape[0]
     rows = np.arange(n)
-    onehot = np.zeros((n, sizes.size))
-    onehot[rows, cluster] = 1.0
-    sums = matrix @ onehot  # each point's distance sum to each cluster
     own_size = sizes[cluster]
     a = sums[rows, cluster] / np.maximum(own_size - 1, 1)
     means = sums / sizes
@@ -261,14 +267,21 @@ class CircularKMeans(Detector):
         hours = minutes_to_hours(minutes)
         n = hours.size
         self._require_samples(n)
-        matrix = _circ_dist(hours[:, None], hours[None, :])
+        # Samples are whole minutes, so distances in minutes are integers
+        # and their sums, far below 2**53, are exact in any summation order:
+        # the BLAS kernel the CPU selects cannot move the silhouette.  The
+        # sums are turned into hours only after the product.
+        whole = np.asarray(minutes, dtype=float)
+        gaps = np.abs(whole[:, None] - whole[None, :])
+        matrix = np.minimum(gaps, MINUTES_PER_DAY - gaps)
         best_k, best_score, best_labels, best_centroids = 0, -math.inf, None, None
         for k in range(2, min(KMEANS_MAX_CLUSTERS, n - 1) + 1):
             labels, centroids = self._lloyd(hours, k)
             if len(set(labels.tolist())) < 2:
                 score = -math.inf  # collapsed clustering, never preferred
             else:
-                score = _silhouette_from_matrix(matrix, labels)
+                sums, cluster, sizes = _cluster_sums(matrix, labels)
+                score = _silhouette_from_sums(sums / 60.0, cluster, sizes)
             if best_labels is None or score > best_score:
                 best_k, best_score, best_labels, best_centroids = k, score, labels, centroids
         fitted = copy.copy(self)

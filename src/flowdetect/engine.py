@@ -19,9 +19,16 @@ scope as it found it.  Guards must be side-effect free.
 Ownership: a successful step consumes the state it is given (the instance
 maps of quantified nodes are updated in place once the whole step has
 succeeded), and a refused step, or one that raises, leaves it untouched.
-Values bound in environments are not copied, so an action that mutates one
-in place (a window, training data, a detector map, a score board) changes
-it for good, even when a later part of the step fails.
+States change by copy: a step hands back every part of the state that did
+not change as the same object, an environment whose attributes all still
+hold the same objects included, so an instance at rest costs no
+allocation.  The at-rest states of attribute-free nodes (automata, flows
+and argument-less calls whose parts are themselves such states) are
+shared between instances and between machines in one process, so callers
+must treat every state as read-only.  Values bound in environments are not
+copied, so an action that mutates one in place (a window, training data, a
+detector map, a score board) changes it for good, even when a later part
+of the step fails.
 
 Determinism: automaton transitions are tried in declaration order and the
 first enabled one fires; quantified domains are iterated in ascending order
@@ -292,24 +299,83 @@ class CallState:
     inner: Any
 
 
-_STATE_FOR_NODE = {
-    Automaton: AutomatonState,
-    Flow: FlowState,
-    QuantifiedFlow: QuantifiedFlowState,
-    QuantifiedInterleave: QuantifiedInterleaveState,
-    Call: CallState,
-}
+#: Shared states of attribute-free nodes, keyed by structure: an automaton's
+#: key is ``("automaton", current)``, a flow's ``("flow", left key, right
+#: key)`` and an argument-less call's ``("call", inner key)``.  Keys hold
+#: state names and tuples only, never an object that could be freed and its
+#: id reused.  Entries live as long as the process; once the table holds
+#: ``_AT_REST_LIMIT`` of them, further states are built unshared.
+_AT_REST: dict[tuple, Any] = {}
+_AT_REST_LIMIT = 4096
 
 
-def _check_shape(spec: Node, state: Any) -> None:
-    expected = _STATE_FOR_NODE.get(type(spec))
-    if expected is None:
+def _share(key: tuple, make: type, *fields: Any) -> Any:
+    """The shared state under ``key``, built from ``fields`` on first use."""
+    state = _AT_REST.get(key)
+    if state is None:
+        state = make(*fields)
+        if len(_AT_REST) < _AT_REST_LIMIT:
+            state = _AT_REST.setdefault(key, state)
+    return state
+
+
+def _rest_key(state: Any) -> tuple | None:
+    """The table key of ``state`` if it is a shared at-rest state, else ``None``."""
+    if state.env is not EMPTY_ENV:
+        return None
+    kind = type(state)
+    if kind is AutomatonState:
+        key = ("automaton", state.current)
+    elif kind is FlowState:
+        left = _rest_key(state.left)
+        right = None if left is None else _rest_key(state.right)
+        if right is None:
+            return None
+        key = ("flow", left, right)
+    elif kind is CallState:
+        inner = _rest_key(state.inner)
+        if inner is None:
+            return None
+        key = ("call", inner)
+    else:
+        return None
+    return key if _AT_REST.get(key) is state else None
+
+
+def _automaton_state(current: str, env: Env) -> AutomatonState:
+    if env is EMPTY_ENV and type(current) is str:
+        return _share(("automaton", current), AutomatonState, current, env)
+    return AutomatonState(current, env)
+
+
+def _flow_state(env: Env, left: Any, right: Any) -> FlowState:
+    if env is EMPTY_ENV:
+        left_key = _rest_key(left)
+        right_key = None if left_key is None else _rest_key(right)
+        if right_key is not None:
+            return _share(("flow", left_key, right_key), FlowState, env, left, right)
+    return FlowState(env, left, right)
+
+
+def _call_state(env: Env, inner: Any) -> CallState:
+    if env is EMPTY_ENV:
+        inner_key = _rest_key(inner)
+        if inner_key is not None:
+            return _share(("call", inner_key), CallState, env, inner)
+    return CallState(env, inner)
+
+
+def _check_shape(spec: Node, state: Any) -> Callable:
+    """Return the stepper for ``spec`` once ``state`` is known to fit it."""
+    kind = _NODE_KINDS.get(type(spec))
+    if kind is None:
         raise SpecificationError(f"unknown node type {type(spec).__name__}")
-    if not isinstance(state, expected):
+    if not isinstance(state, kind[0]):
         raise EngineError(
             f"state {type(state).__name__} does not match node "
             f"{type(spec).__name__} {spec.name!r}"
         )
+    return kind[1]
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +464,22 @@ def init(spec: Node, env: Env | None = None, defs: Mapping[str, Node] | None = N
 
 
 def _init_attrs(spec: Node, env: Env) -> Env:
+    if not spec.attrs:
+        return EMPTY_ENV
     bound: dict[str, Any] = {}
     for name, initial in spec.attrs:
         scope = env.override(bound)
         bound[name] = initial(scope) if callable(initial) else initial
-    return Env(bound)
+    return Env._wrap(bound)
 
 
 def _init(spec: Node, env: Env, defs: Mapping[str, Node]) -> Any:
     local = _init_attrs(spec, env)
     inner_env = env.override(local)
     if isinstance(spec, Automaton):
-        return AutomatonState(spec.initial, local)
+        return _automaton_state(spec.initial, local)
     if isinstance(spec, Flow):
-        return FlowState(local, _init(spec.left, inner_env, defs), _init(spec.right, inner_env, defs))
+        return _flow_state(local, _init(spec.left, inner_env, defs), _init(spec.right, inner_env, defs))
     if isinstance(spec, QuantifiedFlow):
         instances = {
             value: _init(spec.body, inner_env.override({spec.var: value}), defs)
@@ -431,8 +499,8 @@ def _init(spec: Node, env: Env, defs: Mapping[str, Node]) -> Any:
         params: dict[str, Any] = {}
         for name, value in spec.args.items():
             params[name] = value(env) if callable(value) else value
-        param_env = Env(params)
-        return CallState(param_env, _init(callee, env.override(param_env), defs))
+        param_env = Env._wrap(params) if params else EMPTY_ENV
+        return _call_state(param_env, _init(callee, env.override(param_env), defs))
     raise SpecificationError(f"unknown node type {type(spec).__name__}")
 
 
@@ -465,17 +533,20 @@ def step(
     spec: Node,
     state: Any,
     event: Event,
-    env: Env | None = None,
+    env: Mapping[str, Any] | None = None,
     defs: Mapping[str, Node] | None = None,
 ) -> tuple[Any, Env] | None:
     """Attempt one transition on ``event``.
 
     Returns ``(new_state, new_enclosing_env)`` when some part of the tree
     fired, or ``None`` when the whole tree refuses the event.  A successful
-    step consumes ``state``: the new state shares its unchanged parts, and
+    step consumes ``state``: every part of it that did not change comes back
+    as the same object (the whole of ``state`` when nothing changed), and
     the instance maps of its quantified nodes are updated in place.  A
     refused step, or one that raises, leaves ``state`` and ``env`` as they
-    were, apart from values an action mutated in place.
+    were, apart from values an action mutated in place.  States of
+    attribute-free nodes may be shared between instances and between
+    machines, so callers must treat every state as read-only.
     """
     scope = dict(env) if env else {}
     commits: list[tuple[dict, Any, Any]] = []
@@ -488,8 +559,7 @@ def step(
 
 
 def _step(spec, state, event, scope, defs, commits):
-    _check_shape(spec, state)
-    return _STEPPERS[type(spec)](spec, state, event, scope, defs, commits)
+    return _check_shape(spec, state)(spec, state, event, scope, defs, commits)
 
 
 def _bind(scope: dict, bindings: Mapping[str, Any]) -> dict:
@@ -499,24 +569,50 @@ def _bind(scope: dict, bindings: Mapping[str, Any]) -> dict:
     return shadowed
 
 
-def _unbind(scope: dict, names: Iterable[str], shadowed: dict) -> dict:
-    """Pop ``names`` out of ``scope``, restore what they shadowed, return them."""
-    popped = {name: scope.pop(name) for name in names if name in scope}
-    scope.update(shadowed)
-    return popped
+def _drop(scope: dict, names: Iterable[str], shadowed: dict | None) -> None:
+    """Pop ``names`` out of ``scope`` and restore what they shadowed."""
+    for name in names:
+        scope.pop(name, None)
+    if shadowed:
+        scope.update(shadowed)
 
 
-def _leave(spec: Node, scope: dict, shadowed: dict) -> Env:
-    """Run the node action, then pop the node's attributes into its local env."""
+_MISSING = object()
+
+
+def _leave(spec: Node, scope: dict, env: Env, shadowed: dict | None) -> Env:
+    """Run the node action, then pop the node's attributes out of ``scope``.
+
+    Returns ``env`` itself when every attribute still holds the object it
+    held on entry, else a new local environment.
+    """
     if spec.action is not None:
         spec.action(scope)
-    return Env._wrap(_unbind(scope, (name for name, _ in spec.attrs), shadowed))
+    old = env._bindings
+    unchanged = len(old) == len(spec.attrs)
+    for name, _ in spec.attrs:
+        value = scope.get(name, _MISSING)
+        if value is _MISSING or value is not old.get(name, _MISSING):
+            unchanged = False
+            break
+    if unchanged:
+        for name in old:
+            del scope[name]
+        new = env
+    else:
+        popped = {name: scope.pop(name) for name, _ in spec.attrs if name in scope}
+        new = Env._wrap(popped) if popped else EMPTY_ENV
+    if shadowed:
+        scope.update(shadowed)
+    return new
 
 
 def _step_automaton(spec, state, event, scope, defs, commits):
-    shadowed = _bind(scope, state.env._bindings)
+    env = state.env
+    shadowed = _bind(scope, env._bindings) if env._bindings else None
+    current = state.current
     for t in spec.transitions:
-        if t.source != state.current:
+        if t.source != current:
             continue
         captures = t.pattern.match(event, scope)
         if captures is None:
@@ -524,54 +620,67 @@ def _step_automaton(spec, state, event, scope, defs, commits):
         # Captures are transient: bound for the guard and action only.
         hidden = _bind(scope, captures)
         if t.guard is not None and not t.guard(scope):
-            _unbind(scope, captures, hidden)
+            _drop(scope, captures, hidden)
             continue
         if t.action is not None:
             t.action(scope)
-        _unbind(scope, captures, hidden)
-        return AutomatonState(t.target, _leave(spec, scope, shadowed))
-    _unbind(scope, state.env._bindings, shadowed)
+        _drop(scope, captures, hidden)
+        new_env = _leave(spec, scope, env, shadowed)
+        if new_env is env and t.target == current:
+            return state
+        return _automaton_state(t.target, new_env)
+    if env._bindings:
+        _drop(scope, env._bindings, shadowed)
     return None
 
 
 def _step_flow(spec, state, event, scope, defs, commits):
-    shadowed = _bind(scope, state.env._bindings)
+    env = state.env
+    shadowed = _bind(scope, env._bindings) if env._bindings else None
     left = _step(spec.left, state.left, event, scope, defs, commits)
     right = _step(spec.right, state.right, event, scope, defs, commits)
     if left is None and right is None:
-        _unbind(scope, state.env._bindings, shadowed)
+        if env._bindings:
+            _drop(scope, env._bindings, shadowed)
         return None
-    return FlowState(
-        _leave(spec, scope, shadowed),
-        state.left if left is None else left,
-        state.right if right is None else right,
-    )
+    new_env = _leave(spec, scope, env, shadowed)
+    left = state.left if left is None else left
+    right = state.right if right is None else right
+    if new_env is env and left is state.left and right is state.right:
+        return state
+    return _flow_state(new_env, left, right)
 
 
 def _step_qflow(spec, state, event, scope, defs, commits):
-    values = list(state.instances)
+    instances = state.instances
     if spec.order_hook is not None:
+        values = list(instances)
         ordered = list(spec.order_hook(values))
         if sorted(ordered, key=repr) != sorted(values, key=repr):
             raise SpecificationError(
                 f"node {spec.name!r}: order hook must permute the domain"
             )
     else:
-        ordered = sorted(values)
-    shadowed = _bind(scope, state.env._bindings)
-    hidden = {spec.var: scope[spec.var]} if spec.var in scope else {}
+        ordered = sorted(instances)
+    env = state.env
+    shadowed = _bind(scope, env._bindings) if env._bindings else None
+    hidden = {spec.var: scope[spec.var]} if spec.var in scope else None
     fired = False
     for value in ordered:
         scope[spec.var] = value
-        instance = _step(spec.body, state.instances[value], event, scope, defs, commits)
-        if instance is not None:
-            commits.append((state.instances, value, instance))
+        instance = instances[value]
+        stepped = _step(spec.body, instance, event, scope, defs, commits)
+        if stepped is not None:
             fired = True
-    _unbind(scope, (spec.var,), hidden)
+            if stepped is not instance:
+                commits.append((instances, value, stepped))
+    _drop(scope, (spec.var,), hidden)
     if not fired:
-        _unbind(scope, state.env._bindings, shadowed)
+        if env._bindings:
+            _drop(scope, env._bindings, shadowed)
         return None
-    return QuantifiedFlowState(_leave(spec, scope, shadowed), state.instances)
+    new_env = _leave(spec, scope, env, shadowed)
+    return state if new_env is env else QuantifiedFlowState(new_env, instances)
 
 
 def _step_qinterleave(spec, state, event, scope, defs, commits):
@@ -591,17 +700,21 @@ def _step_qinterleave(spec, state, event, scope, defs, commits):
     if instance is None and not isinstance(spec.domain, _UnboundedDomain):
         return None  # outside a bounded domain
 
-    shadowed = _bind(scope, state.env._bindings)
-    hidden = _bind(scope, {spec.var: value})
-    if instance is None:
-        instance = _init(spec.body, Env(scope), defs)
-    instance = _step(spec.body, instance, event, scope, defs, commits)
-    _unbind(scope, (spec.var,), hidden)
-    if instance is None:
-        _unbind(scope, state.env._bindings, shadowed)
+    env = state.env
+    shadowed = _bind(scope, env._bindings) if env._bindings else None
+    hidden = {spec.var: scope[spec.var]} if spec.var in scope else None
+    scope[spec.var] = value
+    start = _init(spec.body, Env(scope), defs) if instance is None else instance
+    stepped = _step(spec.body, start, event, scope, defs, commits)
+    _drop(scope, (spec.var,), hidden)
+    if stepped is None:
+        if env._bindings:
+            _drop(scope, env._bindings, shadowed)
         return None
-    commits.append((state.instances, value, instance))
-    return QuantifiedInterleaveState(_leave(spec, scope, shadowed), state.instances)
+    if stepped is not instance:
+        commits.append((state.instances, value, stepped))
+    new_env = _leave(spec, scope, env, shadowed)
+    return state if new_env is env else QuantifiedInterleaveState(new_env, state.instances)
 
 
 def _step_call(spec, state, event, scope, defs, commits):
@@ -609,18 +722,23 @@ def _step_call(spec, state, event, scope, defs, commits):
     if callee is None:
         raise SpecificationError(f"call {spec.name!r}: unresolved callee {spec.callee!r}")
     # Parameters are constant; pop them before propagating updates.
-    shadowed = _bind(scope, state.env._bindings)
+    env = state.env
+    shadowed = _bind(scope, env._bindings) if env._bindings else None
     inner = _step(callee, state.inner, event, scope, defs, commits)
-    _unbind(scope, state.env._bindings, shadowed)
-    return None if inner is None else CallState(state.env, inner)
+    if env._bindings:
+        _drop(scope, env._bindings, shadowed)
+    if inner is None:
+        return None
+    return state if inner is state.inner else _call_state(env, inner)
 
 
-_STEPPERS = {
-    Automaton: _step_automaton,
-    Flow: _step_flow,
-    QuantifiedFlow: _step_qflow,
-    QuantifiedInterleave: _step_qinterleave,
-    Call: _step_call,
+#: Node type -> (the state type it runs on, its stepper).
+_NODE_KINDS = {
+    Automaton: (AutomatonState, _step_automaton),
+    Flow: (FlowState, _step_flow),
+    QuantifiedFlow: (QuantifiedFlowState, _step_qflow),
+    QuantifiedInterleave: (QuantifiedInterleaveState, _step_qinterleave),
+    Call: (CallState, _step_call),
 }
 
 

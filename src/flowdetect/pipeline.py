@@ -33,7 +33,6 @@ from .engine import (
     Automaton,
     Call,
     Capture,
-    Env,
     Event,
     EventPattern,
     Flow,
@@ -340,7 +339,7 @@ class Pipeline:
             self.counters.skipped_dates += 1
             return []
         scored = len(self._score_buffer)
-        result = step(self.spec, self.state, event, Env({"when": when}), defs=self.defs)
+        result = step(self.spec, self.state, event, {"when": when}, defs=self.defs)
         if result is None:
             raise EngineError(f"pipeline refused event {event!r}")
         self.state, _ = result
@@ -362,6 +361,11 @@ class Pipeline:
     @property
     def user_count(self) -> int:
         return len(self.state.instances)
+
+    @property
+    def stale_drops(self) -> int:
+        """Late events dropped, over all users, because their period had slid out."""
+        return sum(instance.env["window"].stale_drops for instance in self.state.instances.values())
 
     def window_for(self, user: str) -> Window:
         return self.state.instances[user].env["window"]

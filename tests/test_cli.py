@@ -13,7 +13,7 @@ from flowdetect.errors import ConfigurationError, InputError
 
 RUN_SUMMARY_KEYS = (
     "events", "users", "alerts", "retrains",
-    "skipped_dates", "malformed_rows", "filtered_rows",
+    "skipped_dates", "malformed_rows", "filtered_rows", "stale_drops",
 )
 
 
@@ -270,6 +270,24 @@ def test_run_activity_filter_flag(tmp_path, capsys):
     summary = parse_summary(capsys.readouterr().out.strip())
     assert summary["events"] == 1
     assert summary["filtered_rows"] == 1
+
+
+def test_run_reports_late_events_dropped_after_eviction(tmp_path, capsys):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "id,date,user,pc,activity\n"
+        "E1,01/04/2010 08:00:00,alice,PC-1,Logon\n"
+        "E2,01/05/2010 08:00:00,alice,PC-1,Logon\n"  # slides 01/04 out
+        "E3,01/04/2010 09:00:00,alice,PC-1,Logon\n"
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "window_parameters": {"window_size": 1, "sliding_size": 1, "type": "day"},
+    }))
+    assert main(["run", "--input", str(path), "--config", str(config)]) == 0
+    summary = parse_summary(capsys.readouterr().out.strip())
+    assert summary["events"] == 3
+    assert summary["stale_drops"] == 1
 
 
 def test_bad_header_is_a_clean_error(tmp_path, capsys):

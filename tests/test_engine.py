@@ -421,6 +421,58 @@ def test_nested_interleave_commits_nothing_when_a_later_operand_raises():
         assert dump_state(state) == before
 
 
+def test_interleave_shares_attribute_free_states_and_never_changes_them():
+    pattern = EventPattern("e", (Ref("u"), Capture("k")))
+    body = Automaton(
+        name="toggle", states=("s0", "s1"), initial="s0", finals=("s1",),
+        transitions=(
+            Transition(source="s0", pattern=EventPattern("hold", (Ref("u"),)), target="s0"),
+            Transition(source="s0", pattern=pattern, target="s1", action=fail_on_negative),
+            Transition(source="s1", pattern=pattern, target="s0", action=fail_on_negative),
+        ),
+    )
+    spec = QuantifiedInterleave(name="users", var="u", domain=UNBOUNDED, body=body)
+    state = run_events(spec, [Event("hold", ("alice",)), Event("hold", ("bob",))])
+    rest = state.instances["alice"]
+    assert state.instances["bob"] is rest  # one at-rest object for both users
+    bob = dump_state(state.instances["bob"])
+
+    state, _ = step(spec, state, Event("e", ("alice", 1)))
+    assert state.instances["alice"].current == "s1"
+    assert state.instances["bob"] is rest
+    assert dump_state(state.instances["bob"]) == bob
+    assert (rest.current, rest.env) == ("s0", EMPTY_ENV)
+
+    alice = dump_state(state.instances["alice"])
+    for user in ("alice", "bob"):
+        with pytest.raises(RuntimeError):
+            step(spec, state, Event("e", (user, -1)))  # s1 -> s0 and s0 -> s1 both raise
+        assert dump_state(state.instances["alice"]) == alice
+        assert dump_state(state.instances["bob"]) == bob
+        assert (rest.current, rest.env) == ("s0", EMPTY_ENV)
+
+    state, _ = step(spec, state, Event("e", ("bob", 1)))
+    assert state.instances["bob"] is state.instances["alice"]  # both at rest in s1
+
+
+def test_states_past_the_shared_table_limit_are_built_unshared(monkeypatch):
+    from flowdetect import engine
+
+    monkeypatch.setattr(engine, "_AT_REST", {})
+    monkeypatch.setattr(engine, "_AT_REST_LIMIT", 1)
+    spec = QuantifiedInterleave(name="users", var="u", domain=UNBOUNDED, body=Automaton(
+        name="toggle", states=("s0", "s1"), initial="s0", finals=("s1",),
+        transitions=(Transition(source="s0", pattern=EventPattern("e", (Ref("u"),)), target="s1"),),
+    ))
+    state = init(spec)
+    for user in ("alice", "bob"):
+        state, _ = step(spec, state, Event("e", (user,)))
+    alice, bob = state.instances["alice"], state.instances["bob"]
+    assert alice is not bob  # s0 took the one slot, so each s1 is its own
+    assert state_to_dict(alice) == state_to_dict(bob) == {"kind": "automaton", "current": "s1", "env": {}}
+    assert list(engine._AT_REST) == [("automaton", "s0")]
+
+
 def test_interleave_routing_errors():
     spec = routed_spec()
     state = init(spec)

@@ -62,8 +62,8 @@ def test_criterion_9_corpus_outputs_match_golden_digests(tmp_path, capsys):
     assert hashlib.sha256(scores.read_bytes()).hexdigest() == CRITERION_9_SCORES_SHA256
 
 
-def _fit_histories(monkeypatch) -> dict[str, list[list]]:
-    """Replay the criterion-9 corpus; return each user's refits in order.
+def _record_fits(monkeypatch) -> list[list]:
+    """Record every detector fit, in order.
 
     A refit is recorded as ``[detector, trained_version]``, plus the chosen
     k for k-means.
@@ -80,20 +80,66 @@ def _fit_histories(monkeypatch) -> dict[str, list[list]]:
             return fitted
 
         monkeypatch.setattr(cls, "fit_partial", recording)
+    return fits
 
+
+def _criterion_9_events() -> list[Event]:
+    return [
+        Event("e", (e.user, e.when.strftime(DEFAULT_DATE_FORMAT), e.event_id))
+        for e in synth.generate(12, 14, 0.05, seed=3)
+    ]
+
+
+def _fit_histories(monkeypatch) -> dict[str, list[list]]:
+    """Replay the criterion-9 corpus; return each user's refits in order."""
+    fits = _record_fits(monkeypatch)
     pipeline = Pipeline()
     histories: dict[str, list[list]] = {}
-    for e in synth.generate(12, 14, 0.05, seed=3):
+    for event in _criterion_9_events():
         before = len(fits)
-        pipeline.process_event(Event("e", (e.user, e.when.strftime(DEFAULT_DATE_FORMAT), e.event_id)))
-        histories.setdefault(e.user, []).extend(fits[before:])
+        pipeline.process_event(event)
+        histories.setdefault(event.args[0], []).extend(fits[before:])
     return histories
+
+
+def _digest_histories(histories: dict[str, list[list]]) -> dict[str, str]:
+    return {
+        user: hashlib.sha256(json.dumps(fits).encode()).hexdigest()
+        for user, fits in sorted(histories.items())
+    }
 
 
 def test_criterion_9_corpus_fit_histories_match_golden_digests(monkeypatch):
     histories = _fit_histories(monkeypatch)
-    digests = {
-        user: hashlib.sha256(json.dumps(fits).encode()).hexdigest()
-        for user, fits in sorted(histories.items())
-    }
-    assert digests == CRITERION_9_FIT_HISTORY_SHA256
+    assert _digest_histories(histories) == CRITERION_9_FIT_HISTORY_SHA256
+
+
+def _line(record: dict) -> bytes:
+    return (json.dumps(record, sort_keys=True) + "\n").encode()
+
+
+def test_two_pipelines_in_one_process_both_match_golden_digests(monkeypatch):
+    # Attribute-free machine states are shared process-wide, so two machines
+    # stepped in turn must still keep apart.
+    fits = _record_fits(monkeypatch)
+    pipelines = (Pipeline(), Pipeline())
+    alerts = [hashlib.sha256(), hashlib.sha256()]
+    scores = [hashlib.sha256(), hashlib.sha256()]
+    histories: list[dict[str, list[list]]] = [{}, {}]
+    for event in _criterion_9_events():
+        for i, pipeline in enumerate(pipelines):
+            before = len(fits)
+            for alert in pipeline.process_event(event):
+                alerts[i].update(_line({
+                    "eventId": alert.event_id,
+                    "userId": alert.user_id,
+                    "eventDate": alert.event_date,
+                    "votes": alert.votes,
+                }))
+            for record in pipeline.drain_scores():
+                scores[i].update(_line(record.to_record()))
+            histories[i].setdefault(event.args[0], []).extend(fits[before:])
+    for i in range(2):
+        assert alerts[i].hexdigest() == CRITERION_9_ALERTS_SHA256
+        assert scores[i].hexdigest() == CRITERION_9_SCORES_SHA256
+        assert _digest_histories(histories[i]) == CRITERION_9_FIT_HISTORY_SHA256

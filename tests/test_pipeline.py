@@ -381,6 +381,19 @@ def test_detector_iteration_order_does_not_matter():
     assert hooked.dump() == plain.dump()
 
 
+def test_a_user_at_rest_keeps_the_same_state_objects():
+    pipeline = Pipeline(weekly_config())
+    alice, bob = weekday_events("alice", 1), weekday_events("bob", 1)
+    pipeline.process_event(alice[0])
+    pipeline.process_event(bob[0])
+    root = pipeline.state
+    instance = root.instances["alice"]
+    for event in interleave(alice[1:], bob[1:]):
+        pipeline.process_event(event)
+        assert pipeline.state is root
+        assert pipeline.state.instances["alice"] is instance
+
+
 # ------------------------------------------------------------------ bad input
 
 def test_each_timestamp_is_parsed_once(monkeypatch):
