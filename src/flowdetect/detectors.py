@@ -13,6 +13,11 @@ All three models treat the hour of day as a point on a 24 h circle:
 
 Models are immutable once fitted: ``fit_partial`` returns a new fitted
 instance, so a score in flight never observes a half-updated model.
+
+Fits and scores are bit-for-bit stable under refactors: a change to this
+module keeps every IEEE operation on every value, in the same order, and the
+golden digests in ``tests/test_golden.py`` and ``tests/test_acceptance.py``
+pin the resulting scores, chosen k and alerts.
 """
 
 from __future__ import annotations
@@ -43,7 +48,11 @@ LLOYD_TOL = 1e-6
 #: Distances within this of the k-distance count as neighbourhood ties.
 LOF_TIE_EPS = 1e-12
 
-_KDE_SHIFTS = (-HOURS_PER_DAY, 0.0, HOURS_PER_DAY)
+#: The three wrapped copies of each kernel, one per leading axis entry.
+_KDE_SHIFTS = np.array([-HOURS_PER_DAY, 0.0, HOURS_PER_DAY]).reshape(3, 1, 1)
+_KDE_SHIFTS.flags.writeable = False
+
+_RADIANS_PER_HOUR = 2.0 * math.pi / HOURS_PER_DAY
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +95,14 @@ def circular_mean(hours: Sequence[float]) -> float:
     arr = np.asarray(hours, dtype=float)
     if arr.size == 0:
         raise ValueError("circular_mean of no samples")
-    angles = arr * (2.0 * math.pi / HOURS_PER_DAY)
-    x = float(np.cos(angles).sum())
-    y = float(np.sin(angles).sum())
+    angles = arr * _RADIANS_PER_HOUR
+    return _mean_direction(float(np.cos(angles).sum()), float(np.sin(angles).sum()), arr[0])
+
+
+def _mean_direction(x: float, y: float, first: float) -> float:
+    """Hour of the resultant ``(x, y)``, or ``first`` when it has no direction."""
     if math.hypot(x, y) < 1e-12:
-        return float(arr[0])
+        return float(first)
     hour = math.atan2(y, x) * (HOURS_PER_DAY / (2.0 * math.pi))
     return hour % HOURS_PER_DAY
 
@@ -100,6 +112,13 @@ def minutes_to_hours(minutes: Sequence[float]) -> np.ndarray:
     if arr.size and (arr.min() < 0 or arr.max() >= MINUTES_PER_DAY):
         raise ValueError("minutes of day must be in [0, 1440)")
     return arr / 60.0
+
+
+def _hour_of(minute: float) -> float:
+    """One minute of the day as an hour, range-checked as ``minutes_to_hours``."""
+    if not 0 <= minute < MINUTES_PER_DAY:
+        raise ValueError("minutes of day must be in [0, 1440)")
+    return float(minute) / 60.0
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -136,17 +155,18 @@ def silhouette(hours: Sequence[float], labels: Sequence[int]) -> float:
     if len(set(lab.tolist())) < 2:
         raise ValueError("silhouette requires at least two clusters")
     matrix = _circ_dist(arr[:, None], arr[None, :])
-    return _silhouette_from_sums(*_cluster_sums(matrix, lab))
+    _, cluster, sizes = np.unique(lab, return_inverse=True, return_counts=True)
+    return _silhouette_from_sums(_cluster_sums(matrix, cluster, sizes), cluster, sizes)
 
 
-def _cluster_sums(
-    matrix: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each point's distance sum to each cluster, its cluster and the sizes."""
-    _, cluster, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+def _cluster_sums(matrix: np.ndarray, cluster: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each point's distance sum to each cluster.
+
+    ``cluster`` numbers the clusters ``0 .. sizes.size - 1``, none empty.
+    """
     onehot = np.zeros((matrix.shape[0], sizes.size))
     onehot[np.arange(matrix.shape[0]), cluster] = 1.0
-    return matrix @ onehot, cluster, sizes
+    return matrix @ onehot
 
 
 def _silhouette_from_sums(sums: np.ndarray, cluster: np.ndarray, sizes: np.ndarray) -> float:
@@ -274,13 +294,21 @@ class CircularKMeans(Detector):
         whole = np.asarray(minutes, dtype=float)
         gaps = np.abs(whole[:, None] - whole[None, :])
         matrix = np.minimum(gaps, MINUTES_PER_DAY - gaps)
+        # Every Lloyd update of every k takes its circular means from these.
+        angles = hours * _RADIANS_PER_HOUR
+        unit = (np.cos(angles), np.sin(angles))
         best_k, best_score, best_labels, best_centroids = 0, -math.inf, None, None
         for k in range(2, min(KMEANS_MAX_CLUSTERS, n - 1) + 1):
-            labels, centroids = self._lloyd(hours, k)
-            if len(set(labels.tolist())) < 2:
+            labels, centroids = self._lloyd(hours, unit, k)
+            counts = np.bincount(labels)
+            present = counts > 0
+            if np.count_nonzero(present) < 2:
                 score = -math.inf  # collapsed clustering, never preferred
             else:
-                sums, cluster, sizes = _cluster_sums(matrix, labels)
+                # Empty clusters are dropped; the rest keep their order.
+                cluster = (np.cumsum(present) - 1)[labels]
+                sizes = counts[present]
+                sums = _cluster_sums(matrix, cluster, sizes)
                 score = _silhouette_from_sums(sums / 60.0, cluster, sizes)
             if best_labels is None or score > best_score:
                 best_k, best_score, best_labels, best_centroids = k, score, labels, centroids
@@ -292,27 +320,53 @@ class CircularKMeans(Detector):
 
     def score_partial(self, minute: float, event_id: str | None = None) -> Score:
         self._require_trained()
-        hour = float(minutes_to_hours([minute])[0])
+        hour = _hour_of(minute)
         z = math.inf
         for cluster in self.clusters:
             d = circ_distance(hour, cluster.centroid)
             z = min(z, d / max(cluster.sigma, SIGMA_FLOOR))
         return Score(int(z > self.threshold), z)
 
-    def _lloyd(self, hours: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _lloyd(
+        self, hours: np.ndarray, unit: tuple[np.ndarray, np.ndarray], k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Lloyd iterations from k-means++ seeds.
+
+        ``unit`` holds the cosine and sine of each sample's angle; each
+        centroid update is the ``circular_mean`` of the cluster's members.
+        """
         rng = np.random.default_rng([self.seed, k])
         centroids = self._seed_centroids(hours, k, rng)
         n = hours.size
-        labels = np.zeros(n, dtype=int)
+        cos_h, sin_h = unit
+        rebuilt_from = None  # the labels the centroids are the means of
         for _ in range(LLOYD_MAX_ITER):
             dist = _circ_dist(hours[:, None], centroids[None, :])
             labels = dist.argmin(axis=1)
+            if rebuilt_from is not None and np.array_equal(labels, rebuilt_from):
+                # The update would rebuild the same centroids: a shift of 0.
+                return labels, centroids
+            # Members of each cluster in sample order, clusters in label order.
+            order = np.argsort(labels, kind="stable")
+            cos_g, sin_g = cos_h[order], sin_h[order]
             new_centroids = centroids.copy()
             used: set[int] = set()
-            for j in range(k):
-                members = hours[labels == j]
-                if members.size:
-                    new_centroids[j] = circular_mean(members)
+            start = 0
+            for j, end in enumerate(np.cumsum(np.bincount(labels, minlength=k)).tolist()):
+                if end > start:
+                    # The same additions, in the same order, as
+                    # ``circular_mean(members)``: numpy sums a contiguous run
+                    # pairwise, in blocks set by position, so each sum must
+                    # be one 1-D contiguous ``np.add.reduce``.  A reduction
+                    # along a strided axis (the cos/sin pair as one (m, 2)
+                    # array, or its (2, m) transpose), ``np.bincount``
+                    # weights and ``np.add.reduceat`` add one element at a
+                    # time instead, and move the last bit.
+                    new_centroids[j] = _mean_direction(
+                        float(np.add.reduce(cos_g[start:end])),
+                        float(np.add.reduce(sin_g[start:end])),
+                        hours[order[start]],
+                    )
                 else:
                     # Re-seed an empty cluster on the point farthest from
                     # its current centroid (distinct point per cluster).
@@ -322,6 +376,8 @@ class CircularKMeans(Detector):
                             used.add(int(idx))
                             new_centroids[j] = hours[idx]
                             break
+                start = end
+            rebuilt_from = None if used else labels
             shift = float(_circ_dist(centroids, new_centroids).max())
             centroids = new_centroids
             if shift < LLOYD_TOL:
@@ -333,14 +389,18 @@ class CircularKMeans(Detector):
     def _seed_centroids(hours: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         n = hours.size
         chosen = [int(rng.integers(n))]
+        # Each sample's distance to its nearest chosen centroid.  A minimum
+        # is exact, so keeping it running gives the same D² weights, and the
+        # same draws, as measuring against every chosen centroid each round.
+        nearest = _circ_dist(hours, hours[chosen[0]])
         while len(chosen) < k:
-            d = _circ_dist(hours[:, None], hours[chosen][None, :]).min(axis=1)
-            weight = d * d
+            weight = nearest * nearest
             total = float(weight.sum())
             if total <= 0.0:
                 chosen.append(int(rng.integers(n)))
             else:
                 chosen.append(int(rng.choice(n, p=weight / total)))
+            nearest = np.minimum(nearest, _circ_dist(hours, hours[chosen[-1]]))
         return hours[chosen].astype(float)
 
     @staticmethod
@@ -432,18 +492,19 @@ class WrappedKde(Detector):
         if self.samples.size == 0:
             raise NotFittedError("kde density requested before fitting")
         query = np.atleast_1d(np.asarray(hours, dtype=float))
-        diff = query[:, None] - self.samples[None, :]
-        acc = np.zeros_like(diff)
-        for shift in _KDE_SHIFTS:
-            z = (diff + shift) / self.bandwidth
-            acc += np.exp(-0.5 * z * z)
+        # All three shifts at once, in place: per element, the operations of
+        # ``(-0.5 * z) * z`` and its exp, in the same order.
+        e = (query[:, None] - self.samples[None, :]) + _KDE_SHIFTS
+        e /= self.bandwidth
+        e *= -0.5 * e
+        np.exp(e, out=e)
+        acc = e[0] + e[1] + e[2]
         norm = self.samples.size * self.bandwidth * math.sqrt(2.0 * math.pi)
         return acc.sum(axis=1) / norm
 
     def score_partial(self, minute: float, event_id: str | None = None) -> Score:
         self._require_trained()
-        hour = minutes_to_hours([minute])
-        value = float(self.density(hour)[0])
+        value = float(self.density(_hour_of(minute))[0])
         return Score(int(value < self.density_threshold), self.density_threshold - value)
 
     def to_debug_dict(self) -> dict[str, Any]:
@@ -500,18 +561,19 @@ class CosineLof(Detector):
         matrix = _cosine_distances(hours[:, None], hours[None, :])
         np.fill_diagonal(matrix, np.inf)  # a point is not its own neighbour
 
-        k_distances = np.sort(matrix, axis=1)[:, fitted.k_eff - 1]
-        neighbourhoods = [
-            np.flatnonzero(matrix[i] <= k_distances[i] + LOF_TIE_EPS) for i in range(n)
-        ]
+        kth = fitted.k_eff - 1
+        # A copy, so the model does not keep the whole partitioned matrix.
+        k_distances = np.partition(matrix, kth, axis=1)[:, kth].copy()
+        # Row i: i's neighbourhood, and the reach distances from i.
+        near = matrix <= (k_distances + LOF_TIE_EPS)[:, None]
+        reach = np.maximum(k_distances[None, :], matrix)
         densities = np.empty(n)
-        for i, neigh in enumerate(neighbourhoods):
-            reach = np.maximum(k_distances[neigh], matrix[i, neigh])
-            mean_reach = float(reach.mean())
+        for i in range(n):
+            mean_reach = _mean(reach[i][near[i]])
             densities[i] = math.inf if mean_reach == 0.0 else 1.0 / mean_reach
         scores = np.empty(n)
-        for i, neigh in enumerate(neighbourhoods):
-            scores[i] = _lof_ratio(float(densities[neigh].mean()), float(densities[i]))
+        for i in range(n):
+            scores[i] = _lof_ratio(_mean(densities[near[i]]), float(densities[i]))
         fitted.k_distances = k_distances
         fitted.local_densities = densities
         fitted.training_scores = scores
@@ -521,14 +583,12 @@ class CosineLof(Detector):
 
     def score_partial(self, minute: float, event_id: str | None = None) -> Score:
         self._require_trained()
-        hour = float(minutes_to_hours([minute])[0])
-        dist = _cosine_distances(np.array([[hour]]), self.hours[None, :])[0]
-        k_dist = float(np.sort(dist)[self.k_eff - 1])
-        neigh = np.flatnonzero(dist <= k_dist + LOF_TIE_EPS)
-        reach = np.maximum(self.k_distances[neigh], dist[neigh])
-        mean_reach = float(reach.mean())
+        dist = _cosine_distances(_hour_of(minute), self.hours)
+        kth = self.k_eff - 1
+        near = dist <= np.partition(dist, kth)[kth] + LOF_TIE_EPS
+        mean_reach = _mean(np.maximum(self.k_distances[near], dist[near]))
         own_density = math.inf if mean_reach == 0.0 else 1.0 / mean_reach
-        raw = _lof_ratio(float(self.local_densities[neigh].mean()), own_density)
+        raw = _lof_ratio(_mean(self.local_densities[near]), own_density)
         return Score(int(raw > self.score_threshold), raw)
 
     def to_debug_dict(self) -> dict[str, Any]:
@@ -543,10 +603,15 @@ class CosineLof(Detector):
         return out
 
 
-def _cosine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cosine_distances(a: np.ndarray | float, b: np.ndarray) -> np.ndarray:
     """``1 - cos`` of the angle between hour samples, clamped at 0."""
-    angles = (a - b) * (2.0 * math.pi / HOURS_PER_DAY)
+    angles = (a - b) * _RADIANS_PER_HOUR
     return np.maximum(1.0 - np.cos(angles), 0.0)
+
+
+def _mean(values: np.ndarray) -> float:
+    """``values.mean()``, the same sum and division, without its overhead."""
+    return float(np.add.reduce(values)) / values.size
 
 
 def _lof_ratio(neighbour_density: float, own_density: float) -> float:

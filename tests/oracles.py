@@ -4,11 +4,18 @@ Everything here is written in plain Python on purpose: scalar math,
 explicit loops, no shared code with the package under test. When a test
 compares a library result against one of these functions, agreement is
 evidence, not tautology.
+
+The exception is the last section: earlier numpy formulations of the
+detectors' hot paths, kept as they were.  The library's faster forms must
+perform the same IEEE operations in the same order, so tests compare them
+with these using ``==``; a plain-Python loop would add in another order.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 DAY_HOURS = 24.0
 TIE = 1e-12
@@ -141,3 +148,124 @@ def silhouette(hours, labels):
         if max(a, b) > 0.0:
             total += (b - a) / max(a, b)
     return total / n
+
+
+# ---------------------------------------------------------------------------
+# Earlier numpy formulations, for bit-exact comparisons
+# ---------------------------------------------------------------------------
+
+RADIANS_PER_HOUR = 2.0 * math.pi / DAY_HOURS
+
+
+def circ_dist_array(a, b):
+    d = np.abs(a - b)
+    return np.minimum(d, DAY_HOURS - d)
+
+
+def circular_mean_masked(members):
+    """Circular mean of one cluster's members, summed as its own array."""
+    arr = np.asarray(members, dtype=float)
+    angles = arr * RADIANS_PER_HOUR
+    x = float(np.cos(angles).sum())
+    y = float(np.sin(angles).sum())
+    if math.hypot(x, y) < 1e-12:
+        return float(arr[0])
+    hour = math.atan2(y, x) * (DAY_HOURS / (2.0 * math.pi))
+    return hour % DAY_HOURS
+
+
+def seed_centroids_recomputed(hours, k, rng):
+    """k-means++ seeding, measuring against every chosen centroid each round."""
+    n = hours.size
+    chosen = [int(rng.integers(n))]
+    while len(chosen) < k:
+        d = circ_dist_array(hours[:, None], hours[chosen][None, :]).min(axis=1)
+        weight = d * d
+        total = float(weight.sum())
+        if total <= 0.0:
+            chosen.append(int(rng.integers(n)))
+        else:
+            chosen.append(int(rng.choice(n, p=weight / total)))
+    return hours[chosen].astype(float)
+
+
+def lloyd_masked(hours, k, seed, max_iter=100, tol=1e-6):
+    """Circular Lloyd iterations with one masked mean per cluster.
+
+    Returns the labels, the centroids and how many empty clusters were
+    re-seeded on the way.
+    """
+    rng = np.random.default_rng([seed, k])
+    centroids = seed_centroids_recomputed(hours, k, rng)
+    n = hours.size
+    reseeds = 0
+    for _ in range(max_iter):
+        dist = circ_dist_array(hours[:, None], centroids[None, :])
+        labels = dist.argmin(axis=1)
+        new_centroids = centroids.copy()
+        used = set()
+        for j in range(k):
+            members = hours[labels == j]
+            if members.size:
+                new_centroids[j] = circular_mean_masked(members)
+            else:
+                reseeds += 1
+                own = dist[np.arange(n), labels]
+                for idx in np.argsort(-own):
+                    if int(idx) not in used:
+                        used.add(int(idx))
+                        new_centroids[j] = hours[idx]
+                        break
+        shift = float(circ_dist_array(centroids, new_centroids).max())
+        centroids = new_centroids
+        if shift < tol:
+            break
+    labels = circ_dist_array(hours[:, None], centroids[None, :]).argmin(axis=1)
+    return labels, centroids, reseeds
+
+
+def cosine_distances_array(a, b):
+    angles = (a - b) * RADIANS_PER_HOUR
+    return np.maximum(1.0 - np.cos(angles), 0.0)
+
+
+def lof_fit_sorted(hours, n_neighbors):
+    """LOF training parts with sorted k-distances and ``ndarray.mean``.
+
+    Returns the k-distances, the local densities and the training scores.
+    """
+    n = hours.size
+    k = min(n_neighbors, n - 1)
+    matrix = cosine_distances_array(hours[:, None], hours[None, :])
+    np.fill_diagonal(matrix, np.inf)
+    k_distances = np.sort(matrix, axis=1)[:, k - 1]
+    neighbourhoods = [np.flatnonzero(matrix[i] <= k_distances[i] + TIE) for i in range(n)]
+    densities = np.empty(n)
+    for i, neigh in enumerate(neighbourhoods):
+        mean_reach = float(np.maximum(k_distances[neigh], matrix[i, neigh]).mean())
+        densities[i] = math.inf if mean_reach == 0.0 else 1.0 / mean_reach
+    scores = np.empty(n)
+    for i, neigh in enumerate(neighbourhoods):
+        scores[i] = _ratio(float(densities[neigh].mean()), float(densities[i]))
+    return k_distances, densities, scores
+
+
+def lof_score_sorted(hours, k, k_distances, densities, hour):
+    """LOF of one query hour, with a sorted k-distance and ``ndarray.mean``."""
+    dist = cosine_distances_array(np.array([[hour]]), hours[None, :])[0]
+    k_dist = float(np.sort(dist)[k - 1])
+    neigh = np.flatnonzero(dist <= k_dist + TIE)
+    mean_reach = float(np.maximum(k_distances[neigh], dist[neigh]).mean())
+    own = math.inf if mean_reach == 0.0 else 1.0 / mean_reach
+    return _ratio(float(densities[neigh].mean()), own)
+
+
+def kde_density_per_shift(samples, bandwidth, query):
+    """Wrapped KDE at each query hour, one array pass per shift."""
+    diff = query[:, None] - samples[None, :]
+    acc = np.zeros_like(diff)
+    for shift in (-DAY_HOURS, 0.0, DAY_HOURS):
+        z = (diff + shift) / bandwidth
+        acc += np.exp(-0.5 * z * z)
+    norm = samples.size * bandwidth * math.sqrt(2.0 * math.pi)
+    return acc.sum(axis=1) / norm

@@ -395,6 +395,115 @@ def test_lof_guards():
         CosineLof(percentile=50.0)
 
 
+def test_score_partial_rejects_minutes_outside_the_day():
+    for cls in (CircularKMeans, WrappedKde, CosineLof):
+        model = cls().fit_partial(TWO_CLUSTER_MINUTES)
+        model.score_partial(0)
+        model.score_partial(1439)
+        for minute in (-1, 1440):
+            with pytest.raises(ValueError, match=r"\[0, 1440\)"):
+                model.score_partial(minute)
+
+
+# ------------------------------------------------- exactness of the hot paths
+# Each fast path must reproduce its earlier formulation (kept in oracles.py)
+# to the last bit, so these compare with ==, never approx.
+
+
+def _minute_sets(seed: int, count: int = 300):
+    """Whole-minute training sets with duplicates, each with a k in 2..10."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(3, 120))
+        shape = trial % 3
+        if shape == 0:  # anywhere in the day
+            minutes = rng.integers(0, 1440, n)
+        elif shape == 1:  # a few busy times of day
+            centres = rng.integers(0, 1440, int(rng.integers(1, 5)))
+            minutes = (rng.choice(centres, n) + rng.integers(-20, 21, n)) % 1440
+        else:  # few distinct values, so clusters collapse and empty
+            minutes = rng.choice(rng.integers(0, 1440, int(rng.integers(1, 6))), n)
+        minutes = np.concatenate([minutes, rng.choice(minutes, int(rng.integers(0, n)))])
+        rng.shuffle(minutes)
+        k = int(rng.integers(2, min(10, minutes.size - 1) + 1))
+        yield minutes.tolist(), k
+
+
+class _RecordingRng:
+    """Passes each draw through to a generator and records its index and weights."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def integers(self, n):
+        index = int(self._rng.integers(n))
+        self.draws.append((index, None))
+        return index
+
+    def choice(self, n, p):
+        index = int(self._rng.choice(n, p=p))
+        self.draws.append((index, p.tobytes()))
+        return index
+
+
+def test_running_min_seeding_matches_full_recompute():
+    for trial, (minutes, k) in enumerate(_minute_sets(2007)):
+        hours = np.asarray(minutes, dtype=float) / 60.0
+        fast, full = _RecordingRng([trial, k]), _RecordingRng([trial, k])
+        got = CircularKMeans._seed_centroids(hours, k, fast)
+        want = oracles.seed_centroids_recomputed(hours, k, full)
+        assert fast.draws == full.draws
+        assert np.array_equal(got, want)
+
+
+def test_grouped_lloyd_update_matches_masked_circular_means():
+    reseeded = 0
+    for trial, (minutes, k) in enumerate(_minute_sets(1982)):
+        hours = np.asarray(minutes, dtype=float) / 60.0
+        angles = hours * (2.0 * math.pi / 24.0)
+        labels, centroids = CircularKMeans(seed=trial)._lloyd(
+            hours, (np.cos(angles), np.sin(angles)), k
+        )
+        want_labels, want_centroids, reseeds = oracles.lloyd_masked(hours, k, trial)
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(centroids, want_centroids)
+        reseeded += reseeds > 0
+        for j in range(k):
+            members = hours[labels == j]
+            if members.size:
+                assert circular_mean(members) == oracles.circular_mean_masked(members)
+    assert reseeded >= 30
+
+
+def test_lof_partition_matches_sort_based_path():
+    rng = np.random.default_rng(2000)
+    for minutes, k in _minute_sets(2000):
+        hours = np.asarray(minutes, dtype=float) / 60.0
+        model = CosineLof(n_neighbors=k).fit_partial(minutes)
+        k_distances, densities, scores = oracles.lof_fit_sorted(hours, k)
+        assert np.array_equal(model.k_distances, k_distances)
+        assert np.array_equal(model.local_densities, densities)
+        assert np.array_equal(model.training_scores, scores)
+        queries = rng.integers(0, 1440, 4).tolist() + rng.choice(minutes, 2).tolist()
+        for minute in queries:
+            want = oracles.lof_score_sorted(hours, model.k_eff, k_distances, densities, minute / 60.0)
+            assert model.score_partial(minute).raw == want
+
+
+def test_kde_stacked_shifts_match_per_shift_loop():
+    rng = np.random.default_rng(1986)
+    for minutes, _ in _minute_sets(1986):
+        model = WrappedKde().fit_partial(minutes)
+        want = oracles.kde_density_per_shift(model.samples, model.bandwidth, model.samples)
+        assert np.array_equal(model.density(model.samples), want)
+        queries = rng.integers(0, 1440, 4).tolist() + rng.choice(minutes, 2).tolist()
+        for minute in queries:
+            query = np.array([minute / 60.0])
+            value = oracles.kde_density_per_shift(model.samples, model.bandwidth, query)[0]
+            assert model.score_partial(minute).raw == model.density_threshold - value
+
+
 # -------------------------------------------------------------------- registry
 
 def test_init_map_defaults():

@@ -9,6 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from flowdetect import synth
 from flowdetect.cli import main as cli_main
@@ -143,3 +149,37 @@ def test_two_pipelines_in_one_process_both_match_golden_digests(monkeypatch):
         assert alerts[i].hexdigest() == CRITERION_9_ALERTS_SHA256
         assert scores[i].hexdigest() == CRITERION_9_SCORES_SHA256
         assert _digest_histories(histories[i]) == CRITERION_9_FIT_HISTORY_SHA256
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    for line in cpuinfo.splitlines():
+        if line.startswith("flags"):
+            return set(line.partition(":")[2].split())
+    return set()
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_criterion_9_digests_hold_under_other_blas_kernels(coretype):
+    # OpenBLAS picks its kernels for the CPU it finds; OPENBLAS_CORETYPE
+    # makes a fresh process take another CPU's.  The child reruns the
+    # criterion-9 golden tests (alerts, scores and fit histories) under it.
+    if "avx2" not in _cpu_flags():
+        pytest.skip("/proc/cpuinfo lists no avx2: the Haswell kernels cannot run here")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    )
+    child = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            f"{__file__}::test_criterion_9_corpus_outputs_match_golden_digests",
+            f"{__file__}::test_criterion_9_corpus_fit_histories_match_golden_digests",
+        ],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0 and "2 passed" in child.stdout, child.stdout + child.stderr
