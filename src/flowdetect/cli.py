@@ -43,21 +43,24 @@ def ingest(
     stats = stats if stats is not None else IngestStats()
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not set(REQUIRED_COLUMNS) <= set(reader.fieldnames):
-            raise InputError(
-                f"{path}: expected columns {','.join(REQUIRED_COLUMNS)}, "
-                f"got {reader.fieldnames}"
-            )
-        for row in reader:
-            stats.rows += 1
-            event_id, when, user = row.get("id"), row.get("date"), row.get("user")
-            if not event_id or not when or not user:
-                stats.malformed += 1
-                continue
-            if activity_filter is not None and row.get("activity") != activity_filter:
-                stats.filtered += 1
-                continue
-            yield Event("e", (user, when, event_id))
+        try:
+            if reader.fieldnames is None or not set(REQUIRED_COLUMNS) <= set(reader.fieldnames):
+                raise InputError(
+                    f"{path}: expected columns {','.join(REQUIRED_COLUMNS)}, "
+                    f"got {reader.fieldnames}"
+                )
+            for row in reader:
+                stats.rows += 1
+                event_id, when, user = row.get("id"), row.get("date"), row.get("user")
+                if not event_id or not when or not user:
+                    stats.malformed += 1
+                    continue
+                if activity_filter is not None and row.get("activity") != activity_filter:
+                    stats.filtered += 1
+                    continue
+                yield Event("e", (user, when, event_id))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not valid UTF-8: {exc}") from None
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:

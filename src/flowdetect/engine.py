@@ -26,9 +26,9 @@ allocation.  The at-rest states of attribute-free nodes (automata, flows
 and argument-less calls whose parts are themselves such states) are
 shared between instances and between machines in one process, so callers
 must treat every state as read-only.  Values bound in environments are not
-copied, so an action that mutates one in place (a window, training data, a
-detector map, a score board) changes it for good, even when a later part
-of the step fails.
+copied, so an action that mutates one in place (a window and the samples
+it holds, a detector map, a score board) changes it for good, even when a
+later part of the step fails.
 
 Determinism: automaton transitions are tried in declaration order and the
 first enabled one fires; quantified domains are iterated in ascending order
@@ -661,7 +661,7 @@ def _step_qflow(spec, state, event, scope, defs, commits):
                 f"node {spec.name!r}: order hook must permute the domain"
             )
     else:
-        ordered = sorted(instances)
+        ordered = instances  # built from the sorted domain; commits only replace values
     env = state.env
     shadowed = _bind(scope, env._bindings) if env._bindings else None
     hidden = {spec.var: scope[spec.var]} if spec.var in scope else None

@@ -35,14 +35,17 @@ def load_scores(path: str) -> list[dict[str, Any]]:
     """Read a line-delimited scores file written by a run."""
     records = []
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not valid UTF-8: {exc}") from None
     return records
 
 
@@ -51,10 +54,16 @@ def load_labels(path: str) -> dict[str, int]:
     labels: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
-            raise InputError(f"{path}: expected columns id,label")
-        for row in reader:
-            labels[row["id"]] = int(row["label"])
+        try:
+            if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
+                raise InputError(f"{path}: expected columns id,label")
+            for row in reader:
+                label = row["label"]
+                if label not in ("0", "1"):
+                    raise InputError(f"{path}:{reader.line_num}: label must be 0 or 1, got {label!r}")
+                labels[row["id"]] = int(label)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not valid UTF-8: {exc}") from None
     return labels
 
 
@@ -101,18 +110,27 @@ def evaluate(
     few records where that detector cast no vote are left out of the curve).
     Every scored event must be labelled.
     """
-    missing = [r["eventId"] for r in records if r["eventId"] not in labels]
-    if missing:
-        shown = ", ".join(missing[:5])
-        raise InputError(f"{len(missing)} scored events have no label (first: {shown})")
-
     tp = fp = tn = fn = 0
     alert_count = 0
+    missing: list[str] = []
     values: list[float] = []
     swept_labels: list[int] = []
-    for record in records:
-        label = labels[record["eventId"]]
-        alerted = bool(record["alert"])
+    for number, record in enumerate(records, start=1):
+        try:
+            label = labels.get(record["eventId"])
+            if label is None:
+                missing.append(record["eventId"])
+                continue
+            alerted = bool(record["alert"])
+            if field == "votes":
+                value = float(record["votes"])
+            else:
+                entry = record["detectors"].get(field)
+                value = None if entry is None else float(entry["raw"])
+        except KeyError as exc:
+            raise InputError(f"score record {number} has no {exc.args[0]!r} field") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise InputError(f"score record {number} is malformed: {exc}") from None
         alert_count += int(alerted)
         if alerted and label == 1:
             tp += 1
@@ -122,14 +140,12 @@ def evaluate(
             fn += 1
         else:
             tn += 1
-        if field == "votes":
-            values.append(float(record["votes"]))
+        if value is not None:
+            values.append(value)
             swept_labels.append(label)
-        else:
-            entry = record["detectors"].get(field)
-            if entry is not None:
-                values.append(float(entry["raw"]))
-                swept_labels.append(label)
+    if missing:
+        shown = ", ".join(map(str, missing[:5]))
+        raise InputError(f"{len(missing)} scored events have no label (first: {shown})")
     if not values:
         raise InputError(f"no records carry scores for field {field!r}")
     points, auc = roc_curve(values, swept_labels)

@@ -15,7 +15,7 @@ event's date once and binds it as ``when`` at the root of the step, where
 both sides read it.
 
 The ingest, train, detect and vote actions mutate nested values in place
-(the window, the training data, the detector map, the score board), so they
+(the window with its samples, the detector map, the score board), so they
 are not transactional: if a step raises after ``train_action`` has run, the
 engine leaves the user's machine state as it was, but the refitted detector
 stays in its detector map.
@@ -49,7 +49,6 @@ from .ensemble import Alert, ScoreBoard, majority_vote
 from .errors import ConfigurationError, EngineError, InputError
 from .windowing import (
     DEFAULT_DATE_FORMAT,
-    TrainingData,
     Window,
     WindowConfig,
     formatting_data,
@@ -59,6 +58,19 @@ from .windowing import (
 
 #: Minimum training-set size before the first fit, unless configured.
 DEFAULT_MIN_TRAINING = 30
+
+
+def _mapping(value: Any, what: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ConfigurationError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _integer(value: Any, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -86,27 +98,38 @@ class PipelineConfig:
             "activity_filter",
             "min_training_instances",
         }
-        unknown = set(raw) - known
+        unknown = set(_mapping(raw, "configuration")) - known
         if unknown:
             raise ConfigurationError(f"unknown configuration keys: {sorted(unknown)}")
-        wp = raw.get("window_parameters", {})
+        wp = _mapping(raw.get("window_parameters", {}), "window_parameters")
         extra = set(wp) - {"window_size", "sliding_size", "type"}
         if extra:
             raise ConfigurationError(f"unknown window parameters: {sorted(extra)}")
         window = WindowConfig(
-            window_size=int(wp.get("window_size", 10)),
-            sliding_size=int(wp.get("sliding_size", 5)),
+            window_size=_integer(wp.get("window_size", 10), "window_size"),
+            sliding_size=_integer(wp.get("sliding_size", 5), "sliding_size"),
             type=wp.get("type", "week"),
         )
         detectors = raw.get("detectors")
         if detectors is None:
             detectors = {name: {} for name in DEFAULT_DETECTORS}
+        date_format = raw.get("date_format", DEFAULT_DATE_FORMAT)
+        activity_filter = raw.get("activity_filter")
+        if not isinstance(date_format, str):
+            raise ConfigurationError(f"date_format must be a string, got {date_format!r}")
+        if activity_filter is not None and not isinstance(activity_filter, str):
+            raise ConfigurationError(f"activity_filter must be a string, got {activity_filter!r}")
         return cls(
             window=window,
-            detectors={name: dict(params or {}) for name, params in detectors.items()},
-            date_format=raw.get("date_format", DEFAULT_DATE_FORMAT),
-            min_training_instances=int(raw.get("min_training_instances", DEFAULT_MIN_TRAINING)),
-            activity_filter=raw.get("activity_filter"),
+            detectors={
+                name: dict(_mapping(params or {}, f"detector {name!r} parameters"))
+                for name, params in _mapping(detectors, "detectors").items()
+            },
+            date_format=date_format,
+            min_training_instances=_integer(
+                raw.get("min_training_instances", DEFAULT_MIN_TRAINING), "min_training_instances"
+            ),
+            activity_filter=activity_filter,
         )
 
     @classmethod
@@ -114,7 +137,7 @@ class PipelineConfig:
         with open(path, encoding="utf-8") as handle:
             try:
                 raw = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigurationError(f"configuration is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -177,7 +200,7 @@ def training_guard(config: PipelineConfig) -> Callable[[Mapping[str, Any]], bool
         detector = env["detectors"][env["d"]]
         if window.version <= detector.trained_version:
             return False
-        return len(training_set(env["data"])) >= config.min_training_instances
+        return len(training_set(window)) >= config.min_training_instances
 
     return g1
 
@@ -243,14 +266,13 @@ def build_spec(
     )
 
     def ingest_action(env) -> None:
-        formatting_data(env["data"], env["window"], env["when"])
+        formatting_data(env["window"], env["when"])
 
     def train_action(env) -> None:
         d = env["d"]
         detectors = env["detectors"]
-        detectors[d] = detectors[d].fit_partial(
-            training_set(env["data"]), version=env["window"].version
-        )
+        window = env["window"]
+        detectors[d] = detectors[d].fit_partial(training_set(window), version=window.version)
         counters.retrains += 1
 
     def detect_action(env) -> None:
@@ -303,10 +325,7 @@ def build_spec(
     )
     per_user = Flow(
         name="per_user",
-        attrs=[
-            ("window", lambda env: Window(config.window)),
-            ("data", lambda env: {}),
-        ],
+        attrs=[("window", lambda env: Window(config.window))],
         left=scoring,
         right=_loop("parser", pattern, action=ingest_action),
     )
@@ -370,8 +389,8 @@ class Pipeline:
     def window_for(self, user: str) -> Window:
         return self.state.instances[user].env["window"]
 
-    def training_data_for(self, user: str) -> TrainingData:
-        return self.state.instances[user].env["data"]
+    def training_data_for(self, user: str) -> dict[int, list[int]]:
+        return self.window_for(user).samples
 
     def dump(self) -> str:
         return dump_state(self.state)

@@ -11,7 +11,6 @@ what downstream consumers key their retraining on.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Union
@@ -22,11 +21,6 @@ from .errors import ConfigurationError, InputError
 DEFAULT_DATE_FORMAT = "%m/%d/%Y %H:%M:%S"
 
 PERIOD_TYPES = ("day", "week", "instance")
-
-#: Per-period training samples: period code -> minutes of day, arrival order.
-#: Instance-typed windows keep everything under the single key 0.
-TrainingData = dict[int, list[int]]
-
 
 @dataclass(frozen=True)
 class WindowConfig:
@@ -73,75 +67,30 @@ def compute_period(when: Union[datetime, date], period_type: str) -> int:
 
 
 class Window:
-    """Bookkeeping for one user's sliding window.
+    """One user's sliding window: the samples it holds and its bookkeeping.
 
-    The window itself never stores samples; it tracks which periods (or how
-    many events) are active and reports what to evict.  Out-of-order events
-    are accepted as long as their period has not been evicted yet; stale
-    ones are counted in ``stale_drops``.
+    ``samples`` maps each held period to its minutes of the day, in arrival
+    order; ``instance`` windows hold every sample under the single key 0.
+    Out-of-order events are accepted as long as their period has not been
+    evicted yet; stale ones are counted in ``stale_drops``.
     """
 
     def __init__(self, config: WindowConfig):
         self.config = config
-        self.active_periods: list[int] = []
-        self.instance_count = 0
+        self.samples: dict[int, list[int]] = {}
         self.version = 0
         self.stale_drops = 0
-        self._filled = False
-        self._last_evicted: int | None = None
-
-    def is_stale(self, period: int) -> bool:
-        return self._last_evicted is not None and period <= self._last_evicted
-
-    def add_period(self, period: int) -> list[int]:
-        """Register a period arrival; return the periods to evict (if any)."""
-        if self.config.type == "instance":
-            raise ConfigurationError("add_period is undefined for instance windows")
-        if self.is_stale(period):
-            self.stale_drops += 1
-            return []
-        idx = bisect_left(self.active_periods, period)
-        if idx < len(self.active_periods) and self.active_periods[idx] == period:
-            return []
-        insort(self.active_periods, period)
-        if not self._filled and len(self.active_periods) == self.config.window_size:
-            self._filled = True
-            self.version += 1
-        cap = self.config.window_size + self.config.sliding_size
-        if self.config.sliding_size > 0 and len(self.active_periods) == cap:
-            evicted = self.active_periods[: self.config.sliding_size]
-            del self.active_periods[: self.config.sliding_size]
-            self._last_evicted = evicted[-1]
-            self.version += 1
-            return evicted
-        return []
-
-    def add_instance(self, minute: int) -> bool:
-        """Register one event; return True when the caller must slide."""
-        if self.config.type != "instance":
-            raise ConfigurationError("add_instance requires an instance window")
-        if not 0 <= minute < 1440:
-            raise InputError(f"minute of day out of range: {minute}")
-        self.instance_count += 1
-        if not self._filled and self.instance_count == self.config.window_size:
-            self._filled = True
-            self.version += 1
-        cap = self.config.window_size + self.config.sliding_size
-        if self.config.sliding_size > 0 and self.instance_count == cap:
-            self.instance_count -= self.config.sliding_size
-            self.version += 1
-            return True
-        return False
+        self.last_evicted: int | None = None
 
     def to_debug_dict(self) -> dict:
         return {
             "window_size": self.config.window_size,
             "sliding_size": self.config.sliding_size,
             "window_type": self.config.type,
-            "active_periods": list(self.active_periods),
-            "instance_count": self.instance_count,
+            "samples": self.samples,
             "version": self.version,
             "stale_drops": self.stale_drops,
+            "last_evicted": self.last_evicted,
         }
 
     def __repr__(self) -> str:
@@ -151,27 +100,45 @@ class Window:
         )
 
 
-def formatting_data(data: TrainingData, window: Window, when: datetime) -> None:
-    """Fold one event into the training data, evicting what slid out.
+def formatting_data(window: Window, when: datetime) -> None:
+    """Fold one event into ``window``: fill it, slide it, evict what slid out.
 
-    ``data`` and ``window`` are updated in place.  Sub-minute precision is
-    dropped: the stored sample is ``hour * 60 + minute``.
+    Sub-minute precision is dropped: the stored sample is
+    ``hour * 60 + minute``.  A unit is a period, or one event for
+    ``instance`` windows.
     """
+    config = window.config
+    samples = window.samples
     minute = when.hour * 60 + when.minute
-    if window.config.type == "instance":
-        data.setdefault(0, []).append(minute)
-        if window.add_instance(minute):
-            del data[0][: window.config.sliding_size]
-        return
-    period = compute_period(when, window.config.type)
-    if window.is_stale(period):
-        window.stale_drops += 1
-        return
-    data.setdefault(period, []).append(minute)
-    for evicted in window.add_period(period):
-        data.pop(evicted, None)
+    if config.type == "instance":
+        held = samples.setdefault(0, [])
+        held.append(minute)
+        units = len(held)
+    else:
+        period = compute_period(when, config.type)
+        if window.last_evicted is not None and period <= window.last_evicted:
+            window.stale_drops += 1
+            return
+        held = samples.get(period)
+        if held is not None:
+            held.append(minute)
+            return
+        samples[period] = [minute]
+        units = len(samples)
+    if units == config.window_size and window.version == 0:
+        window.version = 1
+    elif config.sliding_size and units == config.window_size + config.sliding_size:
+        window.version += 1
+        if config.type == "instance":
+            del held[: config.sliding_size]
+        else:
+            evicted = sorted(samples)[: config.sliding_size]
+            for period in evicted:
+                del samples[period]
+            window.last_evicted = evicted[-1]
 
 
-def training_set(data: TrainingData) -> list[int]:
-    """Flatten training data to one sample list, periods in ascending order."""
-    return [minute for period in sorted(data) for minute in data[period]]
+def training_set(window: Window) -> list[int]:
+    """Flatten the window's samples to one list, periods in ascending order."""
+    samples = window.samples
+    return [minute for period in sorted(samples) for minute in samples[period]]

@@ -42,7 +42,7 @@ from flowdetect.engine import (
 from flowdetect.ensemble import ScoreBoard, majority_vote
 from flowdetect.evaluation import evaluate
 from flowdetect.pipeline import Pipeline, PipelineConfig
-from flowdetect.windowing import DEFAULT_DATE_FORMAT, Window, WindowConfig
+from flowdetect.windowing import DEFAULT_DATE_FORMAT, Window, WindowConfig, formatting_data
 
 from test_engine import digits_spec, gen_tree, loop, routed_spec, run_events
 
@@ -137,10 +137,26 @@ def test_criterion_1_engine_semantics():
 
 def test_criterion_2_window_traces():
     """Five frozen fill/slide traces, exact version and eviction sequences."""
+    monday = datetime(2010, 1, 4, 8, 0)  # ISO week 1 of 2010: week n is 201000 + n
 
-    def trace_periods(ws, ss, periods):
+    def trace_periods(ws, ss, weeks):
         window = Window(WindowConfig(ws, ss, "week"))
-        return [(window.add_period(p), window.version) for p in periods]
+        trace = []
+        for n in weeks:
+            before = {period - 201000 for period in window.samples}
+            formatting_data(window, monday + timedelta(weeks=n - 1))
+            after = {period - 201000 for period in window.samples}
+            trace.append((sorted(before - after), window.version))
+        return trace
+
+    def trace_instances(ws, ss, count):
+        window = Window(WindowConfig(ws, ss, "instance"))
+        trace = []
+        for _ in range(count):
+            before = window.version
+            formatting_data(window, monday)
+            trace.append((before >= 1 and window.version > before, window.version))
+        return window, trace
 
     t31 = trace_periods(3, 1, range(1, 8))
     ok = t31 == [([], 0), ([], 0), ([], 1), ([1], 2), ([2], 3), ([3], 4), ([4], 5)]
@@ -155,15 +171,14 @@ def test_criterion_2_window_traces():
     ok &= all(e == [] for e, _ in t100)
     ok &= [v for _, v in t100] == [0] * 9 + [1] * 21
 
-    w21 = Window(WindowConfig(2, 1, "instance"))
-    t21 = [(w21.add_instance(480), w21.version) for _ in range(5)]
+    w21, t21 = trace_instances(2, 1, 5)
     ok &= t21 == [(False, 0), (False, 1), (True, 2), (True, 3), (True, 4)]
-    ok &= w21.instance_count == 2
+    ok &= len(w21.samples[0]) == 2
 
-    w10050 = Window(WindowConfig(100, 50, "instance"))
-    slides = [i for i in range(1, 301) if w10050.add_instance(480)]
+    w10050, t10050 = trace_instances(100, 50, 300)
+    slides = [i for i, (slid, _) in enumerate(t10050, start=1) if slid]
     ok &= slides == [150, 200, 250, 300] and w10050.version == 5
-    ok &= w10050.instance_count == 100
+    ok &= len(w10050.samples[0]) == 100
 
     report(2, bool(ok), "five window configurations match hand-computed traces")
 

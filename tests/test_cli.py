@@ -305,6 +305,46 @@ def test_missing_input_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"window_parameters": {"window_size": "ten"}},
+        {"window_parameters": {"sliding_size": None}},
+        {"window_parameters": 5},
+        {"window_parameters": ["window_size"]},
+        {"min_training_instances": "x"},
+        {"detectors": {"kde": 5}},
+        {"detectors": ["kde"]},
+        {"date_format": 5},
+        {"activity_filter": ["Logon"]},
+        ["window_parameters"],
+    ],
+)
+def test_config_of_the_wrong_type_is_a_clean_error(raw, tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("id,date,user,pc,activity\nE1,01/04/2010 08:00:00,alice,PC-1,Logon\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["run", "--input", str(log), "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_utf8_input_is_a_clean_error(corpus, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"id,date,user,pc,activity\n\xff\xfe,01/04/2010 08:00:00,a,PC,Logon\n")
+    assert main(["run", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not valid UTF-8")
+    assert main(["run", "--input", str(corpus["events"]), "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(json.dumps({
+        "eventId": "E0001", "votes": 0, "cast": 1, "alert": False, "detectors": {},
+    }) + "\n")
+    for scores_path, labels_path in ((bad, corpus["labels"]), (scores, bad)):
+        assert main(["evaluate", "--input", str(scores_path), "--labels", str(labels_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not valid UTF-8")
+
+
 def test_parser_rejects_unknown_profile():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["synth", "--profile", "weird",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -122,6 +123,14 @@ def test_evaluate_zero_positives_rate():
         evaluate(records, {"E1": 0, "E2": 0})
 
 
+@pytest.mark.parametrize("missing", ["eventId", "alert", "votes"])
+def test_evaluate_rejects_records_missing_a_field(missing):
+    broken = record("E2", True, 3)
+    del broken[missing]
+    with pytest.raises(InputError, match=f"score record 2 has no '{missing}' field"):
+        evaluate([record("E1", False, 0), broken], {"E1": 0, "E2": 1})
+
+
 # ----------------------------------------------------------------- file round
 
 def test_evaluate_files_roundtrip(tmp_path):
@@ -155,3 +164,10 @@ def test_load_labels_requires_header(tmp_path):
         load_labels(str(path))
     path.write_text("id,label\nE1,1\nE2,0\n")
     assert load_labels(str(path)) == {"E1": 1, "E2": 0}
+
+
+def test_load_labels_rejects_a_label_that_is_not_0_or_1(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("id,label\nE1,1\nE2,yes\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:3: label must be 0 or 1, got 'yes'")):
+        load_labels(str(path))

@@ -122,11 +122,11 @@ class StubDetector:
 def guard_env(version: int, trained: int, samples: int):
     window = Window(WindowConfig(3, 1, "week"))
     window.version = version
+    window.samples = {0: list(range(samples))}
     return {
         "window": window,
         "detectors": {"kde": StubDetector(trained)},
         "d": "kde",
-        "data": {0: list(range(samples))},
     }
 
 
@@ -155,7 +155,7 @@ def test_build_spec_shape():
 
     per_user = root.body
     assert isinstance(per_user, Flow)
-    assert {name for name, _ in per_user.attrs} == {"window", "data"}
+    assert {name for name, _ in per_user.attrs} == {"window"}
 
     scoring = per_user.left
     detectors = scoring.left

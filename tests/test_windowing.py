@@ -1,8 +1,8 @@
-"""Window bookkeeping: period codes, fill/slide traces, stale handling."""
+"""Sliding windows: period codes, fill/slide traces, stale handling."""
 
 from __future__ import annotations
 
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -70,18 +70,44 @@ def test_window_config_rejects_bad_values(kwargs):
 
 # ------------------------------------------------------------------ period mode
 
-def drive_periods(config: WindowConfig, periods):
-    """Feed abstract period codes; collect (evicted, version) after each."""
+#: ISO week 1 of 2010 starts on Monday 2010-01-04, so week ``n`` has code 201000 + n.
+WEEK_ONE = datetime(2010, 1, 4, 8, 0)
+
+
+def week(n: int) -> datetime:
+    """08:00 on the Monday of ISO week ``n`` of 2010."""
+    return WEEK_ONE + timedelta(weeks=n - 1)
+
+
+def held_weeks(window: Window) -> list[int]:
+    return sorted(period - 201000 for period in window.samples)
+
+
+def fold_week(window: Window, n: int) -> list[int]:
+    """Fold one event in week ``n``; return the weeks it evicted.
+
+    Those are the weeks held before, or just folded, that are held no
+    longer; a late week can be evicted by its own arrival.  A stale event
+    evicts nothing.
+    """
+    drops = window.stale_drops
+    before = held_weeks(window)
+    formatting_data(window, week(n))
+    if window.stale_drops > drops:
+        return []
+    after = held_weeks(window)
+    return sorted({*before, n} - set(after))
+
+
+def drive_weeks(config: WindowConfig, weeks):
+    """Fold one event per week; collect (evicted weeks, version) after each."""
     window = Window(config)
-    trace = []
-    for p in periods:
-        evicted = window.add_period(p)
-        trace.append((evicted, window.version))
+    trace = [(fold_week(window, n), window.version) for n in weeks]
     return window, trace
 
 
 def test_trace_week_3_1():
-    window, trace = drive_periods(WindowConfig(3, 1, "week"), range(1, 8))
+    window, trace = drive_weeks(WindowConfig(3, 1, "week"), range(1, 8))
     assert trace == [
         ([], 0),
         ([], 0),
@@ -91,135 +117,128 @@ def test_trace_week_3_1():
         ([3], 4),
         ([4], 5),
     ]
-    assert window.active_periods == [5, 6, 7]
+    assert held_weeks(window) == [5, 6, 7]
 
 
 def test_trace_week_10_5():
-    window, trace = drive_periods(WindowConfig(10, 5, "week"), range(1, 26))
+    window, trace = drive_weeks(WindowConfig(10, 5, "week"), range(1, 26))
     evictions = [e for e, _ in trace if e]
     assert evictions == [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [11, 12, 13, 14, 15]]
     assert [v for _, v in trace] == [0] * 9 + [1] * 5 + [2] * 5 + [3] * 5 + [4]
-    assert window.active_periods == list(range(16, 26))
+    assert held_weeks(window) == list(range(16, 26))
 
 
 def test_trace_week_10_0_grows_forever():
-    window, trace = drive_periods(WindowConfig(10, 0, "week"), range(1, 31))
+    window, trace = drive_weeks(WindowConfig(10, 0, "week"), range(1, 31))
     assert all(e == [] for e, _ in trace)
     assert [v for _, v in trace] == [0] * 9 + [1] * 21
-    assert window.active_periods == list(range(1, 31))
+    assert held_weeks(window) == list(range(1, 31))
 
 
 def test_duplicate_period_is_not_recounted():
-    window = Window(WindowConfig(3, 1, "week"))
-    for p in (5, 5, 5, 6):
-        window.add_period(p)
-    assert window.active_periods == [5, 6]
+    window, _ = drive_weeks(WindowConfig(3, 1, "week"), (5, 5, 5, 6))
+    assert held_weeks(window) == [5, 6]
+    assert window.samples[201005] == [480, 480, 480]
     assert window.version == 0
 
 
 def test_out_of_order_period_accepted_until_evicted():
-    window = Window(WindowConfig(3, 1, "week"))
-    window.add_period(10)
-    window.add_period(12)
-    window.add_period(11)  # late but not stale
-    assert window.active_periods == [10, 11, 12]
+    window, _ = drive_weeks(WindowConfig(3, 1, "week"), (10, 12, 11))  # 11 late, not stale
+    assert held_weeks(window) == [10, 11, 12]
     assert window.version == 1
-    assert window.add_period(13) == [10]
-    # anything at or before the newest evicted period is now stale
-    assert window.is_stale(10)
-    assert window.is_stale(9)
-    assert not window.is_stale(11)
-    assert window.add_period(10) == []
-    assert window.stale_drops == 1
-    assert window.active_periods == [11, 12, 13]
-
-
-def test_add_period_wrong_mode():
-    with pytest.raises(ConfigurationError):
-        Window(WindowConfig(2, 1, "instance")).add_period(1)
-    with pytest.raises(ConfigurationError):
-        Window(WindowConfig(2, 1, "week")).add_instance(100)
+    formatting_data(window, week(13))
+    assert held_weeks(window) == [11, 12, 13]
+    assert window.last_evicted == 201010
+    # anything at or before the newest evicted week is now stale
+    formatting_data(window, week(10))
+    formatting_data(window, week(9))
+    assert window.stale_drops == 2
+    formatting_data(window, week(11))
+    assert window.samples[201011] == [480, 480]
+    assert window.stale_drops == 2
+    assert held_weeks(window) == [11, 12, 13]
 
 
 # ---------------------------------------------------------------- instance mode
 
+def drive_instances(config: WindowConfig, count: int):
+    """Fold ``count`` events; collect (slid, version) after each.
+
+    A slide is a version step once the window has filled.
+    """
+    window = Window(config)
+    trace = []
+    for _ in range(count):
+        before = window.version
+        formatting_data(window, WEEK_ONE)
+        trace.append((before >= 1 and window.version > before, window.version))
+    return window, trace
+
+
 def test_trace_instance_2_1():
-    window = Window(WindowConfig(2, 1, "instance"))
-    trace = [(window.add_instance(100), window.version) for _ in range(5)]
+    window, trace = drive_instances(WindowConfig(2, 1, "instance"), 5)
     assert trace == [(False, 0), (False, 1), (True, 2), (True, 3), (True, 4)]
-    assert window.instance_count == 2
+    assert window.samples == {0: [480, 480]}
 
 
 def test_trace_instance_100_50():
-    window = Window(WindowConfig(100, 50, "instance"))
-    slides = []
-    for i in range(1, 301):
-        if window.add_instance(480):
-            slides.append(i)
+    window, trace = drive_instances(WindowConfig(100, 50, "instance"), 300)
+    slides = [i for i, (slid, _) in enumerate(trace, start=1) if slid]
     assert slides == [150, 200, 250, 300]
     assert window.version == 5
-    assert window.instance_count == 100
-
-
-def test_instance_minute_range():
-    window = Window(WindowConfig(2, 1, "instance"))
-    with pytest.raises(InputError):
-        window.add_instance(-1)
-    with pytest.raises(InputError):
-        window.add_instance(1440)
+    assert len(window.samples[0]) == 100
 
 
 # ------------------------------------------------------------- formatting_data
 
 def test_formatting_data_week_roundtrip():
     window = Window(WindowConfig(3, 1, "week"))
-    data: dict[int, list[int]] = {}
-    formatting_data(data, window, datetime(2010, 1, 4, 8, 5))
-    assert data == {201001: [485]}
-    formatting_data(data, window, datetime(2010, 1, 4, 9, 0, 30))  # seconds dropped
-    assert data == {201001: [485, 540]}
-    formatting_data(data, window, datetime(2010, 1, 11, 10, 0))
-    formatting_data(data, window, datetime(2010, 1, 18, 11, 0))
+    formatting_data(window, datetime(2010, 1, 4, 8, 5))
+    assert window.samples == {201001: [485]}
+    formatting_data(window, datetime(2010, 1, 4, 9, 0, 30))  # seconds dropped
+    assert window.samples == {201001: [485, 540]}
+    formatting_data(window, datetime(2010, 1, 11, 10, 0))
+    formatting_data(window, datetime(2010, 1, 18, 11, 0))
     assert window.version == 1
-    assert sorted(data) == [201001, 201002, 201003]
-    # week 4 fills past capacity: week 1 evicted from window and data
-    formatting_data(data, window, datetime(2010, 1, 25, 12, 0))
+    assert sorted(window.samples) == [201001, 201002, 201003]
+    # week 4 fills past capacity: week 1 and its samples are evicted
+    formatting_data(window, datetime(2010, 1, 25, 12, 0))
     assert window.version == 2
-    assert sorted(data) == [201002, 201003, 201004]
+    assert sorted(window.samples) == [201002, 201003, 201004]
 
 
 def test_formatting_data_drops_stale_events():
     window = Window(WindowConfig(2, 1, "week"))
-    data: dict[int, list[int]] = {}
     for day in (4, 11, 18):  # three consecutive Mondays
-        formatting_data(data, window, datetime(2010, 1, day, 8, 0))
+        formatting_data(window, datetime(2010, 1, day, 8, 0))
     assert window.version == 2
-    before = {k: list(v) for k, v in data.items()}
-    formatting_data(data, window, datetime(2010, 1, 5, 8, 0))  # in evicted week
-    assert data == before
+    before = {k: list(v) for k, v in window.samples.items()}
+    formatting_data(window, datetime(2010, 1, 5, 8, 0))  # in evicted week
+    assert window.samples == before
     assert window.stale_drops == 1
 
 
 def test_formatting_data_instance_trims_oldest():
     window = Window(WindowConfig(2, 1, "instance"))
-    data: dict[int, list[int]] = {}
     for hour in (1, 2, 3):
-        formatting_data(data, window, datetime(2010, 1, 4, hour, 0))
-    assert data == {0: [120, 180]}
-    assert window.instance_count == 2
+        formatting_data(window, datetime(2010, 1, 4, hour, 0))
+    assert window.samples == {0: [120, 180]}
 
 
 def test_formatting_data_accepts_datetime_objects():
     window = Window(WindowConfig(2, 0, "day"))
-    data: dict[int, list[int]] = {}
-    formatting_data(data, window, datetime(2010, 1, 4, 7, 30))
-    assert data == {2010004: [450]}
+    formatting_data(window, datetime(2010, 1, 4, 7, 30))
+    assert window.samples == {2010004: [450]}
 
 
 def test_training_set_orders_periods_not_samples():
-    assert training_set({202: [5], 201: [30, 4]}) == [30, 4, 5]
-    assert training_set({0: [9, 1, 5]}) == [9, 1, 5]
-    assert training_set({}) == []
+    window = Window(WindowConfig(2, 1, "week"))
+    window.samples = {202: [5], 201: [30, 4]}
+    assert training_set(window) == [30, 4, 5]
+    window.samples = {0: [9, 1, 5]}
+    assert training_set(window) == [9, 1, 5]
+    window.samples = {}
+    assert training_set(window) == []
 
 
 # ------------------------------------------------------------------ properties
@@ -228,38 +247,20 @@ def test_training_set_orders_periods_not_samples():
 @given(
     window_size=st.integers(1, 8),
     sliding_size=st.integers(0, 8),
-    periods=st.lists(st.integers(1, 40), min_size=1, max_size=120),
+    weeks=st.lists(st.integers(1, 40), min_size=1, max_size=120),
 )
-def test_window_invariants(window_size, sliding_size, periods):
+def test_window_invariants(window_size, sliding_size, weeks):
     sliding_size = min(sliding_size, window_size)
-    config = WindowConfig(window_size, sliding_size, "week")
-    window = Window(config)
+    window = Window(WindowConfig(window_size, sliding_size, "week"))
     slides = 0
-    for p in periods:
-        if window.add_period(p):
+    for n in weeks:
+        if fold_week(window, n):
             slides += 1
-        held = window.active_periods
-        assert held == sorted(set(held))
+        held = held_weeks(window)
+        assert all(window.samples.values())  # no held period is empty
         if sliding_size > 0:
             assert len(held) < window_size + sliding_size
         filled = window.version >= 1
         assert window.version == (1 + slides if filled else 0)
-        if window._last_evicted is not None:
-            assert all(p > window._last_evicted for p in held)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    days=st.lists(st.integers(0, 27), min_size=1, max_size=80),
-    window_size=st.integers(1, 4),
-    sliding_size=st.integers(0, 4),
-)
-def test_data_keys_track_active_periods(days, window_size, sliding_size):
-    sliding_size = min(sliding_size, window_size)
-    window = Window(WindowConfig(window_size, sliding_size, "day"))
-    data: dict[int, list[int]] = {}
-    for offset in days:
-        when = datetime(2010, 3, 1 + offset % 28, 8 + offset % 10, 15)
-        formatting_data(data, window, when)
-    assert set(data) == set(window.active_periods)
-    assert all(data[k] for k in data)
+        if window.last_evicted is not None:
+            assert all(period > window.last_evicted for period in window.samples)
