@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -76,14 +77,6 @@ def _circ_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorised circular distance, no range checks."""
     d = np.abs(a - b)
     return np.minimum(d, HOURS_PER_DAY - d)
-
-
-def to_cartesian(hour: float) -> tuple[float, float]:
-    """Embed an hour of day on the unit circle."""
-    if not 0.0 <= hour < HOURS_PER_DAY:
-        raise ValueError(f"hour must be in [0, 24): got {hour}")
-    angle = 2.0 * math.pi * hour / HOURS_PER_DAY
-    return (math.cos(angle), math.sin(angle))
 
 
 def circular_mean(hours: Sequence[float]) -> float:
@@ -197,6 +190,10 @@ class Score:
     binary: int
     raw: float
 
+    def __post_init__(self) -> None:
+        if self.binary not in (0, 1):
+            raise ValueError(f"binary score must be 0 or 1: got {self.binary}")
+
 
 class Detector(ABC):
     """Common surface of all detectors.
@@ -241,6 +238,21 @@ class Detector(ABC):
         return {"name": self.name, "trained_version": self.trained_version}
 
 
+def _checked(value: Any, what: str, kind: type = numbers.Real) -> Any:
+    """``value`` if it is a finite ``kind`` (``numbers.Real`` or ``numbers.Integral``), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        noun = "an integer" if kind is numbers.Integral else "a finite number"
+        raise ConfigurationError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
+def _percent(value: Any, what: str) -> Any:
+    """A number in [0, 100], as ``percentile`` takes it."""
+    if not 0.0 <= _checked(value, what) <= 100.0:
+        raise ConfigurationError(f"{what} must be in [0, 100], got {value!r}")
+    return value
+
+
 def _warn_range(name: str, value: float, low: float, high: float) -> None:
     if not low <= value <= high:
         warnings.warn(
@@ -277,8 +289,10 @@ class CircularKMeans(Detector):
 
     def __init__(self, threshold: float = 1.5, seed: int = 0):
         super().__init__()
-        _warn_range("kmeans threshold", threshold, 1.5, 2.5)
+        _warn_range("kmeans threshold", _checked(threshold, "kmeans threshold"), 1.5, 2.5)
         self.threshold = float(threshold)
+        if _checked(seed, "kmeans seed", numbers.Integral) < 0:
+            raise ConfigurationError("kmeans seed must be non-negative")
         self.seed = int(seed)
         self.chosen_k = 0
         self.clusters: tuple[Cluster, ...] = ()
@@ -466,7 +480,7 @@ class WrappedKde(Detector):
 
     def __init__(self, percentile: float = 0.5):
         super().__init__()
-        _warn_range("kde percentile", percentile, 0.5, 5.0)
+        _warn_range("kde percentile", _percent(percentile, "kde percentile"), 0.5, 5.0)
         self.percentile = float(percentile)
         self.samples: np.ndarray = np.empty(0)
         self.bandwidth = 0.0
@@ -539,8 +553,8 @@ class CosineLof(Detector):
 
     def __init__(self, percentile: float = 95.0, n_neighbors: int = 20):
         super().__init__()
-        _warn_range("lof percentile", percentile, 75.0, 95.0)
-        if n_neighbors < 1:
+        _warn_range("lof percentile", _percent(percentile, "lof percentile"), 75.0, 95.0)
+        if _checked(n_neighbors, "lof n_neighbors", numbers.Integral) < 1:
             raise ConfigurationError("n_neighbors must be at least 1")
         self.percentile = float(percentile)
         self.n_neighbors = int(n_neighbors)
@@ -648,7 +662,10 @@ def init_map(params: Mapping[str, Mapping] | None = None) -> dict[str, Detector]
     ``params`` maps each detector to build to its parameters, keyed by the
     external configuration keys its type declares in ``param_keys``;
     ``None`` builds the defaults.  Unknown detector names or parameter keys
-    raise ``ConfigurationError``; out-of-range parameter values only warn.
+    raise ``ConfigurationError``, and so do values the built-in types cannot
+    take (anything but a finite number, a non-integer count, a negative or
+    non-integer seed, a percentile outside [0, 100]); values outside the
+    recommended ranges only warn.
     """
     if params is None:
         params = {name: {} for name in DEFAULT_DETECTORS}

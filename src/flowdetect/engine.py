@@ -27,8 +27,8 @@ and argument-less calls whose parts are themselves such states) are
 shared between instances and between machines in one process, so callers
 must treat every state as read-only.  Values bound in environments are not
 copied, so an action that mutates one in place (a window and the samples
-it holds, a detector map, a score board) changes it for good, even when a
-later part of the step fails.
+it holds, a detector map, a list of cast votes) changes it for good, even
+when a later part of the step fails.
 
 Determinism: automaton transitions are tried in declaration order and the
 first enabled one fires; quantified domains are iterated in ascending order

@@ -1,64 +1,12 @@
-"""Combining per-detector verdicts into alerts."""
+"""Combining per-detector verdicts into one alert decision."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 from .detectors import Score
 
 
-@dataclass
-class Alert:
-    event_id: str
-    votes: int
-    event_date: str
-    user_id: str = ""
-
-
-class ScoreBoard:
-    """Votes collected for the event currently being processed.
-
-    ``scores`` holds the 0/1 decisions in casting order; ``raw_scores``
-    holds the matching ``(detector, raw)`` pairs for evaluation output.
-    """
-
-    def __init__(self) -> None:
-        self.scores: list[int] = []
-        self.raw_scores: list[tuple[str, float]] = []
-
-    def add(self, detector: str, score: Score) -> None:
-        if score.binary not in (0, 1):
-            raise ValueError(f"binary score must be 0 or 1: got {score.binary}")
-        self.scores.append(score.binary)
-        self.raw_scores.append((detector, score.raw))
-
-    def clear(self) -> None:
-        self.scores.clear()
-        self.raw_scores.clear()
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def to_debug_dict(self) -> dict:
-        return {"scores": list(self.scores), "raw_scores": [list(p) for p in self.raw_scores]}
-
-
-def majority_vote(
-    board: ScoreBoard,
-    alerts: list[Alert],
-    event_id: str,
-    event_date: str,
-    user_id: str = "",
-) -> list[Alert]:
-    """Raise an alert when strictly more than half of the cast votes are 1.
-
-    Detectors that did not vote are not part of the denominator.  The board
-    is cleared after every non-empty vote; an empty board is a no-op.
-    """
-    if not board.scores:
-        return alerts
-    count = sum(board.scores)
-    if count > len(board.scores) // 2:
-        alerts.append(Alert(event_id, count, event_date, user_id))
-    board.clear()
-    return alerts
+def majority_vote(cast: Sequence[tuple[str, Score]]) -> bool:
+    """True when strictly more than half of the cast votes are 1; false for none."""
+    return 2 * sum(score.binary for _, score in cast) > len(cast)

@@ -4,9 +4,11 @@ Every event ``e(userId, eventDate, eventId)`` is routed to its user's
 isolated instance of the same machine:
 
 * a scoring side that asks each detector to (re)train when its window has a
-  new version and enough samples (guard ``g1``), score the event when it
-  has ever been trained (guard ``g2``), and then submits the collected
-  votes to the alert strategy;
+  new version and enough samples (guard ``g1``) and to score the event when
+  it has ever been trained (guard ``g2``), appending each ``(detector,
+  Score)`` pair to the user's cast list; the vote then decides whether the
+  cast raises an alert, and the pipeline records a ``ScoredEvent`` and
+  empties the list;
 * a parsing side that folds the event into the user's sliding window.
 
 The scoring side runs first, so an event is always scored against a state
@@ -15,8 +17,8 @@ event's date once and binds it as ``when`` at the root of the step, where
 both sides read it.
 
 The ingest, train, detect and vote actions mutate nested values in place
-(the window with its samples, the detector map, the score board), so they
-are not transactional: if a step raises after ``train_action`` has run, the
+(the window with its samples, the detector map, the cast list), so they are
+not transactional: if a step raises after ``train_action`` has run, the
 engine leaves the user's machine state as it was, but the refitted detector
 stays in its detector map.
 """
@@ -25,9 +27,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
-from .detectors import DEFAULT_DETECTORS, init_map
+from .detectors import DEFAULT_DETECTORS, Score, init_map
 from .engine import (
     UNBOUNDED,
     Automaton,
@@ -45,7 +47,7 @@ from .engine import (
     init,
     step,
 )
-from .ensemble import Alert, ScoreBoard, majority_vote
+from .ensemble import majority_vote
 from .errors import ConfigurationError, EngineError, InputError
 from .windowing import (
     DEFAULT_DATE_FORMAT,
@@ -67,10 +69,9 @@ def _mapping(value: Any, what: str) -> Mapping[str, Any]:
 
 
 def _integer(value: Any, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -165,7 +166,11 @@ class RunCounters:
 
 @dataclass
 class ScoredEvent:
-    """One line of the scores output: everything the voters saw."""
+    """One scored event: everything the voters saw, and the vote's decision.
+
+    The alerting ones are the alerts: ``process_event`` returns them, and
+    an alert line is the record cut down to its first four fields.
+    """
 
     event_id: str
     user_id: str
@@ -187,7 +192,7 @@ class ScoredEvent:
         }
 
 
-VoteFn = Callable[..., list[Alert]]
+VoteFn = Callable[[Sequence[tuple[str, Score]]], bool]
 
 
 def training_guard(config: PipelineConfig) -> Callable[[Mapping[str, Any]], bool]:
@@ -279,30 +284,28 @@ def build_spec(
         when = env["when"]
         minute = when.hour * 60 + when.minute
         d = env["d"]
-        env["scores"].add(d, env["detectors"][d].score_partial(minute, env["eventId"]))
+        env["scores"].append((d, env["detectors"][d].score_partial(minute, env["eventId"])))
 
     def vote_action(env) -> None:
-        board: ScoreBoard = env["scores"]
-        cast = len(board)
-        snapshot = {
-            name: {"raw": raw, "binary": binary}
-            for (name, raw), binary in zip(board.raw_scores, board.scores)
-        }
-        votes = sum(board.scores)
-        raised: list[Alert] = []
-        vote(board, raised, env["eventId"], env["eventDate"], user_id=env["userId"])
-        if cast and score_sink is not None:
+        cast: list[tuple[str, Score]] = env["scores"]
+        if not cast:
+            return
+        votes = sum(score.binary for _, score in cast)
+        detectors = {name: {"raw": score.raw, "binary": score.binary} for name, score in cast}
+        alert = bool(vote(cast))
+        if score_sink is not None:
             score_sink(
                 ScoredEvent(
                     event_id=env["eventId"],
                     user_id=env["userId"],
                     event_date=env["eventDate"],
                     votes=votes,
-                    cast=cast,
-                    alert=bool(raised),
-                    detectors=snapshot,
+                    cast=len(cast),
+                    alert=alert,
+                    detectors=detectors,
                 )
             )
+        cast.clear()
 
     detector_instance = Flow(
         name="detector_instance",
@@ -313,7 +316,7 @@ def build_spec(
 
     scoring = Flow(
         name="scoring",
-        attrs=[("scores", lambda env: ScoreBoard())],
+        attrs=[("scores", lambda env: [])],
         left=QuantifiedFlow(
             name="detectors",
             var="d",
@@ -348,8 +351,8 @@ class Pipeline:
         )
         self.state = init(self.spec, defs=self.defs)
 
-    def process_event(self, event: Event) -> list[Alert]:
-        """Run one event through the machine; return the alerts it raised."""
+    def process_event(self, event: Event) -> list[ScoredEvent]:
+        """Run one event through the machine; return its alerting scored events."""
         if event.name != "e" or len(event.args) != 3:
             raise InputError(f"expected e(userId, eventDate, eventId), got {event}")
         try:
@@ -363,11 +366,7 @@ class Pipeline:
             raise EngineError(f"pipeline refused event {event!r}")
         self.state, _ = result
         self.counters.events += 1
-        fresh = [
-            Alert(r.event_id, r.votes, r.event_date, r.user_id)
-            for r in self._score_buffer[scored:]
-            if r.alert
-        ]
+        fresh = [record for record in self._score_buffer[scored:] if record.alert]
         self.counters.alerts += len(fresh)
         return fresh
 

@@ -39,7 +39,7 @@ from flowdetect.engine import (
     state_to_dict,
     step,
 )
-from flowdetect.ensemble import ScoreBoard, majority_vote
+from flowdetect.ensemble import majority_vote
 from flowdetect.evaluation import evaluate
 from flowdetect.pipeline import Pipeline, PipelineConfig
 from flowdetect.windowing import DEFAULT_DATE_FORMAT, Window, WindowConfig, formatting_data
@@ -290,14 +290,8 @@ def test_criterion_6_majority_vote_exhaustive():
     patterns = 0
     for n in range(1, 6):
         for bits in itertools.product((0, 1), repeat=n):
-            board = ScoreBoard()
-            for i, b in enumerate(bits):
-                board.add(f"d{i}", Score(b, float(b)))
-            alerts = majority_vote(board, [], "E", "date")
-            assert bool(alerts) == oracles.majority_rule(bits)
-            if alerts:
-                assert alerts[0].votes == sum(bits)
-            assert len(board) == 0
+            cast = [(f"d{i}", Score(b, float(b))) for i, b in enumerate(bits)]
+            assert majority_vote(cast) == oracles.majority_rule(bits)
             patterns += 1
     report(6, True, f"{patterns} vote patterns match the strict-majority rule")
 

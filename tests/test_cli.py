@@ -161,9 +161,15 @@ def test_run_writes_alerts_and_scores(corpus, tmp_path, capsys):
     assert set(first) == {"alert", "cast", "detectors", "eventDate", "eventId", "userId", "votes"}
 
     alert_lines = alerts.read_text().splitlines()
-    assert len(alert_lines) == summary["alerts"]
-    if alert_lines:
-        assert set(json.loads(alert_lines[0])) == {"eventDate", "eventId", "userId", "votes"}
+    assert len(alert_lines) == summary["alerts"] > 0
+    assert set(json.loads(alert_lines[0])) == {"eventDate", "eventId", "userId", "votes"}
+    # the alert lines are the alerting score lines, in order, cut to four fields
+    alerting = [
+        {key: record[key] for key in ("eventId", "userId", "eventDate", "votes")}
+        for record in map(json.loads, score_lines)
+        if record["alert"]
+    ]
+    assert [json.loads(line) for line in alert_lines] == alerting
 
 
 def test_run_outputs_are_byte_identical(corpus, tmp_path, capsys):
@@ -318,6 +324,18 @@ def test_missing_input_is_a_clean_error(tmp_path, capsys):
         {"date_format": 5},
         {"activity_filter": ["Logon"]},
         ["window_parameters"],
+        {"window_parameters": {"window_size": 2.5, "sliding_size": True}},
+        {"window_parameters": {"window_size": 10.5}},
+        {"min_training_instances": "30"},
+        {"detectors": {"kmeans": {"kmeans_parameter": "abc"}}},
+        {"detectors": {"kde": {"kde_parameter": None}}},
+        {"detectors": {"kmeans": {"seed": "x"}}},
+        {"detectors": {"kmeans": {"seed": -1}}},
+        {"detectors": {"lof": {"n_neighbors": "many"}}},
+        {"detectors": {"lof": {"n_neighbors": 2.5}}},
+        {"detectors": {"kde": {"kde_parameter": 150}}},
+        {"detectors": {"lof": {"lof_parameter": -5}}},
+        {"detectors": {"kmeans": {"kmeans_parameter": float("nan")}}},
     ],
 )
 def test_config_of_the_wrong_type_is_a_clean_error(raw, tmp_path, capsys):

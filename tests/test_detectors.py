@@ -27,7 +27,6 @@ from flowdetect.detectors import (
     percentile,
     register_detector,
     silhouette,
-    to_cartesian,
 )
 from flowdetect.errors import ConfigurationError, NotEnoughDataError, NotFittedError
 
@@ -63,16 +62,6 @@ def test_circ_distance_symmetric_and_bounded(a, b):
 @given(a=hours_strategy, b=hours_strategy, c=hours_strategy)
 def test_circ_distance_triangle_inequality(a, b, c):
     assert circ_distance(a, c) <= circ_distance(a, b) + circ_distance(b, c) + 1e-9
-
-
-def test_to_cartesian():
-    assert to_cartesian(0.0) == pytest.approx((1.0, 0.0))
-    assert to_cartesian(6.0) == pytest.approx((0.0, 1.0), abs=1e-12)
-    assert to_cartesian(12.0) == pytest.approx((-1.0, 0.0), abs=1e-12)
-    x, y = to_cartesian(17.3)
-    assert math.hypot(x, y) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        to_cartesian(24.0)
 
 
 def test_circular_mean_wraps_midnight():

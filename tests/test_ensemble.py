@@ -8,77 +8,42 @@ import pytest
 
 import oracles
 from flowdetect.detectors import Score
-from flowdetect.ensemble import Alert, ScoreBoard, majority_vote
+from flowdetect.ensemble import majority_vote
 
 
 def cast(binaries):
-    board = ScoreBoard()
-    for i, b in enumerate(binaries):
-        board.add(f"d{i}", Score(b, float(b)))
-    return board
+    return [(f"d{i}", Score(b, float(b))) for i, b in enumerate(binaries)]
 
 
 def test_two_votes_split_is_not_a_majority():
-    alerts = majority_vote(cast([1, 0]), [], "E1", "01/04/2010 08:00:00")
-    assert alerts == []
+    assert majority_vote(cast([1, 0])) is False
 
 
 def test_two_of_three_alerts():
-    alerts = majority_vote(cast([1, 1, 0]), [], "E2", "01/04/2010 08:00:00", "alice")
-    assert alerts == [Alert("E2", 2, "01/04/2010 08:00:00", "alice")]
+    assert majority_vote(cast([1, 1, 0])) is True
 
 
 def test_single_vote_decides():
-    assert majority_vote(cast([1]), [], "E3", "d")[0].votes == 1
-    assert majority_vote(cast([0]), [], "E4", "d") == []
+    assert majority_vote(cast([1])) is True
+    assert majority_vote(cast([0])) is False
 
 
 def test_two_of_four_is_not_strict_majority():
-    assert majority_vote(cast([1, 1, 0, 0]), [], "E5", "d") == []
-    assert majority_vote(cast([1, 1, 1, 0]), [], "E6", "d") != []
+    assert majority_vote(cast([1, 1, 0, 0])) is False
+    assert majority_vote(cast([1, 1, 1, 0])) is True
 
 
-def test_empty_board_is_a_no_op():
-    board = ScoreBoard()
-    existing = [Alert("old", 1, "d")]
-    assert majority_vote(board, existing, "E7", "d") == existing
-    assert len(board) == 0
+def test_empty_cast_does_not_alert():
+    assert majority_vote([]) is False
 
 
-def test_board_cleared_after_any_non_empty_vote():
-    for binaries in ([1, 1], [0, 0]):
-        board = cast(binaries)
-        majority_vote(board, [], "E", "d")
-        assert len(board) == 0
-        assert board.raw_scores == []
-
-
-def test_alerts_accumulate_in_order():
-    alerts: list[Alert] = []
-    majority_vote(cast([1]), alerts, "A", "d1")
-    majority_vote(cast([0]), alerts, "B", "d2")
-    majority_vote(cast([1, 1]), alerts, "C", "d3")
-    assert [a.event_id for a in alerts] == ["A", "C"]
-
-
-def test_board_rejects_non_binary_votes():
-    board = ScoreBoard()
-    with pytest.raises(ValueError):
-        board.add("kde", Score(2, 0.5))
-
-
-def test_board_keeps_raw_scores_with_detector_names():
-    board = ScoreBoard()
-    board.add("kde", Score(1, 0.7))
-    board.add("lof", Score(0, 1.1))
-    assert board.raw_scores == [("kde", 0.7), ("lof", 1.1)]
+def test_score_rejects_non_binary_votes():
+    with pytest.raises(ValueError, match="binary score must be 0 or 1"):
+        Score(2, 0.5)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_exhaustive_against_counting_rule(n):
     """Every 0/1 vote pattern up to five detectors, checked by brute count."""
     for pattern in itertools.product((0, 1), repeat=n):
-        alerts = majority_vote(cast(pattern), [], "E", "d")
-        assert bool(alerts) == oracles.majority_rule(pattern)
-        if alerts:
-            assert alerts[0].votes == sum(pattern)
+        assert majority_vote(cast(pattern)) == oracles.majority_rule(pattern)

@@ -435,14 +435,9 @@ def test_unparseable_date_is_counted_and_skipped():
 # ------------------------------------------------------------- vote injection
 
 def test_alternative_vote_strategy_is_honoured():
-    def alert_all(board, alerts, event_id, event_date, user_id=""):
-        from flowdetect.ensemble import Alert
-
-        if board.scores:
-            alerts.append(Alert(event_id, sum(board.scores), event_date, user_id))
-        board.clear()
-        return alerts
-
-    pipeline = Pipeline(weekly_config(), vote_fn=alert_all)
+    # The vote only decides; the pipeline empties the cast list after each
+    # vote, so a vote that never clears it still sees three votes an event.
+    pipeline = Pipeline(weekly_config(), vote_fn=lambda cast: True)
     records = run(pipeline, weekday_events("fred", 4))
     assert pipeline.counters.alerts == len(records) > 0
+    assert all(r.cast == 3 and r.alert for r in records)
