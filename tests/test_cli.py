@@ -121,6 +121,68 @@ def test_ingest_rejects_wrong_header(tmp_path):
         list(ingest(str(path)))
 
 
+def test_ingest_header_errors_name_what_was_found(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(InputError, match=r"expected columns id,date,user,pc,activity, got None$"):
+        list(ingest(str(empty)))
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\nid,date,user,pc,activity\n")
+    with pytest.raises(InputError, match=r"got \[\]$"):
+        list(ingest(str(blank)))
+    wrong = tmp_path / "wrong.csv"
+    wrong.write_text("timestamp,who\n")
+    with pytest.raises(InputError, match=r"got \['timestamp', 'who'\]$"):
+        list(ingest(str(wrong)))
+
+
+def test_ingest_skips_blank_lines_without_counting_them(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "id,date,user,pc,activity\n"
+        "\n"
+        "E1,01/04/2010 08:00:00,alice,PC-1,Logon\n"
+        "\n"
+        "\n"
+        "E2,01/04/2010 09:00:00,alice,PC-1,Logon\n"
+        "\n"
+    )
+    stats = IngestStats()
+    events = list(ingest(str(path), stats=stats))
+    assert [e.args[2] for e in events] == ["E1", "E2"]
+    assert (stats.rows, stats.malformed, stats.filtered) == (2, 0, 0)
+
+
+def test_ingest_short_rows(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "id,date,user,pc,activity\n"
+        "E1,01/04/2010 08:00:00\n"               # no user column: malformed
+        "E2,01/04/2010 09:00:00,alice\n"         # no activity column
+        "E3\n"
+    )
+    stats = IngestStats()
+    events = list(ingest(str(path), stats=stats))
+    assert [e.args for e in events] == [("alice", "01/04/2010 09:00:00", "E2")]
+    assert (stats.rows, stats.malformed, stats.filtered) == (3, 2, 0)
+    stats = IngestStats()
+    assert list(ingest(str(path), activity_filter="Logon", stats=stats)) == []
+    assert (stats.rows, stats.malformed, stats.filtered) == (3, 2, 1)
+
+
+def test_ingest_duplicated_header_name_reads_its_last_column(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "user,id,date,user,pc,activity\n"
+        "alice,E1,01/04/2010 08:00:00,bob,PC-1,Logon\n"
+        "alice,E2,01/04/2010 09:00:00\n"       # the last user column is missing
+    )
+    stats = IngestStats()
+    events = list(ingest(str(path), stats=stats))
+    assert [e.args for e in events] == [("bob", "01/04/2010 08:00:00", "E1")]
+    assert (stats.rows, stats.malformed, stats.filtered) == (2, 1, 0)
+
+
 # ------------------------------------------------------------------- commands
 
 @pytest.fixture(scope="module")

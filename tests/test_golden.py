@@ -68,6 +68,21 @@ def test_criterion_9_corpus_outputs_match_golden_digests(tmp_path, capsys):
     assert hashlib.sha256(scores.read_bytes()).hexdigest() == CRITERION_9_SCORES_SHA256
 
 
+#: sha256 of the ``dump-state`` text of a ``fanout``-like stream: 200 users,
+#: one week, static profile, seed 1.  No window fills, so no detector runs
+#: and the digest holds on any CPU; it pins ingest, parsing, the window fold
+#: and the shape of every user's machine state.
+UNFILLED_DUMP_STATE_SHA256 = "84b1ef2ea3dbb3d765091a99c4b6e510936e3ea31701fd4245a777d2d07f054f"
+
+
+def test_unfilled_windows_dump_state_matches_golden_digest(tmp_path):
+    events_csv = tmp_path / "events.csv"
+    state = tmp_path / "state.json"
+    synth.write_events(synth.generate(200, 1, 0.0, seed=1, profile="static"), str(events_csv))
+    assert cli_main(["dump-state", "--input", str(events_csv), "--out", str(state)]) == 0
+    assert hashlib.sha256(state.read_bytes()).hexdigest() == UNFILLED_DUMP_STATE_SHA256
+
+
 def _record_fits(monkeypatch) -> list[list]:
     """Record every detector fit, in order.
 
@@ -162,15 +177,13 @@ def _cpu_flags() -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_criterion_9_digests_hold_under_other_blas_kernels(coretype):
-    # OpenBLAS picks its kernels for the CPU it finds; OPENBLAS_CORETYPE
-    # makes a fresh process take another CPU's.  The child reruns the
-    # criterion-9 golden tests (alerts, scores and fit histories) under it.
-    if "avx2" not in _cpu_flags():
-        pytest.skip("/proc/cpuinfo lists no avx2: the Haswell kernels cannot run here")
+def _rerun_criterion_9(**environ: str) -> None:
+    """Rerun the criterion-9 golden tests in a child process with ``environ``.
+
+    The child runs the alerts-and-scores and the fit-history tests.
+    """
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
     )
@@ -183,3 +196,19 @@ def test_criterion_9_digests_hold_under_other_blas_kernels(coretype):
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0 and "2 passed" in child.stdout, child.stdout + child.stderr
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_criterion_9_digests_hold_under_other_blas_kernels(coretype):
+    # OpenBLAS picks its kernels for the CPU it finds; OPENBLAS_CORETYPE
+    # makes a fresh process take another CPU's.
+    if "avx2" not in _cpu_flags():
+        pytest.skip("/proc/cpuinfo lists no avx2: the Haswell kernels cannot run here")
+    _rerun_criterion_9(OPENBLAS_CORETYPE=coretype)
+
+
+@pytest.mark.parametrize("hashseed", ["0", "12345"])
+def test_criterion_9_digests_hold_under_other_hash_seeds(hashseed):
+    # Outputs must not depend on hash order: PYTHONHASHSEED changes every
+    # str hash, and with them the iteration order of sets of strings.
+    _rerun_criterion_9(PYTHONHASHSEED=hashseed)

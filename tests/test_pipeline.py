@@ -394,6 +394,25 @@ def test_a_user_at_rest_keeps_the_same_state_objects():
         assert pipeline.state.instances["alice"] is instance
 
 
+def detectors_of(pipeline: Pipeline, user: str) -> dict:
+    """The user's detector map: an attribute of the quantified ``detectors`` node."""
+    return pipeline.state.instances[user].left.left.env["detectors"]
+
+
+def test_a_fit_leaves_the_other_users_detectors_unfitted():
+    pipeline = Pipeline(weekly_config())
+    alice = weekday_events("alice", 4)  # the first fit comes at event 31
+    pipeline.process_event(Event("e", ("bob", stamp(0, 0, 9), "bob-0001")))
+    run(pipeline, alice)
+    fitted, unfitted = detectors_of(pipeline, "alice"), detectors_of(pipeline, "bob")
+    assert fitted is not unfitted
+    assert all(detector.trained_version == 1 for detector in fitted.values())
+    assert sorted(unfitted) == sorted(fitted)
+    for name, detector in unfitted.items():
+        assert detector.trained_version == -1
+        assert detector is not fitted[name]
+
+
 # ------------------------------------------------------------------ bad input
 
 def test_each_timestamp_is_parsed_once(monkeypatch):
