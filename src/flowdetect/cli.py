@@ -37,25 +37,38 @@ def ingest(
 ) -> Iterator[Event]:
     """Yield ``e(user, date, id)`` events from an activity log.
 
-    Rows with an empty id, date or user are counted and skipped; rows not
-    matching ``activity_filter`` are counted separately.
+    Rows with a missing or empty id, date or user are counted and skipped;
+    rows not matching ``activity_filter`` are counted separately.
     """
     stats = stats if stats is not None else IngestStats()
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
         try:
-            if reader.fieldnames is None or not set(REQUIRED_COLUMNS) <= set(reader.fieldnames):
+            header = next(reader, None)
+            if header is None or not set(REQUIRED_COLUMNS) <= set(header):
                 raise InputError(
-                    f"{path}: expected columns {','.join(REQUIRED_COLUMNS)}, "
-                    f"got {reader.fieldnames}"
+                    f"{path}: expected columns {','.join(REQUIRED_COLUMNS)}, got {header}"
                 )
+            # As in csv.DictReader: a repeated name reads its last column,
+            # a blank line is no row, and a short row lacks its last fields.
+            column = {name: i for i, name in enumerate(header)}
+            id_at, date_at, user_at = column["id"], column["date"], column["user"]
+            activity_at = column["activity"]
+            last_required = max(id_at, date_at, user_at)
             for row in reader:
+                if not row:
+                    continue
                 stats.rows += 1
-                event_id, when, user = row.get("id"), row.get("date"), row.get("user")
+                if len(row) <= last_required:
+                    stats.malformed += 1
+                    continue
+                event_id, when, user = row[id_at], row[date_at], row[user_at]
                 if not event_id or not when or not user:
                     stats.malformed += 1
                     continue
-                if activity_filter is not None and row.get("activity") != activity_filter:
+                if activity_filter is not None and (
+                    activity_at >= len(row) or row[activity_at] != activity_filter
+                ):
                     stats.filtered += 1
                     continue
                 yield Event("e", (user, when, event_id))

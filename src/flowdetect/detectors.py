@@ -201,8 +201,10 @@ class Detector(ABC):
     ``trained_version`` is the window version the model was last fitted on,
     ``-1`` when never fitted.  Scoring is side-effect free and only allowed
     on fitted models.  ``fit_partial`` needs at least ``min_samples``
-    training samples.  ``param_keys`` maps each external configuration key
-    the type accepts to its constructor keyword.
+    training samples, and must return the fitted model as a new instance
+    and leave ``self`` unchanged: a pipeline shares its unfitted instances
+    between all its users.  ``param_keys`` maps each external configuration
+    key the type accepts to its constructor keyword.
     """
 
     name = "detector"
@@ -218,7 +220,7 @@ class Detector(ABC):
 
     @abstractmethod
     def fit_partial(self, minutes: Sequence[float], version: int = 0) -> "Detector":
-        """Return a new instance fitted on ``minutes`` (of the day)."""
+        """Return a new instance fitted on ``minutes`` (of the day); ``self`` stays as it was."""
 
     @abstractmethod
     def score_partial(self, minute: float, event_id: str | None = None) -> Score:

@@ -30,6 +30,11 @@ copied, so an action that mutates one in place (a window and the samples
 it holds, a detector map, a list of cast votes) changes it for good, even
 when a later part of the step fails.
 
+Matching: a step does the event-only part of each pattern (name, arity,
+literals, capture types and the captures themselves) once, however many
+leaves use that pattern object, and each leaf then checks only the
+pattern's ``Ref`` slots against its own scope.
+
 Determinism: automaton transitions are tried in declaration order and the
 first enabled one fires; quantified domains are iterated in ascending order
 of their values.  ``QuantifiedFlow.order_hook`` exists so tests can force a
@@ -138,6 +143,11 @@ class Ref:
     name: str
 
 
+#: The event-only part of a pattern match: the ``(variable, argument)``
+#: pairs its ``Ref`` slots still have to check, and the captures or ``None``.
+_MatchPart = tuple[list[tuple[str, Any]], dict[str, Any] | None]
+
+
 @dataclass(frozen=True)
 class EventPattern:
     """Event name plus one slot per argument; literals match by equality."""
@@ -146,23 +156,45 @@ class EventPattern:
     slots: tuple[Any, ...] = ()
 
     def match(self, event: Event, env: Mapping[str, Any]) -> dict[str, Any] | None:
-        """Return capture bindings if ``event`` matches, else ``None``."""
+        """Return capture bindings if ``event`` matches, else ``None``.
+
+        Slots are checked in order, so a ``Ref`` to an unbound variable
+        raises ``SpecificationError`` unless an earlier slot already failed.
+        """
+        return self._match_refs(self._match_event(event), env)
+
+    def _match_event(self, event: Event) -> _MatchPart:
+        """The part of ``match`` that reads only the event.
+
+        Returns the ``(variable, argument)`` pairs of the ``Ref`` slots
+        before the first slot that fails on the event alone, and the capture
+        bindings, or ``None`` for them when the name, the arity, a literal
+        or a capture's type fails.
+        """
+        refs: list[tuple[str, Any]] = []
         if event.name != self.name or len(event.args) != len(self.slots):
-            return None
+            return refs, None
         captures: dict[str, Any] = {}
         for slot, arg in zip(self.slots, event.args):
             if isinstance(slot, Capture):
                 if slot.type is not None and not isinstance(arg, slot.type):
-                    return None
+                    return refs, None
                 captures[slot.name] = arg
             elif isinstance(slot, Ref):
-                if slot.name not in env:
-                    raise SpecificationError(
-                        f"pattern for {self.name!r} references unbound variable {slot.name!r}"
-                    )
-                if env[slot.name] != arg:
-                    return None
+                refs.append((slot.name, arg))
             elif slot != arg:
+                return refs, None
+        return refs, captures
+
+    def _match_refs(self, part: _MatchPart, env: Mapping[str, Any]) -> dict[str, Any] | None:
+        """Finish a match from its event-only ``part`` against ``env``."""
+        refs, captures = part
+        for name, arg in refs:
+            if name not in env:
+                raise SpecificationError(
+                    f"pattern for {self.name!r} references unbound variable {name!r}"
+                )
+            if env[name] != arg:
                 return None
         return captures
 
@@ -549,17 +581,36 @@ def step(
     machines, so callers must treat every state as read-only.
     """
     scope = dict(env) if env else {}
-    commits: list[tuple[dict, Any, Any]] = []
-    new_state = _step(spec, state, event, scope, defs or {}, commits)
+    ctx = _StepContext(event, defs or {})
+    new_state = _step(spec, state, scope, ctx)
     if new_state is None:
         return None
-    for instances, value, instance in commits:
+    for instances, value, instance in ctx.commits:
         instances[value] = instance
     return new_state, Env._wrap(scope)
 
 
-def _step(spec, state, event, scope, defs, commits):
-    return _check_shape(spec, state)(spec, state, event, scope, defs, commits)
+class _StepContext:
+    """What every node of one step shares.
+
+    ``commits`` queues ``(instances, value, instance)`` writes, applied only
+    once the whole step has succeeded.  ``matches`` holds the event-only
+    part of each pattern's match (``EventPattern._match_event``), keyed by
+    the pattern's ``id``: the spec keeps its patterns alive for the whole
+    step, and the captures in it are shared because nothing mutates them.
+    """
+
+    __slots__ = ("event", "defs", "commits", "matches")
+
+    def __init__(self, event: Event, defs: Mapping[str, Node]):
+        self.event = event
+        self.defs = defs
+        self.commits: list[tuple[dict, Any, Any]] = []
+        self.matches: dict[int, _MatchPart] = {}
+
+
+def _step(spec, state, scope, ctx):
+    return _check_shape(spec, state)(spec, state, scope, ctx)
 
 
 def _bind(scope: dict, bindings: Mapping[str, Any]) -> dict:
@@ -607,14 +658,19 @@ def _leave(spec: Node, scope: dict, env: Env, shadowed: dict | None) -> Env:
     return new
 
 
-def _step_automaton(spec, state, event, scope, defs, commits):
+def _step_automaton(spec, state, scope, ctx):
     env = state.env
     shadowed = _bind(scope, env._bindings) if env._bindings else None
     current = state.current
+    matches = ctx.matches
     for t in spec.transitions:
         if t.source != current:
             continue
-        captures = t.pattern.match(event, scope)
+        pattern = t.pattern
+        part = matches.get(id(pattern))
+        if part is None:
+            part = matches[id(pattern)] = pattern._match_event(ctx.event)
+        captures = pattern._match_refs(part, scope)
         if captures is None:
             continue
         # Captures are transient: bound for the guard and action only.
@@ -634,11 +690,11 @@ def _step_automaton(spec, state, event, scope, defs, commits):
     return None
 
 
-def _step_flow(spec, state, event, scope, defs, commits):
+def _step_flow(spec, state, scope, ctx):
     env = state.env
     shadowed = _bind(scope, env._bindings) if env._bindings else None
-    left = _step(spec.left, state.left, event, scope, defs, commits)
-    right = _step(spec.right, state.right, event, scope, defs, commits)
+    left = _step(spec.left, state.left, scope, ctx)
+    right = _step(spec.right, state.right, scope, ctx)
     if left is None and right is None:
         if env._bindings:
             _drop(scope, env._bindings, shadowed)
@@ -651,7 +707,7 @@ def _step_flow(spec, state, event, scope, defs, commits):
     return _flow_state(new_env, left, right)
 
 
-def _step_qflow(spec, state, event, scope, defs, commits):
+def _step_qflow(spec, state, scope, ctx):
     instances = state.instances
     if spec.order_hook is not None:
         values = list(instances)
@@ -669,11 +725,11 @@ def _step_qflow(spec, state, event, scope, defs, commits):
     for value in ordered:
         scope[spec.var] = value
         instance = instances[value]
-        stepped = _step(spec.body, instance, event, scope, defs, commits)
+        stepped = _step(spec.body, instance, scope, ctx)
         if stepped is not None:
             fired = True
             if stepped is not instance:
-                commits.append((instances, value, stepped))
+                ctx.commits.append((instances, value, stepped))
     _drop(scope, (spec.var,), hidden)
     if not fired:
         if env._bindings:
@@ -683,7 +739,8 @@ def _step_qflow(spec, state, event, scope, defs, commits):
     return state if new_env is env else QuantifiedFlowState(new_env, instances)
 
 
-def _step_qinterleave(spec, state, event, scope, defs, commits):
+def _step_qinterleave(spec, state, scope, ctx):
+    event = ctx.event
     if spec.route_arg >= len(event.args):
         raise InputError(
             f"node {spec.name!r}: event {event.name!r} has no argument "
@@ -704,27 +761,27 @@ def _step_qinterleave(spec, state, event, scope, defs, commits):
     shadowed = _bind(scope, env._bindings) if env._bindings else None
     hidden = {spec.var: scope[spec.var]} if spec.var in scope else None
     scope[spec.var] = value
-    start = _init(spec.body, Env(scope), defs) if instance is None else instance
-    stepped = _step(spec.body, start, event, scope, defs, commits)
+    start = _init(spec.body, Env(scope), ctx.defs) if instance is None else instance
+    stepped = _step(spec.body, start, scope, ctx)
     _drop(scope, (spec.var,), hidden)
     if stepped is None:
         if env._bindings:
             _drop(scope, env._bindings, shadowed)
         return None
     if stepped is not instance:
-        commits.append((state.instances, value, stepped))
+        ctx.commits.append((state.instances, value, stepped))
     new_env = _leave(spec, scope, env, shadowed)
     return state if new_env is env else QuantifiedInterleaveState(new_env, state.instances)
 
 
-def _step_call(spec, state, event, scope, defs, commits):
-    callee = defs.get(spec.callee)
+def _step_call(spec, state, scope, ctx):
+    callee = ctx.defs.get(spec.callee)
     if callee is None:
         raise SpecificationError(f"call {spec.name!r}: unresolved callee {spec.callee!r}")
     # Parameters are constant; pop them before propagating updates.
     env = state.env
     shadowed = _bind(scope, env._bindings) if env._bindings else None
-    inner = _step(callee, state.inner, event, scope, defs, commits)
+    inner = _step(callee, state.inner, scope, ctx)
     if env._bindings:
         _drop(scope, env._bindings, shadowed)
     if inner is None:

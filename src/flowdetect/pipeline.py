@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from typing import Any, Callable, Mapping, Sequence
 
 from .detectors import DEFAULT_DETECTORS, Score, init_map
@@ -247,10 +248,12 @@ def build_spec(
     vote = vote_fn if vote_fn is not None else majority_vote
 
     # Fail fast on bad detector configuration, on a training minimum that
-    # would let g1 hand a detector fewer samples than it can fit, and on a
-    # sliding instance window too small ever to reach that minimum: when g1
-    # looks, it holds at most window_size + sliding_size - 1 samples.
-    needed = max(detector.min_samples for detector in init_map(config.detectors).values())
+    # would let g1 hand a detector fewer samples than it can fit, on a
+    # sliding instance window too small ever to reach that minimum (when g1
+    # looks, it holds at most window_size + sliding_size - 1 samples), and
+    # on a date format that cannot read back a timestamp it wrote.
+    unfitted = init_map(config.detectors)
+    needed = max(detector.min_samples for detector in unfitted.values())
     if config.min_training_instances < needed:
         raise ConfigurationError(
             f"min_training_instances={config.min_training_instances} is below "
@@ -265,6 +268,16 @@ def build_spec(
                 f"{window.sliding_size} holds at most {held} samples, below "
                 f"min_training_instances={config.min_training_instances}"
             )
+    # The default layout is known to read back, and checking it would
+    # import _strptime, which its parses never need.
+    if config.date_format != DEFAULT_DATE_FORMAT:
+        try:
+            probe = datetime(2010, 1, 4, 8, 30, 15, tzinfo=timezone.utc)
+            datetime.strptime(probe.strftime(config.date_format), config.date_format)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"date_format {config.date_format!r} cannot parse a timestamp: {exc}"
+            ) from None
 
     pattern = EventPattern(
         "e", (Ref("userId"), Capture("eventDate", str), Capture("eventId", str))
@@ -321,7 +334,8 @@ def build_spec(
             name="detectors",
             var="d",
             domain=tuple(names),
-            attrs=[("detectors", lambda env: init_map(config.detectors))],
+            # Unfitted detectors are shared: a fit replaces the user's entry.
+            attrs=[("detectors", lambda env: dict(unfitted))],
             body=Call(name="detector", callee="detector_instance"),
         ),
         right=_loop("voting", pattern, action=vote_action),

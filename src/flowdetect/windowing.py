@@ -11,6 +11,7 @@ what downstream consumers key their retraining on.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Union
@@ -19,6 +20,10 @@ from .errors import ConfigurationError, InputError
 
 #: Timestamp layout of the supported activity logs.
 DEFAULT_DATE_FORMAT = "%m/%d/%Y %H:%M:%S"
+
+#: The exact ASCII shape of ``DEFAULT_DATE_FORMAT`` with every field at full
+#: width, as ``MM/DD/YYYY HH:MM:SS``.
+_DEFAULT_LAYOUT = re.compile(r"(\d\d)/(\d\d)/(\d{4}) (\d\d):(\d\d):(\d\d)", re.ASCII)
 
 PERIOD_TYPES = ("day", "week", "instance")
 
@@ -40,7 +45,20 @@ class WindowConfig:
 
 
 def parse_timestamp(text: str, date_format: str = DEFAULT_DATE_FORMAT) -> datetime:
-    """Parse ``text`` with ``date_format``, falling back to ISO-8601."""
+    """Parse ``text`` with ``date_format``, falling back to ISO-8601.
+
+    Text in the default layout's exact shape is read field by field, which
+    gives what ``strptime`` gives; everything else, an out-of-range field
+    included, takes the ``strptime`` path.
+    """
+    if date_format == DEFAULT_DATE_FORMAT and isinstance(text, str):
+        fields = _DEFAULT_LAYOUT.fullmatch(text)
+        if fields is not None:
+            month, day, year, hour, minute, second = map(int, fields.groups())
+            try:
+                return datetime(year, month, day, hour, minute, second)
+            except ValueError:
+                pass
     try:
         return datetime.strptime(text, date_format)
     except ValueError:

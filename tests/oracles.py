@@ -14,8 +14,11 @@ with these using ``==``; a plain-Python loop would add in another order.
 from __future__ import annotations
 
 import math
+from datetime import datetime
 
 import numpy as np
+
+from flowdetect.errors import InputError
 
 DAY_HOURS = 24.0
 TIE = 1e-12
@@ -148,6 +151,18 @@ def silhouette(hours, labels):
         if max(a, b) > 0.0:
             total += (b - a) / max(a, b)
     return total / n
+
+
+def parse_timestamp(text, date_format="%m/%d/%Y %H:%M:%S"):
+    """Timestamp parsing restated: ``strptime``, then ISO-8601, else ``InputError``."""
+    try:
+        return datetime.strptime(text, date_format)
+    except ValueError:
+        pass
+    try:
+        return datetime.fromisoformat(text)
+    except ValueError:
+        raise InputError(f"cannot parse timestamp {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,16 @@ def test_run_date_format_override(tmp_path, capsys):
     assert processed["skipped_dates"] == 0
 
 
+@pytest.mark.parametrize("date_format", ["%Q", "%"])
+def test_run_rejects_a_date_format_that_cannot_parse(date_format, tmp_path, capsys):
+    path = tmp_path / "log.csv"
+    path.write_text("id,date,user,pc,activity\nE1,04.01.2010 08:00,alice,PC-1,Logon\n")
+    assert main(["run", "--input", str(path), "--date-format", date_format]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["run", "--input", str(path), "--date-format", "%d.%m.%Y %H:%M"]) == 0
+    assert parse_summary(capsys.readouterr().out.strip())["events"] == 1
+
+
 def test_run_activity_filter_flag(tmp_path, capsys):
     path = tmp_path / "log.csv"
     path.write_text(

@@ -318,6 +318,57 @@ def test_quantified_flow_instances_get_fresh_attr_values():
     assert state.instances[1].env["bucket"] is not state.instances[2].env["bucket"]
 
 
+# ------------------------------------------------- one match per pattern per step
+
+def test_shared_ref_pattern_fires_only_where_the_variable_equals_the_argument():
+    # Both leaves of every instance use one pattern object, so the step
+    # matches the event once and each leaf checks only its own Ref.
+    shared = EventPattern("t", (Ref("x"), Capture("n", int)))
+    seen = []
+
+    def record(side):
+        return lambda env: seen.append((side, env["x"], env["n"]))
+
+    body = Flow(
+        name="pair",
+        left=loop("left", shared, action=record("left")),
+        right=loop("right", shared, action=record("right")),
+    )
+    spec = QuantifiedFlow(name="sel", var="x", domain=(1, 2, 3), body=body)
+    state = init(spec)
+    assert step(spec, state, Event("t", (2, 7))) is not None
+    assert seen == [("left", 2, 7), ("right", 2, 7)]
+    assert step(spec, state, Event("t", (9, 7))) is None
+    assert step(spec, state, Event("t", (2, "7"))) is None  # the capture's type fails
+    assert seen == [("left", 2, 7), ("right", 2, 7)]
+
+
+def test_unbound_ref_before_a_failing_literal_still_raises():
+    pattern = EventPattern("e", (Ref("missing"), "lit"))
+    with pytest.raises(SpecificationError):
+        pattern.match(Event("e", ("a", "other")), EMPTY_ENV)
+    spec = loop("leaf", pattern)
+    with pytest.raises(SpecificationError):
+        step(spec, init(spec), Event("e", ("a", "other")))
+    # A slot that fails before the Ref is reached refuses instead.
+    late = loop("late", EventPattern("e", ("lit", Ref("missing"))))
+    assert late.transitions[0].pattern.match(Event("e", ("other", "a")), EMPTY_ENV) is None
+    assert step(late, init(late), Event("e", ("other", "a"))) is None
+
+
+def test_a_leaf_without_the_variable_raises_though_another_leaf_matched():
+    # The memo keeps only the event's side of a match: each leaf still
+    # checks the Ref against its own scope.
+    shared = EventPattern("t", (Ref("x"),))
+    spec = Flow(
+        name="mixed",
+        left=QuantifiedFlow(name="sel", var="x", domain=(1, 2), body=loop("bound", shared)),
+        right=loop("unbound", shared),
+    )
+    with pytest.raises(SpecificationError):
+        step(spec, init(spec), Event("t", (1,)))
+
+
 # -------------------------------------------------------- quantified interleave
 
 def accumulate(env):

@@ -22,6 +22,7 @@ from flowdetect.engine import (
     UNBOUNDED,
     Call,
     Event,
+    EventPattern,
     Flow,
     QuantifiedFlow,
     QuantifiedInterleave,
@@ -400,17 +401,42 @@ def detectors_of(pipeline: Pipeline, user: str) -> dict:
 
 
 def test_a_fit_leaves_the_other_users_detectors_unfitted():
+    # Unfitted detectors are shared between users; a fit replaces its entry
+    # in the fitted user's own map.
     pipeline = Pipeline(weekly_config())
     alice = weekday_events("alice", 4)  # the first fit comes at event 31
     pipeline.process_event(Event("e", ("bob", stamp(0, 0, 9), "bob-0001")))
+    pipeline.process_event(Event("e", ("carol", stamp(0, 0, 9), "carol-0001")))
     run(pipeline, alice)
     fitted, unfitted = detectors_of(pipeline, "alice"), detectors_of(pipeline, "bob")
-    assert fitted is not unfitted
+    shared = detectors_of(pipeline, "carol")
+    assert len({id(fitted), id(unfitted), id(shared)}) == 3
     assert all(detector.trained_version == 1 for detector in fitted.values())
-    assert sorted(unfitted) == sorted(fitted)
+    assert sorted(unfitted) == sorted(fitted) == sorted(shared)
     for name, detector in unfitted.items():
         assert detector.trained_version == -1
+        assert detector is shared[name]
         assert detector is not fitted[name]
+
+
+def test_a_pipeline_event_matches_its_pattern_once(monkeypatch):
+    # The eight leaves a user steps share one pattern object, whose event
+    # side is worked out once per step rather than once per leaf.
+    calls = []
+    original = EventPattern._match_event
+
+    def counting(self, event):
+        calls.append(event)
+        return original(self, event)
+
+    monkeypatch.setattr(EventPattern, "_match_event", counting)
+    pipeline = Pipeline(weekly_config())
+    events = weekday_events("alice", 4)  # scored from event 31 on
+    for event in events:
+        calls.clear()
+        pipeline.process_event(event)
+        assert calls == [event]
+    assert pipeline.drain_scores()
 
 
 # ------------------------------------------------------------------ bad input

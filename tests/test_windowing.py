@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from datetime import date, datetime, timedelta
 
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowdetect.errors import ConfigurationError, InputError
@@ -50,6 +51,55 @@ def test_parse_timestamp_default_and_iso():
 def test_parse_timestamp_rejects_garbage():
     with pytest.raises(InputError):
         parse_timestamp("not a date")
+
+
+def _parsed(parse, text):
+    """What ``parse`` makes of ``text``: a datetime, or ``InputError``."""
+    try:
+        return parse(text)
+    except InputError:
+        return InputError
+
+
+#: Digits, the default layout's separators, a tab and an Arabic-Indic three.
+_TIMESTAMP_ALPHABET = "0123456789/: \t\u0663"
+_FIELD = st.text("0123456789\u0663", min_size=1, max_size=4)
+_SEPARATOR = st.sampled_from(["/", ":", " ", "  ", "\t", ""])
+
+
+@st.composite
+def _near_default_layout(draw):
+    """Six digit fields with a separator after each of the first five."""
+    parts = [draw(_FIELD)]
+    for _ in range(5):
+        parts += [draw(_SEPARATOR), draw(_FIELD)]
+    return "".join(parts)
+
+
+_DEFAULT_LAYOUT_TEXT = st.datetimes().map(
+    lambda d: f"{d.month:02d}/{d.day:02d}/{d.year:04d} {d.hour:02d}:{d.minute:02d}:{d.second:02d}"
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.text(_TIMESTAMP_ALPHABET, max_size=24), _near_default_layout(), _DEFAULT_LAYOUT_TEXT))
+@example("00/04/2010 08:00:00")
+@example("13/04/2010 08:00:00")
+@example("02/29/1900 08:00:00")
+@example("02/29/2000 08:00:00")
+@example("01/04/2010 24:00:00")
+@example("01/04/2010 08:00:60")
+@example("01/04/2010 08:00:61")
+@example("01/01/0000 08:00:00")
+@example("01/01/0001 00:00:00")
+@example("12/31/9999 23:59:59")
+@example("01/04/2010  08:00:00")
+@example("01/04/2010\t08:00:00")
+@example("1/4/2010 8:00:00")
+@example("01/04/2010 08:00:0\u0663")
+@example("01/04/2010 08:00:00\n")
+def test_parse_timestamp_agrees_with_strptime(text):
+    assert _parsed(parse_timestamp, text) == _parsed(oracles.parse_timestamp, text)
 
 
 # ---------------------------------------------------------------- config guard
