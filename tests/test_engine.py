@@ -7,6 +7,7 @@ laws (acceptance, refusal totality, determinism).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -24,6 +25,7 @@ from flowdetect.engine import (
     Event,
     EventPattern,
     Flow,
+    Node,
     QuantifiedFlow,
     QuantifiedInterleave,
     Ref,
@@ -640,11 +642,39 @@ def test_attr_initialisers_see_earlier_attrs():
     assert dict(init(spec).env) == {"a": 2, "b": 20}
 
 
-def test_step_rejects_mismatched_state_shape():
-    flow = Flow(name="f", left=loop("l"), right=loop("r"))
-    wrong = init(loop("alone"))
-    with pytest.raises(EngineError):
-        step(flow, wrong, Event("tick"))
+SHAPE_DEFS = {"acc": loop("acc")}
+SHAPE_SPECS = {
+    "automaton": loop("a"),
+    "flow": Flow(name="f", left=loop("l"), right=loop("r")),
+    "quantified_flow": QuantifiedFlow(name="q", var="v", domain=(1,), body=loop("b")),
+    "quantified_interleave": QuantifiedInterleave(name="i", var="v", domain=UNBOUNDED, body=loop("b")),
+    "call": Call(name="c", callee="acc"),
+}
+
+
+@pytest.mark.parametrize("op", ("step", "is_final"))
+@pytest.mark.parametrize("kind", sorted(SHAPE_SPECS))
+def test_step_rejects_mismatched_state_shape(kind, op):
+    spec = SHAPE_SPECS[kind]
+    # an automaton's state for every other kind, a flow's for the automaton
+    other = SHAPE_SPECS["flow" if kind == "automaton" else "automaton"]
+    wrong = init(other)
+    with pytest.raises(EngineError, match="does not match node"):
+        if op == "step":
+            step(spec, wrong, Event("tick"), defs=SHAPE_DEFS)
+        else:
+            is_final(spec, wrong, SHAPE_DEFS)
+
+
+def test_bare_node_is_an_unknown_node_type():
+    bare = Node(name="x")
+    state = init(loop("alone"))
+    with pytest.raises(SpecificationError, match="unknown node type"):
+        init(bare)
+    with pytest.raises(SpecificationError, match="unknown node type"):
+        step(bare, state, Event("tick"))
+    with pytest.raises(SpecificationError, match="unknown node type"):
+        is_final(bare, state)
 
 
 # --------------------------------------------------------------- random trees
@@ -712,6 +742,26 @@ def test_random_tree_laws(seed):
     state2 = init(spec2, defs=defs2)
     replay = step(spec2, state2, Event("go", ("k",)), defs=defs2)
     assert dump_state(replay[0]) == dump_state(result[0])
+
+
+#: sha256 over seeds 0-39 of ``gen_tree``: ``is_final`` at init, then the
+#: dump after ``go``, after the refused ``nope`` and after a second ``go``.
+RANDOM_TREE_DIGEST = "943d1f412a95a92471e8769a7dc89e35595dd992e090adb31373b768c9c32519"
+
+
+def test_random_tree_digest():
+    digest = hashlib.sha256()
+    for seed in range(40):
+        defs: dict = {}
+        spec, _ = gen_tree(random.Random(seed), 3, defs, [0])
+        state = init(spec, defs=defs)
+        digest.update(repr(is_final(spec, state, defs)).encode())
+        for name in ("go", "nope", "go"):
+            result = step(spec, state, Event(name, ("k",)), defs=defs)
+            if result is not None:
+                state = result[0]
+            digest.update(dump_state(state).encode())
+    assert digest.hexdigest() == RANDOM_TREE_DIGEST
 
 
 # --------------------------------------------------------------- serialization
