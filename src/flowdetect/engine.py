@@ -35,6 +35,12 @@ literals, capture types and the captures themselves) once, however many
 leaves use that pattern object, and each leaf then checks only the
 pattern's ``Ref`` slots against its own scope.
 
+Operators: each node class holds all of its operator's rules (validation,
+initial state, acceptance and step), and a node steps its operands by
+calling their methods.  ``step`` and ``is_final`` check only that the root
+state is of the root node's kind; the states nested in it are trusted, so a
+state must come from ``init`` or ``step`` for the same specification.
+
 Determinism: automaton transitions are tried in declaration order and the
 first enabled one fires; quantified domains are iterated in ascending order
 of their values.  ``QuantifiedFlow.order_hook`` exists so tests can force a
@@ -200,102 +206,6 @@ class EventPattern:
 
 
 # ---------------------------------------------------------------------------
-# Specification nodes
-# ---------------------------------------------------------------------------
-
-
-class _UnboundedDomain:
-    def __repr__(self) -> str:
-        return "UNBOUNDED"
-
-
-#: Marker domain for ``QuantifiedInterleave`` over an open set of values.
-UNBOUNDED = _UnboundedDomain()
-
-#: Attribute initialisers may be plain values (stored as-is) or callables
-#: evaluated against the enclosing environment, one fresh value per instance.
-AttrInit = Any
-
-
-@dataclass(kw_only=True)
-class Node:
-    """Common header of every specification node.
-
-    ``params`` names the values a ``Call`` targeting this node must bind;
-    they are visible to the node like read-only enclosing variables.
-    """
-
-    name: str
-    params: Sequence[str] = ()
-    attrs: Sequence[tuple[str, AttrInit]] = ()
-    action: Action | None = None
-
-    def attr_names(self) -> set[str]:
-        return {n for n, _ in self.attrs}
-
-
-@dataclass(kw_only=True)
-class Transition:
-    source: str
-    pattern: EventPattern
-    target: str
-    guard: Guard | None = None
-    action: Action | None = None
-
-
-@dataclass(kw_only=True)
-class Automaton(Node):
-    states: Sequence[str]
-    initial: str
-    finals: Sequence[str]
-    transitions: Sequence[Transition] = ()
-
-
-@dataclass(kw_only=True)
-class Flow(Node):
-    """Both operands observe each event; the step is accepted if either fires."""
-
-    left: Node
-    right: Node
-
-
-@dataclass(kw_only=True)
-class QuantifiedFlow(Node):
-    """One operand instance per domain element, every instance sees each event."""
-
-    var: str
-    domain: Sequence[Any]
-    body: Node
-    order_hook: Callable[[list[Any]], Sequence[Any]] | None = None
-
-
-@dataclass(kw_only=True)
-class QuantifiedInterleave(Node):
-    """One isolated operand instance per routing value.
-
-    The routing value is taken from the event argument at ``route_arg``.  With
-    ``domain=UNBOUNDED`` instances are created on first use.
-    """
-
-    var: str
-    domain: Sequence[Any] | _UnboundedDomain
-    body: Node
-    route_arg: int = 0
-
-
-@dataclass(kw_only=True)
-class Call(Node):
-    """Delegate to the specification registered under ``callee``.
-
-    ``args`` binds the callee's parameters; values may be callables evaluated
-    against the environment at initialisation time.
-    """
-
-    callee: str
-    args: Mapping[str, AttrInit] = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
 # Runtime states
 # ---------------------------------------------------------------------------
 
@@ -397,91 +307,368 @@ def _call_state(env: Env, inner: Any) -> CallState:
     return CallState(env, inner)
 
 
-def _check_shape(spec: Node, state: Any) -> Callable:
-    """Return the stepper for ``spec`` once ``state`` is known to fit it."""
-    kind = _NODE_KINDS.get(type(spec))
-    if kind is None:
-        raise SpecificationError(f"unknown node type {type(spec).__name__}")
-    if not isinstance(state, kind[0]):
-        raise EngineError(
-            f"state {type(state).__name__} does not match node "
-            f"{type(spec).__name__} {spec.name!r}"
-        )
-    return kind[1]
+# ---------------------------------------------------------------------------
+# Specification nodes
+# ---------------------------------------------------------------------------
+
+
+class _UnboundedDomain:
+    def __repr__(self) -> str:
+        return "UNBOUNDED"
+
+
+#: Marker domain for ``QuantifiedInterleave`` over an open set of values.
+UNBOUNDED = _UnboundedDomain()
+
+#: Attribute initialisers may be plain values (stored as-is) or callables
+#: evaluated against the enclosing environment, one fresh value per instance.
+AttrInit = Any
+
+
+@dataclass(kw_only=True)
+class Node:
+    """Common header of every specification node.
+
+    ``params`` names the values a ``Call`` targeting this node must bind;
+    they are visible to the node like read-only enclosing variables.
+
+    Each kind is one operator.  It names the class of its runtime states as
+    ``state_type`` and defines four methods: ``_validate(defs, call_chain)``
+    checks its own parts and its operands, ``_start(local, env, defs)``
+    builds its initial state from its initialised attributes ``local`` and
+    the enclosing ``env``, ``_final(state, defs)`` tests acceptance, and
+    ``_step(state, scope, ctx)`` steps on ``ctx.event``, returning the new
+    state or ``None`` when it refuses.  The base class runs on any state and
+    all four of its methods raise ``SpecificationError``.
+    """
+
+    name: str
+    params: Sequence[str] = ()
+    attrs: Sequence[tuple[str, AttrInit]] = ()
+    action: Action | None = None
+
+    state_type = object
+
+    def attr_names(self) -> set[str]:
+        return {n for n, _ in self.attrs}
+
+    def _unknown(self, *_: Any) -> Any:
+        raise SpecificationError(f"unknown node type {type(self).__name__}")
+
+    _validate = _start = _final = _step = _unknown
+
+
+@dataclass(kw_only=True)
+class Transition:
+    source: str
+    pattern: EventPattern
+    target: str
+    guard: Guard | None = None
+    action: Action | None = None
+
+
+@dataclass(kw_only=True)
+class Automaton(Node):
+    states: Sequence[str]
+    initial: str
+    finals: Sequence[str]
+    transitions: Sequence[Transition] = ()
+
+    state_type = AutomatonState
+
+    def _validate(self, defs, call_chain):
+        states = set(self.states)
+        if self.initial not in states:
+            raise SpecificationError(f"automaton {self.name!r}: unknown initial state")
+        if not set(self.finals) <= states:
+            raise SpecificationError(f"automaton {self.name!r}: final states not declared")
+        for t in self.transitions:
+            if t.source not in states or t.target not in states:
+                raise SpecificationError(
+                    f"automaton {self.name!r}: transition uses undeclared state"
+                )
+            caps = [s.name for s in t.pattern.slots if isinstance(s, Capture)]
+            if len(caps) != len(set(caps)):
+                raise SpecificationError(
+                    f"automaton {self.name!r}: duplicate capture in pattern"
+                )
+
+    def _start(self, local, env, defs):
+        return _automaton_state(self.initial, local)
+
+    def _final(self, state, defs):
+        return state.current in set(self.finals)
+
+    def _step(self, state, scope, ctx):
+        env = state.env
+        shadowed = _bind(scope, env._bindings) if env._bindings else None
+        current = state.current
+        matches = ctx.matches
+        for t in self.transitions:
+            if t.source != current:
+                continue
+            pattern = t.pattern
+            part = matches.get(id(pattern))
+            if part is None:
+                part = matches[id(pattern)] = pattern._match_event(ctx.event)
+            captures = pattern._match_refs(part, scope)
+            if captures is None:
+                continue
+            # Captures are transient: bound for the guard and action only.
+            hidden = _bind(scope, captures)
+            if t.guard is not None and not t.guard(scope):
+                _drop(scope, captures, hidden)
+                continue
+            if t.action is not None:
+                t.action(scope)
+            _drop(scope, captures, hidden)
+            new_env = _leave(self, scope, env, shadowed)
+            if new_env is env and t.target == current:
+                return state
+            return _automaton_state(t.target, new_env)
+        if env._bindings:
+            _drop(scope, env._bindings, shadowed)
+        return None
+
+
+@dataclass(kw_only=True)
+class Flow(Node):
+    """Both operands observe each event; the step is accepted if either fires."""
+
+    left: Node
+    right: Node
+
+    state_type = FlowState
+
+    def _validate(self, defs, call_chain):
+        _validate_node(self.left, defs, call_chain)
+        _validate_node(self.right, defs, call_chain)
+
+    def _start(self, local, env, defs):
+        inner = env.override(local)
+        return _flow_state(local, _init(self.left, inner, defs), _init(self.right, inner, defs))
+
+    def _final(self, state, defs):
+        return self.left._final(state.left, defs) and self.right._final(state.right, defs)
+
+    def _step(self, state, scope, ctx):
+        env = state.env
+        shadowed = _bind(scope, env._bindings) if env._bindings else None
+        left = self.left._step(state.left, scope, ctx)
+        right = self.right._step(state.right, scope, ctx)
+        if left is None and right is None:
+            if env._bindings:
+                _drop(scope, env._bindings, shadowed)
+            return None
+        new_env = _leave(self, scope, env, shadowed)
+        left = state.left if left is None else left
+        right = state.right if right is None else right
+        if new_env is env and left is state.left and right is state.right:
+            return state
+        return _flow_state(new_env, left, right)
+
+
+@dataclass(kw_only=True)
+class _Quantified(Node):
+    """What the two quantified operators share.
+
+    Each has one ``body`` instance per value of ``var``, built eagerly in
+    ascending order over a bounded ``domain``, and accepts when every
+    instance accepts.
+    """
+
+    var: str
+    domain: Sequence[Any]
+    body: Node
+
+    def _validate(self, defs, call_chain):
+        if self.var in self.attr_names():
+            raise SpecificationError(
+                f"node {self.name!r}: quantified variable shadows an attribute"
+            )
+        _validate_node(self.body, defs, call_chain)
+
+    def _instances(self, env, defs):
+        return {
+            value: _init(self.body, env.override({self.var: value}), defs)
+            for value in sorted(self.domain)
+        }
+
+    def _final(self, state, defs):
+        return all(self.body._final(inst, defs) for inst in state.instances.values())
+
+
+@dataclass(kw_only=True)
+class QuantifiedFlow(_Quantified):
+    """One operand instance per domain element, every instance sees each event."""
+
+    order_hook: Callable[[list[Any]], Sequence[Any]] | None = None
+
+    state_type = QuantifiedFlowState
+
+    def _start(self, local, env, defs):
+        return QuantifiedFlowState(local, self._instances(env.override(local), defs))
+
+    def _step(self, state, scope, ctx):
+        instances = state.instances
+        if self.order_hook is not None:
+            values = list(instances)
+            ordered = list(self.order_hook(values))
+            if sorted(ordered, key=repr) != sorted(values, key=repr):
+                raise SpecificationError(
+                    f"node {self.name!r}: order hook must permute the domain"
+                )
+        else:
+            ordered = instances  # built from the sorted domain; commits only replace values
+        env = state.env
+        shadowed = _bind(scope, env._bindings) if env._bindings else None
+        hidden = {self.var: scope[self.var]} if self.var in scope else None
+        fired = False
+        for value in ordered:
+            scope[self.var] = value
+            instance = instances[value]
+            stepped = self.body._step(instance, scope, ctx)
+            if stepped is not None:
+                fired = True
+                if stepped is not instance:
+                    ctx.commits.append((instances, value, stepped))
+        _drop(scope, (self.var,), hidden)
+        if not fired:
+            if env._bindings:
+                _drop(scope, env._bindings, shadowed)
+            return None
+        new_env = _leave(self, scope, env, shadowed)
+        return state if new_env is env else QuantifiedFlowState(new_env, instances)
+
+
+@dataclass(kw_only=True)
+class QuantifiedInterleave(_Quantified):
+    """One isolated operand instance per routing value.
+
+    The routing value is taken from the event argument at ``route_arg``.  With
+    ``domain=UNBOUNDED`` instances are created on first use.
+    """
+
+    domain: Sequence[Any] | _UnboundedDomain
+    route_arg: int = 0
+
+    state_type = QuantifiedInterleaveState
+
+    def _validate(self, defs, call_chain):
+        if self.route_arg < 0:
+            raise SpecificationError(f"node {self.name!r}: negative routing index")
+        super()._validate(defs, call_chain)
+
+    def _start(self, local, env, defs):
+        if isinstance(self.domain, _UnboundedDomain):
+            return QuantifiedInterleaveState(local, {})
+        return QuantifiedInterleaveState(local, self._instances(env.override(local), defs))
+
+    def _step(self, state, scope, ctx):
+        event = ctx.event
+        if self.route_arg >= len(event.args):
+            raise InputError(
+                f"node {self.name!r}: event {event.name!r} has no argument "
+                f"{self.route_arg} to route on"
+            )
+        value = event.args[self.route_arg]
+        if value is None:
+            raise InputError(f"node {self.name!r}: routing value is missing")
+        try:
+            hash(value)
+        except TypeError as exc:
+            raise InputError(f"node {self.name!r}: routing value is not hashable") from exc
+        instance = state.instances.get(value)
+        if instance is None and not isinstance(self.domain, _UnboundedDomain):
+            return None  # outside a bounded domain
+
+        env = state.env
+        shadowed = _bind(scope, env._bindings) if env._bindings else None
+        hidden = {self.var: scope[self.var]} if self.var in scope else None
+        scope[self.var] = value
+        start = _init(self.body, Env(scope), ctx.defs) if instance is None else instance
+        stepped = self.body._step(start, scope, ctx)
+        _drop(scope, (self.var,), hidden)
+        if stepped is None:
+            if env._bindings:
+                _drop(scope, env._bindings, shadowed)
+            return None
+        if stepped is not instance:
+            ctx.commits.append((state.instances, value, stepped))
+        new_env = _leave(self, scope, env, shadowed)
+        return state if new_env is env else QuantifiedInterleaveState(new_env, state.instances)
+
+
+@dataclass(kw_only=True)
+class Call(Node):
+    """Delegate to the specification registered under ``callee``.
+
+    ``args`` binds the callee's parameters; values may be callables evaluated
+    against the environment at initialisation time.
+    """
+
+    callee: str
+    args: Mapping[str, AttrInit] = field(default_factory=dict)
+
+    state_type = CallState
+
+    def _validate(self, defs, call_chain):
+        if self.attrs or self.action:
+            raise SpecificationError(f"call {self.name!r} must not declare attributes")
+        if self.callee in call_chain:
+            raise SpecificationError(
+                f"recursive call to {self.callee!r} (chain {' -> '.join(call_chain)})"
+            )
+        callee = defs.get(self.callee)
+        if callee is None:
+            raise SpecificationError(f"call {self.name!r}: unresolved callee {self.callee!r}")
+        if set(self.args) != set(callee.params):
+            raise SpecificationError(
+                f"call {self.name!r}: argument names {sorted(self.args)} do not match "
+                f"parameters {sorted(callee.params)} of {self.callee!r}"
+            )
+        _validate_node(callee, defs, call_chain + (self.callee,))
+
+    def _start(self, local, env, defs):
+        # A call declares no attributes, so ``env`` is the caller's.
+        params = {n: v(env) if callable(v) else v for n, v in self.args.items()}
+        param_env = Env._wrap(params) if params else EMPTY_ENV
+        return _call_state(param_env, _init(defs[self.callee], env.override(param_env), defs))
+
+    def _final(self, state, defs):
+        return defs[self.callee]._final(state.inner, defs)
+
+    def _step(self, state, scope, ctx):
+        callee = ctx.defs.get(self.callee)
+        if callee is None:
+            raise SpecificationError(f"call {self.name!r}: unresolved callee {self.callee!r}")
+        # Parameters are constant; pop them before propagating updates.
+        env = state.env
+        shadowed = _bind(scope, env._bindings) if env._bindings else None
+        inner = callee._step(state.inner, scope, ctx)
+        if env._bindings:
+            _drop(scope, env._bindings, shadowed)
+        if inner is None:
+            return None
+        return state if inner is state.inner else _call_state(env, inner)
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Validation and initialisation
 # ---------------------------------------------------------------------------
 
 
 def validate_spec(spec: Node, defs: Mapping[str, Node] | None = None) -> None:
     """Raise ``SpecificationError`` if the tree is not well formed."""
     defs = defs or {}
-    _validate(spec, defs, call_chain=())
+    _validate_node(spec, defs, call_chain=())
 
 
-def _validate(spec: Node, defs: Mapping[str, Node], call_chain: tuple[str, ...]) -> None:
+def _validate_node(spec: Node, defs: Mapping[str, Node], call_chain: tuple[str, ...]) -> None:
     names = [n for n, _ in spec.attrs]
     if len(names) != len(set(names)):
         raise SpecificationError(f"node {spec.name!r} declares duplicate attributes")
-
-    if isinstance(spec, Automaton):
-        states = set(spec.states)
-        if spec.initial not in states:
-            raise SpecificationError(f"automaton {spec.name!r}: unknown initial state")
-        if not set(spec.finals) <= states:
-            raise SpecificationError(f"automaton {spec.name!r}: final states not declared")
-        for t in spec.transitions:
-            if t.source not in states or t.target not in states:
-                raise SpecificationError(
-                    f"automaton {spec.name!r}: transition uses undeclared state"
-                )
-            caps = [s.name for s in t.pattern.slots if isinstance(s, Capture)]
-            if len(caps) != len(set(caps)):
-                raise SpecificationError(
-                    f"automaton {spec.name!r}: duplicate capture in pattern"
-                )
-    elif isinstance(spec, Flow):
-        _validate(spec.left, defs, call_chain)
-        _validate(spec.right, defs, call_chain)
-    elif isinstance(spec, QuantifiedFlow):
-        if spec.var in spec.attr_names():
-            raise SpecificationError(
-                f"node {spec.name!r}: quantified variable shadows an attribute"
-            )
-        _validate(spec.body, defs, call_chain)
-    elif isinstance(spec, QuantifiedInterleave):
-        if spec.var in spec.attr_names():
-            raise SpecificationError(
-                f"node {spec.name!r}: quantified variable shadows an attribute"
-            )
-        if spec.route_arg < 0:
-            raise SpecificationError(f"node {spec.name!r}: negative routing index")
-        _validate(spec.body, defs, call_chain)
-    elif isinstance(spec, Call):
-        if spec.attrs or spec.action:
-            raise SpecificationError(f"call {spec.name!r} must not declare attributes")
-        if spec.callee in call_chain:
-            raise SpecificationError(
-                f"recursive call to {spec.callee!r} (chain {' -> '.join(call_chain)})"
-            )
-        callee = defs.get(spec.callee)
-        if callee is None:
-            raise SpecificationError(f"call {spec.name!r}: unresolved callee {spec.callee!r}")
-        if set(spec.args) != set(callee.params):
-            raise SpecificationError(
-                f"call {spec.name!r}: argument names {sorted(spec.args)} do not match "
-                f"parameters {sorted(callee.params)} of {spec.callee!r}"
-            )
-        _validate(callee, defs, call_chain + (spec.callee,))
-    else:
-        raise SpecificationError(f"unknown node type {type(spec).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Initialisation
-# ---------------------------------------------------------------------------
+    spec._validate(defs, call_chain)
 
 
 def init(spec: Node, env: Env | None = None, defs: Mapping[str, Node] | None = None) -> Any:
@@ -506,59 +693,27 @@ def _init_attrs(spec: Node, env: Env) -> Env:
 
 
 def _init(spec: Node, env: Env, defs: Mapping[str, Node]) -> Any:
-    local = _init_attrs(spec, env)
-    inner_env = env.override(local)
-    if isinstance(spec, Automaton):
-        return _automaton_state(spec.initial, local)
-    if isinstance(spec, Flow):
-        return _flow_state(local, _init(spec.left, inner_env, defs), _init(spec.right, inner_env, defs))
-    if isinstance(spec, QuantifiedFlow):
-        instances = {
-            value: _init(spec.body, inner_env.override({spec.var: value}), defs)
-            for value in sorted(spec.domain)
-        }
-        return QuantifiedFlowState(local, instances)
-    if isinstance(spec, QuantifiedInterleave):
-        if isinstance(spec.domain, _UnboundedDomain):
-            return QuantifiedInterleaveState(local, {})
-        instances = {
-            value: _init(spec.body, inner_env.override({spec.var: value}), defs)
-            for value in sorted(spec.domain)
-        }
-        return QuantifiedInterleaveState(local, instances)
-    if isinstance(spec, Call):
-        callee = defs[spec.callee]
-        params: dict[str, Any] = {}
-        for name, value in spec.args.items():
-            params[name] = value(env) if callable(value) else value
-        param_env = Env._wrap(params) if params else EMPTY_ENV
-        return _call_state(param_env, _init(callee, env.override(param_env), defs))
-    raise SpecificationError(f"unknown node type {type(spec).__name__}")
+    return spec._start(_init_attrs(spec, env), env, defs)
 
 
 # ---------------------------------------------------------------------------
-# Final-state test
+# Acceptance and stepping
 # ---------------------------------------------------------------------------
+
+
+def _check_shape(spec: Node, state: Any) -> None:
+    """Raise ``EngineError`` unless ``state`` is of the type ``spec`` runs on."""
+    if not isinstance(state, spec.state_type):
+        raise EngineError(
+            f"state {type(state).__name__} does not match node "
+            f"{type(spec).__name__} {spec.name!r}"
+        )
 
 
 def is_final(spec: Node, state: Any, defs: Mapping[str, Node] | None = None) -> bool:
     """True when the state satisfies the node's acceptance condition."""
-    defs = defs or {}
     _check_shape(spec, state)
-    if isinstance(spec, Automaton):
-        return state.current in set(spec.finals)
-    if isinstance(spec, Flow):
-        return is_final(spec.left, state.left, defs) and is_final(spec.right, state.right, defs)
-    if isinstance(spec, (QuantifiedFlow, QuantifiedInterleave)):
-        return all(is_final(spec.body, inst, defs) for inst in state.instances.values())
-    if isinstance(spec, Call):
-        return is_final(defs[spec.callee], state.inner, defs)
-    raise SpecificationError(f"unknown node type {type(spec).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Stepping
-# ---------------------------------------------------------------------------
+    return spec._final(state, defs or {})
 
 
 def step(
@@ -571,18 +726,21 @@ def step(
     """Attempt one transition on ``event``.
 
     Returns ``(new_state, new_enclosing_env)`` when some part of the tree
-    fired, or ``None`` when the whole tree refuses the event.  A successful
-    step consumes ``state``: every part of it that did not change comes back
-    as the same object (the whole of ``state`` when nothing changed), and
-    the instance maps of its quantified nodes are updated in place.  A
-    refused step, or one that raises, leaves ``state`` and ``env`` as they
-    were, apart from values an action mutated in place.  States of
+    fired, or ``None`` when the whole tree refuses the event.  Each operator
+    steps itself.  Only the root state's kind is checked against ``spec``,
+    so ``state`` must come from ``init`` or ``step`` for the same spec.  A
+    successful step consumes ``state``: every part of it that did not change
+    comes back as the same object (the whole of ``state`` when nothing
+    changed), and the instance maps of its quantified nodes are updated in
+    place.  A refused step, or one that raises, leaves ``state`` and ``env``
+    as they were, apart from values an action mutated in place.  States of
     attribute-free nodes may be shared between instances and between
     machines, so callers must treat every state as read-only.
     """
+    _check_shape(spec, state)
     scope = dict(env) if env else {}
     ctx = _StepContext(event, defs or {})
-    new_state = _step(spec, state, scope, ctx)
+    new_state = spec._step(state, scope, ctx)
     if new_state is None:
         return None
     for instances, value, instance in ctx.commits:
@@ -607,10 +765,6 @@ class _StepContext:
         self.defs = defs
         self.commits: list[tuple[dict, Any, Any]] = []
         self.matches: dict[int, _MatchPart] = {}
-
-
-def _step(spec, state, scope, ctx):
-    return _check_shape(spec, state)(spec, state, scope, ctx)
 
 
 def _bind(scope: dict, bindings: Mapping[str, Any]) -> dict:
@@ -656,147 +810,6 @@ def _leave(spec: Node, scope: dict, env: Env, shadowed: dict | None) -> Env:
     if shadowed:
         scope.update(shadowed)
     return new
-
-
-def _step_automaton(spec, state, scope, ctx):
-    env = state.env
-    shadowed = _bind(scope, env._bindings) if env._bindings else None
-    current = state.current
-    matches = ctx.matches
-    for t in spec.transitions:
-        if t.source != current:
-            continue
-        pattern = t.pattern
-        part = matches.get(id(pattern))
-        if part is None:
-            part = matches[id(pattern)] = pattern._match_event(ctx.event)
-        captures = pattern._match_refs(part, scope)
-        if captures is None:
-            continue
-        # Captures are transient: bound for the guard and action only.
-        hidden = _bind(scope, captures)
-        if t.guard is not None and not t.guard(scope):
-            _drop(scope, captures, hidden)
-            continue
-        if t.action is not None:
-            t.action(scope)
-        _drop(scope, captures, hidden)
-        new_env = _leave(spec, scope, env, shadowed)
-        if new_env is env and t.target == current:
-            return state
-        return _automaton_state(t.target, new_env)
-    if env._bindings:
-        _drop(scope, env._bindings, shadowed)
-    return None
-
-
-def _step_flow(spec, state, scope, ctx):
-    env = state.env
-    shadowed = _bind(scope, env._bindings) if env._bindings else None
-    left = _step(spec.left, state.left, scope, ctx)
-    right = _step(spec.right, state.right, scope, ctx)
-    if left is None and right is None:
-        if env._bindings:
-            _drop(scope, env._bindings, shadowed)
-        return None
-    new_env = _leave(spec, scope, env, shadowed)
-    left = state.left if left is None else left
-    right = state.right if right is None else right
-    if new_env is env and left is state.left and right is state.right:
-        return state
-    return _flow_state(new_env, left, right)
-
-
-def _step_qflow(spec, state, scope, ctx):
-    instances = state.instances
-    if spec.order_hook is not None:
-        values = list(instances)
-        ordered = list(spec.order_hook(values))
-        if sorted(ordered, key=repr) != sorted(values, key=repr):
-            raise SpecificationError(
-                f"node {spec.name!r}: order hook must permute the domain"
-            )
-    else:
-        ordered = instances  # built from the sorted domain; commits only replace values
-    env = state.env
-    shadowed = _bind(scope, env._bindings) if env._bindings else None
-    hidden = {spec.var: scope[spec.var]} if spec.var in scope else None
-    fired = False
-    for value in ordered:
-        scope[spec.var] = value
-        instance = instances[value]
-        stepped = _step(spec.body, instance, scope, ctx)
-        if stepped is not None:
-            fired = True
-            if stepped is not instance:
-                ctx.commits.append((instances, value, stepped))
-    _drop(scope, (spec.var,), hidden)
-    if not fired:
-        if env._bindings:
-            _drop(scope, env._bindings, shadowed)
-        return None
-    new_env = _leave(spec, scope, env, shadowed)
-    return state if new_env is env else QuantifiedFlowState(new_env, instances)
-
-
-def _step_qinterleave(spec, state, scope, ctx):
-    event = ctx.event
-    if spec.route_arg >= len(event.args):
-        raise InputError(
-            f"node {spec.name!r}: event {event.name!r} has no argument "
-            f"{spec.route_arg} to route on"
-        )
-    value = event.args[spec.route_arg]
-    if value is None:
-        raise InputError(f"node {spec.name!r}: routing value is missing")
-    try:
-        hash(value)
-    except TypeError as exc:
-        raise InputError(f"node {spec.name!r}: routing value is not hashable") from exc
-    instance = state.instances.get(value)
-    if instance is None and not isinstance(spec.domain, _UnboundedDomain):
-        return None  # outside a bounded domain
-
-    env = state.env
-    shadowed = _bind(scope, env._bindings) if env._bindings else None
-    hidden = {spec.var: scope[spec.var]} if spec.var in scope else None
-    scope[spec.var] = value
-    start = _init(spec.body, Env(scope), ctx.defs) if instance is None else instance
-    stepped = _step(spec.body, start, scope, ctx)
-    _drop(scope, (spec.var,), hidden)
-    if stepped is None:
-        if env._bindings:
-            _drop(scope, env._bindings, shadowed)
-        return None
-    if stepped is not instance:
-        ctx.commits.append((state.instances, value, stepped))
-    new_env = _leave(spec, scope, env, shadowed)
-    return state if new_env is env else QuantifiedInterleaveState(new_env, state.instances)
-
-
-def _step_call(spec, state, scope, ctx):
-    callee = ctx.defs.get(spec.callee)
-    if callee is None:
-        raise SpecificationError(f"call {spec.name!r}: unresolved callee {spec.callee!r}")
-    # Parameters are constant; pop them before propagating updates.
-    env = state.env
-    shadowed = _bind(scope, env._bindings) if env._bindings else None
-    inner = _step(callee, state.inner, scope, ctx)
-    if env._bindings:
-        _drop(scope, env._bindings, shadowed)
-    if inner is None:
-        return None
-    return state if inner is state.inner else _call_state(env, inner)
-
-
-#: Node type -> (the state type it runs on, its stepper).
-_NODE_KINDS = {
-    Automaton: (AutomatonState, _step_automaton),
-    Flow: (FlowState, _step_flow),
-    QuantifiedFlow: (QuantifiedFlowState, _step_qflow),
-    QuantifiedInterleave: (QuantifiedInterleaveState, _step_qinterleave),
-    Call: (CallState, _step_call),
-}
 
 
 # ---------------------------------------------------------------------------

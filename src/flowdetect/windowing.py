@@ -49,9 +49,12 @@ def parse_timestamp(text: str, date_format: str = DEFAULT_DATE_FORMAT) -> dateti
 
     Text in the default layout's exact shape is read field by field, which
     gives what ``strptime`` gives; everything else, an out-of-range field
-    included, takes the ``strptime`` path.
+    included, takes the ``strptime`` path.  Anything but a ``str`` raises
+    ``InputError``.
     """
-    if date_format == DEFAULT_DATE_FORMAT and isinstance(text, str):
+    if not isinstance(text, str):
+        raise InputError(f"timestamp {text!r} is not text")
+    if date_format == DEFAULT_DATE_FORMAT:
         fields = _DEFAULT_LAYOUT.fullmatch(text)
         if fields is not None:
             month, day, year, hour, minute, second = map(int, fields.groups())

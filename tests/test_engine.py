@@ -666,6 +666,28 @@ def test_step_rejects_mismatched_state_shape(kind, op):
             is_final(spec, wrong, SHAPE_DEFS)
 
 
+def test_every_node_kind_defines_its_own_rules():
+    """A kind that leaves one of its rules to the base class would only fail,
+    as an unknown node type, when that rule is first used."""
+    from flowdetect import engine
+
+    kinds = [
+        value for name, value in vars(engine).items()
+        if not name.startswith("_") and isinstance(value, type)
+        and issubclass(value, Node) and value is not Node
+    ]
+    assert sorted(k.__name__ for k in kinds) == sorted(
+        ["Automaton", "Call", "Flow", "QuantifiedFlow", "QuantifiedInterleave"]
+    )
+    state_types = set()
+    for kind in kinds:
+        for rule in ("_validate", "_start", "_final", "_step"):
+            assert getattr(kind, rule) is not getattr(Node, rule), (kind, rule)
+        assert "state_type" in vars(kind), kind
+        state_types.add(kind.state_type)
+    assert len(state_types) == len(kinds)
+
+
 def test_bare_node_is_an_unknown_node_type():
     bare = Node(name="x")
     state = init(loop("alone"))

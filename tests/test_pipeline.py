@@ -8,7 +8,7 @@ from datetime import datetime, timedelta
 import pytest
 
 from flowdetect import pipeline as pipeline_module
-from flowdetect import synth
+from flowdetect import engine, synth
 from flowdetect.detectors import (
     DETECTOR_TYPES,
     CircularKMeans,
@@ -471,10 +471,28 @@ def test_unparseable_date_is_counted_and_skipped():
     pipeline = Pipeline(weekly_config())
     pipeline.process_event(Event("e", ("alice", stamp(0, 0, 9), "ok-1")))
     before = pipeline.dump()
-    assert pipeline.process_event(Event("e", ("alice", "yesterday", "bad-1"))) == []
+    for bad in ("yesterday", None, 5):  # None and 5 are not text at all
+        assert pipeline.process_event(Event("e", ("alice", bad, "bad-1"))) == []
     assert pipeline.dump() == before
-    assert pipeline.counters.skipped_dates == 1
+    assert pipeline.counters.skipped_dates == 3
     assert pipeline.counters.events == 1
+
+
+def test_an_existing_users_event_checks_one_state_shape(monkeypatch):
+    # Only the root state is checked against its node; the states nested in
+    # it were built by the engine itself.
+    pipeline = Pipeline(weekly_config())
+    pipeline.process_event(Event("e", ("alice", stamp(0, 0, 9), "ok-1")))
+    check = engine._check_shape
+    calls = []
+
+    def counting(spec, state):
+        calls.append(type(spec).__name__)
+        check(spec, state)
+
+    monkeypatch.setattr(engine, "_check_shape", counting)
+    pipeline.process_event(Event("e", ("alice", stamp(0, 0, 10), "ok-2")))
+    assert calls == ["QuantifiedInterleave"]
 
 
 # ------------------------------------------------------------- vote injection

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from flowdetect.errors import ConfigurationError, InputError
 from flowdetect.windowing import (
+    DEFAULT_DATE_FORMAT,
     Window,
     WindowConfig,
     compute_period,
@@ -51,6 +52,10 @@ def test_parse_timestamp_default_and_iso():
 def test_parse_timestamp_rejects_garbage():
     with pytest.raises(InputError):
         parse_timestamp("not a date")
+    for text in (None, 5):
+        for date_format in (DEFAULT_DATE_FORMAT, "%d.%m.%Y %H:%M"):
+            with pytest.raises(InputError, match="is not text"):
+                parse_timestamp(text, date_format)
 
 
 def _parsed(parse, text):
