@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from . import evaluation, synth
@@ -78,11 +78,9 @@ def ingest(
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    if getattr(args, "date_format", None):
-        config.date_format = args.date_format
-    if getattr(args, "activity_filter", None):
-        config.activity_filter = args.activity_filter
-    return config
+    flags = {key: getattr(args, key, None) for key in ("date_format", "activity_filter")}
+    # A replaced config is checked again as it is made.
+    return replace(config, **{key: value for key, value in flags.items() if value})
 
 
 def _jsonl(record: dict) -> str:

@@ -32,7 +32,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NotEnoughDataError, NotFittedError
+from .errors import ConfigurationError, NotEnoughDataError, NotFittedError, checked_integer
 
 HOURS_PER_DAY = 24.0
 MINUTES_PER_DAY = 1440
@@ -240,11 +240,10 @@ class Detector(ABC):
         return {"name": self.name, "trained_version": self.trained_version}
 
 
-def _checked(value: Any, what: str, kind: type = numbers.Real) -> Any:
-    """``value`` if it is a finite ``kind`` (``numbers.Real`` or ``numbers.Integral``), not a bool."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
-        noun = "an integer" if kind is numbers.Integral else "a finite number"
-        raise ConfigurationError(f"{what} must be {noun}, got {value!r}")
+def _checked(value: Any, what: str) -> Any:
+    """``value`` if it is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
     return value
 
 
@@ -293,7 +292,7 @@ class CircularKMeans(Detector):
         super().__init__()
         _warn_range("kmeans threshold", _checked(threshold, "kmeans threshold"), 1.5, 2.5)
         self.threshold = float(threshold)
-        if _checked(seed, "kmeans seed", numbers.Integral) < 0:
+        if checked_integer(seed, "kmeans seed") < 0:
             raise ConfigurationError("kmeans seed must be non-negative")
         self.seed = int(seed)
         self.chosen_k = 0
@@ -556,7 +555,7 @@ class CosineLof(Detector):
     def __init__(self, percentile: float = 95.0, n_neighbors: int = 20):
         super().__init__()
         _warn_range("lof percentile", _percent(percentile, "lof percentile"), 75.0, 95.0)
-        if _checked(n_neighbors, "lof n_neighbors", numbers.Integral) < 1:
+        if checked_integer(n_neighbors, "lof n_neighbors") < 1:
             raise ConfigurationError("n_neighbors must be at least 1")
         self.percentile = float(percentile)
         self.n_neighbors = int(n_neighbors)

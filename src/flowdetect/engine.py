@@ -619,9 +619,7 @@ class Call(Node):
             raise SpecificationError(
                 f"recursive call to {self.callee!r} (chain {' -> '.join(call_chain)})"
             )
-        callee = defs.get(self.callee)
-        if callee is None:
-            raise SpecificationError(f"call {self.name!r}: unresolved callee {self.callee!r}")
+        callee = self._callee(defs)
         if set(self.args) != set(callee.params):
             raise SpecificationError(
                 f"call {self.name!r}: argument names {sorted(self.args)} do not match "
@@ -635,13 +633,17 @@ class Call(Node):
         param_env = Env._wrap(params) if params else EMPTY_ENV
         return _call_state(param_env, _init(defs[self.callee], env.override(param_env), defs))
 
-    def _final(self, state, defs):
-        return defs[self.callee]._final(state.inner, defs)
-
-    def _step(self, state, scope, ctx):
-        callee = ctx.defs.get(self.callee)
+    def _callee(self, defs):
+        callee = defs.get(self.callee)
         if callee is None:
             raise SpecificationError(f"call {self.name!r}: unresolved callee {self.callee!r}")
+        return callee
+
+    def _final(self, state, defs):
+        return self._callee(defs)._final(state.inner, defs)
+
+    def _step(self, state, scope, ctx):
+        callee = self._callee(ctx.defs)
         # Parameters are constant; pop them before propagating updates.
         env = state.env
         shadowed = _bind(scope, env._bindings) if env._bindings else None

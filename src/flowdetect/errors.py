@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check."""
 
 from __future__ import annotations
+
+import numbers
+from typing import Any
 
 
 class FlowdetectError(Exception):
@@ -29,3 +32,10 @@ class NotEnoughDataError(FlowdetectError):
 
 class NotFittedError(FlowdetectError):
     """A model was asked to score before it was fitted."""
+
+
+def checked_integer(value: Any, what: str) -> Any:
+    """``value`` if it is an integer and not a bool, else ``ConfigurationError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return value

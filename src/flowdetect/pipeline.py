@@ -49,7 +49,7 @@ from .engine import (
     step,
 )
 from .ensemble import majority_vote
-from .errors import ConfigurationError, EngineError, InputError
+from .errors import ConfigurationError, EngineError, InputError, checked_integer
 from .windowing import (
     DEFAULT_DATE_FORMAT,
     Window,
@@ -69,15 +69,13 @@ def _mapping(value: Any, what: str) -> Mapping[str, Any]:
     return value
 
 
-def _integer(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Everything needed to build and run one pipeline."""
+    """Everything needed to build and run one pipeline.
+
+    Every rule runs when a config is made, in code or by ``from_dict``.  A
+    config is frozen; ``dataclasses.replace`` makes a checked copy.
+    """
 
     window: WindowConfig = field(default_factory=lambda: WindowConfig(10, 5, "week"))
     detectors: dict[str, dict] = field(
@@ -88,8 +86,49 @@ class PipelineConfig:
     activity_filter: str | None = None
 
     def __post_init__(self) -> None:
-        if self.min_training_instances < 1:
+        if not isinstance(self.window, WindowConfig):
+            raise ConfigurationError(f"window must be a WindowConfig, got {self.window!r}")
+        if not isinstance(self.date_format, str):
+            raise ConfigurationError(f"date_format must be a string, got {self.date_format!r}")
+        if self.activity_filter is not None and not isinstance(self.activity_filter, str):
+            raise ConfigurationError(f"activity_filter must be a string, got {self.activity_filter!r}")
+        for name, params in _mapping(self.detectors, "detectors").items():
+            _mapping(params, f"detector {name!r} parameters")
+        if checked_integer(self.min_training_instances, "min_training_instances") < 1:
             raise ConfigurationError("min_training_instances must be positive")
+        if not self.detectors:
+            raise ConfigurationError("at least one detector must be configured")
+
+        # Refuse bad detector parameters, a training minimum that would let
+        # g1 hand a detector fewer samples than it can fit, a sliding
+        # instance window too small ever to reach that minimum (when g1
+        # looks, it holds at most window_size + sliding_size - 1 samples),
+        # and a date format that cannot read back a timestamp it wrote.
+        needed = max(detector.min_samples for detector in init_map(self.detectors).values())
+        if self.min_training_instances < needed:
+            raise ConfigurationError(
+                f"min_training_instances={self.min_training_instances} is below "
+                f"{needed}, the fewest samples the configured detectors can fit"
+            )
+        window = self.window
+        if window.type == "instance" and window.sliding_size > 0:
+            held = window.window_size + window.sliding_size - 1
+            if held < self.min_training_instances:
+                raise ConfigurationError(
+                    f"an instance window of {window.window_size} sliding by "
+                    f"{window.sliding_size} holds at most {held} samples, below "
+                    f"min_training_instances={self.min_training_instances}"
+                )
+        # The default layout is known to read back, and checking it would
+        # import _strptime, which its parses never need.
+        if self.date_format != DEFAULT_DATE_FORMAT:
+            try:
+                probe = datetime(2010, 1, 4, 8, 30, 15, tzinfo=timezone.utc)
+                datetime.strptime(probe.strftime(self.date_format), self.date_format)
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"date_format {self.date_format!r} cannot parse a timestamp: {exc}"
+                ) from None
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "PipelineConfig":
@@ -108,30 +147,24 @@ class PipelineConfig:
         if extra:
             raise ConfigurationError(f"unknown window parameters: {sorted(extra)}")
         window = WindowConfig(
-            window_size=_integer(wp.get("window_size", 10), "window_size"),
-            sliding_size=_integer(wp.get("sliding_size", 5), "sliding_size"),
+            window_size=wp.get("window_size", 10),
+            sliding_size=wp.get("sliding_size", 5),
             type=wp.get("type", "week"),
         )
         detectors = raw.get("detectors")
         if detectors is None:
             detectors = {name: {} for name in DEFAULT_DETECTORS}
-        date_format = raw.get("date_format", DEFAULT_DATE_FORMAT)
-        activity_filter = raw.get("activity_filter")
-        if not isinstance(date_format, str):
-            raise ConfigurationError(f"date_format must be a string, got {date_format!r}")
-        if activity_filter is not None and not isinstance(activity_filter, str):
-            raise ConfigurationError(f"activity_filter must be a string, got {activity_filter!r}")
+        elif isinstance(detectors, Mapping):
+            # A detector listed with null parameters takes its defaults.
+            detectors = {
+                name: {} if params is None else params for name, params in detectors.items()
+            }
         return cls(
             window=window,
-            detectors={
-                name: dict(_mapping(params or {}, f"detector {name!r} parameters"))
-                for name, params in _mapping(detectors, "detectors").items()
-            },
-            date_format=date_format,
-            min_training_instances=_integer(
-                raw.get("min_training_instances", DEFAULT_MIN_TRAINING), "min_training_instances"
-            ),
-            activity_filter=activity_filter,
+            detectors=detectors,
+            date_format=raw.get("date_format", DEFAULT_DATE_FORMAT),
+            min_training_instances=raw.get("min_training_instances", DEFAULT_MIN_TRAINING),
+            activity_filter=raw.get("activity_filter"),
         )
 
     @classmethod
@@ -142,19 +175,6 @@ class PipelineConfig:
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigurationError(f"configuration is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "window_parameters": {
-                "window_size": self.window.window_size,
-                "sliding_size": self.window.sliding_size,
-                "type": self.window.type,
-            },
-            "detectors": {name: dict(p) for name, p in sorted(self.detectors.items())},
-            "date_format": self.date_format,
-            "min_training_instances": self.min_training_instances,
-            "activity_filter": self.activity_filter,
-        }
 
 
 @dataclass
@@ -206,7 +226,7 @@ def training_guard(config: PipelineConfig) -> Callable[[Mapping[str, Any]], bool
         detector = env["detectors"][env["d"]]
         if window.version <= detector.trained_version:
             return False
-        return len(training_set(window)) >= config.min_training_instances
+        return sum(map(len, window.samples.values())) >= config.min_training_instances
 
     return g1
 
@@ -240,44 +260,12 @@ def build_spec(
     """Assemble the machine tree for ``config``.
 
     Returns the root node and the definitions map needed to resolve calls.
+    It checks nothing: ``config`` checked itself when it was made.
     """
-    if not config.detectors:
-        raise ConfigurationError("at least one detector must be configured")
     names = sorted(config.detectors)
     counters = counters if counters is not None else RunCounters()
     vote = vote_fn if vote_fn is not None else majority_vote
-
-    # Fail fast on bad detector configuration, on a training minimum that
-    # would let g1 hand a detector fewer samples than it can fit, on a
-    # sliding instance window too small ever to reach that minimum (when g1
-    # looks, it holds at most window_size + sliding_size - 1 samples), and
-    # on a date format that cannot read back a timestamp it wrote.
     unfitted = init_map(config.detectors)
-    needed = max(detector.min_samples for detector in unfitted.values())
-    if config.min_training_instances < needed:
-        raise ConfigurationError(
-            f"min_training_instances={config.min_training_instances} is below "
-            f"{needed}, the fewest samples the configured detectors can fit"
-        )
-    window = config.window
-    if window.type == "instance" and window.sliding_size > 0:
-        held = window.window_size + window.sliding_size - 1
-        if held < config.min_training_instances:
-            raise ConfigurationError(
-                f"an instance window of {window.window_size} sliding by "
-                f"{window.sliding_size} holds at most {held} samples, below "
-                f"min_training_instances={config.min_training_instances}"
-            )
-    # The default layout is known to read back, and checking it would
-    # import _strptime, which its parses never need.
-    if config.date_format != DEFAULT_DATE_FORMAT:
-        try:
-            probe = datetime(2010, 1, 4, 8, 30, 15, tzinfo=timezone.utc)
-            datetime.strptime(probe.strftime(config.date_format), config.date_format)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"date_format {config.date_format!r} cannot parse a timestamp: {exc}"
-            ) from None
 
     pattern = EventPattern(
         "e", (Ref("userId"), Capture("eventDate", str), Capture("eventId", str))
@@ -367,7 +355,7 @@ class Pipeline:
 
     def process_event(self, event: Event) -> list[ScoredEvent]:
         """Run one event through the machine; return its alerting scored events."""
-        if event.name != "e" or len(event.args) != 3:
+        if event.name != "e" or len(event.args) != 3 or not isinstance(event.args[2], str):
             raise InputError(f"expected e(userId, eventDate, eventId), got {event}")
         try:
             when = parse_timestamp(event.args[1], self.config.date_format)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Union
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, checked_integer
 
 #: Timestamp layout of the supported activity logs.
 DEFAULT_DATE_FORMAT = "%m/%d/%Y %H:%M:%S"
@@ -34,6 +34,8 @@ class WindowConfig:
     type: str
 
     def __post_init__(self) -> None:
+        checked_integer(self.window_size, "window_size")
+        checked_integer(self.sliding_size, "sliding_size")
         if self.type not in PERIOD_TYPES:
             raise ConfigurationError(f"unknown window type {self.type!r}")
         if self.window_size < 1:

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import statistics
+from dataclasses import FrozenInstanceError, fields, replace
+from functools import partial
 
 import pytest
 
 from flowdetect import synth
 from flowdetect.cli import IngestStats, build_parser, ingest, main
 from flowdetect.errors import ConfigurationError, InputError
+from flowdetect.pipeline import PipelineConfig
+from flowdetect.windowing import WindowConfig
 
 RUN_SUMMARY_KEYS = (
     "events", "users", "alerts", "retrains",
@@ -383,33 +387,33 @@ def test_missing_input_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "raw",
-    [
-        {"window_parameters": {"window_size": "ten"}},
-        {"window_parameters": {"sliding_size": None}},
-        {"window_parameters": 5},
-        {"window_parameters": ["window_size"]},
-        {"min_training_instances": "x"},
-        {"detectors": {"kde": 5}},
-        {"detectors": ["kde"]},
-        {"date_format": 5},
-        {"activity_filter": ["Logon"]},
-        ["window_parameters"],
-        {"window_parameters": {"window_size": 2.5, "sliding_size": True}},
-        {"window_parameters": {"window_size": 10.5}},
-        {"min_training_instances": "30"},
-        {"detectors": {"kmeans": {"kmeans_parameter": "abc"}}},
-        {"detectors": {"kde": {"kde_parameter": None}}},
-        {"detectors": {"kmeans": {"seed": "x"}}},
-        {"detectors": {"kmeans": {"seed": -1}}},
-        {"detectors": {"lof": {"n_neighbors": "many"}}},
-        {"detectors": {"lof": {"n_neighbors": 2.5}}},
-        {"detectors": {"kde": {"kde_parameter": 150}}},
-        {"detectors": {"lof": {"lof_parameter": -5}}},
-        {"detectors": {"kmeans": {"kmeans_parameter": float("nan")}}},
-    ],
-)
+WRONG_CONFIGS = [
+    {"window_parameters": {"window_size": "ten"}},
+    {"window_parameters": {"sliding_size": None}},
+    {"window_parameters": 5},
+    {"window_parameters": ["window_size"]},
+    {"min_training_instances": "x"},
+    {"detectors": {"kde": 5}},
+    {"detectors": ["kde"]},
+    {"date_format": 5},
+    {"activity_filter": ["Logon"]},
+    ["window_parameters"],
+    {"window_parameters": {"window_size": 2.5, "sliding_size": True}},
+    {"window_parameters": {"window_size": 10.5}},
+    {"min_training_instances": "30"},
+    {"detectors": {"kmeans": {"kmeans_parameter": "abc"}}},
+    {"detectors": {"kde": {"kde_parameter": None}}},
+    {"detectors": {"kmeans": {"seed": "x"}}},
+    {"detectors": {"kmeans": {"seed": -1}}},
+    {"detectors": {"lof": {"n_neighbors": "many"}}},
+    {"detectors": {"lof": {"n_neighbors": 2.5}}},
+    {"detectors": {"kde": {"kde_parameter": 150}}},
+    {"detectors": {"lof": {"lof_parameter": -5}}},
+    {"detectors": {"kmeans": {"kmeans_parameter": float("nan")}}},
+]
+
+
+@pytest.mark.parametrize("raw", WRONG_CONFIGS)
 def test_config_of_the_wrong_type_is_a_clean_error(raw, tmp_path, capsys):
     log = tmp_path / "log.csv"
     log.write_text("id,date,user,pc,activity\nE1,01/04/2010 08:00:00,alice,PC-1,Logon\n")
@@ -417,6 +421,48 @@ def test_config_of_the_wrong_type_is_a_clean_error(raw, tmp_path, capsys):
     config.write_text(json.dumps(raw))
     assert main(["run", "--input", str(log), "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+FIELDS = {field.name for field in fields(PipelineConfig)}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # the JSON cases above whose keys name PipelineConfig fields
+        *(
+            partial(PipelineConfig, **raw)
+            for raw in WRONG_CONFIGS
+            if isinstance(raw, dict) and set(raw) <= FIELDS
+        ),
+        # the JSON cases above with a window_parameters object
+        *(
+            partial(WindowConfig, **{"window_size": 10, "sliding_size": 5, "type": "week", **wp})
+            for raw in WRONG_CONFIGS
+            if isinstance(raw, dict) and isinstance(wp := raw.get("window_parameters"), dict)
+        ),
+        partial(WindowConfig, 2.5, 1, "week"),
+        partial(WindowConfig, True, 0, "week"),
+        partial(WindowConfig, 10, "5", "week"),
+        partial(PipelineConfig, min_training_instances=30.5),
+        partial(PipelineConfig, activity_filter=3),
+        partial(PipelineConfig, window=(10, 5, "week")),
+    ],
+)
+def test_config_built_in_code_is_checked_when_made(make):
+    with pytest.raises(ConfigurationError):
+        make()
+
+
+def test_config_is_frozen_and_a_replaced_copy_is_checked():
+    config = PipelineConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.date_format = "%Q"
+    with pytest.raises(ConfigurationError, match="cannot parse a timestamp"):
+        replace(config, date_format="%Q")
+    with pytest.raises(ConfigurationError, match="min_training_instances must be an integer"):
+        replace(config, min_training_instances="30")
+    assert replace(config, activity_filter="Logon").activity_filter == "Logon"
 
 
 def test_non_utf8_input_is_a_clean_error(corpus, tmp_path, capsys):

@@ -607,6 +607,11 @@ def test_call_validation_errors():
     loops = {"a": Call(name="x", callee="a")}
     with pytest.raises(SpecificationError):  # recursion
         init(Call(name="top", callee="a"), defs=loops)
+    spec = Call(name="c", callee="acc", args={"base": 1})
+    state = init(spec, defs=defs)
+    for check in (lambda: step(spec, state, Event("tick")), lambda: is_final(spec, state)):
+        with pytest.raises(SpecificationError, match="unresolved callee 'acc'"):
+            check()  # defs left out after init
 
 
 # ------------------------------------------------------------------ validation

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from flowdetect.detectors import (
     Detector,
     Score,
     WrappedKde,
+    init_map,
     register_detector,
 )
 from flowdetect.engine import (
@@ -88,7 +90,6 @@ def test_config_from_dict_and_back():
     assert config.window == WindowConfig(4, 2, "day")
     assert config.detectors == {"kde": {"kde_parameter": 2.0}, "lof": {"n_neighbors": 5}}
     assert config.activity_filter == "Logon"
-    assert config.to_dict()["window_parameters"]["window_size"] == 4
 
 
 def test_config_rejects_unknown_keys():
@@ -98,6 +99,21 @@ def test_config_rejects_unknown_keys():
         PipelineConfig.from_dict({"window_parameters": {"size": 3}})
     with pytest.raises(ConfigurationError):
         PipelineConfig(min_training_instances=0)
+
+
+def test_readme_configuration_block_is_the_default():
+    """The README says of its configuration JSON: everything shown is the default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    shown = PipelineConfig.from_dict(json.loads(block))
+    default = PipelineConfig()
+    assert shown.window == default.window
+    assert shown.date_format == default.date_format
+    assert shown.min_training_instances == default.min_training_instances
+    assert shown.activity_filter == default.activity_filter
+    built = {name: d.to_debug_dict() for name, d in init_map(shown.detectors).items()}
+    assert built == {name: d.to_debug_dict() for name, d in init_map(default.detectors).items()}
 
 
 def test_config_from_file(tmp_path):
@@ -207,11 +223,10 @@ def test_training_minimum_below_detector_minimum_is_rejected_at_build():
     # samples when g1 looks, so one that holds fewer than the minimum would
     # never train; the build refuses it.
     for size, slide, least in ((2, 1, 3), (4, 2, 6), (10, 5, 30)):
-        never = PipelineConfig(
-            window=WindowConfig(size, slide, "instance"), min_training_instances=least
-        )
         with pytest.raises(ConfigurationError, match=f"holds at most {size + slide - 1}"):
-            Pipeline(never)
+            PipelineConfig(
+                window=WindowConfig(size, slide, "instance"), min_training_instances=least
+            )
     for size, slide, least in ((2, 2, 3), (5, 5, 9)):
         just = PipelineConfig(
             window=WindowConfig(size, slide, "instance"), min_training_instances=least
@@ -301,9 +316,8 @@ def test_registered_detector_receives_its_declared_parameters():
         records = run(Pipeline(config), weekday_events("solo", 4))
         assert records and all(r.detectors["level"]["raw"] == 7.5 for r in records)
 
-        bogus = PipelineConfig(detectors={"level": {"kde_parameter": 1.0}})
         with pytest.raises(ConfigurationError, match="unknown level parameter"):
-            Pipeline(bogus)
+            PipelineConfig(detectors={"level": {"kde_parameter": 1.0}})
     finally:
         del DETECTOR_TYPES["level"]
 
@@ -465,6 +479,17 @@ def test_malformed_events_are_rejected():
         pipeline.process_event(Event("x", ("a", "b", "c")))
     with pytest.raises(InputError):
         pipeline.process_event(Event("e", ("a", "b")))
+
+
+def test_event_id_that_is_not_text_is_rejected():
+    pipeline = Pipeline(weekly_config())
+    pipeline.process_event(Event("e", ("alice", stamp(0, 0, 9), "ok-1")))
+    before = pipeline.dump()
+    for bad in (5, None):
+        with pytest.raises(InputError, match=r"expected e\(userId, eventDate, eventId\)"):
+            pipeline.process_event(Event("e", ("alice", stamp(0, 0, 10), bad)))
+    assert pipeline.dump() == before
+    assert pipeline.counters.events == 1
 
 
 def test_unparseable_date_is_counted_and_skipped():
