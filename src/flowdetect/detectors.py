@@ -52,6 +52,9 @@ LOF_TIE_EPS = 1e-12
 #: The three wrapped copies of each kernel, one per leading axis entry.
 _KDE_SHIFTS = np.array([-HOURS_PER_DAY, 0.0, HOURS_PER_DAY]).reshape(3, 1, 1)
 _KDE_SHIFTS.flags.writeable = False
+#: Query rows per KDE evaluation block, so a fit's scratch memory grows
+#: with its window, not with the window's square.
+_KDE_BLOCK_ROWS = 64
 
 _RADIANS_PER_HOUR = 2.0 * math.pi / HOURS_PER_DAY
 
@@ -148,8 +151,8 @@ def silhouette(hours: Sequence[float], labels: Sequence[int]) -> float:
     if len(set(lab.tolist())) < 2:
         raise ValueError("silhouette requires at least two clusters")
     matrix = _circ_dist(arr[:, None], arr[None, :])
-    _, cluster, sizes = np.unique(lab, return_inverse=True, return_counts=True)
-    return _silhouette_from_sums(_cluster_sums(matrix, cluster, sizes), cluster, sizes)
+    _, cluster = np.unique(lab, return_inverse=True)
+    return float(_silhouettes(matrix, cluster[None, :], 1.0)[0])
 
 
 def _cluster_sums(matrix: np.ndarray, cluster: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -162,20 +165,64 @@ def _cluster_sums(matrix: np.ndarray, cluster: np.ndarray, sizes: np.ndarray) ->
     return matrix @ onehot
 
 
-def _silhouette_from_sums(sums: np.ndarray, cluster: np.ndarray, sizes: np.ndarray) -> float:
-    n = sums.shape[0]
-    rows = np.arange(n)
-    own_size = sizes[cluster]
-    a = sums[rows, cluster] / np.maximum(own_size - 1, 1)
-    means = sums / sizes
-    means[rows, cluster] = math.inf
-    b = means.min(axis=1)
+def _silhouettes(matrix: np.ndarray, labels: np.ndarray, unit: float) -> np.ndarray:
+    """The silhouette of each clustering in ``labels``, one row per clustering.
+
+    Labels count from 0; the distances are ``matrix`` over ``unit``, with
+    the sums divided after the product.  Empty clusters count as infinitely
+    far, and a clustering with fewer than two clusters scores -inf.
+    """
+    runs, n = labels.shape
+    width = int(labels.max()) + 1
+    key = labels + (np.arange(runs) * width)[:, None]
+    sizes = np.bincount(key.ravel(), minlength=runs * width)
+    counts = sizes.reshape(runs, width)
+    # Row c: cluster c's distance sum to each point, then its mean distance.
+    # One product per clustering, over its non-empty clusters: a product
+    # with every clustering's columns at once is large enough for BLAS to
+    # wake its worker threads, which then spin.
+    sums = np.zeros((runs, width, n))
+    for run, present in enumerate(counts > 0):
+        cluster = (np.cumsum(present) - 1)[labels[run]]
+        sums[run, present] = _cluster_sums(matrix, cluster, counts[run][present]).T
+    sums = sums.reshape(runs * width, n) / unit
+    flat = sums.reshape(-1)
+    own = (key * n + np.arange(n)).ravel()
+    own_size = sizes[key]
+    a = flat[own].reshape(runs, n) / np.maximum(own_size - 1, 1)
+    sums /= np.maximum(sizes, 1)[:, None]
+    sums[sizes == 0] = math.inf
+    flat[own] = math.inf
+    b = sums.reshape(runs, width, n).min(axis=1)
     denom = np.maximum(a, b)
+    scored = np.count_nonzero(counts, axis=1) >= 2
     # Singletons contribute 0, as do points with a = b = 0.
-    keep = (own_size > 1) & (denom > 0)
-    s = np.divide(b - a, denom, out=np.zeros(n), where=keep)
-    # A running sum, so the total adds the terms in point order.
-    return float(np.cumsum(s)[-1]) / n
+    keep = (own_size > 1) & (denom > 0) & scored[:, None]
+    s = np.divide(b - a, denom, out=np.zeros((runs, n)), where=keep)
+    # A running sum, so each total adds the terms in point order.
+    return np.where(scored, np.cumsum(s, axis=1)[:, -1] / n, -math.inf)
+
+
+def _weighted_draws(weight: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One index per row of ``weight``, drawn from that row's generator.
+
+    Each is the draw ``rng.choice(n, p=row / row.sum())`` makes, by
+    ``choice``'s own route: the cumulative sum over its last element, one
+    ``random()``, then ``searchsorted(side="right")``, which on a sorted row
+    counts the entries at or below the draw.  Each row sum is the pairwise
+    sum of the row alone.  A row of no weight draws ``rng.integers(n)``.
+    """
+    total = weight.sum(axis=1)
+    with np.errstate(invalid="ignore"):  # 0 / 0 in a row of no weight, never read
+        cdf = np.cumsum(weight / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+    totals = total.tolist()
+    draws = [rng.random() if w > 0.0 else -1.0 for rng, w in zip(rngs, totals)]
+    picks = np.count_nonzero(cdf <= np.array(draws)[:, None], axis=1)
+    for row, w in enumerate(totals):
+        if w <= 0.0:
+            picks[row] = rngs[row].integers(weight.shape[1])
+    return picks
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +358,14 @@ class CircularKMeans(Detector):
         matrix = np.minimum(gaps, MINUTES_PER_DAY - gaps)
         # Every Lloyd update of every k takes its circular means from these.
         angles = hours * _RADIANS_PER_HOUR
-        unit = (np.cos(angles), np.sin(angles))
-        best_k, best_score, best_labels, best_centroids = 0, -math.inf, None, None
-        for k in range(2, min(KMEANS_MAX_CLUSTERS, n - 1) + 1):
-            labels, centroids = self._lloyd(hours, unit, k)
-            counts = np.bincount(labels)
-            present = counts > 0
-            if np.count_nonzero(present) < 2:
-                score = -math.inf  # collapsed clustering, never preferred
-            else:
-                # Empty clusters are dropped; the rest keep their order.
-                cluster = (np.cumsum(present) - 1)[labels]
-                sizes = counts[present]
-                sums = _cluster_sums(matrix, cluster, sizes)
-                score = _silhouette_from_sums(sums / 60.0, cluster, sizes)
-            if best_labels is None or score > best_score:
-                best_k, best_score, best_labels, best_centroids = k, score, labels, centroids
+        unit = np.stack((np.cos(angles), np.sin(angles)))
+        ks = range(2, min(KMEANS_MAX_CLUSTERS, n - 1) + 1)
+        runs = self._lloyd(hours, unit, ks)
+        scores = _silhouettes(matrix, np.stack([labels for labels, _ in runs]), 60.0)
+        best = int(np.argmax(scores))  # the first best wins: ties go to the smaller k
         fitted = copy.copy(self)
-        fitted.chosen_k = best_k
-        fitted.clusters = self._summarise(hours, best_labels, best_centroids)
+        fitted.chosen_k = ks[best]
+        fitted.clusters = self._summarise(hours, *runs[best])
         fitted.trained_version = version
         return fitted
 
@@ -343,80 +379,128 @@ class CircularKMeans(Detector):
         return Score(int(z > self.threshold), z)
 
     def _lloyd(
-        self, hours: np.ndarray, unit: tuple[np.ndarray, np.ndarray], k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lloyd iterations from k-means++ seeds.
+        self, hours: np.ndarray, unit: np.ndarray, ks: Sequence[int]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Lloyd iterations from k-means++ seeds, one run per k, in lockstep.
 
         ``unit`` holds the cosine and sine of each sample's angle; each
         centroid update is the ``circular_mean`` of the cluster's members.
+        Returns each run's labels and its k centroids, exactly as the run
+        would end alone: after ``LLOYD_MAX_ITER`` updates, after an update
+        that moved no centroid by ``LLOYD_TOL`` (with labels from the new
+        centroids), or when the labels equal those the centroids were just
+        rebuilt from with no cluster re-seeded, where the update would
+        shift by exactly 0.
         """
-        rng = np.random.default_rng([self.seed, k])
-        centroids = self._seed_centroids(hours, k, rng)
         n = hours.size
-        cos_h, sin_h = unit
-        rebuilt_from = None  # the labels the centroids are the means of
-        for _ in range(LLOYD_MAX_ITER):
-            dist = _circ_dist(hours[:, None], centroids[None, :])
-            labels = dist.argmin(axis=1)
-            if rebuilt_from is not None and np.array_equal(labels, rebuilt_from):
-                # The update would rebuild the same centroids: a shift of 0.
-                return labels, centroids
-            # Members of each cluster in sample order, clusters in label order.
-            order = np.argsort(labels, kind="stable")
-            cos_g, sin_g = cos_h[order], sin_h[order]
-            new_centroids = centroids.copy()
-            used: set[int] = set()
-            start = 0
-            for j, end in enumerate(np.cumsum(np.bincount(labels, minlength=k)).tolist()):
-                if end > start:
-                    # The same additions, in the same order, as
-                    # ``circular_mean(members)``: numpy sums a contiguous run
-                    # pairwise, in blocks set by position, so each sum must
-                    # be one 1-D contiguous ``np.add.reduce``.  A reduction
-                    # along a strided axis (the cos/sin pair as one (m, 2)
-                    # array, or its (2, m) transpose), ``np.bincount``
-                    # weights and ``np.add.reduceat`` add one element at a
-                    # time instead, and move the last bit.
-                    new_centroids[j] = _mean_direction(
-                        float(np.add.reduce(cos_g[start:end])),
-                        float(np.add.reduce(sin_g[start:end])),
-                        hours[order[start]],
-                    )
-                else:
-                    # Re-seed an empty cluster on the point farthest from
-                    # its current centroid (distinct point per cluster).
-                    own = dist[np.arange(n), labels]
-                    for idx in np.argsort(-own):
-                        if int(idx) not in used:
-                            used.add(int(idx))
-                            new_centroids[j] = hours[idx]
-                            break
-                start = end
-            rebuilt_from = None if used else labels
-            shift = float(_circ_dist(centroids, new_centroids).max())
-            centroids = new_centroids
-            if shift < LLOYD_TOL:
-                break
-        labels = _circ_dist(hours[:, None], centroids[None, :]).argmin(axis=1)
-        return labels, centroids
+        width = KMEANS_MAX_CLUSTERS
+        rngs = [np.random.default_rng([self.seed, k]) for k in ks]
+        # One row per live run.  Unused slots repeat a real centroid at a
+        # higher index, so the argmin's first-index rule never picks one.
+        run = np.arange(len(ks))
+        centroids = self._seed_centroids(hours, ks, rngs)
+        real = np.arange(width) < np.asarray(ks)[:, None]
+        # Each run's labels at its last update, whether that update re-seeded
+        # no cluster and whether it moved no centroid by the tolerance, and
+        # which centroids are the circular means of their members.
+        last = np.zeros((len(ks), n), dtype=np.intp)
+        settled = np.zeros(len(ks), dtype=bool)
+        converged = np.zeros(len(ks), dtype=bool)
+        is_mean = np.zeros((len(ks), width), dtype=bool)
+        offset = (np.arange(len(ks)) * width)[:, None]  # each row's first cell
+        ended: list[tuple[np.ndarray, np.ndarray]] = [None] * len(ks)  # type: ignore[list-item]
+        column = hours[:, None]
+        for step in range(LLOYD_MAX_ITER + 1):
+            dist = _circ_dist(column, centroids[:, None, :])
+            labels = dist.argmin(axis=2)
+            moved = labels != last
+            done = converged | (settled & ~moved.any(axis=1)) | (step == LLOYD_MAX_ITER)
+            rows = None  # each row's place in ``dist``, when runs have ended
+            if done.any():
+                for row in np.flatnonzero(done).tolist():
+                    ended[run[row]] = (labels[row], centroids[row, : ks[run[row]]].copy())
+                if done.all():
+                    break
+                rows = np.flatnonzero(~done)
+                run, centroids, real, last, is_mean, labels, moved = (
+                    a[rows] for a in (run, centroids, real, last, is_mean, labels, moved)
+                )
+                offset = offset[: rows.size]
+            # Members of each cluster in sample order, clusters by row, then
+            # label: a stable sort of small keys, which numpy radix-sorts.
+            key = labels + offset
+            counts = np.bincount(key.ravel(), minlength=run.size * width)
+            filled = counts > 0
+            member = np.argsort(key.astype(np.uint8).ravel(), kind="stable") % n
+            ends = np.cumsum(counts)
+            # A centroid that is the mean of its members keeps its value
+            # while no sample moves into or out of its cluster.
+            stale = ~is_mean.ravel()
+            stale[key[moved]] = True
+            stale[(last + offset)[moved]] = True
+            cells = np.flatnonzero(stale & filled)
+            starts = ends[cells] - counts[cells]
+            new = centroids.copy()
+            flat = new.reshape(-1)
+            # The same additions, in the same order, as ``circular_mean``:
+            # numpy sums a contiguous run pairwise, in blocks set by position,
+            # so each sum must reduce one contiguous run.  Each row of a
+            # C-contiguous (2, m) slice is one.  Any strided row adds in
+            # another order and moves the last bit, and so do ``bincount``
+            # weights and ``reduceat``.  A last-axis fancy gather
+            # (``unit[:, member]``) comes back F-ordered, its rows strided, so
+            # the gather is ``take``, which returns C order.
+            grouped = unit.take(member, axis=1)
+            for cell, start, end, first in zip(
+                cells.tolist(), starts.tolist(), ends[cells].tolist(), hours[member[starts]].tolist()
+            ):
+                x, y = np.add.reduce(grouped[:, start:end], 1).tolist()
+                flat[cell] = _mean_direction(x, y, first)
+            # Re-seed each empty cluster on the point farthest from its own
+            # centroid, a distinct point per cluster, in label order.
+            filled = filled.reshape(run.size, width)
+            empty = ~filled & real
+            if empty.any():
+                for row in np.flatnonzero(empty.any(axis=1)).tolist():
+                    own = dist[row if rows is None else rows[row], np.arange(n), labels[row]]
+                    slots = np.flatnonzero(empty[row])
+                    new[row, slots] = hours[np.argsort(-own)[: slots.size]]
+            new = np.where(real, new, new[:, :1])
+            converged = _circ_dist(centroids, new).max(axis=1) < LLOYD_TOL
+            settled = ~empty.any(axis=1)
+            is_mean = filled
+            last = labels
+            centroids = new
+        return ended
 
     @staticmethod
-    def _seed_centroids(hours: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    def _seed_centroids(
+        hours: np.ndarray, ks: Sequence[int], rngs: Sequence[np.random.Generator]
+    ) -> np.ndarray:
+        """k-means++ seeds (Arthur and Vassilvitskii 2007) for every run at once.
+
+        Run ``i`` draws its ``ks[i]`` seeds from ``rngs[i]``, the draws it
+        would make alone; ``ks`` must ascend.  Row ``i`` of the result holds
+        them, then repeats the first seed up to ``KMEANS_MAX_CLUSTERS``
+        columns.
+        """
         n = hours.size
-        chosen = [int(rng.integers(n))]
+        ks = np.asarray(ks)
+        chosen = np.zeros((ks.size, KMEANS_MAX_CLUSTERS), dtype=np.intp)
+        chosen[:, 0] = [rng.integers(n) for rng in rngs]
         # Each sample's distance to its nearest chosen centroid.  A minimum
         # is exact, so keeping it running gives the same D² weights, and the
         # same draws, as measuring against every chosen centroid each round.
-        nearest = _circ_dist(hours, hours[chosen[0]])
-        while len(chosen) < k:
-            weight = nearest * nearest
-            total = float(weight.sum())
-            if total <= 0.0:
-                chosen.append(int(rng.integers(n)))
-            else:
-                chosen.append(int(rng.choice(n, p=weight / total)))
-            nearest = np.minimum(nearest, _circ_dist(hours, hours[chosen[-1]]))
-        return hours[chosen].astype(float)
+        nearest = _circ_dist(hours, hours[chosen[:, :1]])
+        first = 0  # runs before this one have all their seeds
+        for t in range(1, int(ks[-1])):
+            while ks[first] <= t:
+                first += 1
+            picks = _weighted_draws(nearest[first:] * nearest[first:], rngs[first:])
+            chosen[first:, t] = picks
+            nearest[first:] = np.minimum(nearest[first:], _circ_dist(hours, hours[picks][:, None]))
+        chosen = np.where(np.arange(KMEANS_MAX_CLUSTERS) < ks[:, None], chosen, chosen[:, :1])
+        return hours[chosen]
 
     @staticmethod
     def _summarise(
@@ -507,6 +591,12 @@ class WrappedKde(Detector):
         if self.samples.size == 0:
             raise NotFittedError("kde density requested before fitting")
         query = np.atleast_1d(np.asarray(hours, dtype=float))
+        # A block of rows at a time; each row's values and its contiguous
+        # row sum do not depend on the rows beside it.
+        starts = range(0, max(query.size, 1), _KDE_BLOCK_ROWS)
+        return np.concatenate([self._density(query[i : i + _KDE_BLOCK_ROWS]) for i in starts])
+
+    def _density(self, query: np.ndarray) -> np.ndarray:
         # All three shifts at once, in place: per element, the operations of
         # ``(-0.5 * z) * z`` and its exp, in the same order.
         e = (query[:, None] - self.samples[None, :]) + _KDE_SHIFTS
@@ -519,7 +609,7 @@ class WrappedKde(Detector):
 
     def score_partial(self, minute: float, event_id: str | None = None) -> Score:
         self._require_trained()
-        value = float(self.density(_hour_of(minute))[0])
+        value = float(self._density(np.array([_hour_of(minute)]))[0])
         return Score(int(value < self.density_threshold), self.density_threshold - value)
 
     def to_debug_dict(self) -> dict[str, Any]:

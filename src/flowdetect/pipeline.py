@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
 from .detectors import DEFAULT_DETECTORS, Score, init_map
@@ -74,11 +75,13 @@ class PipelineConfig:
     """Everything needed to build and run one pipeline.
 
     Every rule runs when a config is made, in code or by ``from_dict``.  A
-    config is frozen; ``dataclasses.replace`` makes a checked copy.
+    config is frozen, down to each detector's parameters: the detector map
+    is kept as read-only copies.  ``dataclasses.replace`` makes a checked
+    copy.
     """
 
     window: WindowConfig = field(default_factory=lambda: WindowConfig(10, 5, "week"))
-    detectors: dict[str, dict] = field(
+    detectors: Mapping[str, Mapping[str, Any]] = field(
         default_factory=lambda: {name: {} for name in DEFAULT_DETECTORS}
     )
     date_format: str = DEFAULT_DATE_FORMAT
@@ -92,8 +95,11 @@ class PipelineConfig:
             raise ConfigurationError(f"date_format must be a string, got {self.date_format!r}")
         if self.activity_filter is not None and not isinstance(self.activity_filter, str):
             raise ConfigurationError(f"activity_filter must be a string, got {self.activity_filter!r}")
-        for name, params in _mapping(self.detectors, "detectors").items():
-            _mapping(params, f"detector {name!r} parameters")
+        frozen = {
+            name: MappingProxyType(dict(_mapping(params, f"detector {name!r} parameters")))
+            for name, params in _mapping(self.detectors, "detectors").items()
+        }
+        object.__setattr__(self, "detectors", MappingProxyType(frozen))
         if checked_integer(self.min_training_instances, "min_training_instances") < 1:
             raise ConfigurationError("min_training_instances must be positive")
         if not self.detectors:

@@ -239,6 +239,172 @@ def lloyd_masked(hours, k, seed, max_iter=100, tol=1e-6):
     return labels, centroids, reseeds
 
 
+def pairwise_sum(values):
+    """numpy's pairwise summation of a 1-D contiguous run, restated in Python.
+
+    Fewer than 8 values are added one by one from 0.0; up to 128 go into
+    eight interleaved accumulators, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, with the
+    remaining values added one by one; a longer run is the sum of two halves,
+    the first rounded down to a multiple of 8.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        i = 8
+        while i < n - n % 8:
+            for lane in range(8):
+                r[lane] += values[i + lane]
+            i += 8
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[i:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+def mean_direction(x, y, first):
+    if math.hypot(x, y) < 1e-12:
+        return float(first)
+    hour = math.atan2(y, x) * (DAY_HOURS / (2.0 * math.pi))
+    return hour % DAY_HOURS
+
+
+def seed_centroids_running_min(hours, k, rng):
+    """k-means++ seeding with a running minimum, drawing with ``Generator.choice``."""
+    n = hours.size
+    chosen = [int(rng.integers(n))]
+    nearest = circ_dist_array(hours, hours[chosen[0]])
+    while len(chosen) < k:
+        weight = nearest * nearest
+        total = float(weight.sum())
+        if total <= 0.0:
+            chosen.append(int(rng.integers(n)))
+        else:
+            chosen.append(int(rng.choice(n, p=weight / total)))
+        nearest = np.minimum(nearest, circ_dist_array(hours, hours[chosen[-1]]))
+    return hours[chosen].astype(float)
+
+
+def lloyd_grouped(hours, unit, k, seed, max_iter=100, tol=1e-6):
+    """Circular Lloyd iterations for one k, members grouped by one stable sort.
+
+    ``unit`` holds the cosine and sine arrays of the sample angles.  Each
+    cluster is summed as one 1-D contiguous ``np.add.reduce`` pair, and the
+    run stops early when the labels equal those the centroids were rebuilt
+    from and no cluster was re-seeded.
+    """
+    rng = np.random.default_rng([seed, k])
+    centroids = seed_centroids_running_min(hours, k, rng)
+    n = hours.size
+    cos_h, sin_h = unit
+    rebuilt_from = None
+    for _ in range(max_iter):
+        dist = circ_dist_array(hours[:, None], centroids[None, :])
+        labels = dist.argmin(axis=1)
+        if rebuilt_from is not None and np.array_equal(labels, rebuilt_from):
+            return labels, centroids
+        order = np.argsort(labels, kind="stable")
+        cos_g, sin_g = cos_h[order], sin_h[order]
+        new_centroids = centroids.copy()
+        used = set()
+        start = 0
+        for j, end in enumerate(np.cumsum(np.bincount(labels, minlength=k)).tolist()):
+            if end > start:
+                new_centroids[j] = mean_direction(
+                    float(np.add.reduce(cos_g[start:end])),
+                    float(np.add.reduce(sin_g[start:end])),
+                    hours[order[start]],
+                )
+            else:
+                own = dist[np.arange(n), labels]
+                for idx in np.argsort(-own):
+                    if int(idx) not in used:
+                        used.add(int(idx))
+                        new_centroids[j] = hours[idx]
+                        break
+            start = end
+        rebuilt_from = None if used else labels
+        shift = float(circ_dist_array(centroids, new_centroids).max())
+        centroids = new_centroids
+        if shift < tol:
+            break
+    labels = circ_dist_array(hours[:, None], centroids[None, :]).argmin(axis=1)
+    return labels, centroids
+
+
+def _silhouette_of_sums(sums, cluster, sizes):
+    n = sums.shape[0]
+    rows = np.arange(n)
+    own_size = sizes[cluster]
+    a = sums[rows, cluster] / np.maximum(own_size - 1, 1)
+    means = sums / sizes
+    means[rows, cluster] = math.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    keep = (own_size > 1) & (denom > 0)
+    s = np.divide(b - a, denom, out=np.zeros(n), where=keep)
+    return float(np.cumsum(s)[-1]) / n
+
+
+def _summarise_clusters(hours, labels, centroids):
+    raw = []
+    for j, centroid in enumerate(centroids):
+        members = hours[labels == j]
+        if members.size == 0:
+            continue
+        centre = float(centroid)
+        spread = float(np.sqrt(np.mean(circ_dist_array(members, centre) ** 2)))
+        raw.append((centre, spread, int(members.size)))
+    merged = []
+    for centre, spread, size in sorted(raw):
+        if merged and circ_dist_array(np.array(centre), np.array(merged[-1][0])) <= 1e-12:
+            prev_centre, prev_spread, prev_size = merged[-1]
+            total = prev_size + size
+            sigma = math.sqrt((prev_size * prev_spread**2 + size * spread**2) / total)
+            merged[-1] = (prev_centre, sigma, total)
+        else:
+            merged.append((centre, spread, size))
+    return merged
+
+
+def kmeans_fit_per_k(minutes, seed):
+    """The whole circular k-means fit, one Lloyd run per k after another.
+
+    Returns the chosen k and each cluster as ``(centroid, sigma, size)``.
+    """
+    hours = np.asarray(minutes, dtype=float) / 60.0
+    n = hours.size
+    whole = np.asarray(minutes, dtype=float)
+    gaps = np.abs(whole[:, None] - whole[None, :])
+    matrix = np.minimum(gaps, 1440 - gaps)
+    angles = hours * RADIANS_PER_HOUR
+    unit = (np.cos(angles), np.sin(angles))
+    best_k, best_score, best_labels, best_centroids = 0, -math.inf, None, None
+    for k in range(2, min(10, n - 1) + 1):
+        labels, centroids = lloyd_grouped(hours, unit, k, seed)
+        counts = np.bincount(labels)
+        present = counts > 0
+        if np.count_nonzero(present) < 2:
+            score = -math.inf
+        else:
+            cluster = (np.cumsum(present) - 1)[labels]
+            sizes = counts[present]
+            onehot = np.zeros((n, sizes.size))
+            onehot[np.arange(n), cluster] = 1.0
+            score = _silhouette_of_sums((matrix @ onehot) / 60.0, cluster, sizes)
+        if best_labels is None or score > best_score:
+            best_k, best_score, best_labels, best_centroids = k, score, labels, centroids
+    return best_k, _summarise_clusters(hours, best_labels, best_centroids)
+
+
 def cosine_distances_array(a, b):
     angles = (a - b) * RADIANS_PER_HOUR
     return np.maximum(1.0 - np.cos(angles), 0.0)
@@ -282,5 +448,17 @@ def kde_density_per_shift(samples, bandwidth, query):
     for shift in (-DAY_HOURS, 0.0, DAY_HOURS):
         z = (diff + shift) / bandwidth
         acc += np.exp(-0.5 * z * z)
+    norm = samples.size * bandwidth * math.sqrt(2.0 * math.pi)
+    return acc.sum(axis=1) / norm
+
+
+def kde_density_one_shot(samples, bandwidth, query):
+    """Wrapped KDE at each query hour, all rows and all three shifts in one array."""
+    shifts = np.array([-DAY_HOURS, 0.0, DAY_HOURS]).reshape(3, 1, 1)
+    e = (query[:, None] - samples[None, :]) + shifts
+    e /= bandwidth
+    e *= -0.5 * e
+    np.exp(e, out=e)
+    acc = e[0] + e[1] + e[2]
     norm = samples.size * bandwidth * math.sqrt(2.0 * math.pi)
     return acc.sum(axis=1) / norm

@@ -465,6 +465,48 @@ def test_config_is_frozen_and_a_replaced_copy_is_checked():
     assert replace(config, activity_filter="Logon").activity_filter == "Logon"
 
 
+def test_config_detector_map_is_read_only():
+    config = PipelineConfig()
+    with pytest.raises(TypeError):
+        config.detectors["kde"] = {"kde_parameter": "x"}
+    with pytest.raises(AttributeError):
+        config.detectors.clear()
+    with pytest.raises(TypeError):
+        config.detectors["kde"]["kde_parameter"] = 2.0
+    assert config.detectors == {"kde": {}, "kmeans": {}, "lof": {}}
+    # The config keeps copies: the maps it was made from stay the caller's.
+    params = {"kde_parameter": 2.0}
+    detectors = {"kde": params, "lof": {}}
+    made = PipelineConfig(detectors=detectors)
+    params["kde_parameter"] = "x"
+    detectors.clear()
+    assert made.detectors == {"kde": {"kde_parameter": 2.0}, "lof": {}}
+
+
+def test_read_only_detectors_survive_from_dict_replace_and_flags(tmp_path, capsys):
+    raw = {"detectors": {"kde": {"kde_parameter": 2.0}, "lof": None}}
+    config = PipelineConfig.from_dict(raw)
+    assert config.detectors == {"kde": {"kde_parameter": 2.0}, "lof": {}}
+    copied = replace(config, activity_filter="Logon")
+    assert copied.detectors == config.detectors
+    with pytest.raises(TypeError):
+        copied.detectors["kde"]["kde_parameter"] = 3.0
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "id,date,user,pc,activity\n"
+        "E1,04.01.2010 08:00,alice,PC-1,Logon\n"
+        "E2,04.01.2010 09:00,alice,PC-1,Email\n"
+    )
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    argv = ["run", "--input", str(path), "--config", str(config_path),
+            "--date-format", "%d.%m.%Y %H:%M", "--activity-filter", "Logon"]
+    assert main(argv) == 0
+    summary = parse_summary(capsys.readouterr().out.strip())
+    assert summary["events"] == 1
+    assert summary["filtered_rows"] == 1
+
+
 def test_non_utf8_input_is_a_clean_error(corpus, tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"id,date,user,pc,activity\n\xff\xfe,01/04/2010 08:00:00,a,PC,Logon\n")

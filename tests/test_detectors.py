@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from flowdetect.detectors import (
     CosineLof,
     Score,
     WrappedKde,
+    _weighted_draws,
     circ_distance,
     circular_mean,
     init_map,
@@ -419,7 +421,11 @@ def _minute_sets(seed: int, count: int = 300):
 
 
 class _RecordingRng:
-    """Passes each draw through to a generator and records its index and weights."""
+    """Passes each draw through to a generator and records the state it leaves.
+
+    A uniform draw, and ``choice`` (which makes one), record ``"draw"``;
+    ``integers`` records the index too.
+    """
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
@@ -427,12 +433,17 @@ class _RecordingRng:
 
     def integers(self, n):
         index = int(self._rng.integers(n))
-        self.draws.append((index, None))
+        self.draws.append(("integers", index, self._rng.bit_generator.state))
         return index
+
+    def random(self):
+        value = self._rng.random()
+        self.draws.append(("draw", self._rng.bit_generator.state))
+        return value
 
     def choice(self, n, p):
         index = int(self._rng.choice(n, p=p))
-        self.draws.append((index, p.tobytes()))
+        self.draws.append(("draw", self._rng.bit_generator.state))
         return index
 
 
@@ -440,7 +451,7 @@ def test_running_min_seeding_matches_full_recompute():
     for trial, (minutes, k) in enumerate(_minute_sets(2007)):
         hours = np.asarray(minutes, dtype=float) / 60.0
         fast, full = _RecordingRng([trial, k]), _RecordingRng([trial, k])
-        got = CircularKMeans._seed_centroids(hours, k, fast)
+        got = CircularKMeans._seed_centroids(hours, [k], [fast])[0, :k]
         want = oracles.seed_centroids_recomputed(hours, k, full)
         assert fast.draws == full.draws
         assert np.array_equal(got, want)
@@ -451,8 +462,8 @@ def test_grouped_lloyd_update_matches_masked_circular_means():
     for trial, (minutes, k) in enumerate(_minute_sets(1982)):
         hours = np.asarray(minutes, dtype=float) / 60.0
         angles = hours * (2.0 * math.pi / 24.0)
-        labels, centroids = CircularKMeans(seed=trial)._lloyd(
-            hours, (np.cos(angles), np.sin(angles)), k
+        [(labels, centroids)] = CircularKMeans(seed=trial)._lloyd(
+            hours, np.stack((np.cos(angles), np.sin(angles))), [k]
         )
         want_labels, want_centroids, reseeds = oracles.lloyd_masked(hours, k, trial)
         assert np.array_equal(labels, want_labels)
@@ -463,6 +474,124 @@ def test_grouped_lloyd_update_matches_masked_circular_means():
             if members.size:
                 assert circular_mean(members) == oracles.circular_mean_masked(members)
     assert reseeded >= 30
+
+
+def _large_minute_sets(seed: int, count: int):
+    """Whole-minute sets of 130 to 400 samples, so clusters of over 128 occur."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(130, 401))
+        if trial % 2:
+            centres = rng.integers(0, 1440, int(rng.integers(1, 5)))
+            minutes = (rng.choice(centres, n) + rng.integers(-30, 31, n)) % 1440
+        else:
+            minutes = rng.integers(0, 1440, n)
+        yield minutes.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_lockstep_fit_matches_per_k_fit(seed):
+    """The lockstep fit gives the per-k fit's chosen k and clusters, to the bit.
+
+    300 sets per seed, 600 in all, each seed with its own sets.
+    """
+    sets = [minutes for minutes, _ in _minute_sets(1993 + seed, 270)]
+    sets += list(_large_minute_sets(1993 + seed, 30))
+    longest = 0
+    for version, minutes in enumerate(sets):
+        model = CircularKMeans(seed=seed).fit_partial(minutes, version=version)
+        chosen_k, clusters = oracles.kmeans_fit_per_k(minutes, seed)
+        assert model.chosen_k == chosen_k
+        assert [(c.centroid, c.sigma, c.size) for c in model.clusters] == clusters
+        assert model.trained_version == version
+        longest = max(longest, max(c.size for c in model.clusters))
+    assert longest > 128
+
+
+def test_cluster_sums_follow_numpy_pairwise_scheme():
+    """Each cluster sum is one row of a C-contiguous (2, m) slice, reduced along
+    the row: the additions ``np.add.reduce`` makes on a 1-D contiguous run,
+    which this pins to numpy's pairwise blocking at every length up to 1,000.
+    """
+    rng = np.random.default_rng(1993)
+    angles = rng.integers(0, 1440, 1000) * (2.0 * math.pi / 1440.0)
+    unit = np.stack((np.cos(angles), np.sin(angles)))
+    for m in range(1001):
+        start = int(rng.integers(0, 1001 - m))
+        rows = np.add.reduce(unit[:, start : start + m], axis=1).tolist()
+        for row, got in zip(unit, rows):
+            run = row[start : start + m].tolist()
+            assert got == float(np.add.reduce(np.array(run))) == oracles.pairwise_sum(run)
+
+
+def test_contiguous_fancy_gather_keeps_the_row_sums():
+    rng = np.random.default_rng(1994)
+    angles = rng.integers(0, 1440, 400) * (2.0 * math.pi / 1440.0)
+    unit = np.stack((np.cos(angles), np.sin(angles)))
+    for _ in range(200):
+        member = rng.choice(400, int(rng.integers(0, 400)))
+        for gathered in (unit.take(member, axis=1), np.ascontiguousarray(unit[:, member])):
+            assert gathered.flags.c_contiguous
+            want = [oracles.pairwise_sum(unit[row][member].tolist()) for row in (0, 1)]
+            assert np.add.reduce(gathered, axis=1).tolist() == want
+
+
+def test_seeding_draw_matches_generator_choice():
+    """The seeding draw takes ``Generator.choice``'s own route: the same index,
+    and the generator left in the same state."""
+    rng = np.random.default_rng(2007)
+    for trial in range(2000):
+        n = int(rng.integers(1, 300))
+        weight = rng.random(n) * rng.integers(0, 2, n)
+        if trial % 10 == 0:
+            weight = np.zeros(n)  # no weight at all: a uniform index instead
+        ours, theirs = np.random.default_rng([trial, 1]), np.random.default_rng([trial, 1])
+        got = int(_weighted_draws(weight[None, :], [ours])[0])
+        total = float(weight.sum())
+        want = int(theirs.choice(n, p=weight / total) if total > 0.0 else theirs.integers(n))
+        assert got == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class _FixedDraw:
+    """Stands in for a generator whose next uniform draw is known."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def test_seeding_draw_on_a_cumulative_weight_goes_right():
+    """A draw equal to a cumulative weight picks the next index, as
+    ``searchsorted(side="right")`` does inside ``Generator.choice``."""
+    weight = np.array([0.0, 1.0, 2.0, 0.0, 3.0, 4.0])
+    cdf = np.cumsum(weight / weight.sum())
+    cdf /= cdf[-1]
+    for value in cdf[:-1]:
+        want = int(np.searchsorted(cdf, value, side="right"))
+        assert _weighted_draws(weight[None, :], [_FixedDraw(float(value))])[0] == want
+
+
+def test_kde_blocks_match_one_shot_density():
+    rng = np.random.default_rng(1996)
+    for _ in range(200):
+        n = int(rng.integers(2, 300))
+        model = WrappedKde().fit_partial(rng.integers(0, 1440, n).tolist())
+        want = oracles.kde_density_one_shot(model.samples, model.bandwidth, model.samples)
+        assert np.array_equal(model.density(model.samples), want)
+
+
+def test_kde_fit_memory_grows_with_the_window_not_its_square():
+    minutes = np.random.default_rng(1997).integers(0, 1440, 2000).tolist()
+    tracemalloc.start()
+    try:
+        WrappedKde().fit_partial(minutes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_lof_partition_matches_sort_based_path():
