@@ -270,7 +270,7 @@ class Detector(ABC):
         """Return a new instance fitted on ``minutes`` (of the day); ``self`` stays as it was."""
 
     @abstractmethod
-    def score_partial(self, minute: float, event_id: str | None = None) -> Score:
+    def score_partial(self, minute: float) -> Score:
         """Score one event by its minute of the day."""
 
     def _require_samples(self, n: int) -> None:
@@ -369,7 +369,7 @@ class CircularKMeans(Detector):
         fitted.trained_version = version
         return fitted
 
-    def score_partial(self, minute: float, event_id: str | None = None) -> Score:
+    def score_partial(self, minute: float) -> Score:
         self._require_trained()
         hour = _hour_of(minute)
         z = math.inf
@@ -607,7 +607,7 @@ class WrappedKde(Detector):
         norm = self.samples.size * self.bandwidth * math.sqrt(2.0 * math.pi)
         return acc.sum(axis=1) / norm
 
-    def score_partial(self, minute: float, event_id: str | None = None) -> Score:
+    def score_partial(self, minute: float) -> Score:
         self._require_trained()
         value = float(self._density(np.array([_hour_of(minute)]))[0])
         return Score(int(value < self.density_threshold), self.density_threshold - value)
@@ -686,7 +686,7 @@ class CosineLof(Detector):
         fitted.trained_version = version
         return fitted
 
-    def score_partial(self, minute: float, event_id: str | None = None) -> Score:
+    def score_partial(self, minute: float) -> Score:
         self._require_trained()
         dist = _cosine_distances(_hour_of(minute), self.hours)
         kth = self.k_eff - 1

@@ -14,7 +14,9 @@ into the scope and remembers what they shadow; leaving it runs the node
 action on the scope, pops the node's attributes into its new local
 environment and restores what they shadowed, so every other name travels
 outward to the caller.  A refusing node pops its bindings and leaves the
-scope as it found it.  Guards must be side-effect free.
+scope as it found it.  Guards must be side-effect free.  Local and
+enclosing environments are ``Env`` objects: plain ``dict`` instances whose
+mutators raise, so the scope is the only binding set a step writes.
 
 Ownership: a successful step consumes the state it is given (the instance
 maps of quantified nodes are updated in place once the whole step has
@@ -67,48 +69,36 @@ Action = Callable[[MutableMapping[str, Any]], None]
 # ---------------------------------------------------------------------------
 
 
-class Env(Mapping):
-    """Immutable map from variable names to values.
+class Env(dict):
+    """Read-only map from variable names to values.
 
-    ``override`` implements right-biased union.
+    An ``Env`` is the ``dict`` of its bindings, with every mutator raising
+    ``TypeError``, so ``EMPTY_ENV`` and the shared at-rest states are safe
+    to share.  ``override`` implements right-biased union.  Copies and
+    pickles of an ``Env`` are ``Env`` instances.
     """
 
-    __slots__ = ("_bindings",)
+    __slots__ = ()
 
-    def __init__(self, bindings: Mapping[str, Any] | None = None):
-        self._bindings: dict[str, Any] = dict(bindings) if bindings else {}
+    def _read_only(self, *_: Any, **__: Any) -> Any:
+        raise TypeError("Env is read-only")
 
-    @classmethod
-    def _wrap(cls, bindings: dict[str, Any]) -> Env:
-        env = cls.__new__(cls)
-        env._bindings = bindings
-        return env
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+    del _read_only
 
     def override(self, other: Mapping[str, Any]) -> Env:
         if not other:
             return self
-        merged = dict(self._bindings)
-        merged.update(other)
-        return Env._wrap(merged)
+        merged = Env(self)
+        dict.update(merged, other)
+        return merged
 
-    def __getitem__(self, name: str) -> Any:
-        return self._bindings[name]
-
-    def __iter__(self):
-        return iter(self._bindings)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Env):
-            return self._bindings == other._bindings
-        if isinstance(other, Mapping):
-            return self._bindings == dict(other)
-        return NotImplemented
+    def __reduce__(self) -> tuple:
+        return Env, (dict(self),)
 
     def __repr__(self) -> str:
-        return f"Env({self._bindings!r})"
+        return f"Env({dict.__repr__(self)})"
 
 
 EMPTY_ENV = Env()
@@ -401,7 +391,7 @@ class Automaton(Node):
 
     def _step(self, state, scope, ctx):
         env = state.env
-        shadowed = _bind(scope, env._bindings) if env._bindings else None
+        shadowed = _bind(scope, env) if env else None
         current = state.current
         matches = ctx.matches
         for t in self.transitions:
@@ -426,8 +416,8 @@ class Automaton(Node):
             if new_env is env and t.target == current:
                 return state
             return _automaton_state(t.target, new_env)
-        if env._bindings:
-            _drop(scope, env._bindings, shadowed)
+        if env:
+            _drop(scope, env, shadowed)
         return None
 
 
@@ -453,12 +443,12 @@ class Flow(Node):
 
     def _step(self, state, scope, ctx):
         env = state.env
-        shadowed = _bind(scope, env._bindings) if env._bindings else None
+        shadowed = _bind(scope, env) if env else None
         left = self.left._step(state.left, scope, ctx)
         right = self.right._step(state.right, scope, ctx)
         if left is None and right is None:
-            if env._bindings:
-                _drop(scope, env._bindings, shadowed)
+            if env:
+                _drop(scope, env, shadowed)
             return None
         new_env = _leave(self, scope, env, shadowed)
         left = state.left if left is None else left
@@ -521,7 +511,7 @@ class QuantifiedFlow(_Quantified):
         else:
             ordered = instances  # built from the sorted domain; commits only replace values
         env = state.env
-        shadowed = _bind(scope, env._bindings) if env._bindings else None
+        shadowed = _bind(scope, env) if env else None
         hidden = {self.var: scope[self.var]} if self.var in scope else None
         fired = False
         for value in ordered:
@@ -534,8 +524,8 @@ class QuantifiedFlow(_Quantified):
                     ctx.commits.append((instances, value, stepped))
         _drop(scope, (self.var,), hidden)
         if not fired:
-            if env._bindings:
-                _drop(scope, env._bindings, shadowed)
+            if env:
+                _drop(scope, env, shadowed)
             return None
         new_env = _leave(self, scope, env, shadowed)
         return state if new_env is env else QuantifiedFlowState(new_env, instances)
@@ -578,20 +568,22 @@ class QuantifiedInterleave(_Quantified):
             hash(value)
         except TypeError as exc:
             raise InputError(f"node {self.name!r}: routing value is not hashable") from exc
+        if value != value:  # a NaN would route each object to its own instance
+            raise InputError(f"node {self.name!r}: routing value is not equal to itself")
         instance = state.instances.get(value)
         if instance is None and not isinstance(self.domain, _UnboundedDomain):
             return None  # outside a bounded domain
 
         env = state.env
-        shadowed = _bind(scope, env._bindings) if env._bindings else None
+        shadowed = _bind(scope, env) if env else None
         hidden = {self.var: scope[self.var]} if self.var in scope else None
         scope[self.var] = value
         start = _init(self.body, Env(scope), ctx.defs) if instance is None else instance
         stepped = self.body._step(start, scope, ctx)
         _drop(scope, (self.var,), hidden)
         if stepped is None:
-            if env._bindings:
-                _drop(scope, env._bindings, shadowed)
+            if env:
+                _drop(scope, env, shadowed)
             return None
         if stepped is not instance:
             ctx.commits.append((state.instances, value, stepped))
@@ -630,7 +622,7 @@ class Call(Node):
     def _start(self, local, env, defs):
         # A call declares no attributes, so ``env`` is the caller's.
         params = {n: v(env) if callable(v) else v for n, v in self.args.items()}
-        param_env = Env._wrap(params) if params else EMPTY_ENV
+        param_env = Env(params) if params else EMPTY_ENV
         return _call_state(param_env, _init(defs[self.callee], env.override(param_env), defs))
 
     def _callee(self, defs):
@@ -646,10 +638,10 @@ class Call(Node):
         callee = self._callee(ctx.defs)
         # Parameters are constant; pop them before propagating updates.
         env = state.env
-        shadowed = _bind(scope, env._bindings) if env._bindings else None
+        shadowed = _bind(scope, env) if env else None
         inner = callee._step(state.inner, scope, ctx)
-        if env._bindings:
-            _drop(scope, env._bindings, shadowed)
+        if env:
+            _drop(scope, env, shadowed)
         if inner is None:
             return None
         return state if inner is state.inner else _call_state(env, inner)
@@ -691,7 +683,7 @@ def _init_attrs(spec: Node, env: Env) -> Env:
     for name, initial in spec.attrs:
         scope = env.override(bound)
         bound[name] = initial(scope) if callable(initial) else initial
-    return Env._wrap(bound)
+    return Env(bound)
 
 
 def _init(spec: Node, env: Env, defs: Mapping[str, Node]) -> Any:
@@ -747,7 +739,7 @@ def step(
         return None
     for instances, value, instance in ctx.commits:
         instances[value] = instance
-    return new_state, Env._wrap(scope)
+    return new_state, Env(scope)
 
 
 class _StepContext:
@@ -795,20 +787,19 @@ def _leave(spec: Node, scope: dict, env: Env, shadowed: dict | None) -> Env:
     """
     if spec.action is not None:
         spec.action(scope)
-    old = env._bindings
-    unchanged = len(old) == len(spec.attrs)
+    unchanged = len(env) == len(spec.attrs)
     for name, _ in spec.attrs:
         value = scope.get(name, _MISSING)
-        if value is _MISSING or value is not old.get(name, _MISSING):
+        if value is _MISSING or value is not env.get(name, _MISSING):
             unchanged = False
             break
     if unchanged:
-        for name in old:
+        for name in env:
             del scope[name]
         new = env
     else:
         popped = {name: scope.pop(name) for name, _ in spec.attrs if name in scope}
-        new = Env._wrap(popped) if popped else EMPTY_ENV
+        new = Env(popped) if popped else EMPTY_ENV
     if shadowed:
         scope.update(shadowed)
     return new

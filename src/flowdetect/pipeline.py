@@ -80,7 +80,7 @@ class PipelineConfig:
     copy.
     """
 
-    window: WindowConfig = field(default_factory=lambda: WindowConfig(10, 5, "week"))
+    window: WindowConfig = WindowConfig()
     detectors: Mapping[str, Mapping[str, Any]] = field(
         default_factory=lambda: {name: {} for name in DEFAULT_DETECTORS}
     )
@@ -148,30 +148,21 @@ class PipelineConfig:
         unknown = set(_mapping(raw, "configuration")) - known
         if unknown:
             raise ConfigurationError(f"unknown configuration keys: {sorted(unknown)}")
-        wp = _mapping(raw.get("window_parameters", {}), "window_parameters")
+        fields = dict(raw)
+        wp = _mapping(fields.pop("window_parameters", {}), "window_parameters")
         extra = set(wp) - {"window_size", "sliding_size", "type"}
         if extra:
             raise ConfigurationError(f"unknown window parameters: {sorted(extra)}")
-        window = WindowConfig(
-            window_size=wp.get("window_size", 10),
-            sliding_size=wp.get("sliding_size", 5),
-            type=wp.get("type", "week"),
-        )
-        detectors = raw.get("detectors")
-        if detectors is None:
-            detectors = {name: {} for name in DEFAULT_DETECTORS}
-        elif isinstance(detectors, Mapping):
-            # A detector listed with null parameters takes its defaults.
-            detectors = {
-                name: {} if params is None else params for name, params in detectors.items()
-            }
-        return cls(
-            window=window,
-            detectors=detectors,
-            date_format=raw.get("date_format", DEFAULT_DATE_FORMAT),
-            min_training_instances=raw.get("min_training_instances", DEFAULT_MIN_TRAINING),
-            activity_filter=raw.get("activity_filter"),
-        )
+        fields["window"] = WindowConfig(**wp)
+        detectors = fields.pop("detectors", None)
+        if detectors is not None:  # null means the defaults
+            if isinstance(detectors, Mapping):
+                # A detector listed with null parameters takes its defaults.
+                detectors = {
+                    name: {} if params is None else params for name, params in detectors.items()
+                }
+            fields["detectors"] = detectors
+        return cls(**fields)
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -291,7 +282,7 @@ def build_spec(
         when = env["when"]
         minute = when.hour * 60 + when.minute
         d = env["d"]
-        env["scores"].append((d, env["detectors"][d].score_partial(minute, env["eventId"])))
+        env["scores"].append((d, env["detectors"][d].score_partial(minute)))
 
     def vote_action(env) -> None:
         cast: list[tuple[str, Score]] = env["scores"]

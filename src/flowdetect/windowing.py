@@ -29,9 +29,9 @@ PERIOD_TYPES = ("day", "week", "instance")
 
 @dataclass(frozen=True)
 class WindowConfig:
-    window_size: int
-    sliding_size: int
-    type: str
+    window_size: int = 10
+    sliding_size: int = 5
+    type: str = "week"
 
     def __post_init__(self) -> None:
         checked_integer(self.window_size, "window_size")

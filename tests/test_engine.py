@@ -7,9 +7,16 @@ laws (acceptance, refusal totality, determinism).
 
 from __future__ import annotations
 
+import ast
+import copy
 import hashlib
 import json
+import operator
+import pickle
 import random
+import sys
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +84,50 @@ def loop(name, pattern=TICK, *, attrs=(), params=(), guard=None, action=None):
 def test_env_override_is_right_biased():
     merged = Env({"a": 1, "b": 2}).override({"b": 9, "c": 3})
     assert dict(merged) == {"a": 1, "b": 9, "c": 3}
+    assert type(merged) is Env
+    env = Env({"a": 1})
+    assert env.override({}) is env
+
+
+MUTATIONS = {
+    "__setitem__": lambda env: operator.setitem(env, "a", 1),
+    "__delitem__": lambda env: operator.delitem(env, "a"),
+    "__ior__": lambda env: operator.ior(env, {"a": 1}),
+    "clear": lambda env: env.clear(),
+    "pop": lambda env: env.pop("a", None),
+    "popitem": lambda env: env.popitem(),
+    "setdefault": lambda env: env.setdefault("a", 1),
+    "update": lambda env: env.update(a=1),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_env_mutators_raise_and_leave_it_unchanged(mutation):
+    for env in (EMPTY_ENV, Env({"a": 0})):
+        before = dict(env)
+        with pytest.raises(TypeError):
+            MUTATIONS[mutation](env)
+        assert env == before
+    assert len(EMPTY_ENV) == 0
+
+
+def test_env_copies_and_pickles_are_envs():
+    env = Env({"a": 1, "b": [2, 3]})
+    for twin in (copy.copy(env), copy.deepcopy(env), pickle.loads(pickle.dumps(env))):
+        assert type(twin) is Env
+        assert twin == env and twin is not env
+    assert copy.deepcopy(env)["b"] is not env["b"]
+    assert copy.copy(env)["b"] is env["b"]
+
+
+def test_env_equals_other_mappings_and_keeps_its_repr():
+    env = Env({"a": 1, "b": 2})
+    assert env == {"b": 2, "a": 1} and {"a": 1, "b": 2} == env
+    assert env == MappingProxyType({"a": 1, "b": 2})
+    assert MappingProxyType({"a": 1, "b": 2}) == env
+    assert env != {"a": 1}
+    assert repr(env) == "Env({'a': 1, 'b': 2})"
+    assert repr(EMPTY_ENV) == "Env({})"
 
 
 # ------------------------------------------------------------ events, patterns
@@ -535,6 +586,10 @@ def test_interleave_routing_errors():
         step(spec, state, Event("e", (None, 1)))
     with pytest.raises(InputError):
         step(spec, state, Event("e", ([1, 2], 1)))  # unhashable
+    for nan in (float("nan"), float("nan")):  # two objects, each unequal to itself
+        with pytest.raises(InputError, match="not equal to itself"):
+            step(spec, state, Event("e", (nan, 1)))
+    assert state.instances == {}
 
 
 def test_interleave_empty_bounded_domain_is_vacuously_final():
@@ -847,3 +902,24 @@ def test_dump_deterministic_for_same_history(ticks):
         return dump_state(state)
 
     assert build() == build()
+
+
+# ------------------------------------------------------------------ imports
+
+def test_engine_needs_only_the_standard_library_and_errors():
+    # The package __init__ loads the detection stack (numpy included), but
+    # engine.py itself imports nothing beyond the standard library and
+    # flowdetect.errors.
+    from flowdetect import engine
+
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    absolute, relative = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            relative.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module)
+    assert relative == {".errors"}
+    assert absolute and {name.split(".")[0] for name in absolute} <= sys.stdlib_module_names

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -123,6 +124,13 @@ def test_config_from_file(tmp_path):
     path.write_text("{broken")
     with pytest.raises(ConfigurationError):
         PipelineConfig.from_file(str(path))
+
+
+def test_config_from_dict_takes_its_defaults_from_the_config_types():
+    assert PipelineConfig.from_dict({}) == PipelineConfig()
+    assert PipelineConfig.from_dict({"detectors": None}) == PipelineConfig()
+    day = PipelineConfig.from_dict({"window_parameters": {"type": "day"}})
+    assert day.window == WindowConfig(10, 5, "day")
 
 
 # -------------------------------------------------------------------- guards
@@ -322,6 +330,30 @@ def test_registered_detector_receives_its_declared_parameters():
         del DETECTOR_TYPES["level"]
 
 
+class MinuteDetector(Detector):
+    """Scores every event at its own minute of the day; knows no event id."""
+
+    name = "minute"
+
+    def fit_partial(self, minutes, version=0):
+        fitted = MinuteDetector()
+        fitted.trained_version = version
+        return fitted
+
+    def score_partial(self, minute):
+        return Score(0, minute)
+
+
+def test_a_detector_scores_from_the_minute_alone():
+    register_detector("minute", MinuteDetector)
+    try:
+        config = PipelineConfig(window=WindowConfig(3, 1, "week"), detectors={"minute": {}})
+        records = run(Pipeline(config), weekday_events("solo", 4))
+        assert records and {r.detectors["minute"]["raw"] for r in records} == {9 * 60, 14 * 60}
+    finally:
+        del DETECTOR_TYPES["minute"]
+
+
 def test_detector_subset_votes_alone():
     config = PipelineConfig(window=WindowConfig(3, 1, "week"), detectors={"kde": {}})
     pipeline = Pipeline(config)
@@ -409,6 +441,44 @@ def test_a_user_at_rest_keeps_the_same_state_objects():
         assert pipeline.state.instances["alice"] is instance
 
 
+def test_a_never_evicting_window_fits_each_detector_once():
+    # With sliding_size 0 the window's version is bumped once, when it first
+    # fills, so g1 lets each detector fit once and never again.
+    users = ("ann", "bob", "cid")
+    events = [event for user in users for event in weekday_events(user, 8)]
+    never = Pipeline(PipelineConfig(window=WindowConfig(3, 0, "week")))
+    run(never, events)
+    assert never.counters.retrains == len(users) * 3
+    assert [never.window_for(u).version for u in users] == [1, 1, 1]
+    sliding = Pipeline(PipelineConfig(window=WindowConfig(3, 1, "week")))
+    run(sliding, events)
+    assert sliding.counters.retrains > never.counters.retrains
+
+
+def test_a_user_costs_at_most_twelve_and_a_half_tracked_objects():
+    # The 200-user, one-week stream of the unfilled dump-state golden: no
+    # window fills, so each user holds only its machine state.  That is 12
+    # tracked objects: three node states with attributes (two flows and the
+    # quantified flow) and the Env of each, the window with its samples map
+    # and one period's list, the score list, the detector map and the
+    # quantified flow's instance map.  The spec and the rest of the pipeline
+    # add about 0.35 a user.  Any further object per user, such as a wrapper
+    # around each Env's dict (15.35), puts the count at 13 or more.
+    events = [
+        Event("e", (e.user, e.when.strftime(FMT), e.event_id))
+        for e in synth.generate(200, 1, 0.0, seed=1, profile="static")
+    ]
+    pipeline = Pipeline()
+    run(pipeline, events)
+    users = pipeline.user_count
+    assert users == 200
+    gc.collect()
+    held = len(gc.get_objects())
+    del pipeline
+    gc.collect()
+    assert (held - len(gc.get_objects())) / users <= 12.5
+
+
 def detectors_of(pipeline: Pipeline, user: str) -> dict:
     """The user's detector map: an attribute of the quantified ``detectors`` node."""
     return pipeline.state.instances[user].left.left.env["detectors"]
@@ -490,6 +560,15 @@ def test_event_id_that_is_not_text_is_rejected():
             pipeline.process_event(Event("e", ("alice", stamp(0, 0, 10), bad)))
     assert pipeline.dump() == before
     assert pipeline.counters.events == 1
+
+
+def test_a_routing_value_unequal_to_itself_is_bad_input():
+    pipeline = Pipeline(weekly_config())
+    for nan in (float("nan"), float("nan")):
+        with pytest.raises(InputError, match="not equal to itself"):
+            pipeline.process_event(Event("e", (nan, stamp(0, 0, 9), "x")))
+    assert pipeline.user_count == 0
+    assert pipeline.counters.events == 0
 
 
 def test_unparseable_date_is_counted_and_skipped():
