@@ -14,10 +14,16 @@ All three models treat the hour of day as a point on a 24 h circle:
 Models are immutable once fitted: ``fit_partial`` returns a new fitted
 instance, so a score in flight never observes a half-updated model.
 
-Fits and scores are bit-for-bit stable under refactors: a change to this
-module keeps every IEEE operation on every value, in the same order, and the
-golden digests in ``tests/test_golden.py`` and ``tests/test_acceptance.py``
-pin the resulting scores, chosen k and alerts.
+Samples and events are whole minutes of the day.  Fits and scores are
+bit-for-bit stable under refactors: a change to this module keeps every IEEE
+operation on every value, in the same order.  Nor do they depend on the CPU:
+the k-means silhouette sums whole-minute distances, exact in whatever order
+a BLAS kernel adds them, and KDE scores and thresholds are defined by a
+per-fit kernel table built with ``math.exp`` and plain arithmetic, not by
+numpy's ``np.exp``, whose SIMD path varies with the CPU.  The golden digests
+in ``tests/test_golden.py`` and ``tests/test_acceptance.py`` pin the
+resulting scores, chosen k and alerts, and ``tests/test_golden.py`` reruns
+them under other BLAS kernels and without numpy's AVX-512 paths.
 """
 
 from __future__ import annotations
@@ -55,6 +61,9 @@ _KDE_SHIFTS.flags.writeable = False
 #: Query rows per KDE evaluation block, so a fit's scratch memory grows
 #: with its window, not with the window's square.
 _KDE_BLOCK_ROWS = 64
+#: Index of the minute gap 0 in a KDE kernel table, which holds the signed
+#: gaps -1439..1439 between a query minute and a sample minute.
+_KDE_GAP_ZERO = MINUTES_PER_DAY - 1
 
 _RADIANS_PER_HOUR = 2.0 * math.pi / HOURS_PER_DAY
 
@@ -103,18 +112,32 @@ def _mean_direction(x: float, y: float, first: float) -> float:
     return hour % HOURS_PER_DAY
 
 
-def minutes_to_hours(minutes: Sequence[float]) -> np.ndarray:
+_MINUTES_ERROR = "minutes of day must be whole numbers in [0, 1440)"
+
+
+def _whole_minutes(minutes: Sequence[float]) -> np.ndarray:
+    """``minutes`` as a float array, each a whole minute of the day."""
     arr = np.asarray(minutes, dtype=float)
-    if arr.size and (arr.min() < 0 or arr.max() >= MINUTES_PER_DAY):
-        raise ValueError("minutes of day must be in [0, 1440)")
-    return arr / 60.0
+    if arr.size and (arr.min() < 0 or arr.max() >= MINUTES_PER_DAY or np.any(arr % 1.0)):
+        raise ValueError(_MINUTES_ERROR)
+    return arr
+
+
+def minutes_to_hours(minutes: Sequence[float]) -> np.ndarray:
+    """Whole minutes of the day as hours; anything else raises ``ValueError``."""
+    return _whole_minutes(minutes) / 60.0
+
+
+def _minute_of(minute: float) -> int:
+    """One whole minute of the day, checked as ``minutes_to_hours`` checks."""
+    if not 0 <= minute < MINUTES_PER_DAY or minute % 1:
+        raise ValueError(_MINUTES_ERROR)
+    return int(minute)
 
 
 def _hour_of(minute: float) -> float:
-    """One minute of the day as an hour, range-checked as ``minutes_to_hours``."""
-    if not 0 <= minute < MINUTES_PER_DAY:
-        raise ValueError("minutes of day must be in [0, 1440)")
-    return float(minute) / 60.0
+    """One whole minute of the day as an hour, checked as ``minutes_to_hours``."""
+    return _minute_of(minute) / 60.0
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -346,14 +369,14 @@ class CircularKMeans(Detector):
         self.clusters: tuple[Cluster, ...] = ()
 
     def fit_partial(self, minutes: Sequence[float], version: int = 0) -> "CircularKMeans":
-        hours = minutes_to_hours(minutes)
+        whole = _whole_minutes(minutes)
+        hours = whole / 60.0
         n = hours.size
         self._require_samples(n)
         # Samples are whole minutes, so distances in minutes are integers
         # and their sums, far below 2**53, are exact in any summation order:
         # the BLAS kernel the CPU selects cannot move the silhouette.  The
         # sums are turned into hours only after the product.
-        whole = np.asarray(minutes, dtype=float)
         gaps = np.abs(whole[:, None] - whole[None, :])
         matrix = np.minimum(gaps, MINUTES_PER_DAY - gaps)
         # Every Lloyd update of every k takes its circular means from these.
@@ -557,6 +580,19 @@ class WrappedKde(Detector):
     ``0.9 * min(sd, IQR / 1.34) * n ** (-1/5)``, floored at 0.1 h.  The
     anomaly threshold is a low percentile of the training densities; an
     event is anomalous when its density falls strictly below it.
+
+    Scores and the threshold are defined by the fit's kernel table, not by
+    ``density``.  Entry ``g + 1439`` holds the kernel at the signed minute
+    gap ``g`` in -1439..1439: the copies at ``g - 1440``, ``g`` and
+    ``g + 1440``, added in that order, each ``math.exp(-0.5 * z * z)`` with
+    ``z`` the copy's distance in minutes over ``60 * bandwidth``.  The
+    density at a whole minute ``q`` is the pairwise sum (``np.add.reduce``
+    of one contiguous run) of ``table[q - u + 1439] * count`` over the
+    distinct training minutes ``u`` in ascending order, divided by
+    ``n * bandwidth * sqrt(2 pi)``.  ``math.exp`` and plain IEEE arithmetic
+    give the same bytes on any CPU.  ``density`` evaluates the same
+    estimate at any hour with ``np.exp``; at whole minutes it agrees with
+    the table to 1e-12 relative, except far out in the tail.
     """
 
     name = "kde"
@@ -570,24 +606,54 @@ class WrappedKde(Detector):
         self.samples: np.ndarray = np.empty(0)
         self.bandwidth = 0.0
         self.density_threshold = 0.0
+        self.kernel_table: np.ndarray = np.empty(0)
+        #: The distinct training minutes, ascending, and each one's count.
+        self.minutes: np.ndarray = np.empty(0, dtype=np.intp)
+        self.counts: np.ndarray = np.empty(0)
 
     def fit_partial(self, minutes: Sequence[float], version: int = 0) -> "WrappedKde":
-        hours = minutes_to_hours(minutes)
+        whole = _whole_minutes(minutes)
+        hours = whole / 60.0
         n = hours.size
         self._require_samples(n)
         sd = float(np.std(hours))
         q75, q25 = np.percentile(hours, [75.0, 25.0])
         spread = min(sd, float(q75 - q25) / 1.34)
         bandwidth = max(0.9 * spread * n ** (-0.2), BANDWIDTH_FLOOR)
+        per_minute = np.bincount(whole.astype(np.intp), minlength=MINUTES_PER_DAY)
         fitted = copy.copy(self)
         fitted.samples = hours
         fitted.bandwidth = bandwidth
-        fitted.density_threshold = percentile(fitted.density(hours), self.percentile)
+        fitted.kernel_table = _kernel_table(bandwidth)
+        fitted.minutes = np.flatnonzero(per_minute)
+        counts = per_minute[fitted.minutes]
+        fitted.counts = counts.astype(float)
+        # Each sample's density is its minute's, so the training densities
+        # are the distinct minutes' densities, each repeated by its count.
+        densities = np.repeat(fitted._table_density(fitted.minutes), counts)
+        fitted.density_threshold = percentile(densities, self.percentile)
         fitted.trained_version = version
         return fitted
 
+    @property
+    def _norm(self) -> float:
+        """The density's divisor, ``n * bandwidth * sqrt(2 pi)``."""
+        return self.samples.size * self.bandwidth * math.sqrt(2.0 * math.pi)
+
+    def _table_density(self, query: np.ndarray) -> np.ndarray:
+        """The table density at each whole query minute, a block of rows at a time."""
+        sums = []
+        for i in range(0, query.size, _KDE_BLOCK_ROWS):
+            rows = query[i : i + _KDE_BLOCK_ROWS, None] + _KDE_GAP_ZERO
+            # A C-contiguous block: each row sum is numpy's pairwise sum of
+            # that row alone.  No BLAS product, whose kernels vary with the CPU.
+            terms = self.kernel_table.take(rows - self.minutes)
+            terms *= self.counts
+            sums.append(np.add.reduce(terms, axis=1))
+        return np.concatenate(sums) / self._norm
+
     def density(self, hours: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Wrapped density at each query hour."""
+        """Wrapped density at each query hour, evaluated directly with ``np.exp``."""
         if self.samples.size == 0:
             raise NotFittedError("kde density requested before fitting")
         query = np.atleast_1d(np.asarray(hours, dtype=float))
@@ -604,12 +670,15 @@ class WrappedKde(Detector):
         e *= -0.5 * e
         np.exp(e, out=e)
         acc = e[0] + e[1] + e[2]
-        norm = self.samples.size * self.bandwidth * math.sqrt(2.0 * math.pi)
-        return acc.sum(axis=1) / norm
+        return acc.sum(axis=1) / self._norm
 
     def score_partial(self, minute: float) -> Score:
         self._require_trained()
-        value = float(self._density(np.array([_hour_of(minute)]))[0])
+        # The training densities' row for this minute: one gather, one
+        # weighted contiguous sum.
+        terms = self.kernel_table.take((_minute_of(minute) + _KDE_GAP_ZERO) - self.minutes)
+        terms *= self.counts
+        value = float(np.add.reduce(terms)) / self._norm
         return Score(int(value < self.density_threshold), self.density_threshold - value)
 
     def to_debug_dict(self) -> dict[str, Any]:
@@ -621,6 +690,21 @@ class WrappedKde(Detector):
             density_threshold=self.density_threshold,
         )
         return out
+
+
+def _kernel_table(bandwidth: float) -> np.ndarray:
+    """The wrapped kernel at each signed minute gap -1439..1439, for ``WrappedKde``.
+
+    The Gaussian ``E(x) = exp(-0.5 * (x / (60 * bandwidth)) ** 2)`` is even,
+    so it is evaluated once, with ``math.exp``, at each distance
+    ``x = 0 .. 2879`` the three copies reach.  Entry ``i`` (gap ``g = i -
+    1439``) is ``(E(1440 - g) + E(|g|)) + E(g + 1440)``; each term is a slice
+    of ``E``, reversed where the distance falls as ``g`` rises.
+    """
+    z = np.arange(2 * MINUTES_PER_DAY) / (60.0 * bandwidth)
+    e = np.fromiter(map(math.exp, ((-0.5 * z) * z).tolist()), float, 2 * MINUTES_PER_DAY)
+    centre = np.concatenate((e[_KDE_GAP_ZERO:0:-1], e[:MINUTES_PER_DAY]))
+    return (e[:0:-1] + centre) + e[1:]
 
 
 # ---------------------------------------------------------------------------

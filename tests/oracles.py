@@ -118,6 +118,45 @@ def wrapped_density(train_hours, bandwidth, x):
     return total / (len(train_hours) * bandwidth * math.sqrt(2.0 * math.pi))
 
 
+def kde_kernel_table(bandwidth):
+    """The wrapped kernel at each signed minute gap -1439..1439, as a list.
+
+    One ``math.exp`` per distance 0..2879; entry ``g + 1439`` adds the
+    copies at ``g - 1440``, ``g`` and ``g + 1440``, in that order.
+    """
+    gaussian = []
+    for x in range(2880):
+        z = x / (60.0 * bandwidth)
+        gaussian.append(math.exp(-0.5 * z * z))
+    return [
+        gaussian[abs(g - 1440)] + gaussian[abs(g)] + gaussian[abs(g + 1440)]
+        for g in range(-1439, 1440)
+    ]
+
+
+def kde_table_densities(minutes, bandwidth, table, queries):
+    """The KDE from ``table`` at each whole query minute.
+
+    One term per distinct training minute, ascending, weighted by its count,
+    and the terms added in numpy's pairwise order.
+    """
+    counts = {}
+    for minute in minutes:
+        counts[int(minute)] = counts.get(int(minute), 0) + 1
+    norm = len(minutes) * bandwidth * math.sqrt(2.0 * math.pi)
+    return [
+        pairwise_sum([table[q - u + 1439] * counts[u] for u in sorted(counts)]) / norm
+        for q in queries
+    ]
+
+
+def kde_table_threshold(minutes, bandwidth, table, p):
+    """The ``p`` percentile of the training minutes' table densities."""
+    distinct = sorted(set(minutes))
+    density = dict(zip(distinct, kde_table_densities(minutes, bandwidth, table, distinct)))
+    return percentile_linear([density[u] for u in minutes], p)
+
+
 def integrate_day(fn, nodes: int = 4800) -> float:
     """Riemann sum over one day; exact enough for periodic integrands."""
     step = DAY_HOURS / nodes

@@ -88,6 +88,20 @@ def test_minutes_to_hours_range():
         minutes_to_hours([1440])
 
 
+@pytest.mark.parametrize("cls", [CircularKMeans, WrappedKde, CosineLof])
+def test_fit_and_score_take_only_whole_minutes(cls):
+    # A fractional minute would void the whole-minute arithmetic each
+    # detector relies on; an integral float is a whole minute.
+    for bad in (480.5, 1439.999, math.nan):
+        with pytest.raises(ValueError, match=r"whole numbers in \[0, 1440\)"):
+            cls().fit_partial(TWO_CLUSTER_MINUTES + [bad])
+    model = cls().fit_partial([float(minute) for minute in TWO_CLUSTER_MINUTES])
+    assert model.score_partial(480.0) == cls().fit_partial(TWO_CLUSTER_MINUTES).score_partial(480)
+    for bad in (480.5, 0.25, math.nan):
+        with pytest.raises(ValueError, match=r"whole numbers in \[0, 1440\)"):
+            model.score_partial(bad)
+
+
 # ------------------------------------------------------------------ percentile
 
 def test_percentile_frozen_values():
@@ -594,6 +608,17 @@ def test_kde_fit_memory_grows_with_the_window_not_its_square():
     assert peak <= 16 * 2**20
 
 
+def test_kde_fit_of_5000_samples_peaks_at_20_mb():
+    minutes = np.random.default_rng(1998).integers(0, 1440, 5000).tolist()
+    tracemalloc.start()
+    try:
+        WrappedKde().fit_partial(minutes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
 def test_lof_partition_matches_sort_based_path():
     rng = np.random.default_rng(2000)
     for minutes, k in _minute_sets(2000):
@@ -610,16 +635,40 @@ def test_lof_partition_matches_sort_based_path():
 
 
 def test_kde_stacked_shifts_match_per_shift_loop():
-    rng = np.random.default_rng(1986)
     for minutes, _ in _minute_sets(1986):
         model = WrappedKde().fit_partial(minutes)
         want = oracles.kde_density_per_shift(model.samples, model.bandwidth, model.samples)
         assert np.array_equal(model.density(model.samples), want)
+
+
+def test_kde_scores_and_threshold_match_the_plain_python_table():
+    """The kernel table, the threshold and every score, to the bit, against a
+    restatement with a ``math.exp`` loop and per-minute pairwise sums."""
+    rng = np.random.default_rng(1986)
+    sets = [minutes for minutes, _ in _minute_sets(1986)] + list(_large_minute_sets(1986, 10))
+    for trial, minutes in enumerate(sets):
+        model = WrappedKde(percentile=(0.5, 2.0, 5.0)[trial % 3]).fit_partial(minutes)
+        table = oracles.kde_kernel_table(model.bandwidth)
+        assert model.kernel_table.tolist() == table
+        want = oracles.kde_table_threshold(minutes, model.bandwidth, table, model.percentile)
+        assert model.density_threshold == want
         queries = rng.integers(0, 1440, 4).tolist() + rng.choice(minutes, 2).tolist()
-        for minute in queries:
-            query = np.array([minute / 60.0])
-            value = oracles.kde_density_per_shift(model.samples, model.bandwidth, query)[0]
-            assert model.score_partial(minute).raw == model.density_threshold - value
+        densities = oracles.kde_table_densities(minutes, model.bandwidth, table, queries)
+        for minute, density in zip(queries, densities):
+            assert model.score_partial(minute).raw == model.density_threshold - density
+    assert max(map(len, map(set, sets))) > 128  # some sums take the pairwise split
+
+
+def test_kde_table_density_matches_density_at_every_whole_minute():
+    # ``density`` rounds each gap in hours before squaring it, so far in the
+    # tail, where the exponent nears -745, its own relative error reaches
+    # about 1e-12; densities below 1e-200 are compared in absolute terms.
+    every = np.arange(1440)
+    for minutes, _ in _minute_sets(1987, 50):
+        model = WrappedKde().fit_partial(minutes)
+        np.testing.assert_allclose(
+            model._table_density(every), model.density(every / 60.0), rtol=1e-12, atol=1e-200
+        )
 
 
 # -------------------------------------------------------------------- registry
