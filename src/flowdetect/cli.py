@@ -151,8 +151,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_dump_state(args: argparse.Namespace) -> int:
     config = _load_config(args)
     pipeline = Pipeline(config)
-    stats = IngestStats()
-    for event in ingest(args.input, config.activity_filter, stats):
+    for event in ingest(args.input, config.activity_filter):
         pipeline.process_event(event)
     text = pipeline.dump()
     if args.out:

@@ -18,12 +18,12 @@ Samples and events are whole minutes of the day.  Fits and scores are
 bit-for-bit stable under refactors: a change to this module keeps every IEEE
 operation on every value, in the same order.  Nor do they depend on the CPU:
 the k-means silhouette sums whole-minute distances, exact in whatever order
-a BLAS kernel adds them, and KDE scores and thresholds are defined by a
-per-fit kernel table built with ``math.exp`` and plain arithmetic, not by
-numpy's ``np.exp``, whose SIMD path varies with the CPU.  The golden digests
-in ``tests/test_golden.py`` and ``tests/test_acceptance.py`` pin the
-resulting scores, chosen k and alerts, and ``tests/test_golden.py`` reruns
-them under other BLAS kernels and without numpy's AVX-512 paths.
+a BLAS kernel adds them, and a fitted KDE is its density at each whole
+minute, summed from a per-fit kernel table built with ``math.exp`` and plain
+arithmetic, never numpy's ``np.exp``, whose SIMD path varies with the CPU.
+The golden digests in ``tests/test_golden.py`` and ``tests/test_acceptance.py``
+pin the resulting scores, chosen k and alerts, and ``tests/test_golden.py``
+reruns them under other BLAS kernels and without numpy's AVX-512 paths.
 """
 
 from __future__ import annotations
@@ -55,11 +55,8 @@ LLOYD_TOL = 1e-6
 #: Distances within this of the k-distance count as neighbourhood ties.
 LOF_TIE_EPS = 1e-12
 
-#: The three wrapped copies of each kernel, one per leading axis entry.
-_KDE_SHIFTS = np.array([-HOURS_PER_DAY, 0.0, HOURS_PER_DAY]).reshape(3, 1, 1)
-_KDE_SHIFTS.flags.writeable = False
-#: Query rows per KDE evaluation block, so a fit's scratch memory grows
-#: with its window, not with the window's square.
+#: Minutes of the day per block of a KDE fit's density sums, so its scratch
+#: memory is this many rows of its distinct minutes, not 1,440.
 _KDE_BLOCK_ROWS = 64
 #: Index of the minute gap 0 in a KDE kernel table, which holds the signed
 #: gaps -1439..1439 between a query minute and a sample minute.
@@ -581,18 +578,14 @@ class WrappedKde(Detector):
     anomaly threshold is a low percentile of the training densities; an
     event is anomalous when its density falls strictly below it.
 
-    Scores and the threshold are defined by the fit's kernel table, not by
-    ``density``.  Entry ``g + 1439`` holds the kernel at the signed minute
-    gap ``g`` in -1439..1439: the copies at ``g - 1440``, ``g`` and
-    ``g + 1440``, added in that order, each ``math.exp(-0.5 * z * z)`` with
-    ``z`` the copy's distance in minutes over ``60 * bandwidth``.  The
-    density at a whole minute ``q`` is the pairwise sum (``np.add.reduce``
-    of one contiguous run) of ``table[q - u + 1439] * count`` over the
-    distinct training minutes ``u`` in ascending order, divided by
-    ``n * bandwidth * sqrt(2 pi)``.  ``math.exp`` and plain IEEE arithmetic
-    give the same bytes on any CPU.  ``density`` evaluates the same
-    estimate at any hour with ``np.exp``; at whole minutes it agrees with
-    the table to 1e-12 relative, except far out in the tail.
+    Samples and events are whole minutes, so a fit keeps the density at each
+    of the 1,440 minutes of the day, read-only, and nothing else: a score is
+    one lookup.  The density at minute ``q`` is the pairwise sum
+    (``np.add.reduce`` of one contiguous row) of ``table[q - u + 1439] *
+    count`` over the distinct training minutes ``u`` in ascending order,
+    divided by ``n * bandwidth * sqrt(2 pi)``, where ``table`` is the fit's
+    ``_kernel_table``.  ``math.exp`` and plain IEEE arithmetic give the same
+    bytes on any CPU.
     """
 
     name = "kde"
@@ -603,13 +596,10 @@ class WrappedKde(Detector):
         super().__init__()
         _warn_range("kde percentile", _percent(percentile, "kde percentile"), 0.5, 5.0)
         self.percentile = float(percentile)
-        self.samples: np.ndarray = np.empty(0)
+        self.n = 0
         self.bandwidth = 0.0
         self.density_threshold = 0.0
-        self.kernel_table: np.ndarray = np.empty(0)
-        #: The distinct training minutes, ascending, and each one's count.
-        self.minutes: np.ndarray = np.empty(0, dtype=np.intp)
-        self.counts: np.ndarray = np.empty(0)
+        self.densities: np.ndarray = np.empty(0)
 
     def fit_partial(self, minutes: Sequence[float], version: int = 0) -> "WrappedKde":
         whole = _whole_minutes(minutes)
@@ -620,72 +610,40 @@ class WrappedKde(Detector):
         q75, q25 = np.percentile(hours, [75.0, 25.0])
         spread = min(sd, float(q75 - q25) / 1.34)
         bandwidth = max(0.9 * spread * n ** (-0.2), BANDWIDTH_FLOOR)
-        per_minute = np.bincount(whole.astype(np.intp), minlength=MINUTES_PER_DAY)
+        sample_minutes = whole.astype(np.intp)
+        per_minute = np.bincount(sample_minutes, minlength=MINUTES_PER_DAY)
+        distinct = np.flatnonzero(per_minute)
+        counts = per_minute[distinct].astype(float)
+        table = _kernel_table(bandwidth)
+        gaps = _KDE_GAP_ZERO - distinct
+        day = np.arange(MINUTES_PER_DAY)[:, None]
+        sums = []
+        for i in range(0, MINUTES_PER_DAY, _KDE_BLOCK_ROWS):
+            # A C-contiguous block: each row sum is numpy's pairwise sum of
+            # that row alone.  No BLAS product, whose kernels vary with the CPU.
+            terms = table.take(day[i : i + _KDE_BLOCK_ROWS] + gaps)
+            terms *= counts
+            sums.append(np.add.reduce(terms, axis=1))
+        densities = np.concatenate(sums) / (n * bandwidth * math.sqrt(2.0 * math.pi))
+        densities.flags.writeable = False
         fitted = copy.copy(self)
-        fitted.samples = hours
+        fitted.n = n
         fitted.bandwidth = bandwidth
-        fitted.kernel_table = _kernel_table(bandwidth)
-        fitted.minutes = np.flatnonzero(per_minute)
-        counts = per_minute[fitted.minutes]
-        fitted.counts = counts.astype(float)
-        # Each sample's density is its minute's, so the training densities
-        # are the distinct minutes' densities, each repeated by its count.
-        densities = np.repeat(fitted._table_density(fitted.minutes), counts)
-        fitted.density_threshold = percentile(densities, self.percentile)
+        fitted.densities = densities
+        fitted.density_threshold = percentile(densities[sample_minutes], self.percentile)
         fitted.trained_version = version
         return fitted
 
-    @property
-    def _norm(self) -> float:
-        """The density's divisor, ``n * bandwidth * sqrt(2 pi)``."""
-        return self.samples.size * self.bandwidth * math.sqrt(2.0 * math.pi)
-
-    def _table_density(self, query: np.ndarray) -> np.ndarray:
-        """The table density at each whole query minute, a block of rows at a time."""
-        sums = []
-        for i in range(0, query.size, _KDE_BLOCK_ROWS):
-            rows = query[i : i + _KDE_BLOCK_ROWS, None] + _KDE_GAP_ZERO
-            # A C-contiguous block: each row sum is numpy's pairwise sum of
-            # that row alone.  No BLAS product, whose kernels vary with the CPU.
-            terms = self.kernel_table.take(rows - self.minutes)
-            terms *= self.counts
-            sums.append(np.add.reduce(terms, axis=1))
-        return np.concatenate(sums) / self._norm
-
-    def density(self, hours: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Wrapped density at each query hour, evaluated directly with ``np.exp``."""
-        if self.samples.size == 0:
-            raise NotFittedError("kde density requested before fitting")
-        query = np.atleast_1d(np.asarray(hours, dtype=float))
-        # A block of rows at a time; each row's values and its contiguous
-        # row sum do not depend on the rows beside it.
-        starts = range(0, max(query.size, 1), _KDE_BLOCK_ROWS)
-        return np.concatenate([self._density(query[i : i + _KDE_BLOCK_ROWS]) for i in starts])
-
-    def _density(self, query: np.ndarray) -> np.ndarray:
-        # All three shifts at once, in place: per element, the operations of
-        # ``(-0.5 * z) * z`` and its exp, in the same order.
-        e = (query[:, None] - self.samples[None, :]) + _KDE_SHIFTS
-        e /= self.bandwidth
-        e *= -0.5 * e
-        np.exp(e, out=e)
-        acc = e[0] + e[1] + e[2]
-        return acc.sum(axis=1) / self._norm
-
     def score_partial(self, minute: float) -> Score:
         self._require_trained()
-        # The training densities' row for this minute: one gather, one
-        # weighted contiguous sum.
-        terms = self.kernel_table.take((_minute_of(minute) + _KDE_GAP_ZERO) - self.minutes)
-        terms *= self.counts
-        value = float(np.add.reduce(terms)) / self._norm
+        value = self.densities.item(_minute_of(minute))
         return Score(int(value < self.density_threshold), self.density_threshold - value)
 
     def to_debug_dict(self) -> dict[str, Any]:
         out = super().to_debug_dict()
         out.update(
             percentile=self.percentile,
-            n_samples=int(self.samples.size),
+            n_samples=self.n,
             bandwidth=self.bandwidth,
             density_threshold=self.density_threshold,
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -58,10 +59,12 @@ def load_labels(path: str) -> dict[str, int]:
             if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
                 raise InputError(f"{path}: expected columns id,label")
             for row in reader:
-                label = row["label"]
+                event_id, label = row["id"], row["label"]
                 if label not in ("0", "1"):
                     raise InputError(f"{path}:{reader.line_num}: label must be 0 or 1, got {label!r}")
-                labels[row["id"]] = int(label)
+                if event_id in labels:
+                    raise InputError(f"{path}:{reader.line_num}: id {event_id!r} is labelled twice")
+                labels[event_id] = int(label)
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not valid UTF-8: {exc}") from None
     return labels
@@ -108,7 +111,8 @@ def evaluate(
 
     ``field`` is ``"votes"`` or a detector name (its raw score is swept; the
     few records where that detector cast no vote are left out of the curve).
-    Every scored event must be labelled.
+    Every scored event must be labelled, and no swept value may be NaN,
+    which has no place in the ranking; infinite values are kept.
     """
     tp = fp = tn = fn = 0
     alert_count = 0
@@ -127,6 +131,8 @@ def evaluate(
             else:
                 entry = record["detectors"].get(field)
                 value = None if entry is None else float(entry["raw"])
+            if value is not None and math.isnan(value):
+                raise ValueError(f"{field} is NaN")
         except KeyError as exc:
             raise InputError(f"score record {number} has no {exc.args[0]!r} field") from None
         except (AttributeError, TypeError, ValueError) as exc:

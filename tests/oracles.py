@@ -157,12 +157,6 @@ def kde_table_threshold(minutes, bandwidth, table, p):
     return percentile_linear([density[u] for u in minutes], p)
 
 
-def integrate_day(fn, nodes: int = 4800) -> float:
-    """Riemann sum over one day; exact enough for periodic integrands."""
-    step = DAY_HOURS / nodes
-    return sum(fn(i * step) for i in range(nodes)) * step
-
-
 def majority_rule(binaries) -> bool:
     """Alert rule restated from scratch: strict majority of votes cast."""
     ones = sum(1 for b in binaries if b == 1)
@@ -478,26 +472,3 @@ def lof_score_sorted(hours, k, k_distances, densities, hour):
     mean_reach = float(np.maximum(k_distances[neigh], dist[neigh]).mean())
     own = math.inf if mean_reach == 0.0 else 1.0 / mean_reach
     return _ratio(float(densities[neigh].mean()), own)
-
-
-def kde_density_per_shift(samples, bandwidth, query):
-    """Wrapped KDE at each query hour, one array pass per shift."""
-    diff = query[:, None] - samples[None, :]
-    acc = np.zeros_like(diff)
-    for shift in (-DAY_HOURS, 0.0, DAY_HOURS):
-        z = (diff + shift) / bandwidth
-        acc += np.exp(-0.5 * z * z)
-    norm = samples.size * bandwidth * math.sqrt(2.0 * math.pi)
-    return acc.sum(axis=1) / norm
-
-
-def kde_density_one_shot(samples, bandwidth, query):
-    """Wrapped KDE at each query hour, all rows and all three shifts in one array."""
-    shifts = np.array([-DAY_HOURS, 0.0, DAY_HOURS]).reshape(3, 1, 1)
-    e = (query[:, None] - samples[None, :]) + shifts
-    e /= bandwidth
-    e *= -0.5 * e
-    np.exp(e, out=e)
-    acc = e[0] + e[1] + e[2]
-    norm = samples.size * bandwidth * math.sqrt(2.0 * math.pi)
-    return acc.sum(axis=1) / norm

@@ -222,10 +222,9 @@ def test_criterion_3_lof_against_brute_force():
 # --------------------------------------------------------------- criterion 4
 
 def test_criterion_4_kde_normalisation_and_quantile():
-    """100 fits: density integrates to 1 +- 1e-3; threshold obeys the quantile bound."""
+    """100 fits: the whole-minute densities integrate to 1 +- 1e-3; the
+    threshold obeys the quantile bound."""
     rng = np.random.default_rng(41)
-    step_h = 24.0 / 4800
-    grid = np.arange(4800) * step_h
     worst_integral = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 121))
@@ -239,7 +238,8 @@ def test_criterion_4_kde_normalisation_and_quantile():
         p = float(rng.uniform(0.5, 5.0))
         model = WrappedKde(percentile=p).fit_partial(minutes)
 
-        integral = float(model.density(grid).sum()) * step_h
+        # A periodic trapezoid: one node per whole minute, each 1/60 h wide.
+        integral = float(model.densities.sum()) / 60.0
         worst_integral = max(worst_integral, abs(integral - 1.0))
         assert abs(integral - 1.0) <= 1e-3
 
@@ -249,7 +249,8 @@ def test_criterion_4_kde_normalisation_and_quantile():
         below = sum(model.score_partial(minute).binary for minute in minutes)
         assert below / n_fit <= p / 100.0 + 1.0 / n_fit
 
-    report(4, True, f"100 fits: worst |integral - 1| = {worst_integral:.2e} (limit 1e-3)")
+    detail = f"worst |minute densities' sum / 60 - 1| = {worst_integral:.2e} (limit 1e-3)"
+    report(4, True, f"100 fits: {detail}")
 
 
 # --------------------------------------------------------------- criterion 5

@@ -21,6 +21,7 @@ from flowdetect.detectors import (
     CosineLof,
     Score,
     WrappedKde,
+    _kernel_table,
     _weighted_draws,
     circ_distance,
     circular_mean,
@@ -293,15 +294,19 @@ def test_kde_bandwidth_floor_on_identical_samples():
 
 
 def test_kde_density_matches_scalar_reference():
-    model = WrappedKde()
-    model.samples = np.array([23.9, 0.1])
-    model.bandwidth = 0.5
-    model.trained_version = 0
-    for query in (0.0, 0.5, 8.0, 12.0, 23.95):
-        expected = oracles.wrapped_density([23.9, 0.1], 0.5, query)
-        assert float(model.density([query])[0]) == pytest.approx(expected, rel=1e-12)
+    # Far in the tail the reference's own rounding of each gap in hours
+    # reaches about 1e-12 relative; densities below 1e-200 are compared in
+    # absolute terms.
+    before_midnight = [1420 + i for i in range(20)]  # 23:40 to 23:59
+    spread = np.random.default_rng(5).integers(0, 1440, 40).tolist()
+    for minutes in (before_midnight, spread, [480, 540, 600, 660]):
+        model = WrappedKde().fit_partial(minutes)
+        hours = [m / 60.0 for m in minutes]
+        expected = [oracles.wrapped_density(hours, model.bandwidth, q / 60.0) for q in range(1440)]
+        np.testing.assert_allclose(model.densities, expected, rtol=1e-12, atol=1e-200)
     # mass wraps across midnight instead of leaking away
-    assert float(model.density([0.0])[0]) > 1000 * float(model.density([12.0])[0])
+    model = WrappedKde().fit_partial(before_midnight)
+    assert model.densities[0] > 1000 * model.densities[720]
 
 
 def test_kde_density_integrates_to_one():
@@ -311,9 +316,9 @@ def test_kde_density_integrates_to_one():
         rng.normal(1200, 30, 10),
     ]).clip(0, 1439).astype(int)
     model = WrappedKde().fit_partial(minutes.tolist())
-    step = 24.0 / 4800
-    grid = np.arange(4800) * step
-    integral = float(model.density(grid).sum()) * step
+    # A periodic trapezoid over the whole minutes: one node per minute,
+    # each 1/60 h wide.
+    integral = float(model.densities.sum()) / 60.0
     assert integral == pytest.approx(1.0, abs=1e-3)
 
 
@@ -321,8 +326,19 @@ def test_kde_threshold_is_low_quantile_of_training_density():
     rng = np.random.default_rng(3)
     minutes = rng.normal(600, 60, 50).clip(0, 1439).astype(int).tolist()
     model = WrappedKde(percentile=5.0).fit_partial(minutes)
-    below = np.count_nonzero(model.density(model.samples) < model.density_threshold)
+    below = np.count_nonzero(model.densities[minutes] < model.density_threshold)
     assert below / 50 <= 0.05 + 1 / 50
+
+
+def test_a_fitted_kde_holds_only_its_whole_minute_densities():
+    minutes = np.random.default_rng(2001).choice([480, 485, 540, 1020], 5000).tolist()
+    model = WrappedKde().fit_partial(minutes)
+    arrays = [name for name, value in vars(model).items() if isinstance(value, np.ndarray)]
+    assert arrays == ["densities"]
+    assert model.densities.shape == (1440,)
+    with pytest.raises(ValueError):
+        model.densities[0] = 0.0
+    assert model.to_debug_dict()["n_samples"] == 5000
 
 
 def test_kde_scoring_splits_on_threshold():
@@ -340,8 +356,6 @@ def test_kde_guards():
         WrappedKde().fit_partial([480])
     with pytest.raises(NotFittedError):
         WrappedKde().score_partial(480)
-    with pytest.raises(NotFittedError):
-        WrappedKde().density([8.0])
     with pytest.warns(UserWarning):
         WrappedKde(percentile=50.0)
 
@@ -588,15 +602,6 @@ def test_seeding_draw_on_a_cumulative_weight_goes_right():
         assert _weighted_draws(weight[None, :], [_FixedDraw(float(value))])[0] == want
 
 
-def test_kde_blocks_match_one_shot_density():
-    rng = np.random.default_rng(1996)
-    for _ in range(200):
-        n = int(rng.integers(2, 300))
-        model = WrappedKde().fit_partial(rng.integers(0, 1440, n).tolist())
-        want = oracles.kde_density_one_shot(model.samples, model.bandwidth, model.samples)
-        assert np.array_equal(model.density(model.samples), want)
-
-
 def test_kde_fit_memory_grows_with_the_window_not_its_square():
     minutes = np.random.default_rng(1997).integers(0, 1440, 2000).tolist()
     tracemalloc.start()
@@ -634,41 +639,26 @@ def test_lof_partition_matches_sort_based_path():
             assert model.score_partial(minute).raw == want
 
 
-def test_kde_stacked_shifts_match_per_shift_loop():
-    for minutes, _ in _minute_sets(1986):
-        model = WrappedKde().fit_partial(minutes)
-        want = oracles.kde_density_per_shift(model.samples, model.bandwidth, model.samples)
-        assert np.array_equal(model.density(model.samples), want)
-
-
 def test_kde_scores_and_threshold_match_the_plain_python_table():
     """The kernel table, the threshold and every score, to the bit, against a
-    restatement with a ``math.exp`` loop and per-minute pairwise sums."""
+    restatement with a ``math.exp`` loop and per-minute pairwise sums; on
+    every tenth set and the last two, all 1,440 densities too."""
     rng = np.random.default_rng(1986)
     sets = [minutes for minutes, _ in _minute_sets(1986)] + list(_large_minute_sets(1986, 10))
     for trial, minutes in enumerate(sets):
         model = WrappedKde(percentile=(0.5, 2.0, 5.0)[trial % 3]).fit_partial(minutes)
         table = oracles.kde_kernel_table(model.bandwidth)
-        assert model.kernel_table.tolist() == table
+        assert _kernel_table(model.bandwidth).tolist() == table
         want = oracles.kde_table_threshold(minutes, model.bandwidth, table, model.percentile)
         assert model.density_threshold == want
         queries = rng.integers(0, 1440, 4).tolist() + rng.choice(minutes, 2).tolist()
         densities = oracles.kde_table_densities(minutes, model.bandwidth, table, queries)
         for minute, density in zip(queries, densities):
             assert model.score_partial(minute).raw == model.density_threshold - density
+        if trial % 10 == 0 or trial >= len(sets) - 2:
+            every = oracles.kde_table_densities(minutes, model.bandwidth, table, range(1440))
+            assert model.densities.tolist() == every
     assert max(map(len, map(set, sets))) > 128  # some sums take the pairwise split
-
-
-def test_kde_table_density_matches_density_at_every_whole_minute():
-    # ``density`` rounds each gap in hours before squaring it, so far in the
-    # tail, where the exponent nears -745, its own relative error reaches
-    # about 1e-12; densities below 1e-200 are compared in absolute terms.
-    every = np.arange(1440)
-    for minutes, _ in _minute_sets(1987, 50):
-        model = WrappedKde().fit_partial(minutes)
-        np.testing.assert_allclose(
-            model._table_density(every), model.density(every / 60.0), rtol=1e-12, atol=1e-200
-        )
 
 
 # -------------------------------------------------------------------- registry

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
 
@@ -101,10 +102,12 @@ def test_evaluate_sweeps_detector_raw_scores():
         record("E2", False, 0, {"kde": {"raw": 0.5, "binary": 0}}),
         record("E3", False, 0, {}),  # kde cast no vote here: excluded
         record("E4", False, 1, {"kde": {"raw": 0.1, "binary": 0}}),
+        record("E5", True, 3, {"kde": {"raw": float("inf"), "binary": 1}}),  # infinities are kept
+        record("E6", False, 0, {"kde": {"raw": float("-inf"), "binary": 0}}),
     ]
-    labels = {"E1": 1, "E2": 0, "E3": 1, "E4": 0}
+    labels = {"E1": 1, "E2": 0, "E3": 1, "E4": 0, "E5": 1, "E6": 0}
     report = evaluate(records, labels, field="kde")
-    assert report.auc == pytest.approx(1.0)  # 9.0 separates cleanly
+    assert report.auc == pytest.approx(1.0)  # 9.0 and inf separate cleanly
 
 
 def test_evaluate_rejects_unlabelled_events():
@@ -131,13 +134,23 @@ def test_evaluate_rejects_records_missing_a_field(missing):
         evaluate([record("E1", False, 0), broken], {"E1": 0, "E2": 1})
 
 
+@pytest.mark.parametrize("field", ["votes", "kde"])
+def test_evaluate_rejects_a_nan_score(tmp_path, field):
+    # ``json`` reads and writes NaN, which would rank by record order.
+    nan = float("nan")
+    broken = record("E2", True, nan, {"kde": {"raw": nan, "binary": 1}})
+    good = record("E1", False, 0, {"kde": {"raw": 0.5, "binary": 0}})
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text("".join(json.dumps(r) + "\n" for r in (good, broken)))
+    with pytest.raises(InputError, match=f"score record 2 is malformed: {field} is NaN"):
+        evaluate(load_scores(str(scores)), {"E1": 0, "E2": 1}, field=field)
+
+
 # ----------------------------------------------------------------- file round
 
 def test_evaluate_files_roundtrip(tmp_path):
     scores = tmp_path / "scores.jsonl"
     labels = tmp_path / "labels.csv"
-    import json
-
     scores.write_text("".join(json.dumps(r) + "\n" for r in FIXTURE))
     labels.write_text("id,label\n" + "".join(f"E{i},{LABELS[f'E{i}']}\n" for i in range(1, 7)))
     report = evaluate_files(str(scores), str(labels))
@@ -164,6 +177,13 @@ def test_load_labels_requires_header(tmp_path):
         load_labels(str(path))
     path.write_text("id,label\nE1,1\nE2,0\n")
     assert load_labels(str(path)) == {"E1": 1, "E2": 0}
+
+
+def test_load_labels_rejects_a_repeated_id(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("id,label\nE1,0\nE2,0\nE1,1\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:4: id 'E1' is labelled twice")):
+        load_labels(str(path))
 
 
 def test_load_labels_rejects_a_label_that_is_not_0_or_1(tmp_path):
