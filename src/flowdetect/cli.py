@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -87,13 +88,22 @@ def _jsonl(record: dict) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
 
 
+def _output(outputs: ExitStack, path: str | None):
+    """Open ``path`` for writing, closed with ``outputs``; ``None`` for no path."""
+    if not path:
+        return None
+    handle = open(path, "w", encoding="utf-8")
+    outputs.callback(handle.close)  # a handle needs ``close``, not ``__exit__``
+    return handle
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     pipeline = Pipeline(config)
     stats = IngestStats()
-    alerts_out = open(args.alerts_out, "w", encoding="utf-8") if args.alerts_out else None
-    scores_out = open(args.scores_out, "w", encoding="utf-8") if args.scores_out else None
-    try:
+    with ExitStack() as outputs:
+        alerts_out = _output(outputs, args.alerts_out)
+        scores_out = _output(outputs, args.scores_out)
         for event in ingest(args.input, config.activity_filter, stats):
             fresh = pipeline.process_event(event)
             if alerts_out:
@@ -112,11 +122,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             if scores_out:
                 for record in scored:
                     scores_out.write(_jsonl(record.to_record()))
-    finally:
-        if alerts_out:
-            alerts_out.close()
-        if scores_out:
-            scores_out.close()
     c = pipeline.counters
     print(
         f"events={c.events} users={pipeline.user_count} alerts={c.alerts} "

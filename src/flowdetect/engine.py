@@ -28,9 +28,7 @@ allocation.  The at-rest states of attribute-free nodes (automata, flows
 and argument-less calls whose parts are themselves such states) are
 shared between instances and between machines in one process, so callers
 must treat every state as read-only.  Values bound in environments are not
-copied, so an action that mutates one in place (a window and the samples
-it holds, a detector map, a list of cast votes) changes it for good, even
-when a later part of the step fails.
+copied.
 
 Matching: a step does the event-only part of each pattern (name, arity,
 literals, capture types and the captures themselves) once, however many
@@ -727,7 +725,7 @@ def step(
     comes back as the same object (the whole of ``state`` when nothing
     changed), and the instance maps of its quantified nodes are updated in
     place.  A refused step, or one that raises, leaves ``state`` and ``env``
-    as they were, apart from values an action mutated in place.  States of
+    as they were.  Values bound in environments are not copied.  States of
     attribute-free nodes may be shared between instances and between
     machines, so callers must treat every state as read-only.
     """

@@ -5,22 +5,23 @@ isolated instance of the same machine:
 
 * a scoring side that asks each detector to (re)train when its window has a
   new version and enough samples (guard ``g1``) and to score the event when
-  it has ever been trained (guard ``g2``), appending each ``(detector,
-  Score)`` pair to the user's cast list; the vote then decides whether the
-  cast raises an alert, and the pipeline records a ``ScoredEvent`` and
-  empties the list;
+  it has ever been trained (guard ``g2``), extending the user's cast, a
+  tuple of ``(detector, Score)`` pairs; the vote then decides whether the
+  cast raises an alert, binds the event's ``ScoredEvent`` as ``scored`` and
+  rebinds the cast to ``()``;
 * a parsing side that folds the event into the user's sliding window.
 
 The scoring side runs first, so an event is always scored against a state
 that does not include itself.  ``Pipeline.process_event`` parses each
 event's date once and binds it as ``when`` at the root of the step, where
-both sides read it.
+both sides read it, next to ``fits``, which each fit counts up.  The step
+hands ``fits`` and ``scored`` back in its enclosing environment, and
+``process_event`` counts and keeps them only once the step has succeeded.
 
-The ingest, train, detect and vote actions mutate nested values in place
-(the window with its samples, the detector map, the cast list), so they are
-not transactional: if a step raises after ``train_action`` has run, the
-engine leaves the user's machine state as it was, but the refitted detector
-stays in its detector map.
+Actions rebind state rather than mutate it: a fit replaces the user's
+detector map with a new one, and the cast is a tuple.  Only the window is
+folded in place, by the last action of every step, which cannot raise once
+it writes, so a step that raises changes nothing.
 """
 
 from __future__ import annotations
@@ -248,21 +249,19 @@ def _loop(name: str, pattern: EventPattern, guard=None, action=None) -> Automato
 
 
 def build_spec(
-    config: PipelineConfig,
-    *,
-    counters: RunCounters | None = None,
-    vote_fn: VoteFn | None = None,
-    score_sink: Callable[[ScoredEvent], None] | None = None,
+    config: PipelineConfig, *, vote_fn: VoteFn | None = None
 ) -> tuple[QuantifiedInterleave, dict[str, Node]]:
     """Assemble the machine tree for ``config``.
 
     Returns the root node and the definitions map needed to resolve calls.
-    It checks nothing: ``config`` checked itself when it was made.
+    It checks nothing: ``config`` checked itself when it was made.  A step
+    of the tree reads ``when`` and adds each fit to ``fits``, both bound by
+    its caller, and binds a scored event as ``scored``.
     """
     names = sorted(config.detectors)
-    counters = counters if counters is not None else RunCounters()
     vote = vote_fn if vote_fn is not None else majority_vote
-    unfitted = init_map(config.detectors)
+    # Unfitted detectors are shared by every user: a fit replaces the map.
+    unfitted = MappingProxyType(init_map(config.detectors))
 
     pattern = EventPattern(
         "e", (Ref("userId"), Capture("eventDate", str), Capture("eventId", str))
@@ -275,35 +274,30 @@ def build_spec(
         d = env["d"]
         detectors = env["detectors"]
         window = env["window"]
-        detectors[d] = detectors[d].fit_partial(training_set(window), version=window.version)
-        counters.retrains += 1
+        fitted = detectors[d].fit_partial(training_set(window), version=window.version)
+        env["detectors"] = {**detectors, d: fitted}
+        env["fits"] += 1
 
     def detect_action(env) -> None:
         when = env["when"]
         minute = when.hour * 60 + when.minute
         d = env["d"]
-        env["scores"].append((d, env["detectors"][d].score_partial(minute)))
+        env["scores"] += ((d, env["detectors"][d].score_partial(minute)),)
 
     def vote_action(env) -> None:
-        cast: list[tuple[str, Score]] = env["scores"]
+        cast: tuple[tuple[str, Score], ...] = env["scores"]
         if not cast:
             return
-        votes = sum(score.binary for _, score in cast)
-        detectors = {name: {"raw": score.raw, "binary": score.binary} for name, score in cast}
-        alert = bool(vote(cast))
-        if score_sink is not None:
-            score_sink(
-                ScoredEvent(
-                    event_id=env["eventId"],
-                    user_id=env["userId"],
-                    event_date=env["eventDate"],
-                    votes=votes,
-                    cast=len(cast),
-                    alert=alert,
-                    detectors=detectors,
-                )
-            )
-        cast.clear()
+        env["scored"] = ScoredEvent(
+            event_id=env["eventId"],
+            user_id=env["userId"],
+            event_date=env["eventDate"],
+            votes=sum(score.binary for _, score in cast),
+            cast=len(cast),
+            alert=bool(vote(cast)),
+            detectors={name: {"raw": score.raw, "binary": score.binary} for name, score in cast},
+        )
+        env["scores"] = ()
 
     detector_instance = Flow(
         name="detector_instance",
@@ -314,13 +308,12 @@ def build_spec(
 
     scoring = Flow(
         name="scoring",
-        attrs=[("scores", lambda env: [])],
+        attrs=[("scores", ())],
         left=QuantifiedFlow(
             name="detectors",
             var="d",
             domain=tuple(names),
-            # Unfitted detectors are shared: a fit replaces the user's entry.
-            attrs=[("detectors", lambda env: dict(unfitted))],
+            attrs=[("detectors", unfitted)],
             body=Call(name="detector", callee="detector_instance"),
         ),
         right=_loop("voting", pattern, action=vote_action),
@@ -342,12 +335,7 @@ class Pipeline:
         self.config = config if config is not None else PipelineConfig()
         self.counters = RunCounters()
         self._score_buffer: list[ScoredEvent] = []
-        self.spec, self.defs = build_spec(
-            self.config,
-            counters=self.counters,
-            vote_fn=vote_fn,
-            score_sink=self._score_buffer.append,
-        )
+        self.spec, self.defs = build_spec(self.config, vote_fn=vote_fn)
         self.state = init(self.spec, defs=self.defs)
 
     def process_event(self, event: Event) -> list[ScoredEvent]:
@@ -359,15 +347,19 @@ class Pipeline:
         except InputError:
             self.counters.skipped_dates += 1
             return []
-        scored = len(self._score_buffer)
-        result = step(self.spec, self.state, event, {"when": when}, defs=self.defs)
+        result = step(self.spec, self.state, event, {"when": when, "fits": 0}, defs=self.defs)
         if result is None:
             raise EngineError(f"pipeline refused event {event!r}")
-        self.state, _ = result
+        self.state, out = result
         self.counters.events += 1
-        fresh = [record for record in self._score_buffer[scored:] if record.alert]
-        self.counters.alerts += len(fresh)
-        return fresh
+        self.counters.retrains += out["fits"]
+        scored = out.get("scored")
+        if scored is not None:
+            self._score_buffer.append(scored)
+            if scored.alert:
+                self.counters.alerts += 1
+                return [scored]
+        return []
 
     def drain_scores(self) -> list[ScoredEvent]:
         """Return and clear the scored events accumulated since last call."""

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import statistics
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from functools import partial
 
@@ -250,6 +252,20 @@ def test_run_outputs_are_byte_identical(corpus, tmp_path, capsys):
         outs.append((alerts.read_bytes(), scores.read_bytes()))
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+def test_run_closes_its_alerts_file_when_the_scores_file_cannot_open(corpus, tmp_path, capsys):
+    alerts = tmp_path / "alerts.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code = main([
+            "run", "--input", str(corpus["events"]), "--alerts-out", str(alerts),
+            "--scores-out", str(tmp_path / "missing" / "scores.jsonl"),
+        ])
+        gc.collect()
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_run_then_evaluate(corpus, tmp_path, capsys):

@@ -53,23 +53,53 @@ def test_exhaustive_against_counting_rule(n):
         assert majority_vote(cast(pattern)) == oracles.majority_rule(pattern)
 
 
-def test_board_cleared_after_any_non_empty_vote():
-    """The cast list is emptied after every vote, alerting or not."""
-    seen = []
-
-    def alternate(cast):
-        seen.append((cast, len(cast)))
-        return len(seen) % 2 == 0
-
-    pipeline = Pipeline(PipelineConfig(window=WindowConfig(3, 1, "week")), vote_fn=alternate)
+def fred_events() -> list[Event]:
+    """Four weeks of weekday logons at 9 and 14; a (3, 1, week) window scores from week 3."""
     start = datetime(2010, 1, 4)  # a Monday
     days = [week * 7 + weekday for week in range(4) for weekday in range(5)]
     moments = [start + timedelta(days=day, hours=hour) for day in days for hour in (9, 14)]
-    for n, when in enumerate(moments):
-        stamp = when.strftime("%m/%d/%Y %H:%M:%S")
-        pipeline.process_event(Event("e", ("fred", stamp, f"fred-{n:04d}")))
+    return [
+        Event("e", ("fred", when.strftime("%m/%d/%Y %H:%M:%S"), f"fred-{n:04d}"))
+        for n, when in enumerate(moments)
+    ]
+
+
+def test_board_cleared_after_any_non_empty_vote():
+    """The user's cast is back to ``()`` after every vote, alerting or not."""
+    seen = []
+
+    def alternate(cast):
+        seen.append(len(cast))
+        return len(seen) % 2 == 0
+
+    pipeline = Pipeline(PipelineConfig(window=WindowConfig(3, 1, "week")), vote_fn=alternate)
+    for event in fred_events():
+        pipeline.process_event(event)
+        assert pipeline.state.instances["fred"].left.env["scores"] == ()
     records = pipeline.drain_scores()
     assert len(seen) == len(records) >= 2
     assert {r.alert for r in records} == {True, False}
-    assert all(size == 3 for _, size in seen)
-    assert all(len(cast) == 0 for cast, _ in seen)
+    assert seen == [3] * len(records)
+
+
+def test_a_vote_that_raises_leaves_no_stale_cast():
+    """A vote that raises once leaves the cast empty: later events vote over 3."""
+    calls = []
+
+    def flaky(cast):
+        calls.append(len(cast))
+        if len(calls) == 2:
+            raise RuntimeError("vote failed")
+        return majority_vote(cast)
+
+    pipeline = Pipeline(PipelineConfig(window=WindowConfig(3, 1, "week")), vote_fn=flaky)
+    failed = 0
+    for event in fred_events():
+        try:
+            pipeline.process_event(event)
+        except RuntimeError:
+            failed += 1
+    records = pipeline.drain_scores()
+    assert failed == 1 and len(records) == len(calls) - 1 >= 2
+    assert [r.cast for r in records] == [3] * len(records)
+    assert calls == [3] * len(calls)
