@@ -32,6 +32,13 @@ class EvalReport:
         }
 
 
+#: The decoder ``json.loads`` ends in, without its per-call argument and BOM
+#: checks; ``load_scores`` restores the BOM message when a line fails.
+_decode = json.JSONDecoder().decode
+#: The label column's two accepted texts and the values they read as.
+_LABELS = {"0": 0, "1": 1}
+
+
 def load_scores(path: str) -> list[dict[str, Any]]:
     """Read a line-delimited scores file written by a run."""
     records = []
@@ -42,8 +49,12 @@ def load_scores(path: str) -> list[dict[str, Any]]:
                 if not line:
                     continue
                 try:
-                    records.append(json.loads(line))
+                    records.append(_decode(line))
                 except json.JSONDecodeError as exc:
+                    if line[0] == "\ufeff":  # the hint json.loads gives and decode skips
+                        exc = json.JSONDecodeError(
+                            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                        )
                     raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not valid UTF-8: {exc}") from None
@@ -54,17 +65,28 @@ def load_labels(path: str) -> dict[str, int]:
     """Read an ``id,label`` CSV into an event-id to 0/1 map."""
     labels: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
         try:
-            if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
+            header = next(reader, None)
+            if header is None or not {"id", "label"} <= set(header):
                 raise InputError(f"{path}: expected columns id,label")
+            # As in csv.DictReader: a repeated name reads its last column,
+            # a blank line is no row, and a field a short row lacks is None.
+            column = {name: i for i, name in enumerate(header)}
+            id_at, label_at = column["id"], column["label"]
+            width = max(id_at, label_at) + 1
             for row in reader:
-                event_id, label = row["id"], row["label"]
-                if label not in ("0", "1"):
+                if len(row) < width:
+                    if not row:
+                        continue
+                    row += [None] * (width - len(row))
+                event_id, label = row[id_at], row[label_at]
+                value = _LABELS.get(label)
+                if value is None:
                     raise InputError(f"{path}:{reader.line_num}: label must be 0 or 1, got {label!r}")
                 if event_id in labels:
                     raise InputError(f"{path}:{reader.line_num}: id {event_id!r} is labelled twice")
-                labels[event_id] = int(label)
+                labels[event_id] = value
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not valid UTF-8: {exc}") from None
     return labels
@@ -102,6 +124,18 @@ def roc_curve(
     return points, auc
 
 
+def _swept(field: str, value: Any) -> float:
+    """``value`` as swept: a number that is not a bool, and not NaN."""
+    kind = type(value)
+    if kind is not float and kind is not int:  # what JSON numbers decode to
+        if kind is bool or not isinstance(value, (int, float)):
+            raise ValueError(f"{field} is {value!r}, not a number")
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError(f"{field} is NaN")
+    return value
+
+
 def evaluate(
     records: Sequence[Mapping[str, Any]],
     labels: Mapping[str, int],
@@ -111,7 +145,9 @@ def evaluate(
 
     ``field`` is ``"votes"`` or a detector name (its raw score is swept; the
     few records where that detector cast no vote are left out of the curve).
-    Every scored event must be labelled, and no swept value may be NaN,
+    Every scored event must be labelled.  ``alert`` must be ``True`` or
+    ``False``, and each swept value a number that is not a bool: JSON
+    ``true`` and ``"3"`` are no vote counts.  No swept value may be NaN,
     which has no place in the ranking; infinite values are kept.
     """
     tp = fp = tn = fn = 0
@@ -125,17 +161,17 @@ def evaluate(
             if label is None:
                 missing.append(record["eventId"])
                 continue
-            alerted = bool(record["alert"])
+            alerted = record["alert"]
+            if alerted is not True and alerted is not False:
+                raise ValueError(f"alert is {alerted!r}, not true or false")
             if field == "votes":
-                value = float(record["votes"])
+                value = _swept(field, record["votes"])
             else:
                 entry = record["detectors"].get(field)
-                value = None if entry is None else float(entry["raw"])
-            if value is not None and math.isnan(value):
-                raise ValueError(f"{field} is NaN")
+                value = None if entry is None else _swept(field, entry["raw"])
         except KeyError as exc:
             raise InputError(f"score record {number} has no {exc.args[0]!r} field") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"score record {number} is malformed: {exc}") from None
         alert_count += int(alerted)
         if alerted and label == 1:

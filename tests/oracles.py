@@ -5,14 +5,17 @@ explicit loops, no shared code with the package under test. When a test
 compares a library result against one of these functions, agreement is
 evidence, not tautology.
 
-The exception is the last section: earlier numpy formulations of the
-detectors' hot paths, kept as they were.  The library's faster forms must
-perform the same IEEE operations in the same order, so tests compare them
-with these using ``==``; a plain-Python loop would add in another order.
+The exceptions are the last two sections.  One holds earlier numpy
+formulations of the detectors' hot paths, kept as they were.  The library's
+faster forms must perform the same IEEE operations in the same order, so
+tests compare them with these using ``==``; a plain-Python loop would add in
+another order.  The other holds the ``csv.DictReader`` labels loader that
+``load_labels`` replaced, whose results and messages it must keep.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from datetime import datetime
 
@@ -472,3 +475,28 @@ def lof_score_sorted(hours, k, k_distances, densities, hour):
     mean_reach = float(np.maximum(k_distances[neigh], dist[neigh]).mean())
     own = math.inf if mean_reach == 0.0 else 1.0 / mean_reach
     return _ratio(float(densities[neigh].mean()), own)
+
+
+# ---------------------------------------------------------------------------
+# The replaced labels loader, for exact comparisons
+# ---------------------------------------------------------------------------
+
+
+def load_labels_dictreader(path: str) -> dict[str, int]:
+    """``load_labels`` as it was: one ``csv.DictReader`` dict per row."""
+    labels: dict[str, int] = {}
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        try:
+            if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
+                raise InputError(f"{path}: expected columns id,label")
+            for row in reader:
+                event_id, label = row["id"], row["label"]
+                if label not in ("0", "1"):
+                    raise InputError(f"{path}:{reader.line_num}: label must be 0 or 1, got {label!r}")
+                if event_id in labels:
+                    raise InputError(f"{path}:{reader.line_num}: id {event_id!r} is labelled twice")
+                labels[event_id] = int(label)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not valid UTF-8: {exc}") from None
+    return labels

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import random
 import re
 
 import pytest
 
+import oracles
 from flowdetect.errors import InputError
 from flowdetect.evaluation import (
     evaluate,
@@ -134,6 +136,49 @@ def test_evaluate_rejects_records_missing_a_field(missing):
         evaluate([record("E1", False, 0), broken], {"E1": 0, "E2": 1})
 
 
+@pytest.mark.parametrize(
+    "alert, votes, raw, field, message",
+    [
+        ("false", 0, 0.5, "votes", "alert is 'false', not true or false"),
+        ("true", 3, 0.5, "votes", "alert is 'true', not true or false"),
+        (1, 3, 0.5, "votes", "alert is 1, not true or false"),
+        (None, 0, 0.5, "kde", "alert is None, not true or false"),
+        (True, "3", 0.5, "votes", "votes is '3', not a number"),
+        (True, True, 0.5, "votes", "votes is True, not a number"),
+        (False, False, 0.5, "votes", "votes is False, not a number"),
+        (False, "inf", 0.5, "votes", "votes is 'inf', not a number"),
+        (True, 3, "0.5", "kde", "kde is '0.5', not a number"),
+        (True, 3, True, "kde", "kde is True, not a number"),
+        (True, 3, 10**400, "kde", "int too large to convert to float"),
+    ],
+    ids=[
+        "alert-text-false", "alert-text-true", "alert-1", "alert-null", "votes-text",
+        "votes-true", "votes-false", "votes-text-inf", "raw-text", "raw-true", "raw-huge-int",
+    ],
+)
+def test_evaluate_rejects_a_field_of_the_wrong_json_type(tmp_path, alert, votes, raw, field, message):
+    # Truthiness and float() would take each of these as an alert or a value;
+    # an integer too large for a float must be malformed, not OverflowError.
+    broken = record("E2", alert, votes, {"kde": {"raw": raw, "binary": 1}})
+    good = record("E1", False, 0, {"kde": {"raw": 0.1, "binary": 0}})
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text("".join(json.dumps(r) + "\n" for r in (good, broken)))
+    with pytest.raises(InputError, match=re.escape(f"score record 2 is malformed: {message}")):
+        evaluate(load_scores(str(scores)), {"E1": 0, "E2": 1}, field=field)
+
+
+def test_evaluate_sweeps_ints_floats_and_infinities_alike():
+    records = [
+        record("E1", True, 3, {"kde": {"raw": 2, "binary": 1}}),
+        record("E2", False, 1.0, {"kde": {"raw": float("-inf"), "binary": 0}}),
+        record("E3", True, float("inf"), {"kde": {"raw": 7.5, "binary": 1}}),
+        record("E4", False, 0, {"kde": {"raw": -1, "binary": 0}}),
+    ]
+    labels = {"E1": 1, "E2": 0, "E3": 1, "E4": 0}
+    assert evaluate(records, labels).auc == 1.0
+    assert evaluate(records, labels, field="kde").auc == 1.0
+
+
 @pytest.mark.parametrize("field", ["votes", "kde"])
 def test_evaluate_rejects_a_nan_score(tmp_path, field):
     # ``json`` reads and writes NaN, which would rank by record order.
@@ -162,12 +207,25 @@ def test_load_scores_reports_bad_line(tmp_path):
     path.write_text('{"eventId": "E1"}\nnot json\n')
     with pytest.raises(InputError, match=":2"):
         load_scores(str(path))
+    # A line that opens with a byte-order mark gets json.loads' own message.
+    line = '\ufeff{"eventId": "E1"}'
+    with pytest.raises(json.JSONDecodeError) as loads_error:
+        json.loads(line)
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}:1: not valid JSON: {loads_error.value}")):
+        load_scores(str(path))
 
 
 def test_load_scores_skips_blank_lines(tmp_path):
     path = tmp_path / "scores.jsonl"
     path.write_text('{"eventId": "E1"}\n\n{"eventId": "E2"}\n')
     assert [r["eventId"] for r in load_scores(str(path))] == ["E1", "E2"]
+    # Whitespace-only lines are blank too, and still count in a line number.
+    path.write_text('  {"eventId": "E1"}  \n   \n\t\r\n{"eventId": "E2"}\t\n \n')
+    assert [r["eventId"] for r in load_scores(str(path))] == ["E1", "E2"]
+    path.write_text('{"eventId": "E1"}\n   \n\t\r\n{"eventId": "E2"}\n \nnot json\n')
+    with pytest.raises(InputError, match=re.escape(f"{path}:6: not valid JSON")):
+        load_scores(str(path))
 
 
 def test_load_labels_requires_header(tmp_path):
@@ -191,3 +249,75 @@ def test_load_labels_rejects_a_label_that_is_not_0_or_1(tmp_path):
     path.write_text("id,label\nE1,1\nE2,yes\n")
     with pytest.raises(InputError, match=re.escape(f"{path}:3: label must be 0 or 1, got 'yes'")):
         load_labels(str(path))
+
+
+# ------------------------------------------------------- labels loader parity
+
+#: Label files, as bytes, on which ``load_labels`` must agree with the
+#: ``csv.DictReader`` loader it replaced: the same map or the same message.
+LABEL_FILES = {
+    "plain": b"id,label\nE1,0\nE2,1\n",
+    "crlf": b"id,label\r\nE1,0\r\nE2,1\r\n",
+    "crlf_blank_lines": b"id,label\r\n\r\nE1,0\r\n\r\n\r\nE2,1\r\n\r\n",
+    "blank_lines": b"id,label\n\nE1,0\n\n\nE2,1\n\n",
+    "blank_first_line": b"\nid,label\nE1,0\n",
+    "blank_line_before_a_bad_label": b"id,label\nE1,0\n\n\nE2,x\n",
+    "blank_line_before_a_repeated_id": b"id,label\r\nE1,0\r\n\r\nE1,1\r\n",
+    "quoted_commas_and_newlines": (
+        b'id,label,note\n"E,1",0,"a, b"\n"E\n2",1,"x\r\ny"\nE3,1,\n'
+    ),
+    "quoted_newline_before_a_bad_label": b'id,label\n"E\n1",0\n"E2","2"\n',
+    "quoted_header": b'"id","label"\n"E1","1"\n',
+    "extra_columns": b"user,id,when,label,extra\nU1,E1,t,0,x\nU2,E2,t,1\n",
+    "extra_fields_in_a_row": b"id,label\nE1,0,surplus,more\nE2,1\n",
+    "swapped_columns": b"label,id\n0,E1\n1,E2\n",
+    "repeated_id_column": b"id,label,id\nA,0,E1\nB,1,E2\n",
+    "short_row_under_a_repeated_id": b"id,label,id\nA,0,E1\nB,1\n",
+    "two_short_rows_under_a_repeated_id": b"id,label,id\nA,0\nB,1\n",
+    "repeated_label_column": b"label,id,label\n1,E1,0\n1,E2\n",
+    "short_row": b"id,label\nE1,0\nE2\n",
+    "short_row_before_the_id": b"label,user,id\n0,U1,E1\n1\n",
+    "bad_label": b"id,label\nE1,1\nE2,yes\n",
+    "padded_label": b"id,label\nE1, 1\n",
+    "empty_label": b"id,label\nE1,\n",
+    "empty_id": b"id,label\n,1\n,0\n",
+    "repeated_id": b"id,label\nE1,0\nE2,0\nE1,1\n",
+    "empty_file": b"",
+    "header_only": b"id,label\n",
+    "missing_label_column": b"id,lab\nE1,0\n",
+    "byte_order_mark": b"\xef\xbb\xbfid,label\nE1,0\n",
+    "not_utf8": b"id,label\nE1,0\nE\xff,1\n",
+}
+
+
+def _outcome(load, path):
+    try:
+        return "labels", load(path)
+    except (InputError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_FILES))
+def test_load_labels_matches_the_dictreader_loader(tmp_path, name):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(LABEL_FILES[name])
+    assert _outcome(load_labels, str(path)) == _outcome(oracles.load_labels_dictreader, str(path))
+
+
+def test_load_labels_parity_cases_reach_each_outcome(tmp_path):
+    # The parity table must exercise every path, not only agree on them.
+    seen = {}
+    for name, content in LABEL_FILES.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(content)
+        seen[name] = _outcome(load_labels, str(path))
+    assert seen["quoted_commas_and_newlines"] == ("labels", {"E,1": 0, "E\n2": 1, "E3": 1})
+    assert seen["short_row_under_a_repeated_id"] == ("labels", {"E1": 0, None: 1})
+    assert seen["two_short_rows_under_a_repeated_id"][1].endswith(":3: id None is labelled twice")
+    assert seen["short_row"][1].endswith(":3: label must be 0 or 1, got None")
+    assert seen["blank_line_before_a_bad_label"][1].endswith(":5: label must be 0 or 1, got 'x'")
+    assert seen["quoted_newline_before_a_bad_label"][1].endswith(":4: label must be 0 or 1, got '2'")
+    assert seen["blank_first_line"][1].endswith(": expected columns id,label")
+    assert seen["empty_file"][1].endswith(": expected columns id,label")
+    assert seen["not_utf8"][1].startswith(str(tmp_path / "not_utf8.csv") + ": not valid UTF-8")
+    assert seen["repeated_label_column"][1].endswith(":3: label must be 0 or 1, got None")

@@ -52,22 +52,48 @@ CRITERION_9_FIT_HISTORY_SHA256 = {
 }
 
 
-def test_criterion_9_corpus_outputs_match_golden_digests(tmp_path, capsys):
-    events_csv = tmp_path / "events.csv"
-    labels_csv = tmp_path / "labels.csv"
-    alerts = tmp_path / "alerts.jsonl"
-    scores = tmp_path / "scores.jsonl"
+#: sha256 of ``flowdetect evaluate`` standard output for each swept field,
+#: over the criterion-9 scores and labels: the report bytes, ``indent=2``
+#: encoder included.
+CRITERION_9_EVALUATE_SHA256 = {
+    "votes": "15762a81c6618b09d801cb78818f3d5e7d79fba72883bf5954cd7235a770d994",
+    "kde": "fb49abab66e6bb4f88051c3fd8612edac978c9ca225322dadda3aa0201ffb287",
+    "kmeans": "61fc09c9f0473af8b3aee765c1942411cc76d5ec0afae73b330d828d6d4b8134",
+    "lof": "f19034da7a96a31eca387b46550bc6a89ab34051a66ecb416c6a3cbc63e46792",
+}
+
+
+@pytest.fixture(scope="module")
+def criterion_9_corpus(tmp_path_factory) -> dict[str, Path]:
+    """Labels, alerts and scores of the criterion-9 corpus, made once."""
+    root = tmp_path_factory.mktemp("criterion_9")
+    paths = {name: root / name for name in ("events.csv", "labels.csv", "alerts.jsonl", "scores.jsonl")}
     assert cli_main([
         "synth", "--users", "12", "--weeks", "14", "--rate", "0.05", "--seed", "3",
-        "--events-out", str(events_csv), "--labels-out", str(labels_csv),
+        "--events-out", str(paths["events.csv"]), "--labels-out", str(paths["labels.csv"]),
     ]) == 0
     assert cli_main([
-        "run", "--input", str(events_csv),
-        "--alerts-out", str(alerts), "--scores-out", str(scores),
+        "run", "--input", str(paths["events.csv"]),
+        "--alerts-out", str(paths["alerts.jsonl"]), "--scores-out", str(paths["scores.jsonl"]),
     ]) == 0
-    capsys.readouterr()
+    return paths
+
+
+def test_criterion_9_corpus_outputs_match_golden_digests(criterion_9_corpus):
+    alerts, scores = criterion_9_corpus["alerts.jsonl"], criterion_9_corpus["scores.jsonl"]
     assert hashlib.sha256(alerts.read_bytes()).hexdigest() == CRITERION_9_ALERTS_SHA256
     assert hashlib.sha256(scores.read_bytes()).hexdigest() == CRITERION_9_SCORES_SHA256
+
+
+@pytest.mark.parametrize("field", sorted(CRITERION_9_EVALUATE_SHA256))
+def test_criterion_9_evaluate_reports_match_golden_digests(criterion_9_corpus, capsys, field):
+    capsys.readouterr()
+    assert cli_main([
+        "evaluate", "--input", str(criterion_9_corpus["scores.jsonl"]),
+        "--labels", str(criterion_9_corpus["labels.csv"]), "--field", field,
+    ]) == 0
+    report = capsys.readouterr().out.encode()
+    assert hashlib.sha256(report).hexdigest() == CRITERION_9_EVALUATE_SHA256[field]
 
 
 #: sha256 of the ``dump-state`` text of a ``fanout``-like stream: 200 users,
