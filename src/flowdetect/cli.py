@@ -42,7 +42,7 @@ def ingest(
     rows not matching ``activity_filter`` are counted separately.
     """
     stats = stats if stats is not None else IngestStats()
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)

@@ -26,9 +26,9 @@ not change as the same object, an environment whose attributes all still
 hold the same objects included, so an instance at rest costs no
 allocation.  The at-rest states of attribute-free nodes (automata, flows
 and argument-less calls whose parts are themselves such states) are
-shared between instances and between machines in one process, so callers
-must treat every state as read-only.  Values bound in environments are not
-copied.
+shared between the instances of one machine: each node keeps its own, so
+they go when the spec goes, and callers must treat every state as
+read-only.  Values bound in environments are not copied.
 
 Matching: a step does the event-only part of each pattern (name, arity,
 literals, capture types and the captures themselves) once, however many
@@ -43,8 +43,7 @@ state must come from ``init`` or ``step`` for the same specification.
 
 Determinism: automaton transitions are tried in declaration order and the
 first enabled one fires; quantified domains are iterated in ascending order
-of their values.  ``QuantifiedFlow.order_hook`` exists so tests can force a
-different permutation.
+of their values, the order of the instance map they build.
 """
 
 from __future__ import annotations
@@ -229,72 +228,6 @@ class CallState:
     inner: Any
 
 
-#: Shared states of attribute-free nodes, keyed by structure: an automaton's
-#: key is ``("automaton", current)``, a flow's ``("flow", left key, right
-#: key)`` and an argument-less call's ``("call", inner key)``.  Keys hold
-#: state names and tuples only, never an object that could be freed and its
-#: id reused.  Entries live as long as the process; once the table holds
-#: ``_AT_REST_LIMIT`` of them, further states are built unshared.
-_AT_REST: dict[tuple, Any] = {}
-_AT_REST_LIMIT = 4096
-
-
-def _share(key: tuple, make: type, *fields: Any) -> Any:
-    """The shared state under ``key``, built from ``fields`` on first use."""
-    state = _AT_REST.get(key)
-    if state is None:
-        state = make(*fields)
-        if len(_AT_REST) < _AT_REST_LIMIT:
-            state = _AT_REST.setdefault(key, state)
-    return state
-
-
-def _rest_key(state: Any) -> tuple | None:
-    """The table key of ``state`` if it is a shared at-rest state, else ``None``."""
-    if state.env is not EMPTY_ENV:
-        return None
-    kind = type(state)
-    if kind is AutomatonState:
-        key = ("automaton", state.current)
-    elif kind is FlowState:
-        left = _rest_key(state.left)
-        right = None if left is None else _rest_key(state.right)
-        if right is None:
-            return None
-        key = ("flow", left, right)
-    elif kind is CallState:
-        inner = _rest_key(state.inner)
-        if inner is None:
-            return None
-        key = ("call", inner)
-    else:
-        return None
-    return key if _AT_REST.get(key) is state else None
-
-
-def _automaton_state(current: str, env: Env) -> AutomatonState:
-    if env is EMPTY_ENV and type(current) is str:
-        return _share(("automaton", current), AutomatonState, current, env)
-    return AutomatonState(current, env)
-
-
-def _flow_state(env: Env, left: Any, right: Any) -> FlowState:
-    if env is EMPTY_ENV:
-        left_key = _rest_key(left)
-        right_key = None if left_key is None else _rest_key(right)
-        if right_key is not None:
-            return _share(("flow", left_key, right_key), FlowState, env, left, right)
-    return FlowState(env, left, right)
-
-
-def _call_state(env: Env, inner: Any) -> CallState:
-    if env is EMPTY_ENV:
-        inner_key = _rest_key(inner)
-        if inner_key is not None:
-            return _share(("call", inner_key), CallState, env, inner)
-    return CallState(env, inner)
-
-
 # ---------------------------------------------------------------------------
 # Specification nodes
 # ---------------------------------------------------------------------------
@@ -328,12 +261,20 @@ class Node:
     ``_step(state, scope, ctx)`` steps on ``ctx.event``, returning the new
     state or ``None`` when it refuses.  The base class runs on any state and
     all four of its methods raise ``SpecificationError``.
+
+    ``_rest`` holds the node's shared at-rest states.  The kinds that share
+    them (automata, flows and calls) build each through ``_at_rest`` and
+    answer ``_is_rest(state)`` by identity; a key names a state by its
+    current state name or by the ids of its children's shared states, which
+    the cached state holds, so no id in a key is ever reused.  The keys are
+    bounded by the spec's declared states, and the table goes with the node.
     """
 
     name: str
     params: Sequence[str] = ()
     attrs: Sequence[tuple[str, AttrInit]] = ()
     action: Action | None = None
+    _rest: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     state_type = object
 
@@ -344,6 +285,16 @@ class Node:
         raise SpecificationError(f"unknown node type {type(self).__name__}")
 
     _validate = _start = _final = _step = _unknown
+
+    def _is_rest(self, state: Any) -> bool:
+        return False
+
+    def _at_rest(self, key: Any, make: type, *fields: Any) -> Any:
+        """The shared state under ``key``, built from ``fields`` on first use."""
+        state = self._rest.get(key)
+        if state is None:
+            state = self._rest[key] = make(*fields)
+        return state
 
 
 @dataclass(kw_only=True)
@@ -382,7 +333,15 @@ class Automaton(Node):
                 )
 
     def _start(self, local, env, defs):
-        return _automaton_state(self.initial, local)
+        return self._state(self.initial, local)
+
+    def _state(self, current, env):
+        if env is EMPTY_ENV:
+            return self._at_rest(current, AutomatonState, current, env)
+        return AutomatonState(current, env)
+
+    def _is_rest(self, state):
+        return self._rest.get(state.current) is state
 
     def _final(self, state, defs):
         return state.current in set(self.finals)
@@ -413,7 +372,7 @@ class Automaton(Node):
             new_env = _leave(self, scope, env, shadowed)
             if new_env is env and t.target == current:
                 return state
-            return _automaton_state(t.target, new_env)
+            return self._state(t.target, new_env)
         if env:
             _drop(scope, env, shadowed)
         return None
@@ -434,7 +393,15 @@ class Flow(Node):
 
     def _start(self, local, env, defs):
         inner = env.override(local)
-        return _flow_state(local, _init(self.left, inner, defs), _init(self.right, inner, defs))
+        return self._state(local, _init(self.left, inner, defs), _init(self.right, inner, defs))
+
+    def _state(self, env, left, right):
+        if env is EMPTY_ENV and self.left._is_rest(left) and self.right._is_rest(right):
+            return self._at_rest((id(left), id(right)), FlowState, env, left, right)
+        return FlowState(env, left, right)
+
+    def _is_rest(self, state):
+        return self._rest.get((id(state.left), id(state.right))) is state
 
     def _final(self, state, defs):
         return self.left._final(state.left, defs) and self.right._final(state.right, defs)
@@ -453,7 +420,7 @@ class Flow(Node):
         right = state.right if right is None else right
         if new_env is env and left is state.left and right is state.right:
             return state
-        return _flow_state(new_env, left, right)
+        return self._state(new_env, left, right)
 
 
 @dataclass(kw_only=True)
@@ -490,29 +457,18 @@ class _Quantified(Node):
 class QuantifiedFlow(_Quantified):
     """One operand instance per domain element, every instance sees each event."""
 
-    order_hook: Callable[[list[Any]], Sequence[Any]] | None = None
-
     state_type = QuantifiedFlowState
 
     def _start(self, local, env, defs):
         return QuantifiedFlowState(local, self._instances(env.override(local), defs))
 
     def _step(self, state, scope, ctx):
-        instances = state.instances
-        if self.order_hook is not None:
-            values = list(instances)
-            ordered = list(self.order_hook(values))
-            if sorted(ordered, key=repr) != sorted(values, key=repr):
-                raise SpecificationError(
-                    f"node {self.name!r}: order hook must permute the domain"
-                )
-        else:
-            ordered = instances  # built from the sorted domain; commits only replace values
+        instances = state.instances  # built from the sorted domain; commits only replace values
         env = state.env
         shadowed = _bind(scope, env) if env else None
         hidden = {self.var: scope[self.var]} if self.var in scope else None
         fired = False
-        for value in ordered:
+        for value in instances:
             scope[self.var] = value
             instance = instances[value]
             stepped = self.body._step(instance, scope, ctx)
@@ -621,7 +577,16 @@ class Call(Node):
         # A call declares no attributes, so ``env`` is the caller's.
         params = {n: v(env) if callable(v) else v for n, v in self.args.items()}
         param_env = Env(params) if params else EMPTY_ENV
-        return _call_state(param_env, _init(defs[self.callee], env.override(param_env), defs))
+        callee = defs[self.callee]
+        return self._state(callee, param_env, _init(callee, env.override(param_env), defs))
+
+    def _state(self, callee, env, inner):
+        if env is EMPTY_ENV and callee._is_rest(inner):
+            return self._at_rest(id(inner), CallState, env, inner)
+        return CallState(env, inner)
+
+    def _is_rest(self, state):
+        return self._rest.get(id(state.inner)) is state
 
     def _callee(self, defs):
         callee = defs.get(self.callee)
@@ -642,7 +607,7 @@ class Call(Node):
             _drop(scope, env, shadowed)
         if inner is None:
             return None
-        return state if inner is state.inner else _call_state(env, inner)
+        return state if inner is state.inner else self._state(callee, env, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +691,8 @@ def step(
     changed), and the instance maps of its quantified nodes are updated in
     place.  A refused step, or one that raises, leaves ``state`` and ``env``
     as they were.  Values bound in environments are not copied.  States of
-    attribute-free nodes may be shared between instances and between
-    machines, so callers must treat every state as read-only.
+    attribute-free nodes may be shared between the instances of one
+    machine, so callers must treat every state as read-only.
     """
     _check_shape(spec, state)
     scope = dict(env) if env else {}

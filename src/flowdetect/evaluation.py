@@ -64,14 +64,15 @@ def load_scores(path: str) -> list[dict[str, Any]]:
 def load_labels(path: str) -> dict[str, int]:
     """Read an ``id,label`` CSV into an event-id to 0/1 map."""
     labels: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
             if header is None or not {"id", "label"} <= set(header):
                 raise InputError(f"{path}: expected columns id,label")
             # As in csv.DictReader: a repeated name reads its last column,
-            # a blank line is no row, and a field a short row lacks is None.
+            # a blank line is no row, and a field a short row lacks is None,
+            # so a row too short to hold its label or its id is refused.
             column = {name: i for i, name in enumerate(header)}
             id_at, label_at = column["id"], column["label"]
             width = max(id_at, label_at) + 1
@@ -84,6 +85,8 @@ def load_labels(path: str) -> dict[str, int]:
                 value = _LABELS.get(label)
                 if value is None:
                     raise InputError(f"{path}:{reader.line_num}: label must be 0 or 1, got {label!r}")
+                if not event_id:
+                    raise InputError(f"{path}:{reader.line_num}: id is missing")
                 if event_id in labels:
                     raise InputError(f"{path}:{reader.line_num}: id {event_id!r} is labelled twice")
                 labels[event_id] = value

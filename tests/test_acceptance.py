@@ -44,7 +44,7 @@ from flowdetect.evaluation import evaluate
 from flowdetect.pipeline import Pipeline, PipelineConfig
 from flowdetect.windowing import DEFAULT_DATE_FORMAT, Window, WindowConfig, formatting_data
 
-from test_engine import digits_spec, gen_tree, loop, routed_spec, run_events
+from test_engine import digits_spec, gen_tree, in_order, loop, routed_spec, run_events
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -84,24 +84,16 @@ def test_criterion_1_engine_semantics():
     assert "x" not in out
 
     # iteration order over independent instances cannot matter
-    def hook(order):
-        def order_hook(values):
-            return [v for v in order if v in values]
-
-        return order_hook
-
-    def independent(order_hook=None):
-        body = loop("hit", EventPattern("t", (Ref("x"),)), attrs=(("c", 0),),
-                    action=lambda env: env.__setitem__("c", env["c"] + 1))
-        return QuantifiedFlow(name="q", var="x", domain=(1, 2, 3), body=body,
-                              order_hook=order_hook)
+    body = loop("hit", EventPattern("t", (Ref("x"),)), attrs=(("c", 0),),
+                action=lambda env: env.__setitem__("c", env["c"] + 1))
+    node = QuantifiedFlow(name="q", var="x", domain=(1, 2, 3), body=body)
 
     baseline = None
     for order in itertools.permutations((1, 2, 3)):
-        node = independent(hook(order))
-        s = init(node)
+        s = in_order(init(node), order)
         for arg in (2, 3, 2):
             s, _ = step(node, s, Event("t", (arg,)))
+        assert list(s.instances) == list(order)
         text = dump_state(s)
         if baseline is None:
             baseline = text

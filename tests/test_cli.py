@@ -127,6 +127,12 @@ def test_ingest_rejects_wrong_header(tmp_path):
         list(ingest(str(path)))
 
 
+def test_ingest_reads_past_a_byte_order_mark(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"\xef\xbb\xbfid,date,user,pc,activity\nE1,01/04/2010 08:00:00,alice,PC-1,Logon\n")
+    assert [e.args for e in ingest(str(path))] == [("alice", "01/04/2010 08:00:00", "E1")]
+
+
 def test_ingest_header_errors_name_what_was_found(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

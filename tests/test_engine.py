@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import dataclasses
 import hashlib
 import json
 import operator
@@ -297,15 +298,23 @@ def push_digit(env):
     env["acc"] = env["acc"] * 10 + env["x"]
 
 
-def digits_spec(order_hook=None):
+def digits_spec():
     return QuantifiedFlow(
         name="digits",
         attrs=(("acc", 0),),
         var="x",
         domain=(3, 1, 2),  # declaration order is irrelevant
         body=loop("digit", action=push_digit),
-        order_hook=order_hook,
     )
+
+
+def in_order(state, order):
+    """``state`` with its instance map rebuilt in ``order``.
+
+    A quantified flow steps its instances in the order of that map, which
+    ``init`` builds from the sorted domain.
+    """
+    return dataclasses.replace(state, instances={value: state.instances[value] for value in order})
 
 
 def test_quantified_flow_iterates_ascending():
@@ -316,16 +325,13 @@ def test_quantified_flow_iterates_ascending():
 
 
 def test_order_hook_controls_iteration():
-    spec = digits_spec(order_hook=lambda values: sorted(values, reverse=True))
-    new_state, _ = step(spec, init(spec), Event("tick"))
-    assert dict(new_state.env) == {"acc": 321}
-
-
-@pytest.mark.parametrize("bad", [lambda v: v[:-1], lambda v: [v[0]] * len(v), lambda v: list(v) + [99]])
-def test_order_hook_must_be_a_permutation(bad):
-    spec = digits_spec(order_hook=bad)
-    with pytest.raises(SpecificationError):
-        step(spec, init(spec), Event("tick"))
+    # The step visits the instance map in its own order, so a map rebuilt
+    # in another order forces that order.
+    spec = digits_spec()
+    for order, acc in (((3, 2, 1), 321), ((2, 3, 1), 231)):
+        new_state, _ = step(spec, in_order(init(spec), order), Event("tick"))
+        assert dict(new_state.env) == {"acc": acc}
+        assert list(new_state.instances) == list(order)
 
 
 def test_quantified_flow_shadowed_variable_is_restored():
@@ -559,22 +565,24 @@ def test_interleave_shares_attribute_free_states_and_never_changes_them():
     assert state.instances["bob"] is state.instances["alice"]  # both at rest in s1
 
 
-def test_states_past_the_shared_table_limit_are_built_unshared(monkeypatch):
-    from flowdetect import engine
+def test_shared_states_are_kept_per_node_and_bounded_by_its_states():
+    def users():
+        return QuantifiedInterleave(name="users", var="u", domain=UNBOUNDED, body=Automaton(
+            name="toggle", states=("s0", "s1"), initial="s0", finals=("s1",),
+            transitions=(
+                Transition(source="s0", pattern=EventPattern("e", (Ref("u"),)), target="s1"),
+                Transition(source="s1", pattern=EventPattern("e", (Ref("u"),)), target="s0"),
+            ),
+        ))
 
-    monkeypatch.setattr(engine, "_AT_REST", {})
-    monkeypatch.setattr(engine, "_AT_REST_LIMIT", 1)
-    spec = QuantifiedInterleave(name="users", var="u", domain=UNBOUNDED, body=Automaton(
-        name="toggle", states=("s0", "s1"), initial="s0", finals=("s1",),
-        transitions=(Transition(source="s0", pattern=EventPattern("e", (Ref("u"),)), target="s1"),),
-    ))
-    state = init(spec)
-    for user in ("alice", "bob"):
-        state, _ = step(spec, state, Event("e", (user,)))
-    alice, bob = state.instances["alice"], state.instances["bob"]
-    assert alice is not bob  # s0 took the one slot, so each s1 is its own
-    assert state_to_dict(alice) == state_to_dict(bob) == {"kind": "automaton", "current": "s1", "env": {}}
-    assert list(engine._AT_REST) == [("automaton", "s0")]
+    spec, other = users(), users()
+    names = [f"u{n}" for n in range(300)]
+    events = [Event("e", (name,)) for name in names] + [Event("e", (name,)) for name in names[::2]]
+    state, twin = run_events(spec, events), run_events(other, events)
+    assert state.instances["u0"] is state.instances["u2"]  # back in s0, shared
+    assert state.instances["u1"] is state.instances["u3"]  # in s1, shared
+    assert state.instances["u0"] is not twin.instances["u0"]  # another node, another table
+    assert sorted(spec.body._rest) == sorted(other.body._rest) == ["s0", "s1"]
 
 
 def test_interleave_routing_errors():

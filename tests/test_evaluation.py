@@ -251,10 +251,28 @@ def test_load_labels_rejects_a_label_that_is_not_0_or_1(tmp_path):
         load_labels(str(path))
 
 
+def test_load_labels_reads_past_a_byte_order_mark(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"\xef\xbb\xbfid,label\nE1,0\nE2,1\n")
+    assert load_labels(str(path)) == {"E1": 0, "E2": 1}
+
+
+@pytest.mark.parametrize("content, line", [
+    ("label,user,id\n0,U1,E1\n1\n", 3),  # too short to reach the id
+    ("label,user,id\n0,U,\n", 2),  # an empty id
+], ids=["short_row", "empty_id"])
+def test_load_labels_rejects_a_row_without_an_id(tmp_path, content, line):
+    path = tmp_path / "labels.csv"
+    path.write_text(content)
+    with pytest.raises(InputError, match=re.escape(f"{path}:{line}: id is missing")):
+        load_labels(str(path))
+
+
 # ------------------------------------------------------- labels loader parity
 
 #: Label files, as bytes, on which ``load_labels`` must agree with the
-#: ``csv.DictReader`` loader it replaced: the same map or the same message.
+#: ``csv.DictReader`` loader it replaced: the same map or the same message,
+#: except on the files in ``DEPARTURES``.
 LABEL_FILES = {
     "plain": b"id,label\nE1,0\nE2,1\n",
     "crlf": b"id,label\r\nE1,0\r\nE2,1\r\n",
@@ -290,6 +308,19 @@ LABEL_FILES = {
 }
 
 
+#: Files on which ``load_labels`` departs from that loader on purpose, and
+#: what it gives instead: a map, or the text of its error after the path.
+#: The loader read a byte-order mark into the first column's name, and
+#: stored a row without an id under ``None`` or ``''``.
+DEPARTURES = {
+    "byte_order_mark": ("labels", {"E1": 0}),
+    "short_row_under_a_repeated_id": ("InputError", ":3: id is missing"),
+    "two_short_rows_under_a_repeated_id": ("InputError", ":2: id is missing"),
+    "short_row_before_the_id": ("InputError", ":3: id is missing"),
+    "empty_id": ("InputError", ":2: id is missing"),
+}
+
+
 def _outcome(load, path):
     try:
         return "labels", load(path)
@@ -301,7 +332,13 @@ def _outcome(load, path):
 def test_load_labels_matches_the_dictreader_loader(tmp_path, name):
     path = tmp_path / "labels.csv"
     path.write_bytes(LABEL_FILES[name])
-    assert _outcome(load_labels, str(path)) == _outcome(oracles.load_labels_dictreader, str(path))
+    got = _outcome(load_labels, str(path))
+    oracle = _outcome(oracles.load_labels_dictreader, str(path))
+    if name in DEPARTURES:
+        kind, detail = DEPARTURES[name]
+        assert got == (kind, detail if kind == "labels" else f"{path}{detail}") != oracle
+    else:
+        assert got == oracle
 
 
 def test_load_labels_parity_cases_reach_each_outcome(tmp_path):
@@ -312,8 +349,8 @@ def test_load_labels_parity_cases_reach_each_outcome(tmp_path):
         path.write_bytes(content)
         seen[name] = _outcome(load_labels, str(path))
     assert seen["quoted_commas_and_newlines"] == ("labels", {"E,1": 0, "E\n2": 1, "E3": 1})
-    assert seen["short_row_under_a_repeated_id"] == ("labels", {"E1": 0, None: 1})
-    assert seen["two_short_rows_under_a_repeated_id"][1].endswith(":3: id None is labelled twice")
+    assert seen["repeated_id_column"] == ("labels", {"E1": 0, "E2": 1})
+    assert seen["repeated_id"][1].endswith(":4: id 'E1' is labelled twice")
     assert seen["short_row"][1].endswith(":3: label must be 0 or 1, got None")
     assert seen["blank_line_before_a_bad_label"][1].endswith(":5: label must be 0 or 1, got 'x'")
     assert seen["quoted_newline_before_a_bad_label"][1].endswith(":4: label must be 0 or 1, got '2'")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import gc
 import json
+import weakref
 from datetime import datetime, timedelta
 from pathlib import Path
 from types import MappingProxyType
@@ -27,9 +28,11 @@ from flowdetect.detectors import (
 from flowdetect.engine import (
     UNBOUNDED,
     Call,
+    CallState,
     Event,
     EventPattern,
     Flow,
+    FlowState,
     QuantifiedFlow,
     QuantifiedInterleave,
 )
@@ -450,13 +453,20 @@ def test_detector_iteration_order_does_not_matter():
     events.insert(45, Event("e", ("erin", stamp(4, 2, 2), "erin-night")))
 
     plain = Pipeline(weekly_config())
-    plain_records = [r.to_record() for r in run(plain, events)]
+    plain_scored = run(plain, events)
 
+    # The detectors are stepped in the order of erin's instance map, so a
+    # map rebuilt in reverse makes them fit, score and cast in reverse.
     hooked = Pipeline(weekly_config())
-    hooked.spec.body.left.left.order_hook = lambda values: sorted(values, reverse=True)
-    hooked_records = [r.to_record() for r in run(hooked, events)]
+    hooked.process_event(events[0])
+    detectors = hooked.state.instances["erin"].left.left
+    detectors.instances = dict(reversed(detectors.instances.items()))
+    hooked_scored = run(hooked, events[1:])
 
-    assert hooked_records == plain_records
+    names = sorted(weekly_config().detectors)
+    assert plain_scored and [list(s.detectors) for s in plain_scored] == [names] * len(plain_scored)
+    assert [list(s.detectors) for s in hooked_scored] == [names[::-1]] * len(hooked_scored)
+    assert [s.to_record() for s in hooked_scored] == [s.to_record() for s in plain_scored]
     assert hooked.dump() == plain.dump()
 
 
@@ -471,6 +481,43 @@ def test_a_user_at_rest_keeps_the_same_state_objects():
         pipeline.process_event(event)
         assert pipeline.state is root
         assert pipeline.state.instances["alice"] is instance
+
+
+def state_objects(state) -> dict:
+    """Every runtime state object nested in ``state``, by id."""
+    found, pending = {}, [state]
+    while pending:
+        state = pending.pop()
+        found[id(state)] = state
+        if isinstance(state, FlowState):
+            pending += (state.left, state.right)
+        elif isinstance(state, CallState):
+            pending.append(state.inner)
+        elif hasattr(state, "instances"):
+            pending += state.instances.values()
+    return found
+
+
+def test_a_machines_shared_states_are_freed_with_it():
+    pipeline = Pipeline(weekly_config())
+    pipeline.process_event(weekday_events("alice", 1)[0])
+    instances = pipeline.state.instances["alice"].left.left.instances
+    detector = instances["kde"]
+    assert isinstance(detector, CallState)
+    assert all(state is detector for state in instances.values())  # one shared state at rest
+    ref = weakref.ref(detector)
+    del pipeline, instances, detector
+    gc.collect()
+    assert ref() is None
+
+
+def test_two_machines_share_no_state_object():
+    a, b = Pipeline(weekly_config()), Pipeline(weekly_config())
+    for pipeline in (a, b):
+        run(pipeline, interleave(weekday_events("alice", 1), weekday_events("bob", 1)))
+    a_states, b_states = state_objects(a.state), state_objects(b.state)
+    assert len(a_states) == len(b_states) > 1
+    assert not a_states.keys() & b_states.keys()
 
 
 def test_a_never_evicting_window_fits_each_detector_once():
