@@ -16,9 +16,14 @@ instance, so a score in flight never observes a half-updated model.
 
 Samples and events are whole minutes of the day.  Fits and scores are
 bit-for-bit stable under refactors: a change to this module keeps every IEEE
-operation on every value, in the same order.  Nor do they depend on the CPU:
-the k-means silhouette sums whole-minute distances, exact in whatever order
-a BLAS kernel adds them, and a fitted KDE is its density at each whole
+operation on every value, in the same order, or reorders only sums that are
+exact in any order.  The k-means silhouette sums whole-minute distances, which
+are integers, over the distinct training minutes, each weighted by its count.
+A LOF fit takes each neighbourhood's mean as one row of a C-contiguous block
+of the neighbourhoods of its size: numpy's pairwise sum of that row alone,
+the sum a score takes of its one neighbourhood.  Nor do the k-means and KDE
+fits depend on the CPU: the silhouette's integer sums are exact in whatever
+order a BLAS kernel adds them, and a fitted KDE is its density at each whole
 minute, summed from a per-fit kernel table built with ``math.exp`` and plain
 arithmetic, never numpy's ``np.exp``, whose SIMD path varies with the CPU.
 The golden digests in ``tests/test_golden.py`` and ``tests/test_acceptance.py``
@@ -172,55 +177,69 @@ def silhouette(hours: Sequence[float], labels: Sequence[int]) -> float:
         raise ValueError("silhouette requires at least two clusters")
     matrix = _circ_dist(arr[:, None], arr[None, :])
     _, cluster = np.unique(lab, return_inverse=True)
-    return float(_silhouettes(matrix, cluster[None, :], 1.0)[0])
+    points = np.arange(arr.size)
+    return float(_silhouettes(matrix, np.ones(arr.size), cluster[None, :], points, 1.0)[0])
 
 
-def _cluster_sums(matrix: np.ndarray, cluster: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Each point's distance sum to each cluster.
+def _cluster_sums(
+    matrix: np.ndarray, weights: np.ndarray, cluster: np.ndarray, width: int
+) -> np.ndarray:
+    """Each point's distance sum to each cluster, each point weighted.
 
-    ``cluster`` numbers the clusters ``0 .. sizes.size - 1``, none empty.
+    ``cluster`` numbers the clusters ``0 .. width - 1``, none empty.
     """
-    onehot = np.zeros((matrix.shape[0], sizes.size))
-    onehot[np.arange(matrix.shape[0]), cluster] = 1.0
+    onehot = np.zeros((matrix.shape[0], width))
+    onehot[np.arange(matrix.shape[0]), cluster] = weights
     return matrix @ onehot
 
 
-def _silhouettes(matrix: np.ndarray, labels: np.ndarray, unit: float) -> np.ndarray:
+def _silhouettes(
+    matrix: np.ndarray,
+    weights: np.ndarray,
+    labels: np.ndarray,
+    samples: np.ndarray,
+    unit: float,
+) -> np.ndarray:
     """The silhouette of each clustering in ``labels``, one row per clustering.
 
-    Labels count from 0; the distances are ``matrix`` over ``unit``, with
-    the sums divided after the product.  Empty clusters count as infinitely
-    far, and a clustering with fewer than two clusters scores -inf.
+    ``matrix`` holds the distances between distinct points, ``weights`` how
+    many samples sit at each point and ``samples`` the point of each sample,
+    in sample order.  Each row of ``labels`` numbers the clusters of the
+    points from 0, so samples at one point share a cluster.  The distances
+    are ``matrix`` over ``unit``, with the sums divided after the product.
+    Empty clusters count as infinitely far, and a clustering with fewer than
+    two clusters scores -inf.
     """
-    runs, n = labels.shape
+    runs, m = labels.shape
     width = int(labels.max()) + 1
     key = labels + (np.arange(runs) * width)[:, None]
-    sizes = np.bincount(key.ravel(), minlength=runs * width)
+    sizes = np.bincount(key.ravel(), np.tile(weights, runs), runs * width)
     counts = sizes.reshape(runs, width)
     # Row c: cluster c's distance sum to each point, then its mean distance.
     # One product per clustering, over its non-empty clusters: a product
     # with every clustering's columns at once is large enough for BLAS to
     # wake its worker threads, which then spin.
-    sums = np.zeros((runs, width, n))
+    sums = np.zeros((runs, width, m))
     for run, present in enumerate(counts > 0):
         cluster = (np.cumsum(present) - 1)[labels[run]]
-        sums[run, present] = _cluster_sums(matrix, cluster, counts[run][present]).T
-    sums = sums.reshape(runs * width, n) / unit
+        sums[run, present] = _cluster_sums(matrix, weights, cluster, int(present.sum())).T
+    sums = sums.reshape(runs * width, m) / unit
     flat = sums.reshape(-1)
-    own = (key * n + np.arange(n)).ravel()
+    own = (key * m + np.arange(m)).ravel()
     own_size = sizes[key]
-    a = flat[own].reshape(runs, n) / np.maximum(own_size - 1, 1)
+    a = flat[own].reshape(runs, m) / np.maximum(own_size - 1, 1)
     sums /= np.maximum(sizes, 1)[:, None]
     sums[sizes == 0] = math.inf
     flat[own] = math.inf
-    b = sums.reshape(runs, width, n).min(axis=1)
+    b = sums.reshape(runs, width, m).min(axis=1)
     denom = np.maximum(a, b)
     scored = np.count_nonzero(counts, axis=1) >= 2
     # Singletons contribute 0, as do points with a = b = 0.
     keep = (own_size > 1) & (denom > 0) & scored[:, None]
-    s = np.divide(b - a, denom, out=np.zeros((runs, n)), where=keep)
-    # A running sum, so each total adds the terms in point order.
-    return np.where(scored, np.cumsum(s, axis=1)[:, -1] / n, -math.inf)
+    s = np.divide(b - a, denom, out=np.zeros((runs, m)), where=keep)
+    # Each sample takes its point's term, and a running sum adds the terms
+    # in sample order.
+    return np.where(scored, np.cumsum(s[:, samples], axis=1)[:, -1] / samples.size, -math.inf)
 
 
 def _weighted_draws(weight: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -349,6 +368,13 @@ class CircularKMeans(Detector):
     silhouette (ties go to the smaller k).  An event is anomalous when its
     distance to the nearest centroid, in floored sigma units, exceeds
     ``threshold``.
+
+    Samples at one minute share a label, so a fit takes each silhouette over
+    the distinct training minutes, weighted by their counts, from a distance
+    matrix of at most 1,440 x 1,440 whatever the window holds.  Its distance
+    sums are integers, exact in any order, and each term is expanded back to
+    its samples before the running sum in sample order, so the silhouettes
+    keep the bytes of sums over every pair of samples.
     """
 
     name = "kmeans"
@@ -370,18 +396,26 @@ class CircularKMeans(Detector):
         hours = whole / 60.0
         n = hours.size
         self._require_samples(n)
-        # Samples are whole minutes, so distances in minutes are integers
-        # and their sums, far below 2**53, are exact in any summation order:
-        # the BLAS kernel the CPU selects cannot move the silhouette.  The
-        # sums are turned into hours only after the product.
-        gaps = np.abs(whole[:, None] - whole[None, :])
-        matrix = np.minimum(gaps, MINUTES_PER_DAY - gaps)
         # Every Lloyd update of every k takes its circular means from these.
         angles = hours * _RADIANS_PER_HOUR
         unit = np.stack((np.cos(angles), np.sin(angles)))
         ks = range(2, min(KMEANS_MAX_CLUSTERS, n - 1) + 1)
         runs = self._lloyd(hours, unit, ks)
-        scores = _silhouettes(matrix, np.stack([labels for labels, _ in runs]), 60.0)
+        # Samples at one minute have one distance row to the centroids, so
+        # one label, and the silhouette runs over the distinct minutes, each
+        # weighted by its count: at most 1,440 of them, however long the
+        # window.  Distances in minutes are integers, and so are their
+        # weighted sums, far below 2**53 and exact in any summation order:
+        # neither the grouping nor the BLAS kernel the CPU selects can move
+        # the silhouette.  The sums are turned into hours after the product,
+        # and the gaps are int16, so the float matrix is the one large array.
+        distinct, first, samples, weights = np.unique(
+            whole.astype(np.int16), return_index=True, return_inverse=True, return_counts=True
+        )
+        gaps = np.abs(distinct[:, None] - distinct)
+        matrix = np.minimum(gaps, MINUTES_PER_DAY - gaps).astype(float)
+        minute_labels = np.stack([labels for labels, _ in runs])[:, first]
+        scores = _silhouettes(matrix, weights.astype(float), minute_labels, samples, 60.0)
         best = int(np.argmax(scores))  # the first best wins: ties go to the smaller k
         fitted = copy.copy(self)
         fitted.chosen_k = ks[best]
@@ -678,6 +712,13 @@ class CosineLof(Detector):
     neighbourhoods follow the conventions ``1 / 0 = inf`` and
     ``inf / inf = 1``.  New events are scored against the training points
     only; the alert threshold is a high percentile of the training scores.
+
+    A fit gathers every neighbourhood at once, its rows ordered stably by
+    size, and reduces the neighbourhoods of each size as one C-contiguous
+    block: each row's sum is numpy's pairwise sum of that row alone, and is
+    divided by its size, as ``_mean`` does for the one neighbourhood of a
+    score.  So the densities and scores keep the bytes of one mean per row.
+    The fit still holds the n x n distance matrix.
     """
 
     name = "lof"
@@ -711,16 +752,17 @@ class CosineLof(Detector):
         kth = fitted.k_eff - 1
         # A copy, so the model does not keep the whole partitioned matrix.
         k_distances = np.partition(matrix, kth, axis=1)[:, kth].copy()
-        # Row i: i's neighbourhood, and the reach distances from i.
+        # Every neighbourhood in one gather: the rows sorted stably by the
+        # size of their neighbourhood, each row's neighbours in ascending
+        # order, the order in which a row's mask selects them.
         near = matrix <= (k_distances + LOF_TIE_EPS)[:, None]
-        reach = np.maximum(k_distances[None, :], matrix)
-        densities = np.empty(n)
-        for i in range(n):
-            mean_reach = _mean(reach[i][near[i]])
-            densities[i] = math.inf if mean_reach == 0.0 else 1.0 / mean_reach
-        scores = np.empty(n)
-        for i in range(n):
-            scores[i] = _lof_ratio(_mean(densities[near[i]]), float(densities[i]))
+        sizes = np.count_nonzero(near, axis=1)
+        order = np.argsort(sizes, kind="stable")
+        position, neighbours = np.divmod(np.flatnonzero(near[order]), n)
+        reach = np.maximum(k_distances[neighbours], matrix[order[position], neighbours])
+        densities = _LOF_DENSITIES(_neighbourhood_means(reach, order, sizes)).astype(float)
+        neighbour_densities = _neighbourhood_means(densities[neighbours], order, sizes)
+        scores = _LOF_RATIOS(neighbour_densities, densities).astype(float)
         fitted.k_distances = k_distances
         fitted.local_densities = densities
         fitted.training_scores = scores
@@ -733,8 +775,7 @@ class CosineLof(Detector):
         dist = _cosine_distances(_hour_of(minute), self.hours)
         kth = self.k_eff - 1
         near = dist <= np.partition(dist, kth)[kth] + LOF_TIE_EPS
-        mean_reach = _mean(np.maximum(self.k_distances[near], dist[near]))
-        own_density = math.inf if mean_reach == 0.0 else 1.0 / mean_reach
+        own_density = _lof_density(_mean(np.maximum(self.k_distances[near], dist[near])))
         raw = _lof_ratio(_mean(self.local_densities[near]), own_density)
         return Score(int(raw > self.score_threshold), raw)
 
@@ -761,7 +802,37 @@ def _mean(values: np.ndarray) -> float:
     return float(np.add.reduce(values)) / values.size
 
 
+def _neighbourhood_means(values: np.ndarray, order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ``_mean`` of each row's values, for rows of ``sizes[row]`` values.
+
+    ``values`` holds the values of row ``order[0]``, then of ``order[1]``,
+    and so on, where ``order`` sorts the rows stably by size.  The rows of
+    one size are one C-contiguous (rows, size) block, and ``np.add.reduce``
+    along its last axis is numpy's pairwise sum of each row alone: the sum
+    ``_mean`` takes, before the same division by the size.
+    """
+    means = np.empty(order.size)
+    counts = np.bincount(sizes)
+    start = offset = 0
+    for size in np.flatnonzero(counts).tolist():
+        count = int(counts[size])
+        block = values[offset : offset + count * size].reshape(count, size)
+        means[order[start : start + count]] = np.add.reduce(block, axis=1) / size
+        start, offset = start + count, offset + count * size
+    return means
+
+
+def _lof_density(mean_reach: float) -> float:
+    """Local reachability density: ``1 / mean_reach``, and ``1 / 0 = inf``."""
+    return math.inf if mean_reach == 0.0 else 1.0 / mean_reach
+
+
 def _lof_ratio(neighbour_density: float, own_density: float) -> float:
+    """LOF as the neighbours' mean density over the point's own.
+
+    Among duplicates densities are infinite: ``inf / inf = 1``, ``x / inf
+    = 0`` and ``inf / x = inf``; and ``x / 0 = inf``.
+    """
     if math.isinf(own_density):
         return 1.0 if math.isinf(neighbour_density) else 0.0
     if math.isinf(neighbour_density):
@@ -769,6 +840,12 @@ def _lof_ratio(neighbour_density: float, own_density: float) -> float:
     if own_density == 0.0:
         return math.inf
     return neighbour_density / own_density
+
+
+# ``_lof_density`` and ``_lof_ratio`` on each element of an array, for the
+# fit: each element takes the Python float arithmetic that scoring takes.
+_LOF_DENSITIES = np.frompyfunc(_lof_density, 1, 1)
+_LOF_RATIOS = np.frompyfunc(_lof_ratio, 2, 1)
 
 
 # ---------------------------------------------------------------------------

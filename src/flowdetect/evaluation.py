@@ -40,9 +40,13 @@ _LABELS = {"0": 0, "1": 1}
 
 
 def load_scores(path: str) -> list[dict[str, Any]]:
-    """Read a line-delimited scores file written by a run."""
+    """Read a line-delimited scores file written by a run.
+
+    A byte-order mark that opens the file is skipped, as the CSV readers skip
+    one; a line further on that opens with one is not valid JSON.
+    """
     records = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()

@@ -167,7 +167,8 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as handle:
+        # A byte-order mark that opens the file is skipped, as the CSV readers skip one.
+        with open(path, encoding="utf-8-sig") as handle:
             try:
                 raw = json.load(handle)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:

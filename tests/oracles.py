@@ -411,6 +411,29 @@ def _summarise_clusters(hours, labels, centroids):
     return merged
 
 
+def minute_distance_matrix(minutes):
+    """The n x n circular distances between samples, in whole minutes."""
+    whole = np.asarray(minutes, dtype=float)
+    gaps = np.abs(whole[:, None] - whole[None, :])
+    return np.minimum(gaps, 1440 - gaps)
+
+
+def silhouette_full_matrix(matrix, labels):
+    """The fit's silhouette of ``labels``, from each sample's distance sums
+    over the n x n matrix of minute distances; -inf for fewer than two
+    clusters."""
+    n = labels.size
+    counts = np.bincount(labels)
+    present = counts > 0
+    if np.count_nonzero(present) < 2:
+        return -math.inf
+    cluster = (np.cumsum(present) - 1)[labels]
+    sizes = counts[present]
+    onehot = np.zeros((n, sizes.size))
+    onehot[np.arange(n), cluster] = 1.0
+    return _silhouette_of_sums((matrix @ onehot) / 60.0, cluster, sizes)
+
+
 def kmeans_fit_per_k(minutes, seed):
     """The whole circular k-means fit, one Lloyd run per k after another.
 
@@ -418,24 +441,13 @@ def kmeans_fit_per_k(minutes, seed):
     """
     hours = np.asarray(minutes, dtype=float) / 60.0
     n = hours.size
-    whole = np.asarray(minutes, dtype=float)
-    gaps = np.abs(whole[:, None] - whole[None, :])
-    matrix = np.minimum(gaps, 1440 - gaps)
+    matrix = minute_distance_matrix(minutes)
     angles = hours * RADIANS_PER_HOUR
     unit = (np.cos(angles), np.sin(angles))
     best_k, best_score, best_labels, best_centroids = 0, -math.inf, None, None
     for k in range(2, min(10, n - 1) + 1):
         labels, centroids = lloyd_grouped(hours, unit, k, seed)
-        counts = np.bincount(labels)
-        present = counts > 0
-        if np.count_nonzero(present) < 2:
-            score = -math.inf
-        else:
-            cluster = (np.cumsum(present) - 1)[labels]
-            sizes = counts[present]
-            onehot = np.zeros((n, sizes.size))
-            onehot[np.arange(n), cluster] = 1.0
-            score = _silhouette_of_sums((matrix @ onehot) / 60.0, cluster, sizes)
+        score = silhouette_full_matrix(matrix, labels)
         if best_labels is None or score > best_score:
             best_k, best_score, best_labels, best_centroids = k, score, labels, centroids
     return best_k, _summarise_clusters(hours, best_labels, best_centroids)

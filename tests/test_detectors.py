@@ -22,6 +22,7 @@ from flowdetect.detectors import (
     Score,
     WrappedKde,
     _kernel_table,
+    _silhouettes,
     _weighted_draws,
     circ_distance,
     circular_mean,
@@ -504,11 +505,12 @@ def test_grouped_lloyd_update_matches_masked_circular_means():
     assert reseeded >= 30
 
 
-def _large_minute_sets(seed: int, count: int):
-    """Whole-minute sets of 130 to 400 samples, so clusters of over 128 occur."""
+def _large_minute_sets(seed: int, count: int, sizes=(130, 401)):
+    """Whole-minute sets of ``sizes[0]`` to ``sizes[1] - 1`` samples; the
+    default sizes make clusters of over 128 occur."""
     rng = np.random.default_rng(seed)
     for trial in range(count):
-        n = int(rng.integers(130, 401))
+        n = int(rng.integers(*sizes))
         if trial % 2:
             centres = rng.integers(0, 1440, int(rng.integers(1, 5)))
             minutes = (rng.choice(centres, n) + rng.integers(-30, 31, n)) % 1440
@@ -517,14 +519,31 @@ def _large_minute_sets(seed: int, count: int):
         yield minutes.tolist()
 
 
+def _repeated_minute_sets(seed: int, count: int):
+    """Whole-minute sets in which every minute occurs at least twice."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        distinct = rng.choice(1440, int(rng.integers(2, 80)), replace=False)
+        if trial % 2:  # a few busy times of day
+            jitter = rng.integers(-15, 16, distinct.size)
+            distinct = np.unique((rng.choice(distinct[:3], distinct.size) + jitter) % 1440)
+        minutes = np.repeat(distinct, rng.integers(2, 6, distinct.size))
+        rng.shuffle(minutes)
+        yield minutes.tolist()
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_lockstep_fit_matches_per_k_fit(seed):
     """The lockstep fit gives the per-k fit's chosen k and clusters, to the bit.
 
-    300 sets per seed, 600 in all, each seed with its own sets.
+    330 sets per seed, 660 in all, each seed with its own sets.  In 27 of
+    them every minute repeats, and 3 hold more samples than a day has
+    minutes, so the silhouette weighs far fewer minutes than samples.
     """
     sets = [minutes for minutes, _ in _minute_sets(1993 + seed, 270)]
     sets += list(_large_minute_sets(1993 + seed, 30))
+    sets += list(_repeated_minute_sets(1993 + seed, 27))
+    sets += list(_large_minute_sets(1993 + seed, 3, sizes=(1441, 2000)))
     longest = 0
     for version, minutes in enumerate(sets):
         model = CircularKMeans(seed=seed).fit_partial(minutes, version=version)
@@ -534,6 +553,39 @@ def test_lockstep_fit_matches_per_k_fit(seed):
         assert model.trained_version == version
         longest = max(longest, max(c.size for c in model.clusters))
     assert longest > 128
+
+
+def test_silhouettes_over_distinct_minutes_match_the_full_matrix():
+    """The silhouette of every clustering a fit weighs, to the bit, against
+    sums over all n x n sample pairs: the terms expand back to their samples
+    before the running sum."""
+    for seed, minutes in enumerate(_repeated_minute_sets(1443, 60)):
+        whole = np.asarray(minutes)
+        hours = whole / 60.0
+        angles = hours * (2.0 * math.pi / 24.0)
+        ks = range(2, min(10, whole.size - 1) + 1)
+        unit = np.stack((np.cos(angles), np.sin(angles)))
+        runs = CircularKMeans(seed=seed)._lloyd(hours, unit, ks)
+        distinct, first, samples, weights = np.unique(
+            whole, return_index=True, return_inverse=True, return_counts=True
+        )
+        gaps = np.abs(distinct[:, None] - distinct)
+        between = np.minimum(gaps, 1440 - gaps).astype(float)
+        labels = np.stack([labels for labels, _ in runs])
+        got = _silhouettes(between, weights.astype(float), labels[:, first], samples, 60.0)
+        matrix = oracles.minute_distance_matrix(minutes)
+        assert got.tolist() == [oracles.silhouette_full_matrix(matrix, row) for row in labels]
+
+
+def test_kmeans_fit_of_5000_samples_peaks_at_40_mb():
+    minutes = np.random.default_rng(1999).integers(0, 1440, 5000).tolist()
+    tracemalloc.start()
+    try:
+        CircularKMeans().fit_partial(minutes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
 
 
 def test_cluster_sums_follow_numpy_pairwise_scheme():
@@ -624,19 +676,50 @@ def test_kde_fit_of_5000_samples_peaks_at_20_mb():
     assert peak <= 20 * 2**20
 
 
+def _assert_lof_matches_sorted(minutes, k, queries):
+    """Every part of one LOF fit, and the scores of ``queries``, against the
+    sort-based formulation, with ``==``."""
+    hours = np.asarray(minutes, dtype=float) / 60.0
+    model = CosineLof(n_neighbors=k).fit_partial(minutes)
+    k_distances, densities, scores = oracles.lof_fit_sorted(hours, k)
+    assert np.array_equal(model.k_distances, k_distances)
+    assert np.array_equal(model.local_densities, densities)
+    assert np.array_equal(model.training_scores, scores)
+    assert model.score_threshold == oracles.percentile_linear(scores.tolist(), model.percentile)
+    for minute in queries:
+        want = oracles.lof_score_sorted(hours, model.k_eff, k_distances, densities, minute / 60.0)
+        assert model.score_partial(minute).raw == want
+    return model
+
+
 def test_lof_partition_matches_sort_based_path():
+    """The seeded minute sets with k in 2..10; 100 to 200 samples around a
+    few busy times at the default k = 20, as a half-year stream's sliding
+    windows hold; and 300 samples over 3 minutes, whose neighbourhoods at
+    k = 150 and 299 are longer than numpy's 128-value pairwise block."""
+    sets = list(_minute_sets(2000))
+    shapes = np.random.default_rng(2024)
+    for _ in range(60):
+        n = int(shapes.integers(100, 201))
+        centres = shapes.integers(0, 1440, int(shapes.integers(1, 4)))
+        minutes = (shapes.choice(centres, n) + shapes.integers(-90, 91, n)) % 1440
+        sets.append((minutes.tolist(), 20))
+    for _ in range(10):
+        minutes = (int(shapes.integers(0, 1440)) + shapes.integers(0, 3, 300)) % 1440
+        sets += [(minutes.tolist(), k) for k in (20, 150, 299)]
     rng = np.random.default_rng(2000)
-    for minutes, k in _minute_sets(2000):
-        hours = np.asarray(minutes, dtype=float) / 60.0
-        model = CosineLof(n_neighbors=k).fit_partial(minutes)
-        k_distances, densities, scores = oracles.lof_fit_sorted(hours, k)
-        assert np.array_equal(model.k_distances, k_distances)
-        assert np.array_equal(model.local_densities, densities)
-        assert np.array_equal(model.training_scores, scores)
+    for minutes, k in sets:
         queries = rng.integers(0, 1440, 4).tolist() + rng.choice(minutes, 2).tolist()
-        for minute in queries:
-            want = oracles.lof_score_sorted(hours, model.k_eff, k_distances, densities, minute / 60.0)
-            assert model.score_partial(minute).raw == want
+        _assert_lof_matches_sorted(minutes, k, queries)
+
+
+def test_lof_fit_matches_sort_based_path_on_one_repeated_minute():
+    """Every neighbourhood is the other n - 1 samples, and every density inf."""
+    for n in (3, 8, 129, 300):
+        for k in (1, 20):
+            model = _assert_lof_matches_sorted([615] * n, k, [615, 616, 0])
+            assert np.all(np.isinf(model.local_densities))
+            assert model.training_scores.tolist() == [1.0] * n
 
 
 def test_kde_scores_and_threshold_match_the_plain_python_table():

@@ -207,13 +207,20 @@ def test_load_scores_reports_bad_line(tmp_path):
     path.write_text('{"eventId": "E1"}\nnot json\n')
     with pytest.raises(InputError, match=":2"):
         load_scores(str(path))
-    # A line that opens with a byte-order mark gets json.loads' own message.
-    line = '\ufeff{"eventId": "E1"}'
+    # A line past the first that opens with a byte-order mark gets json.loads'
+    # own message.
+    line = '\ufeff{"eventId": "E2"}'
     with pytest.raises(json.JSONDecodeError) as loads_error:
         json.loads(line)
-    path.write_text(line + "\n", encoding="utf-8")
-    with pytest.raises(InputError, match=re.escape(f"{path}:1: not valid JSON: {loads_error.value}")):
+    path.write_text('{"eventId": "E1"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}:2: not valid JSON: {loads_error.value}")):
         load_scores(str(path))
+
+
+def test_load_scores_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_bytes(b'\xef\xbb\xbf{"eventId": "E1"}\n{"eventId": "E2"}\n')
+    assert [r["eventId"] for r in load_scores(str(path))] == ["E1", "E2"]
 
 
 def test_load_scores_skips_blank_lines(tmp_path):

@@ -132,6 +132,12 @@ def test_config_from_file(tmp_path):
         PipelineConfig.from_file(str(path))
 
 
+def test_config_from_file_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xef\xbb\xbf{}")
+    assert PipelineConfig.from_file(str(path)) == PipelineConfig()
+
+
 def test_config_from_dict_takes_its_defaults_from_the_config_types():
     assert PipelineConfig.from_dict({}) == PipelineConfig()
     assert PipelineConfig.from_dict({"detectors": None}) == PipelineConfig()
