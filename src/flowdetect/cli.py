@@ -13,7 +13,7 @@ import json
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import evaluation, synth
 from .engine import Event
@@ -38,10 +38,21 @@ def ingest(
 ) -> Iterator[Event]:
     """Yield ``e(user, date, id)`` events from an activity log.
 
-    Rows with a missing or empty id, date or user are counted and skipped;
-    rows not matching ``activity_filter`` are counted separately.
+    The call itself opens the file and checks its header, so a run refuses a
+    bad input before it opens any output; the rows are read as the events
+    are asked for.  Rows with a missing or empty id, date or user are counted
+    as malformed and skipped; rows not matching ``activity_filter`` are
+    counted separately.  A row the CSV reader refuses (a field over
+    ``csv.field_size_limit()``) raises ``InputError`` with its path and line:
+    once a quoted field is cut off, the start of the next row is unknown.
     """
-    stats = stats if stats is not None else IngestStats()
+    events = _events(path, activity_filter, stats if stats is not None else IngestStats())
+    next(events)  # up to the checked header
+    return events
+
+
+def _events(path: str, activity_filter: str | None, stats: IngestStats) -> Iterator[Any]:
+    """``ingest``'s rows, after one ``None`` for a header that passed."""
     with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -56,6 +67,7 @@ def ingest(
             id_at, date_at, user_at = column["id"], column["date"], column["user"]
             activity_at = column["activity"]
             last_required = max(id_at, date_at, user_at)
+            yield None
             for row in reader:
                 if not row:
                     continue
@@ -75,6 +87,8 @@ def ingest(
                 yield Event("e", (user, when, event_id))
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not valid UTF-8: {exc}") from None
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -101,10 +115,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     pipeline = Pipeline(config)
     stats = IngestStats()
+    events = ingest(args.input, config.activity_filter, stats)
     with ExitStack() as outputs:
+        outputs.callback(events.close)  # the input, should an output fail to open
         alerts_out = _output(outputs, args.alerts_out)
         scores_out = _output(outputs, args.scores_out)
-        for event in ingest(args.input, config.activity_filter, stats):
+        for event in events:
             fresh = pipeline.process_event(event)
             if alerts_out:
                 for alert in fresh:

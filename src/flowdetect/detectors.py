@@ -39,6 +39,7 @@ import numbers
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -849,21 +850,16 @@ _LOF_RATIOS = np.frompyfunc(_lof_ratio, 2, 1)
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Detector types
 # ---------------------------------------------------------------------------
 
-DEFAULT_DETECTORS = ("kde", "kmeans", "lof")
+#: The detector types a config can name, keyed by each type's own ``name``.
+#: The table is read-only: the three types are the whole set.
+DETECTOR_TYPES: Mapping[str, type[Detector]] = MappingProxyType(
+    {cls.name: cls for cls in (WrappedKde, CircularKMeans, CosineLof)}
+)
 
-DETECTOR_TYPES: dict[str, type[Detector]] = {
-    "kde": WrappedKde,
-    "kmeans": CircularKMeans,
-    "lof": CosineLof,
-}
-
-
-def register_detector(name: str, cls: type[Detector]) -> None:
-    """Expose an additional detector type to ``init_map``."""
-    DETECTOR_TYPES[name] = cls
+DEFAULT_DETECTORS = tuple(sorted(DETECTOR_TYPES))
 
 
 def init_map(params: Mapping[str, Mapping] | None = None) -> dict[str, Detector]:
@@ -872,8 +868,8 @@ def init_map(params: Mapping[str, Mapping] | None = None) -> dict[str, Detector]
     ``params`` maps each detector to build to its parameters, keyed by the
     external configuration keys its type declares in ``param_keys``;
     ``None`` builds the defaults.  Unknown detector names or parameter keys
-    raise ``ConfigurationError``, and so do values the built-in types cannot
-    take (anything but a finite number, a non-integer count, a negative or
+    raise ``ConfigurationError``, and so do values the types cannot take
+    (anything but a finite number, a non-integer count, a negative or
     non-integer seed, a percentile outside [0, 100]); values outside the
     recommended ranges only warn.
     """

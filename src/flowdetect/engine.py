@@ -489,19 +489,13 @@ class QuantifiedFlow(_Quantified):
 class QuantifiedInterleave(_Quantified):
     """One isolated operand instance per routing value.
 
-    The routing value is taken from the event argument at ``route_arg``.  With
+    The routing value is the event's first argument.  With
     ``domain=UNBOUNDED`` instances are created on first use.
     """
 
     domain: Sequence[Any] | _UnboundedDomain
-    route_arg: int = 0
 
     state_type = QuantifiedInterleaveState
-
-    def _validate(self, defs, call_chain):
-        if self.route_arg < 0:
-            raise SpecificationError(f"node {self.name!r}: negative routing index")
-        super()._validate(defs, call_chain)
 
     def _start(self, local, env, defs):
         if isinstance(self.domain, _UnboundedDomain):
@@ -510,12 +504,11 @@ class QuantifiedInterleave(_Quantified):
 
     def _step(self, state, scope, ctx):
         event = ctx.event
-        if self.route_arg >= len(event.args):
+        if not event.args:
             raise InputError(
-                f"node {self.name!r}: event {event.name!r} has no argument "
-                f"{self.route_arg} to route on"
+                f"node {self.name!r}: event {event.name!r} has no argument to route on"
             )
-        value = event.args[self.route_arg]
+        value = event.args[0]
         if value is None:
             raise InputError(f"node {self.name!r}: routing value is missing")
         try:

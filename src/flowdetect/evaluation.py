@@ -96,6 +96,8 @@ def load_labels(path: str) -> dict[str, int]:
                 labels[event_id] = value
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not valid UTF-8: {exc}") from None
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     return labels
 
 
@@ -105,14 +107,17 @@ def roc_curve(
     """Threshold sweep over ``values``; higher means more anomalous.
 
     Returns points sorted from (0, 0) to (1, 1) plus the trapezoidal AUC.
-    Both classes must be present.  One sort and one pass (Fawcett 2006):
-    each distinct value, taken as the threshold, adds one point once every
-    record tied at it has been counted.
+    Every label must be 0 or 1, and both classes present.  One sort and one
+    pass (Fawcett 2006): each distinct value, taken as the threshold, adds
+    one point once every record tied at it has been counted.
     """
     if len(values) != len(labels):
         raise InputError("scores and labels differ in length")
     positives = sum(1 for y in labels if y == 1)
-    negatives = len(labels) - positives
+    negatives = sum(1 for y in labels if y == 0)
+    if positives + negatives != len(labels):
+        other = next(y for y in labels if y != 0 and y != 1)
+        raise InputError(f"labels must be 0 or 1, got {other!r}")
     if positives == 0 or negatives == 0:
         raise InputError("ROC requires both classes in the labels")
     ranked = sorted(zip(values, labels), key=lambda pair: pair[0], reverse=True)
@@ -152,8 +157,8 @@ def evaluate(
 
     ``field`` is ``"votes"`` or a detector name (its raw score is swept; the
     few records where that detector cast no vote are left out of the curve).
-    Every scored event must be labelled.  ``alert`` must be ``True`` or
-    ``False``, and each swept value a number that is not a bool: JSON
+    Every scored event must be labelled 0 or 1.  ``alert`` must be ``True``
+    or ``False``, and each swept value a number that is not a bool: JSON
     ``true`` and ``"3"`` are no vote counts.  No swept value may be NaN,
     which has no place in the ranking; infinite values are kept.
     """
@@ -181,14 +186,18 @@ def evaluate(
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"score record {number} is malformed: {exc}") from None
         alert_count += int(alerted)
-        if alerted and label == 1:
-            tp += 1
-        elif alerted:
-            fp += 1
-        elif label == 1:
-            fn += 1
+        if label == 1:
+            if alerted:
+                tp += 1
+            else:
+                fn += 1
+        elif label == 0:
+            if alerted:
+                fp += 1
+            else:
+                tn += 1
         else:
-            tn += 1
+            raise InputError(f"label of {record['eventId']!r} must be 0 or 1, got {label!r}")
         if value is not None:
             values.append(value)
             swept_labels.append(label)

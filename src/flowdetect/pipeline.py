@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from .detectors import DEFAULT_DETECTORS, Score, init_map
 from .engine import (
@@ -212,9 +212,6 @@ class ScoredEvent:
         }
 
 
-VoteFn = Callable[[Sequence[tuple[str, Score]]], bool]
-
-
 def training_guard(config: PipelineConfig) -> Callable[[Mapping[str, Any]], bool]:
     """g1: the window has a version the detector has not seen, and enough data."""
 
@@ -230,13 +227,9 @@ def training_guard(config: PipelineConfig) -> Callable[[Mapping[str, Any]], bool
     return g1
 
 
-def detection_guard() -> Callable[[Mapping[str, Any]], bool]:
+def detection_guard(env: Mapping[str, Any]) -> bool:
     """g2: the detector has been trained at least once."""
-
-    def g2(env: Mapping[str, Any]) -> bool:
-        return env["detectors"][env["d"]].is_trained
-
-    return g2
+    return env["detectors"][env["d"]].is_trained
 
 
 def _loop(name: str, pattern: EventPattern, guard=None, action=None) -> Automaton:
@@ -249,18 +242,17 @@ def _loop(name: str, pattern: EventPattern, guard=None, action=None) -> Automato
     )
 
 
-def build_spec(
-    config: PipelineConfig, *, vote_fn: VoteFn | None = None
-) -> tuple[QuantifiedInterleave, dict[str, Node]]:
+def build_spec(config: PipelineConfig) -> tuple[QuantifiedInterleave, dict[str, Node]]:
     """Assemble the machine tree for ``config``.
 
     Returns the root node and the definitions map needed to resolve calls.
     It checks nothing: ``config`` checked itself when it was made.  A step
     of the tree reads ``when`` and adds each fit to ``fits``, both bound by
-    its caller, and binds a scored event as ``scored``.
+    its caller, and binds a scored event as ``scored``.  The vote is the
+    ``majority_vote`` this module holds when the tree is built.
     """
     names = sorted(config.detectors)
-    vote = vote_fn if vote_fn is not None else majority_vote
+    vote = majority_vote
     # Unfitted detectors are shared by every user: a fit replaces the map.
     unfitted = MappingProxyType(init_map(config.detectors))
 
@@ -303,7 +295,7 @@ def build_spec(
     detector_instance = Flow(
         name="detector_instance",
         left=_loop("training", pattern, guard=training_guard(config), action=train_action),
-        right=_loop("detection", pattern, guard=detection_guard(), action=detect_action),
+        right=_loop("detection", pattern, guard=detection_guard, action=detect_action),
     )
     defs: dict[str, Node] = {"detector_instance": detector_instance}
 
@@ -332,11 +324,11 @@ def build_spec(
 class Pipeline:
     """Owns a built machine, its runtime state and the run bookkeeping."""
 
-    def __init__(self, config: PipelineConfig | None = None, vote_fn: VoteFn | None = None):
+    def __init__(self, config: PipelineConfig | None = None):
         self.config = config if config is not None else PipelineConfig()
         self.counters = RunCounters()
         self._score_buffer: list[ScoredEvent] = []
-        self.spec, self.defs = build_spec(self.config, vote_fn=vote_fn)
+        self.spec, self.defs = build_spec(self.config)
         self.state = init(self.spec, defs=self.defs)
 
     def process_event(self, event: Event) -> list[ScoredEvent]:

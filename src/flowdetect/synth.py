@@ -45,9 +45,8 @@ def generate(
     anomaly_rate: float,
     seed: int,
     profile: str = "shift",
-    start: date = DEFAULT_START,
 ) -> list[SynthEvent]:
-    """Build a chronologically ordered, labelled event stream."""
+    """Build a chronologically ordered, labelled event stream from ``DEFAULT_START``."""
     if profile not in PROFILES:
         raise ConfigurationError(f"unknown profile {profile!r}")
     if n_users < 1 or n_weeks < 1:
@@ -70,7 +69,7 @@ def generate(
         for week in range(n_weeks):
             centre = mu + (shift_amount if week >= shift_week else 0.0)
             for weekday in range(5):
-                day = start + timedelta(weeks=week, days=weekday)
+                day = DEFAULT_START + timedelta(weeks=week, days=weekday)
                 for _ in range(int(rng.poisson(_EVENTS_PER_WEEKDAY))):
                     hour = float(
                         np.clip(
@@ -91,7 +90,7 @@ def generate(
             episode = int(rng.integers(lowest, highest + 1))
             for _ in range(n_anomalies):
                 week = min(episode + int(rng.integers(0, _ANOMALY_SPAN_WEEKS)), n_weeks - 1)
-                day = start + timedelta(weeks=week, days=int(rng.integers(0, 7)))
+                day = DEFAULT_START + timedelta(weeks=week, days=int(rng.integers(0, 7)))
                 hour = float(rng.uniform(0.0, 5.0))
                 rows.append((_at(day, hour, rng), user, pc, "Logon", 1, sequence))
                 sequence += 1

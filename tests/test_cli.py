@@ -195,6 +195,56 @@ def test_ingest_duplicated_header_name_reads_its_last_column(tmp_path):
     assert (stats.rows, stats.malformed, stats.filtered) == (2, 1, 0)
 
 
+def test_ingest_refuses_a_row_the_reader_refuses(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "id,date,user,pc,activity\n"
+        "E1,01/04/2010 08:00:00,alice,PC-1,Logon\n"
+        f"E2,01/04/2010 09:00:00,alice,PC-1,{'x' * 200_000}\n"  # over the field limit
+        "E3,01/04/2010 10:00:00,alice,PC-1,Logon\n"
+    )
+    stats = IngestStats()
+    events = ingest(str(path), stats=stats)
+    assert next(events).args[2] == "E1"
+    with pytest.raises(InputError, match=r"log\.csv:3: field larger than field limit"):
+        next(events)
+    assert (stats.rows, stats.malformed, stats.filtered) == (1, 0, 0)
+
+
+def test_ingest_reads_no_row_out_of_a_refused_quoted_field(tmp_path):
+    # The reader gives up inside the quoted field; its text after the next
+    # line break must not be read as a row of its own.
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "id,date,user,pc,activity\n"
+        "E1,01/04/2010 08:00:00,alice,PC-1,Logon\n"
+        f'E2,01/04/2010 09:00:00,alice,PC-1,"{"x" * 200_000}\n'
+        "E9,01/04/2010 11:00:00,mallory,PC-1,Logon\n"
+        '"\n'
+    )
+    seen = []
+    with pytest.raises(InputError, match="field larger than field limit"):
+        for event in ingest(str(path)):
+            seen.append(event.args[2])
+    assert seen == ["E1"]
+
+
+def test_ingest_refuses_a_header_the_reader_refuses(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(f"id,date,user,pc,activity,{'x' * 200_000}\n")
+    with pytest.raises(InputError, match=r"log\.csv:1: field larger than field limit"):
+        ingest(str(path))
+
+
+def test_ingest_checks_the_header_when_called(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("timestamp,who\n")
+    with pytest.raises(InputError, match="expected columns"):
+        ingest(str(path))
+    with pytest.raises(FileNotFoundError):
+        ingest(str(tmp_path / "nowhere.csv"))
+
+
 # ------------------------------------------------------------------- commands
 
 @pytest.fixture(scope="module")
@@ -399,6 +449,42 @@ def test_bad_header_is_a_clean_error(tmp_path, capsys):
     path.write_text("a,b\n1,2\n")
     assert main(["run", "--input", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing", "bad_header"])
+def test_a_run_that_cannot_read_its_input_leaves_old_outputs_alone(tmp_path, capsys, case):
+    path = tmp_path / "log.csv"
+    if case == "bad_header":
+        path.write_text("a,b\n1,2\n")
+    alerts, scores = tmp_path / "alerts.jsonl", tmp_path / "scores.jsonl"
+    alerts.write_bytes(b'{"old": 1}\n')
+    scores.write_bytes(b'{"old": 2}\n')
+    argv = ["run", "--input", str(path), "--alerts-out", str(alerts), "--scores-out", str(scores)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert alerts.read_bytes() == b'{"old": 1}\n'
+    assert scores.read_bytes() == b'{"old": 2}\n'
+
+
+@pytest.mark.parametrize("command", ["run", "dump-state"])
+def test_a_row_the_reader_refuses_is_a_clean_error(tmp_path, capsys, command):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "id,date,user,pc,activity\n"
+        f"E1,01/04/2010 08:00:00,alice,PC-1,{'x' * 200_000}\n"
+        "E2,01/04/2010 09:00:00,bob,PC-1,Logon\n"
+    )
+    assert main([command, "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: field larger than field limit")
+
+
+def test_evaluate_refuses_a_label_row_the_reader_refuses(tmp_path, capsys):
+    scores, labels = tmp_path / "scores.jsonl", tmp_path / "labels.csv"
+    scores.write_text("")
+    labels.write_text(f"id,label\nE1,{'1' * 200_000}\n")
+    argv = ["evaluate", "--input", str(scores), "--labels", str(labels)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {labels}:2: field larger than field limit")
 
 
 def test_missing_input_is_a_clean_error(tmp_path, capsys):

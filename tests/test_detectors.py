@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from flowdetect import detectors as detectors_module
 from flowdetect.detectors import (
     BANDWIDTH_FLOOR,
     DEFAULT_DETECTORS,
@@ -29,7 +30,6 @@ from flowdetect.detectors import (
     init_map,
     minutes_to_hours,
     percentile,
-    register_detector,
     silhouette,
 )
 from flowdetect.errors import ConfigurationError, NotEnoughDataError, NotFittedError
@@ -785,14 +785,12 @@ def test_init_map_warns_on_out_of_range_parameters():
         init_map({"kde": {"kde_parameter": 10.0}})
 
 
-def test_register_detector_extends_registry():
-    class Stub(CosineLof):
-        name = "stub"
-
-    register_detector("stub", Stub)
-    try:
-        detectors = init_map({"stub": {}, "kde": {}})
-        assert list(detectors) == ["kde", "stub"]
-        assert isinstance(detectors["stub"], Stub)
-    finally:
-        del DETECTOR_TYPES["stub"]
+def test_detector_types_are_read_only():
+    with pytest.raises(TypeError):
+        DETECTOR_TYPES["stub"] = CosineLof
+    with pytest.raises(TypeError):
+        DETECTOR_TYPES["kde"] = CosineLof
+    assert not hasattr(detectors_module, "register_detector")
+    assert DETECTOR_TYPES == {"kde": WrappedKde, "kmeans": CircularKMeans, "lof": CosineLof}
+    assert all(cls.name == name for name, cls in DETECTOR_TYPES.items())
+    assert isinstance(init_map()["kde"], WrappedKde)

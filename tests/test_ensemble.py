@@ -11,6 +11,7 @@ import oracles
 from flowdetect.detectors import Score
 from flowdetect.engine import Event
 from flowdetect.ensemble import majority_vote
+from flowdetect import pipeline as pipeline_module
 from flowdetect.pipeline import Pipeline, PipelineConfig
 from flowdetect.windowing import WindowConfig
 
@@ -64,7 +65,7 @@ def fred_events() -> list[Event]:
     ]
 
 
-def test_board_cleared_after_any_non_empty_vote():
+def test_board_cleared_after_any_non_empty_vote(monkeypatch):
     """The user's cast is back to ``()`` after every vote, alerting or not."""
     seen = []
 
@@ -72,7 +73,8 @@ def test_board_cleared_after_any_non_empty_vote():
         seen.append(len(cast))
         return len(seen) % 2 == 0
 
-    pipeline = Pipeline(PipelineConfig(window=WindowConfig(3, 1, "week")), vote_fn=alternate)
+    monkeypatch.setattr(pipeline_module, "majority_vote", alternate)
+    pipeline = Pipeline(PipelineConfig(window=WindowConfig(3, 1, "week")))
     for event in fred_events():
         pipeline.process_event(event)
         assert pipeline.state.instances["fred"].left.env["scores"] == ()
@@ -82,7 +84,7 @@ def test_board_cleared_after_any_non_empty_vote():
     assert seen == [3] * len(records)
 
 
-def test_a_vote_that_raises_leaves_no_stale_cast():
+def test_a_vote_that_raises_leaves_no_stale_cast(monkeypatch):
     """A vote that raises once leaves the cast empty: later events vote over 3."""
     calls = []
 
@@ -92,7 +94,8 @@ def test_a_vote_that_raises_leaves_no_stale_cast():
             raise RuntimeError("vote failed")
         return majority_vote(cast)
 
-    pipeline = Pipeline(PipelineConfig(window=WindowConfig(3, 1, "week")), vote_fn=flaky)
+    monkeypatch.setattr(pipeline_module, "majority_vote", flaky)
+    pipeline = Pipeline(PipelineConfig(window=WindowConfig(3, 1, "week")))
     failed = 0
     for event in fred_events():
         try:

@@ -66,6 +66,14 @@ def test_roc_requires_both_classes():
         roc_curve([1.0], [0, 1])
 
 
+def test_roc_refuses_a_label_that_is_not_0_or_1():
+    with pytest.raises(InputError, match="labels must be 0 or 1, got 2"):
+        roc_curve([3, 2, 1], [1, 0, 2])
+    with pytest.raises(InputError, match="got -1"):
+        roc_curve([3, 2, 1], [1, -1, 0])
+    assert roc_curve([3, 2, 1], [True, False, 0]) == roc_curve([3, 2, 1], [1, 0, 0])
+
+
 def test_roc_random_scores_near_half():
     rng = random.Random(1234)
     values = [rng.random() for _ in range(2000)]
@@ -120,6 +128,17 @@ def test_evaluate_rejects_unlabelled_events():
 def test_evaluate_rejects_empty_field():
     with pytest.raises(InputError):
         evaluate(FIXTURE, LABELS, field="lof")
+
+
+@pytest.mark.parametrize("label", [3, 2, -1, 0.5, "1"])
+def test_evaluate_refuses_a_label_that_is_not_0_or_1(label):
+    with pytest.raises(InputError, match=re.escape(f"label of 'E5' must be 0 or 1, got {label!r}")):
+        evaluate(FIXTURE, {**LABELS, "E5": label})
+
+
+def test_evaluate_reads_true_and_false_as_1_and_0():
+    as_bools = {key: bool(value) for key, value in LABELS.items()}
+    assert evaluate(FIXTURE, as_bools) == evaluate(FIXTURE, LABELS)
 
 
 def test_evaluate_zero_positives_rate():
@@ -312,19 +331,22 @@ LABEL_FILES = {
     "missing_label_column": b"id,lab\nE1,0\n",
     "byte_order_mark": b"\xef\xbb\xbfid,label\nE1,0\n",
     "not_utf8": b"id,label\nE1,0\nE\xff,1\n",
+    "field_over_the_size_limit": b"id,label\nE1,0\nE2," + b"1" * 200_000 + b"\n",
 }
 
 
 #: Files on which ``load_labels`` departs from that loader on purpose, and
 #: what it gives instead: a map, or the text of its error after the path.
-#: The loader read a byte-order mark into the first column's name, and
-#: stored a row without an id under ``None`` or ``''``.
+#: The loader read a byte-order mark into the first column's name, stored
+#: a row without an id under ``None`` or ``''``, and let the reader's own
+#: ``csv.Error`` out for a row it refuses, with no path or line.
 DEPARTURES = {
     "byte_order_mark": ("labels", {"E1": 0}),
     "short_row_under_a_repeated_id": ("InputError", ":3: id is missing"),
     "two_short_rows_under_a_repeated_id": ("InputError", ":2: id is missing"),
     "short_row_before_the_id": ("InputError", ":3: id is missing"),
     "empty_id": ("InputError", ":2: id is missing"),
+    "field_over_the_size_limit": ("InputError", ":3: field larger than field limit (131072)"),
 }
 
 

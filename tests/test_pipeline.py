@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import gc
 import json
+import random
 import weakref
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -12,18 +13,19 @@ from types import MappingProxyType
 from typing import Mapping
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
+from flowdetect import detectors as detectors_module
 from flowdetect import pipeline as pipeline_module
 from flowdetect import engine, synth
 from flowdetect.detectors import (
-    DETECTOR_TYPES,
     CircularKMeans,
     CosineLof,
     Detector,
     Score,
     WrappedKde,
     init_map,
-    register_detector,
 )
 from flowdetect.engine import (
     UNBOUNDED,
@@ -145,6 +147,76 @@ def test_config_from_dict_takes_its_defaults_from_the_config_types():
     assert day.window == WindowConfig(10, 5, "day")
 
 
+def dense_events(days: int = 10, per_day: int = 30) -> list[Event]:
+    """One user's ``per_day`` logons on each of ``days`` days, mostly in office hours."""
+    rng = random.Random(7)
+    events = []
+    for day in range(days):
+        for n in range(per_day):
+            hour = rng.choice((2, 23)) if n % 10 == 9 else rng.randint(8, 17)
+            when = START + timedelta(days=day, hours=hour, minutes=rng.randrange(60))
+            events.append(Event("e", ("solo", when.strftime(FMT), f"{day}-{n}")))
+    events.sort(key=lambda event: parse_timestamp(event.args[1]))
+    return events
+
+
+DENSE_EVENTS = dense_events()
+
+#: A window type and the largest size over which ``DENSE_EVENTS`` slides:
+#: 10 days in two ISO weeks, 300 events.
+WINDOW_SIZES = {"day": 4, "week": 1, "instance": 100}
+
+
+@st.composite
+def window_configs(draw) -> WindowConfig:
+    kind = draw(st.sampled_from(sorted(WINDOW_SIZES)))
+    size = draw(st.integers(1, WINDOW_SIZES[kind]))
+    return WindowConfig(size, draw(st.integers(0, size)), kind)
+
+
+# ``DENSE_EVENTS`` fills and slides every window drawn here and brings 30
+# samples a day, so every config the validator accepts reaches its training
+# minimum of at most 30: each fits all its detectors.
+@pytest.mark.filterwarnings("ignore:.*outside the recommended range:UserWarning")
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    window=window_configs(),
+    minimum=st.integers(1, 30),
+    names=st.sets(st.sampled_from(["kde", "kmeans", "lof"])),
+    kde=st.sampled_from([0.0, 0.5, 5.0, 100.0]),
+    lof=st.sampled_from([0.0, 75.0, 95.0, 100.0]),
+    n_neighbors=st.integers(1, 10**6),
+    kmeans=st.sampled_from([0.0, 1e-300, 1.5, 2.5, 1e300]),
+)
+@example(WindowConfig(1, 1, "day"), 30, {"kde", "kmeans", "lof"}, 0.0, 100.0, 10**6, 1e300)
+@example(WindowConfig(2, 1, "instance"), 2, {"kde"}, 100.0, 0.0, 1, 0.0)
+@example(WindowConfig(3, 1, "instance"), 3, {"kmeans", "lof"}, 0.0, 0.0, 1, 0.0)
+# Each refused: a window that never holds the minimum, a minimum too small to fit.
+@example(WindowConfig(2, 1, "instance"), 3, {"kmeans", "lof"}, 0.0, 0.0, 1, 0.0)
+@example(WindowConfig(1, 0, "day"), 2, {"kde", "kmeans", "lof"}, 0.5, 95.0, 20, 1.5)
+def test_every_accepted_config_runs_to_the_end(
+    window, minimum, names, kde, lof, n_neighbors, kmeans
+):
+    params = {
+        "kde": {"kde_parameter": kde},
+        "kmeans": {"kmeans_parameter": kmeans},
+        "lof": {"lof_parameter": lof, "n_neighbors": n_neighbors},
+    }
+    try:
+        config = PipelineConfig(
+            window=window,
+            detectors={name: params[name] for name in names},
+            min_training_instances=minimum,
+        )
+    except ConfigurationError:
+        reject()
+    pipeline = Pipeline(config)
+    records = run(pipeline, DENSE_EVENTS)
+    assert pipeline.counters.events == len(DENSE_EVENTS)
+    assert pipeline.counters.retrains >= len(names)
+    assert records and all(r.cast == len(names) for r in records[-10:])
+
+
 # -------------------------------------------------------------------- guards
 
 class StubDetector:
@@ -177,7 +249,7 @@ def test_training_guard_cases():
 
 
 def test_detection_guard_cases():
-    g2 = detection_guard()
+    g2 = detection_guard
     assert not g2({"detectors": {"kde": StubDetector(-1)}, "d": "kde"})
     assert g2({"detectors": {"kde": StubDetector(0)}, "d": "kde"})
 
@@ -188,7 +260,7 @@ def test_build_spec_shape():
     config = PipelineConfig()
     root, defs = build_spec(config)
     assert isinstance(root, QuantifiedInterleave)
-    assert root.var == "userId" and root.domain is UNBOUNDED and root.route_arg == 0
+    assert root.var == "userId" and root.domain is UNBOUNDED
 
     per_user = root.body
     assert isinstance(per_user, Flow)
@@ -356,19 +428,22 @@ class LevelDetector(Detector):
         return Score(0, self.level)
 
 
-def test_registered_detector_receives_its_declared_parameters():
-    register_detector("level", LevelDetector)
-    try:
-        config = PipelineConfig(
-            window=WindowConfig(3, 1, "week"), detectors={"level": {"level_parameter": 7.5}}
-        )
-        records = run(Pipeline(config), weekday_events("solo", 4))
-        assert records and all(r.detectors["level"]["raw"] == 7.5 for r in records)
+def with_types(monkeypatch, *types: type[Detector]) -> None:
+    """Let a config name ``types`` too, for the calling test only."""
+    table = {**detectors_module.DETECTOR_TYPES, **{cls.name: cls for cls in types}}
+    monkeypatch.setattr(detectors_module, "DETECTOR_TYPES", MappingProxyType(table))
 
-        with pytest.raises(ConfigurationError, match="unknown level parameter"):
-            PipelineConfig(detectors={"level": {"kde_parameter": 1.0}})
-    finally:
-        del DETECTOR_TYPES["level"]
+
+def test_registered_detector_receives_its_declared_parameters(monkeypatch):
+    with_types(monkeypatch, LevelDetector)
+    config = PipelineConfig(
+        window=WindowConfig(3, 1, "week"), detectors={"level": {"level_parameter": 7.5}}
+    )
+    records = run(Pipeline(config), weekday_events("solo", 4))
+    assert records and all(r.detectors["level"]["raw"] == 7.5 for r in records)
+
+    with pytest.raises(ConfigurationError, match="unknown level parameter"):
+        PipelineConfig(detectors={"level": {"kde_parameter": 1.0}})
 
 
 class MinuteDetector(Detector):
@@ -385,14 +460,11 @@ class MinuteDetector(Detector):
         return Score(0, minute)
 
 
-def test_a_detector_scores_from_the_minute_alone():
-    register_detector("minute", MinuteDetector)
-    try:
-        config = PipelineConfig(window=WindowConfig(3, 1, "week"), detectors={"minute": {}})
-        records = run(Pipeline(config), weekday_events("solo", 4))
-        assert records and {r.detectors["minute"]["raw"] for r in records} == {9 * 60, 14 * 60}
-    finally:
-        del DETECTOR_TYPES["minute"]
+def test_a_detector_scores_from_the_minute_alone(monkeypatch):
+    with_types(monkeypatch, MinuteDetector)
+    config = PipelineConfig(window=WindowConfig(3, 1, "week"), detectors={"minute": {}})
+    records = run(Pipeline(config), weekday_events("solo", 4))
+    assert records and {r.detectors["minute"]["raw"] for r in records} == {9 * 60, 14 * 60}
 
 
 def test_detector_subset_votes_alone():
@@ -637,33 +709,30 @@ def zfit_config() -> PipelineConfig:
     return PipelineConfig(window=WindowConfig(3, 1, "week"), detectors=detectors)
 
 
-def test_a_fit_that_raises_changes_nothing():
+def test_a_fit_that_raises_changes_nothing(monkeypatch):
     events = weekday_events("alice", 6)
-    try:
-        register_detector("zfit", failing_fit(fail_at=2))
-        pipeline = Pipeline(zfit_config())
-        before, failed = [], None
-        for n, event in enumerate(events):
-            if failed is None:
-                state, counters = pipeline.dump(), repr(pipeline.counters)
-                before += pipeline.drain_scores()
-            try:
-                pipeline.process_event(event)
-            except RuntimeError:
-                assert failed is None
-                failed = n
-                # kde, kmeans and lof refit in this step before zfit raised
-                assert pipeline.dump() == state
-                assert repr(pipeline.counters) == counters
-                assert pipeline.drain_scores() == []
-        assert failed is not None and before
-        records = before + pipeline.drain_scores()
+    with_types(monkeypatch, failing_fit(fail_at=2))
+    pipeline = Pipeline(zfit_config())
+    before, failed = [], None
+    for n, event in enumerate(events):
+        if failed is None:
+            state, counters = pipeline.dump(), repr(pipeline.counters)
+            before += pipeline.drain_scores()
+        try:
+            pipeline.process_event(event)
+        except RuntimeError:
+            assert failed is None
+            failed = n
+            # kde, kmeans and lof refit in this step before zfit raised
+            assert pipeline.dump() == state
+            assert repr(pipeline.counters) == counters
+            assert pipeline.drain_scores() == []
+    assert failed is not None and before
+    records = before + pipeline.drain_scores()
 
-        register_detector("zfit", failing_fit(fail_at=None))
-        never = Pipeline(zfit_config())
-        expected = run(never, events[:failed] + events[failed + 1:])
-    finally:
-        del DETECTOR_TYPES["zfit"]
+    with_types(monkeypatch, failing_fit(fail_at=None))
+    never = Pipeline(zfit_config())
+    expected = run(never, events[:failed] + events[failed + 1:])
     assert [r.to_record() for r in records] == [r.to_record() for r in expected]
     assert repr(pipeline.counters) == repr(never.counters)
     assert pipeline.dump() == never.dump()
@@ -747,10 +816,11 @@ def test_an_existing_users_event_checks_one_state_shape(monkeypatch):
 
 # ------------------------------------------------------------- vote injection
 
-def test_alternative_vote_strategy_is_honoured():
+def test_alternative_vote_strategy_is_honoured(monkeypatch):
     # The vote only decides; the pipeline rebinds the cast to () after each
     # vote, so every vote sees the three votes of its own event.
-    pipeline = Pipeline(weekly_config(), vote_fn=lambda cast: True)
+    monkeypatch.setattr(pipeline_module, "majority_vote", lambda cast: True)
+    pipeline = Pipeline(weekly_config())
     records = run(pipeline, weekday_events("fred", 4))
     assert pipeline.counters.alerts == len(records) > 0
     assert all(r.cast == 3 and r.alert for r in records)
