@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -111,9 +112,40 @@ def _output(outputs: ExitStack, path: str | None):
     return handle
 
 
+def _file_key(path: str) -> Any:
+    """What two paths that name one file share.
+
+    An existing file's device and inode, so that ``./log.csv``, a symlink and
+    a hard link all match it; a path that names no file yet, resolved.
+    """
+    try:
+        info = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return (info.st_dev, info.st_ino)
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output that names the input or the other output."""
+    seen = {_file_key(args.input): "--input"}
+    for flag, path in (("--alerts-out", args.alerts_out), ("--scores-out", args.scores_out)):
+        if path:
+            key = _file_key(path)
+            if key in seen:
+                raise InputError(f"{flag} {path} names the same file as {seen[key]}")
+            seen[key] = flag
+
+
 def cmd_run(args: argparse.Namespace) -> int:
+    """Run the pipeline over a log, writing alerts and scores as it goes.
+
+    Before the input or any output opens, an output that names the input
+    file or the other output is refused: opening it would empty the input,
+    or interleave two streams in one file.
+    """
     config = _load_config(args)
     pipeline = Pipeline(config)
+    _check_outputs(args)
     stats = IngestStats()
     events = ingest(args.input, config.activity_filter, stats)
     with ExitStack() as outputs:
@@ -150,7 +182,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluation.evaluate_files(args.input, args.labels, args.field)
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    print(report.to_json())
     return 0
 
 

@@ -22,19 +22,50 @@ class EvalReport:
     tn: int
     fn: int
 
-    def to_dict(self) -> dict[str, Any]:
+    def _summary(self) -> dict[str, Any]:
+        """Every field but the ROC points."""
         return {
             "detection_rate": self.detection_rate,
             "auc": self.auc,
             "alert_count": self.alert_count,
             "confusion": {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn},
-            "roc_points": [[fpr, tpr] for fpr, tpr in self.roc_points],
         }
 
+    def to_dict(self) -> dict[str, Any]:
+        return {**self._summary(), "roc_points": [[fpr, tpr] for fpr, tpr in self.roc_points]}
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``, byte for byte.
+
+        With an ``indent``, ``json`` leaves its C encoder for a Python frame
+        per value, thousands of them for a detector's curve.  Here only the
+        small summary goes through ``json.dumps``.  The points go through the
+        C encoder, which writes every value as ``json`` writes it (``0.25``,
+        ``1e-05``, ``Infinity``, ``3``) and puts each value of a point on a
+        line of its own; one replace then splits the points apart.  No
+        number ``json`` writes holds a ``,``, a space or a bracket.
+        """
+        head = json.dumps(self._summary(), sort_keys=True, indent=2)
+        points = "[]"
+        if self.roc_points:
+            # "[[x,\n      y],\n      [x,\n      y]]": between two points
+            # indent=2 closes one and opens the next on lines of their own.
+            inner = _encode_points(self.roc_points)[2:-2]
+            inner = inner.replace("],\n      [", "\n    ],\n    [\n      ")
+            points = f"[\n    [\n      {inner}\n    ]\n  ]"
+        # "roc_points" sorts after every summary key, so it closes the object.
+        return f'{head[:-2]},\n  "roc_points": {points}\n}}'
+
+
+#: ``json``'s C encoder, with the separator ``indent=2`` puts between the
+#: two values of a point, three levels deep.
+_encode_points = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+_decoder = json.JSONDecoder()
+#: Decodes one value and says where it ended, in one scanner call.
+_raw_decode = _decoder.raw_decode
 #: The decoder ``json.loads`` ends in, without its per-call argument and BOM
 #: checks; ``load_scores`` restores the BOM message when a line fails.
-_decode = json.JSONDecoder().decode
+_decode = _decoder.decode
 #: The label column's two accepted texts and the values they read as.
 _LABELS = {"0": 0, "1": 1}
 
@@ -42,8 +73,15 @@ _LABELS = {"0": 0, "1": 1}
 def load_scores(path: str) -> list[dict[str, Any]]:
     """Read a line-delimited scores file written by a run.
 
-    A byte-order mark that opens the file is skipped, as the CSV readers skip
-    one; a line further on that opens with one is not valid JSON.
+    Each line holds one JSON value; blank and whitespace-only lines are
+    skipped.  A byte-order mark that opens the file is skipped, as the CSV
+    readers skip one; a line further on that opens with one is not valid
+    JSON, and so is a line nested too deeply for the decoder.  A line that
+    fails is named by its path and number with ``json.loads``' own message.
+
+    Each stripped line is decoded in one scanner call, and kept when the
+    value ends the line.  A value followed by more text is decoded again the
+    way ``json.loads`` decodes it, only for that message.
     """
     records = []
     with open(path, encoding="utf-8-sig") as handle:
@@ -53,13 +91,21 @@ def load_scores(path: str) -> list[dict[str, Any]]:
                 if not line:
                     continue
                 try:
-                    records.append(_decode(line))
+                    # decode is raw_decode from the first character that is
+                    # not whitespace, 0 here, then a check that the value
+                    # ends the line; so a raised error is decode's own.
+                    record, end = _raw_decode(line)
+                    if end != len(line):
+                        record = _decode(line)  # raises json's "Extra data" error
+                    records.append(record)
                 except json.JSONDecodeError as exc:
                     if line[0] == "\ufeff":  # the hint json.loads gives and decode skips
                         exc = json.JSONDecodeError(
                             "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
                         )
                     raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                except RecursionError as exc:  # nested deeper than the scanner goes
+                    raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not valid UTF-8: {exc}") from None
     return records
@@ -107,9 +153,10 @@ def roc_curve(
     """Threshold sweep over ``values``; higher means more anomalous.
 
     Returns points sorted from (0, 0) to (1, 1) plus the trapezoidal AUC.
-    Every label must be 0 or 1, and both classes present.  One sort and one
-    pass (Fawcett 2006): each distinct value, taken as the threshold, adds
-    one point once every record tied at it has been counted.
+    Every label must be 0 or 1, and both classes present.  No value may be
+    NaN, which would rank by input order.  One sort and one pass (Fawcett
+    2006): each distinct value, taken as the threshold, adds one point once
+    every record tied at it has been counted.
     """
     if len(values) != len(labels):
         raise InputError("scores and labels differ in length")
@@ -129,6 +176,9 @@ def roc_curve(
         elif label == 0:
             fp += 1
         if i + 1 == len(ranked) or ranked[i + 1][0] != value:
+            # NaN equals no value, so every NaN ends a run of ties here.
+            if value != value:
+                raise InputError("values include NaN, which has no place in the ranking")
             points.append((fp / negatives, tp / positives))
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):

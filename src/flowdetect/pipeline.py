@@ -173,6 +173,8 @@ class PipelineConfig:
                 raw = json.load(handle)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigurationError(f"configuration is not valid JSON: {exc}") from exc
+            except RecursionError as exc:  # nested deeper than the decoder goes
+                raise ConfigurationError(f"configuration is not valid JSON: {exc}") from None
         return cls.from_dict(raw)
 
 

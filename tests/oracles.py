@@ -9,13 +9,14 @@ The exceptions are the last two sections.  One holds earlier numpy
 formulations of the detectors' hot paths, kept as they were.  The library's
 faster forms must perform the same IEEE operations in the same order, so
 tests compare them with these using ``==``; a plain-Python loop would add in
-another order.  The other holds the ``csv.DictReader`` labels loader that
-``load_labels`` replaced, whose results and messages it must keep.
+another order.  The other holds the loaders that ``load_labels`` and
+``load_scores`` replaced, whose results and messages they must keep.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from datetime import datetime
 
@@ -490,7 +491,7 @@ def lof_score_sorted(hours, k, k_distances, densities, hour):
 
 
 # ---------------------------------------------------------------------------
-# The replaced labels loader, for exact comparisons
+# The replaced loaders, for exact comparisons
 # ---------------------------------------------------------------------------
 
 
@@ -512,3 +513,26 @@ def load_labels_dictreader(path: str) -> dict[str, int]:
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not valid UTF-8: {exc}") from None
     return labels
+
+
+def load_scores_decode(path: str) -> list:
+    """``load_scores`` as it was: one ``JSONDecoder.decode`` call per line."""
+    decode = json.JSONDecoder().decode
+    records = []
+    with open(path, encoding="utf-8-sig") as handle:
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(decode(line))
+                except json.JSONDecodeError as exc:
+                    if line[0] == "\ufeff":
+                        exc = json.JSONDecodeError(
+                            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                        )
+                    raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not valid UTF-8: {exc}") from None
+    return records

@@ -466,6 +466,59 @@ def test_a_run_that_cannot_read_its_input_leaves_old_outputs_alone(tmp_path, cap
     assert scores.read_bytes() == b'{"old": 2}\n'
 
 
+@pytest.mark.parametrize("case, flags, clash", [
+    ("input_as_output", ["--scores-out", "log.csv"], "--scores-out log.csv names the same file as --input"),
+    ("dot_slash", ["--alerts-out", "./log.csv"], "--alerts-out ./log.csv names the same file as --input"),
+    ("symlink", ["--scores-out", "link.csv"], "--scores-out link.csv names the same file as --input"),
+    ("hard_link", ["--alerts-out", "hard.csv"], "--alerts-out hard.csv names the same file as --input"),
+    (
+        "two_new_outputs",
+        ["--alerts-out", "out.jsonl", "--scores-out", "sub/../out.jsonl"],
+        "--scores-out sub/../out.jsonl names the same file as --alerts-out",
+    ),
+    (
+        "two_old_outputs",
+        ["--alerts-out", "old.jsonl", "--scores-out", "./old.jsonl"],
+        "--scores-out ./old.jsonl names the same file as --alerts-out",
+    ),
+])
+def test_run_refuses_an_output_that_names_the_input_or_the_other(
+    tmp_path, monkeypatch, capsys, case, flags, clash
+):
+    # Opening such an output would empty the input, or write two streams
+    # into one file; every file must stay as it was, and none be made.
+    monkeypatch.chdir(tmp_path)
+    log = tmp_path / "log.csv"
+    log.write_text("id,date,user,pc,activity\nE1,01/04/2010 08:00:00,alice,PC-1,Logon\n")
+    (tmp_path / "link.csv").symlink_to(log)
+    (tmp_path / "hard.csv").hardlink_to(log)
+    (tmp_path / "old.jsonl").write_bytes(b'{"old": 1}\n')
+    (tmp_path / "sub").mkdir()
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert main(["run", "--input", "log.csv", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {clash}\n"
+    after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert after == before
+
+
+def test_deeply_nested_json_is_a_clean_error(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("id,date,user,pc,activity\nE1,01/04/2010 08:00:00,alice,PC-1,Logon\n")
+    scores, labels = tmp_path / "scores.jsonl", tmp_path / "labels.csv"
+    scores.write_text("[" * 100_000 + "\n")
+    labels.write_text("id,label\nE1,0\n")
+    assert main(["evaluate", "--input", str(scores), "--labels", str(labels)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {scores}:1: not valid JSON: maximum recursion depth exceeded"
+    )
+    config = tmp_path / "config.json"
+    config.write_text('{"a":' * 100_000)
+    assert main(["run", "--input", str(log), "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: configuration is not valid JSON: maximum recursion depth exceeded"
+    )
+
+
 @pytest.mark.parametrize("command", ["run", "dump-state"])
 def test_a_row_the_reader_refuses_is_a_clean_error(tmp_path, capsys, command):
     path = tmp_path / "log.csv"

@@ -8,10 +8,13 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from flowdetect.errors import InputError
 from flowdetect.evaluation import (
+    EvalReport,
     evaluate,
     evaluate_files,
     load_labels,
@@ -72,6 +75,17 @@ def test_roc_refuses_a_label_that_is_not_0_or_1():
     with pytest.raises(InputError, match="got -1"):
         roc_curve([3, 2, 1], [1, -1, 0])
     assert roc_curve([3, 2, 1], [True, False, 0]) == roc_curve([3, 2, 1], [1, 0, 0])
+
+
+@pytest.mark.parametrize("values, labels", [
+    ([float("nan"), 1.0, 0.5], [1, 0, 1]),
+    ([1.0, float("nan"), 0.5], [0, 1, 1]),  # the same pairs in another order
+])
+def test_roc_refuses_a_nan_value_in_any_order(values, labels):
+    # Sorting leaves a NaN where it stood, so its place, and the AUC, would
+    # follow the input order: 0.5 for the first order, 0.0 for the second.
+    with pytest.raises(InputError, match="values include NaN"):
+        roc_curve(values, labels)
 
 
 def test_roc_random_scores_near_half():
@@ -254,6 +268,116 @@ def test_load_scores_skips_blank_lines(tmp_path):
         load_scores(str(path))
 
 
+# ------------------------------------------------------- scores loader parity
+
+#: Score files, as bytes, on which ``load_scores`` must agree with the
+#: ``JSONDecoder.decode`` loader it replaced: the same records or the same
+#: message, except on the files in ``SCORE_DEPARTURES``.
+SCORE_FILES = {
+    "plain": b'{"eventId": "E1"}\n{"eventId": "E2"}\n',
+    "no_final_newline": b'{"eventId": "E1"}\n{"eventId": "E2"}',
+    "crlf": b'{"eventId": "E1"}\r\n\r\n{"eventId": "E2"}\r\n',
+    "lone_cr": b'{"eventId": "E1"}\r{"eventId": "E2"}\r',
+    "whitespace_only_lines": b'{"eventId": "E1"}\n \t\r\n\t\n   \n{"eventId": "E2"}\n',
+    "padded_lines": b'  {"eventId": "E1"}\t\n\x0c{"eventId": "E2"}\xc2\xa0\n',
+    "not_json": b'{"eventId": "E1"}\nnot json\n',
+    "extra_data": b'{"a": 1} 2\n',
+    "two_objects": b'{}{}\n',
+    "comma_list": b"1,2\n",
+    "extra_bracket": b"[1]]\n",
+    "unterminated_string": b'{"eventId": "E1}\n',
+    "unterminated_object": b'{"eventId": "E1"\n',
+    "control_character_in_string": b'{"eventId": "E\t1"}\n',
+    "byte_order_mark_on_line_3": b'{"a": 1}\n{"a": 2}\n\xef\xbb\xbf{"a": 3}\n',
+    "leading_byte_order_mark": b'\xef\xbb\xbf{"a": 1}\n',
+    "non_objects": b"3\n[1]\n",
+    "scalars": b'"text"\nnull\ntrue\n-0.0\n1e400\n',
+    "nan_and_infinities": b'{"a": NaN, "b": Infinity, "c": -Infinity}\n',
+    "escapes": b'{"a": "x\\ny\\u00e9", "b": [1, {"c": []}]}\n',
+    "empty_file": b"",
+    "blank_file": b"\n \n\t\n",
+    "not_utf8": b'{"a": 1}\n{"a": "\xff"}\n',
+    "deeply_nested": b"[" * 100_000 + b"\n",
+}
+
+#: Files on which ``load_scores`` departs from that loader on purpose, and
+#: the text of its error after the path.  The loader let the decoder's
+#: ``RecursionError`` out, which ended a command with a traceback.
+SCORE_DEPARTURES = {
+    "deeply_nested": (
+        ":1: not valid JSON: maximum recursion depth exceeded"
+        " while decoding a JSON array from a unicode string"
+    ),
+}
+
+
+def _scores_outcome(load, path):
+    try:
+        return "records", load(path)
+    except (InputError, RecursionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(SCORE_FILES))
+def test_load_scores_matches_the_decode_loader(tmp_path, name):
+    path = tmp_path / "scores.jsonl"
+    path.write_bytes(SCORE_FILES[name])
+    got = _scores_outcome(load_scores, str(path))
+    oracle = _scores_outcome(oracles.load_scores_decode, str(path))
+    if name in SCORE_DEPARTURES:
+        assert oracle[0] == "RecursionError"
+        assert got == ("InputError", f"{path}{SCORE_DEPARTURES[name]}")
+    else:
+        assert repr(got) == repr(oracle)  # repr: NaN records compare unequal
+
+
+def test_load_scores_parity_cases_reach_each_outcome(tmp_path):
+    # The parity table must exercise every path, not only agree on them.
+    seen = {}
+    for name, content in SCORE_FILES.items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_bytes(content)
+        seen[name] = _scores_outcome(load_scores, str(path))
+    ids = [{"eventId": "E1"}, {"eventId": "E2"}]
+    for name in ("plain", "no_final_newline", "crlf", "lone_cr"):
+        assert seen[name] == ("records", ids), name
+    assert seen["whitespace_only_lines"] == seen["padded_lines"] == ("records", ids)
+    assert seen["not_json"][1].endswith(":2: not valid JSON: Expecting value: line 1 column 1 (char 0)")
+    assert seen["extra_data"][1].endswith(":1: not valid JSON: Extra data: line 1 column 10 (char 9)")
+    assert seen["two_objects"][1].endswith(":1: not valid JSON: Extra data: line 1 column 3 (char 2)")
+    assert seen["comma_list"][1].endswith(":1: not valid JSON: Extra data: line 1 column 2 (char 1)")
+    assert seen["extra_bracket"][1].endswith(":1: not valid JSON: Extra data: line 1 column 4 (char 3)")
+    assert seen["unterminated_string"][1].endswith(
+        ":1: not valid JSON: Unterminated string starting at: line 1 column 13 (char 12)"
+    )
+    assert seen["unterminated_object"][1].endswith(
+        ":1: not valid JSON: Expecting ',' delimiter: line 1 column 17 (char 16)"
+    )
+    assert seen["control_character_in_string"][1].endswith(
+        ":1: not valid JSON: Invalid control character at: line 1 column 15 (char 14)"
+    )
+    assert seen["byte_order_mark_on_line_3"][1].endswith(
+        ":3: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    )
+    assert seen["leading_byte_order_mark"] == ("records", [{"a": 1}])
+    assert seen["non_objects"] == ("records", [3, [1]])
+    assert seen["scalars"] == ("records", ["text", None, True, -0.0, float("inf")])
+    assert seen["empty_file"] == seen["blank_file"] == ("records", [])
+    assert ": not valid UTF-8: " in seen["not_utf8"][1]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("3", "'int' object is not subscriptable"),
+    ("[1]", "list indices must be integers or slices, not str"),
+])
+def test_a_score_line_that_is_no_object_loads_and_is_malformed(tmp_path, line, message):
+    path = tmp_path / "scores.jsonl"
+    path.write_text(json.dumps(record("E1", False, 0)) + "\n" + line + "\n")
+    records = load_scores(str(path))
+    with pytest.raises(InputError, match=re.escape(f"score record 2 is malformed: {message}")):
+        evaluate(records, {"E1": 0})
+
+
 def test_load_labels_requires_header(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("event,flag\nE1,0\n")
@@ -387,3 +511,48 @@ def test_load_labels_parity_cases_reach_each_outcome(tmp_path):
     assert seen["empty_file"][1].endswith(": expected columns id,label")
     assert seen["not_utf8"][1].startswith(str(tmp_path / "not_utf8.csv") + ": not valid UTF-8")
     assert seen["repeated_label_column"][1].endswith(":3: label must be 0 or 1, got None")
+
+
+# ------------------------------------------------------------ report as JSON
+
+def _dumped(report):
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+
+
+#: ROC coordinates, with the two exponent forms ``repr`` gives in [0, 1].
+coordinates = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([1e-05, 5e-324, 1 / 3, 0.1, 1.0]),
+    st.integers(min_value=-(10**20), max_value=10**20),
+)
+counts = st.integers(min_value=0, max_value=10**6)
+reports = st.builds(
+    EvalReport,
+    detection_rate=st.floats(min_value=0.0, max_value=1.0),
+    roc_points=st.lists(st.tuples(coordinates, coordinates), max_size=20),
+    auc=st.floats(),  # NaN and both infinities too
+    alert_count=counts,
+    tp=counts,
+    fp=counts,
+    tn=counts,
+    fn=counts,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(reports)
+@example(EvalReport(0.5, [], float("nan"), 0, 0, 0, 0, 0))
+@example(EvalReport(1.0, [(0.0, 0.0), (1e-05, 5e-324), (1, 1)], float("inf"), 1, 1, 0, 0, 0))
+@example(EvalReport(0.0, [(float("-inf"), float("inf")), (float("nan"), True)], -0.0, 2, 0, 1, 1, 0))
+def test_to_json_is_json_dumps_of_to_dict(report):
+    assert report.to_json() == _dumped(report)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(st.floats(allow_nan=False), st.sampled_from([0, 1])), min_size=2, max_size=60,
+).filter(lambda pairs: len({label for _, label in pairs}) == 2))
+def test_to_json_is_json_dumps_for_any_roc_curve(pairs):
+    points, auc = roc_curve([value for value, _ in pairs], [label for _, label in pairs])
+    report = EvalReport(0.5, points, auc, 1, 1, 1, 1, 1)
+    assert report.to_json() == _dumped(report)
