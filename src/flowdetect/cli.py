@@ -125,33 +125,41 @@ def _file_key(path: str) -> Any:
     return (info.st_dev, info.st_ino)
 
 
-def _check_outputs(args: argparse.Namespace) -> None:
-    """Refuse an output that names the input or the other output."""
-    seen = {_file_key(args.input): "--input"}
-    for flag, path in (("--alerts-out", args.alerts_out), ("--scores-out", args.scores_out)):
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse an output that names a file the command reads, or another output.
+
+    Opening such an output would empty a file the command is about to read,
+    or write two streams into one.  The flags are the subcommand's ``reads``
+    and ``writes``; a command given no output path checks nothing.
+    """
+    paths = [(f, getattr(args, f[2:].replace("-", "_"))) for f in (*args.reads, *args.writes)]
+    if not any(path for flag, path in paths if flag in args.writes):
+        return
+    seen: dict[Any, str] = {}
+    for flag, path in paths:
         if path:
             key = _file_key(path)
-            if key in seen:
+            if key in seen and flag in args.writes:
                 raise InputError(f"{flag} {path} names the same file as {seen[key]}")
-            seen[key] = flag
+            seen.setdefault(key, flag)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    """Run the pipeline over a log, writing alerts and scores as it goes.
+def _replay(
+    args: argparse.Namespace, alerts_path: str | None = None, scores_path: str | None = None
+) -> tuple[Pipeline, IngestStats]:
+    """Run the pipeline over ``args.input``, writing alerts and scores as it goes.
 
-    Before the input or any output opens, an output that names the input
-    file or the other output is refused: opening it would empty the input,
-    or interleave two streams in one file.
+    The input's header is checked before any output opens.  Each event's
+    scored records are drained as it is processed, written or not.
     """
     config = _load_config(args)
     pipeline = Pipeline(config)
-    _check_outputs(args)
     stats = IngestStats()
     events = ingest(args.input, config.activity_filter, stats)
     with ExitStack() as outputs:
         outputs.callback(events.close)  # the input, should an output fail to open
-        alerts_out = _output(outputs, args.alerts_out)
-        scores_out = _output(outputs, args.scores_out)
+        alerts_out = _output(outputs, alerts_path)
+        scores_out = _output(outputs, scores_path)
         for event in events:
             fresh = pipeline.process_event(event)
             if alerts_out:
@@ -170,6 +178,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             if scores_out:
                 for record in scored:
                     scores_out.write(_jsonl(record.to_record()))
+    return pipeline, stats
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    pipeline, stats = _replay(args, args.alerts_out, args.scores_out)
     c = pipeline.counters
     print(
         f"events={c.events} users={pipeline.user_count} alerts={c.alerts} "
@@ -202,16 +215,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_state(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    pipeline = Pipeline(config)
-    for event in ingest(args.input, config.activity_filter):
-        pipeline.process_event(event)
-    text = pipeline.dump()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    text = _replay(args)[0].dump() + "\n"
+    with ExitStack() as outputs:
+        (_output(outputs, args.out) or sys.stdout).write(text)
     return 0
 
 
@@ -229,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scores-out", help="scored events output, one JSON object per line")
     run.add_argument("--activity-filter", help="keep only rows with this activity value")
     run.add_argument("--date-format", help=f"timestamp layout (default {DEFAULT_DATE_FORMAT!r})")
-    run.set_defaults(handler=cmd_run)
+    run.set_defaults(
+        handler=cmd_run, reads=("--input", "--config"), writes=("--alerts-out", "--scores-out")
+    )
 
     ev = sub.add_parser("evaluate", help="compare a scores file against labels")
     ev.add_argument("--input", required=True, help="scores file from a run")
@@ -239,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="votes",
         help="score to sweep for the ROC: votes or a detector name",
     )
-    ev.set_defaults(handler=cmd_evaluate)
+    ev.set_defaults(handler=cmd_evaluate, reads=("--input", "--labels"), writes=())
 
     sy = sub.add_parser("synth", help="generate a labelled synthetic activity log")
     sy.add_argument("--users", type=int, default=50)
@@ -249,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--profile", default="shift", choices=synth.PROFILES)
     sy.add_argument("--events-out", required=True)
     sy.add_argument("--labels-out", required=True)
-    sy.set_defaults(handler=cmd_synth)
+    sy.set_defaults(handler=cmd_synth, reads=(), writes=("--events-out", "--labels-out"))
 
     dump = sub.add_parser("dump-state", help="run a log and print the final machine state")
     dump.add_argument("--input", required=True, help="activity log CSV")
@@ -257,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--activity-filter")
     dump.add_argument("--date-format")
     dump.add_argument("--out", help="write the state here instead of stdout")
-    dump.set_defaults(handler=cmd_dump_state)
+    dump.set_defaults(handler=cmd_dump_state, reads=("--input", "--config"), writes=("--out",))
 
     return parser
 
@@ -266,6 +274,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(args)
         return args.handler(args)
     except (FlowdetectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

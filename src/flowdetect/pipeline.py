@@ -324,7 +324,11 @@ def build_spec(config: PipelineConfig) -> tuple[QuantifiedInterleave, dict[str, 
 
 
 class Pipeline:
-    """Owns a built machine, its runtime state and the run bookkeeping."""
+    """Owns a built machine, its runtime state and the run bookkeeping.
+
+    ``process_event`` keeps each scored event until ``drain_scores`` returns
+    it, so a caller that never drains holds every one.
+    """
 
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config if config is not None else PipelineConfig()

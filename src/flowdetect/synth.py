@@ -117,30 +117,23 @@ def _at(day: date, hour: float, rng: np.random.Generator) -> datetime:
 
 def write_events(events: Iterable[SynthEvent], path: str) -> int:
     """Write the activity-log CSV; returns the row count."""
-    count = 0
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "date", "user", "pc", "activity"])
-        for event in events:
-            writer.writerow(
-                [
-                    event.event_id,
-                    event.when.strftime(DEFAULT_DATE_FORMAT),
-                    event.user,
-                    event.pc,
-                    event.activity,
-                ]
-            )
-            count += 1
-    return count
+    rows = (
+        [e.event_id, e.when.strftime(DEFAULT_DATE_FORMAT), e.user, e.pc, e.activity] for e in events
+    )
+    return _write_csv(path, ["id", "date", "user", "pc", "activity"], rows)
 
 
 def write_labels(events: Iterable[SynthEvent], path: str) -> int:
+    """Write the labels CSV; returns the row count."""
+    return _write_csv(path, ["id", "label"], ([e.event_id, e.label] for e in events))
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> int:
     count = 0
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["id", "label"])
-        for event in events:
-            writer.writerow([event.event_id, event.label])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
             count += 1
     return count

@@ -11,7 +11,7 @@ from functools import partial
 
 import pytest
 
-from flowdetect import synth
+from flowdetect import cli, synth
 from flowdetect.cli import IngestStats, build_parser, ingest, main
 from flowdetect.errors import ConfigurationError, InputError
 from flowdetect.pipeline import PipelineConfig
@@ -499,6 +499,90 @@ def test_run_refuses_an_output_that_names_the_input_or_the_other(
     assert capsys.readouterr().err == f"error: {clash}\n"
     after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
     assert after == before
+
+
+RUN_WITH_CONFIG = ["run", "--input", "log.csv", "--config", "cfg.json"]
+DUMP_STATE = ["dump-state", "--input", "log.csv", "--config", "cfg.json", "--out"]
+SYNTH = ["synth", "--users", "2", "--weeks", "2"]
+
+
+@pytest.mark.parametrize("argv, clash", [
+    (
+        [*RUN_WITH_CONFIG, "--alerts-out", "cfg.json"],
+        "--alerts-out cfg.json names the same file as --config",
+    ),
+    (
+        [*RUN_WITH_CONFIG, "--scores-out", "cfg.json"],
+        "--scores-out cfg.json names the same file as --config",
+    ),
+    ([*DUMP_STATE, "log.csv"], "--out log.csv names the same file as --input"),
+    ([*DUMP_STATE, "./log.csv"], "--out ./log.csv names the same file as --input"),
+    ([*DUMP_STATE, "link.csv"], "--out link.csv names the same file as --input"),
+    ([*DUMP_STATE, "hard.csv"], "--out hard.csv names the same file as --input"),
+    ([*DUMP_STATE, "cfg.json"], "--out cfg.json names the same file as --config"),
+    ([*DUMP_STATE, "./cfg.json"], "--out ./cfg.json names the same file as --config"),
+    ([*DUMP_STATE, "cfg-link.json"], "--out cfg-link.json names the same file as --config"),
+    ([*DUMP_STATE, "cfg-hard.json"], "--out cfg-hard.json names the same file as --config"),
+    (
+        [*SYNTH, "--events-out", "new.csv", "--labels-out", "new.csv"],
+        "--labels-out new.csv names the same file as --events-out",
+    ),
+    (
+        [*SYNTH, "--events-out", "log.csv", "--labels-out", "link.csv"],
+        "--labels-out link.csv names the same file as --events-out",
+    ),
+], ids=[
+    "run_alerts_as_config", "run_scores_as_config",
+    "dump_input", "dump_input_dot_slash", "dump_input_symlink", "dump_input_hard_link",
+    "dump_config", "dump_config_dot_slash", "dump_config_symlink", "dump_config_hard_link",
+    "synth_new_path", "synth_old_path",
+])
+def test_no_command_writes_over_a_file_it_reads_or_another_output(
+    tmp_path, monkeypatch, capsys, argv, clash
+):
+    monkeypatch.chdir(tmp_path)
+    log, config = tmp_path / "log.csv", tmp_path / "cfg.json"
+    log.write_text("id,date,user,pc,activity\nE1,01/04/2010 08:00:00,alice,PC-1,Logon\n")
+    config.write_text('{"min_training_instances": 30}\n')
+    (tmp_path / "link.csv").symlink_to(log)
+    (tmp_path / "hard.csv").hardlink_to(log)
+    (tmp_path / "cfg-link.json").symlink_to(config)
+    (tmp_path / "cfg-hard.json").hardlink_to(config)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {clash}\n"
+    after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert after == before
+
+
+def test_a_command_given_no_output_checks_no_path(tmp_path, monkeypatch, capsys, corpus):
+    scores = tmp_path / "scores.jsonl"
+    argv = ["run", "--input", str(corpus["events"]), "--config", str(corpus["config"])]
+    assert main([*argv, "--scores-out", str(scores)]) == 0
+    statted = []
+    monkeypatch.setattr(cli, "_file_key", lambda path: statted.append(path))
+    assert main(["evaluate", "--input", str(scores), "--labels", str(corpus["labels"])]) == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert statted == []
+
+
+def test_dump_state_keeps_no_scored_events(corpus, tmp_path, monkeypatch, capsys):
+    built = []
+
+    class RecordedPipeline(cli.Pipeline):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "Pipeline", RecordedPipeline)
+    assert main([
+        "dump-state", "--input", str(corpus["events"]), "--config", str(corpus["config"]),
+        "--out", str(tmp_path / "state.json"),
+    ]) == 0
+    [pipeline] = built
+    assert pipeline.counters.retrains > 0
+    assert pipeline.drain_scores() == []
 
 
 def test_deeply_nested_json_is_a_clean_error(tmp_path, capsys):
