@@ -67,6 +67,9 @@ _KDE_BLOCK_ROWS = 64
 #: Index of the minute gap 0 in a KDE kernel table, which holds the signed
 #: gaps -1439..1439 between a query minute and a sample minute.
 _KDE_GAP_ZERO = MINUTES_PER_DAY - 1
+#: Exponents below this are more than 50 below ln(2 ** -1075), about
+#: -745.13, under which ``math.exp`` rounds to exactly 0.0.
+_KDE_EXP_FLOOR = -800.0
 
 _RADIANS_PER_HOUR = 2.0 * math.pi / HOURS_PER_DAY
 
@@ -690,12 +693,17 @@ def _kernel_table(bandwidth: float) -> np.ndarray:
 
     The Gaussian ``E(x) = exp(-0.5 * (x / (60 * bandwidth)) ** 2)`` is even,
     so it is evaluated once, with ``math.exp``, at each distance
-    ``x = 0 .. 2879`` the three copies reach.  Entry ``i`` (gap ``g = i -
-    1439``) is ``(E(1440 - g) + E(|g|)) + E(g + 1440)``; each term is a slice
-    of ``E``, reversed where the distance falls as ``g`` rises.
+    ``x = 0 .. 2879`` the three copies reach, except where its exponent is
+    below ``_KDE_EXP_FLOOR``: there it is stored as the 0.0 ``math.exp``
+    would return.  Entry ``i`` (gap ``g = i - 1439``) is ``(E(1440 - g) +
+    E(|g|)) + E(g + 1440)``; each term is a slice of ``E``, reversed where
+    the distance falls as ``g`` rises.
     """
     z = np.arange(2 * MINUTES_PER_DAY) / (60.0 * bandwidth)
-    e = np.fromiter(map(math.exp, ((-0.5 * z) * z).tolist()), float, 2 * MINUTES_PER_DAY)
+    exponent = (-0.5 * z) * z
+    live = np.flatnonzero(exponent >= _KDE_EXP_FLOOR)
+    e = np.zeros(2 * MINUTES_PER_DAY)
+    e[live] = np.fromiter(map(math.exp, exponent[live].tolist()), float, live.size)
     centre = np.concatenate((e[_KDE_GAP_ZERO:0:-1], e[:MINUTES_PER_DAY]))
     return (e[:0:-1] + centre) + e[1:]
 

@@ -10,10 +10,11 @@ binding).
 Execution is a labelled transition relation over runtime states.  Each
 step threads one mutable scope of variable bindings down the tree.  Entering
 a node binds its attributes (a call's parameters, a quantified variable)
-into the scope and remembers what they shadow; leaving it runs the node
-action on the scope, pops the node's attributes into its new local
-environment and restores what they shadowed, so every other name travels
-outward to the caller.  A refusing node pops its bindings and leaves the
+into the scope and remembers what they shadow, so a node that shadows no
+name allocates nothing to bind; leaving it runs the node action on the
+scope, pops the node's attributes into its new local environment and
+restores what they shadowed, so every other name travels outward to the
+caller.  A refusing node pops its bindings and leaves the
 scope as it found it.  Guards must be side-effect free.  Local and
 enclosing environments are ``Env`` objects: plain ``dict`` instances whose
 mutators raise, so the scope is the only binding set a step writes.
@@ -717,9 +718,17 @@ class _StepContext:
         self.matches: dict[int, _MatchPart] = {}
 
 
-def _bind(scope: dict, bindings: Mapping[str, Any]) -> dict:
-    """Bind ``bindings`` into ``scope``; return the bindings they shadow."""
-    shadowed = {name: scope[name] for name in bindings if name in scope}
+def _bind(scope: dict, bindings: Mapping[str, Any]) -> dict | None:
+    """Bind ``bindings`` into ``scope``; return the bindings they shadow.
+
+    Returns ``None``, allocating nothing, when they shadow no name.
+    """
+    shadowed = None
+    for name in bindings:
+        if name in scope:
+            if shadowed is None:
+                shadowed = {}
+            shadowed[name] = scope[name]
     scope.update(bindings)
     return shadowed
 
@@ -739,23 +748,27 @@ def _leave(spec: Node, scope: dict, env: Env, shadowed: dict | None) -> Env:
     """Run the node action, then pop the node's attributes out of ``scope``.
 
     Returns ``env`` itself when every attribute still holds the object it
-    held on entry, else a new local environment.
+    held on entry, at once for a node that declares none, else a new local
+    environment.
     """
     if spec.action is not None:
         spec.action(scope)
-    unchanged = len(env) == len(spec.attrs)
-    for name, _ in spec.attrs:
-        value = scope.get(name, _MISSING)
-        if value is _MISSING or value is not env.get(name, _MISSING):
-            unchanged = False
-            break
-    if unchanged:
-        for name in env:
-            del scope[name]
+    if not spec.attrs:
         new = env
     else:
-        popped = {name: scope.pop(name) for name, _ in spec.attrs if name in scope}
-        new = Env(popped) if popped else EMPTY_ENV
+        unchanged = len(env) == len(spec.attrs)
+        for name, _ in spec.attrs:
+            value = scope.get(name, _MISSING)
+            if value is _MISSING or value is not env.get(name, _MISSING):
+                unchanged = False
+                break
+        if unchanged:
+            for name in env:
+                del scope[name]
+            new = env
+        else:
+            popped = {name: scope.pop(name) for name, _ in spec.attrs if name in scope}
+            new = Env(popped) if popped else EMPTY_ENV
     if shadowed:
         scope.update(shadowed)
     return new

@@ -744,6 +744,19 @@ def test_kde_scores_and_threshold_match_the_plain_python_table():
     assert max(map(len, map(set, sets))) > 128  # some sums take the pairwise split
 
 
+def test_kde_kernel_table_skipping_underflowing_exps_keeps_its_bytes():
+    """Distance ``x`` has exponent -800 exactly at bandwidth ``x / 2400``
+    (``BANDWIDTH_FLOOR`` for ``x = 240``), so the grid takes those
+    bandwidths and their neighbours as well as a spread up to 12 h."""
+    grid = [BANDWIDTH_FLOOR, 1.2, 12.0] + np.geomspace(BANDWIDTH_FLOOR, 12.0, 300).tolist()
+    for x in range(240, 2880, 37):
+        edge = x / 2400.0
+        grid += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+    for bandwidth in grid:
+        want = oracles.kde_kernel_table_every_exp(bandwidth)
+        assert _kernel_table(bandwidth).tobytes() == want.tobytes(), bandwidth
+
+
 # -------------------------------------------------------------------- registry
 
 def test_init_map_defaults():

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowdetect import engine as engine_module
 from flowdetect.engine import (
     EMPTY_ENV,
     UNBOUNDED,
@@ -375,6 +376,143 @@ def test_quantified_flow_instances_get_fresh_attr_values():
     spec = QuantifiedFlow(name="fresh", var="x", domain=(1, 2), body=body)
     state = init(spec)
     assert state.instances[1].env["bucket"] is not state.instances[2].env["bucket"]
+
+
+# ------------------------------------------------------------------- shadowing
+
+X_CAPTURE = EventPattern("t", (Capture("x"),))
+
+
+def record_as(target, source):
+    def action(env):
+        env[target] = env[source]
+
+    return action
+
+
+def boom(env):
+    raise RuntimeError("bad action")
+
+
+def names_in_scope(env):
+    env["names"] = sorted(env)
+
+
+#: name -> (spec, step env, event, shadows, outcome).  ``shadows`` is the set
+#: of kinds ``_bind`` returns during the step (None: it shadowed nothing;
+#: dict: it shadowed a name).  ``outcome`` is ``(enclosing env, new state as
+#: state_to_dict)``, ``None`` for a refusal or the exception the step raises.
+SHADOWING = {
+    "capture_shadows_an_attribute_guard_refuses": (
+        loop("leaf", X_CAPTURE, attrs=(("x", 5), ("seen", None)),
+             guard=lambda env: env["x"] != 9, action=record_as("seen", "x")),
+        None, Event("t", (9,)), {None, dict}, None,
+    ),
+    "capture_shadows_an_attribute_guard_refuses_beside_a_sibling": (
+        Flow(
+            name="pair",
+            attrs=(("n", 0),),
+            left=loop("leaf", X_CAPTURE, attrs=(("x", 5), ("seen", None)),
+                      guard=lambda env: env["x"] != 9, action=record_as("seen", "x")),
+            right=loop("sibling", EventPattern("t", (Capture("y"),)), action=names_in_scope),
+        ),
+        None, Event("t", (9,)), {None, dict},
+        ({"names": ["n", "y"]}, {
+            "kind": "flow", "env": {"n": 0},
+            "left": {"kind": "automaton", "current": "s", "env": {"seen": None, "x": 5}},
+            "right": {"kind": "automaton", "current": "s", "env": {}},
+        }),
+    ),
+    "capture_shadows_an_attribute_guard_accepts": (
+        loop("leaf", X_CAPTURE, attrs=(("x", 5), ("seen", None)),
+             guard=lambda env: env["x"] == 9, action=record_as("seen", "x")),
+        None, Event("t", (9,)), {None, dict},
+        ({}, {"kind": "automaton", "current": "s", "env": {"seen": 9, "x": 5}}),
+    ),
+    "capture_shadows_a_step_env_name": (
+        loop("leaf", X_CAPTURE, action=record_as("got", "x")),
+        {"x": 1}, Event("t", (9,)), {dict},
+        ({"got": 9, "x": 1}, {"kind": "automaton", "current": "s", "env": {}}),
+    ),
+    "quantified_variable_shadows_an_enclosing_name_some_instances_fire": (
+        Flow(
+            name="outer",
+            attrs=(("x", 99),),
+            left=QuantifiedFlow(
+                name="sel", var="x", domain=(1, 2, 3),
+                body=loop("pick", EventPattern("t", (Ref("x"),)),
+                          attrs=(("hits", 0),), action=inc("hits")),
+            ),
+            right=loop("after", EventPattern("t", (Capture("y"),)), action=inc("x")),
+        ),
+        None, Event("t", (2,)), {None},
+        ({}, {
+            "kind": "flow", "env": {"x": 100},
+            "left": {"kind": "quantified_flow", "env": {}, "instances": {
+                str(k): {"kind": "automaton", "current": "s", "env": {"hits": int(k == 2)}}
+                for k in (1, 2, 3)
+            }},
+            "right": {"kind": "automaton", "current": "s", "env": {}},
+        }),
+    ),
+    "attribute_free_flow_under_an_attribute_holding_parent": (
+        Flow(
+            name="outer",
+            attrs=(("n", 0),),
+            left=Flow(name="inner", left=loop("a", action=inc("n")), right=loop("b", action=scale("n", 10))),
+            right=loop("deaf", EventPattern("other")),
+        ),
+        {"n": 7}, Event("tick"), {None, dict},
+        ({"n": 7}, {
+            "kind": "flow", "env": {"n": 10},
+            "left": {
+                "kind": "flow", "env": {},
+                "left": {"kind": "automaton", "current": "s", "env": {}},
+                "right": {"kind": "automaton", "current": "s", "env": {}},
+            },
+            "right": {"kind": "automaton", "current": "s", "env": {}},
+        }),
+    ),
+    "action_raises_after_a_shadowing_bind": (
+        loop("leaf", X_CAPTURE, attrs=(("x", 5),), action=boom),
+        {"x": 1}, Event("t", (9,)), {dict}, RuntimeError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHADOWING))
+def test_shadowing_round_trips(case, monkeypatch):
+    spec, env, event, shadows, outcome = SHADOWING[case]
+    bind = engine_module._bind
+    kinds = set()
+
+    def recording(scope, bindings):
+        shadowed = bind(scope, bindings)
+        kinds.add(None if shadowed is None else type(shadowed))
+        return shadowed
+
+    monkeypatch.setattr(engine_module, "_bind", recording)
+    state = init(spec)
+    before = dump_state(state)
+    given_env = dict(env) if env else None
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            step(spec, state, event, env=env)
+    else:
+        result = step(spec, state, event, env=env)
+        if outcome is None:
+            assert result is None
+        else:
+            new_state, out = result
+            assert (dict(out), json.loads(dump_state(new_state))) == outcome
+    if not isinstance(outcome, tuple):
+        assert dump_state(state) == before
+    assert env == given_env
+    assert kinds == shadows
+
+
+def test_shadowing_cases_see_both_kinds_of_bind():
+    assert set().union(*(case[3] for case in SHADOWING.values())) == {None, dict}
 
 
 # ------------------------------------------------- one match per pattern per step

@@ -31,6 +31,7 @@ from flowdetect.engine import (
     UNBOUNDED,
     Call,
     CallState,
+    Capture,
     Event,
     EventPattern,
     Flow,
@@ -313,6 +314,63 @@ def test_no_action_mutates_a_bound_value():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     }
     assert not called & mutators
+
+
+def test_the_tree_binds_pairwise_disjoint_names(monkeypatch):
+    # Disjoint names mean no bind of a step ever shadows one, so the engine
+    # never allocates to remember what a bind hid.
+    root, defs = build_spec(PipelineConfig())
+    captures, attributes, variables = set(), set(), set()
+
+    def walk(node):
+        attributes.update(node.attr_names())
+        if isinstance(node, (QuantifiedFlow, QuantifiedInterleave)):
+            variables.add(node.var)
+            walk(node.body)
+        elif isinstance(node, Flow):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, Call):
+            assert not node.args  # a call binds no parameters
+            walk(defs[node.callee])
+        else:
+            for t in node.transitions:
+                captures.update(s.name for s in t.pattern.slots if isinstance(s, Capture))
+
+    walk(root)
+    step_env = set()
+
+    def recording(spec, state, event, env, defs):
+        step_env.update(env)
+        return engine.step(spec, state, event, env, defs=defs)
+
+    monkeypatch.setattr(pipeline_module, "step", recording)
+    Pipeline(PipelineConfig()).process_event(Event("e", ("alice", stamp(0, 0, 9), "a-1")))
+    groups = (captures, attributes, variables, step_env)
+    assert groups == (
+        {"eventDate", "eventId"},
+        {"window", "scores", "detectors"},
+        {"userId", "d"},
+        {"when", "fits"},
+    )
+    for i, group in enumerate(groups):
+        for other in groups[i + 1 :]:
+            assert not group & other
+
+
+def test_no_bind_of_a_replay_shadows_a_name(monkeypatch):
+    bind = engine._bind
+    results = []
+
+    def recording(scope, bindings):
+        results.append(bind(scope, bindings))
+        return results[-1]
+
+    monkeypatch.setattr(engine, "_bind", recording)
+    pipeline = Pipeline(weekly_config())
+    records = run(pipeline, interleave(weekday_events("alice", 5), weekday_events("bob", 4, (8, 16))))
+    assert pipeline.counters.retrains > 0 and records
+    assert results and not any(results)
 
 
 def test_build_spec_requires_detectors():
