@@ -228,13 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="process a log and write alerts and scores")
-    run.add_argument("--input", required=True, help="activity log CSV")
-    run.add_argument("--config", help="JSON pipeline configuration")
+    # The flags of the replay that ``run`` and ``dump-state`` share.
+    replay = argparse.ArgumentParser(add_help=False)
+    replay.add_argument("--input", required=True, help="activity log CSV")
+    replay.add_argument("--config", help="JSON pipeline configuration")
+    replay.add_argument("--activity-filter", help="keep only rows with this activity value")
+    # argparse expands ``%`` in help texts, so the layout's own are doubled.
+    layout = DEFAULT_DATE_FORMAT.replace("%", "%%")
+    replay.add_argument("--date-format", help=f"timestamp layout (default {layout!r})")
+
+    run = sub.add_parser("run", parents=[replay], help="process a log and write alerts and scores")
     run.add_argument("--alerts-out", help="alerts output, one JSON object per line")
     run.add_argument("--scores-out", help="scored events output, one JSON object per line")
-    run.add_argument("--activity-filter", help="keep only rows with this activity value")
-    run.add_argument("--date-format", help=f"timestamp layout (default {DEFAULT_DATE_FORMAT!r})")
     run.set_defaults(
         handler=cmd_run, reads=("--input", "--config"), writes=("--alerts-out", "--scores-out")
     )
@@ -259,11 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--labels-out", required=True)
     sy.set_defaults(handler=cmd_synth, reads=(), writes=("--events-out", "--labels-out"))
 
-    dump = sub.add_parser("dump-state", help="run a log and print the final machine state")
-    dump.add_argument("--input", required=True, help="activity log CSV")
-    dump.add_argument("--config", help="JSON pipeline configuration")
-    dump.add_argument("--activity-filter")
-    dump.add_argument("--date-format")
+    dump = sub.add_parser(
+        "dump-state", parents=[replay], help="run a log and print the final machine state"
+    )
     dump.add_argument("--out", help="write the state here instead of stdout")
     dump.set_defaults(handler=cmd_dump_state, reads=("--input", "--config"), writes=("--out",))
 

@@ -290,11 +290,12 @@ class Detector(ABC):
 
     ``trained_version`` is the window version the model was last fitted on,
     ``-1`` when never fitted.  Scoring is side-effect free and only allowed
-    on fitted models.  ``fit_partial`` needs at least ``min_samples``
-    training samples, and must return the fitted model as a new instance
-    and leave ``self`` unchanged: a pipeline shares its unfitted instances
-    between all its users.  ``param_keys`` maps each external configuration
-    key the type accepts to its constructor keyword.
+    on fitted models.  ``fit_partial`` checks the minutes, needs at least
+    ``min_samples`` of them, and returns the fitted model as a new instance,
+    leaving ``self`` unchanged: a pipeline shares its unfitted instances
+    between all its users.  A type implements ``_fit``, which sets the model
+    on the copy ``fit_partial`` makes.  ``param_keys`` maps each external
+    configuration key the type accepts to its constructor keyword.
     """
 
     name = "detector"
@@ -308,19 +309,25 @@ class Detector(ABC):
     def is_trained(self) -> bool:
         return self.trained_version >= 0
 
-    @abstractmethod
     def fit_partial(self, minutes: Sequence[float], version: int = 0) -> "Detector":
         """Return a new instance fitted on ``minutes`` (of the day); ``self`` stays as it was."""
+        whole = _whole_minutes(minutes)
+        if whole.size < self.min_samples:
+            raise NotEnoughDataError(
+                f"{self.name} needs at least {self.min_samples} samples, got {whole.size}"
+            )
+        fitted = copy.copy(self)
+        fitted._fit(whole)
+        fitted.trained_version = version
+        return fitted
+
+    @abstractmethod
+    def _fit(self, whole: np.ndarray) -> None:
+        """Set this copy's model from ``whole``, the checked training minutes."""
 
     @abstractmethod
     def score_partial(self, minute: float) -> Score:
         """Score one event by its minute of the day."""
-
-    def _require_samples(self, n: int) -> None:
-        if n < self.min_samples:
-            raise NotEnoughDataError(
-                f"{self.name} needs at least {self.min_samples} samples, got {n}"
-            )
 
     def _require_trained(self) -> None:
         if not self.is_trained:
@@ -395,11 +402,9 @@ class CircularKMeans(Detector):
         self.chosen_k = 0
         self.clusters: tuple[Cluster, ...] = ()
 
-    def fit_partial(self, minutes: Sequence[float], version: int = 0) -> "CircularKMeans":
-        whole = _whole_minutes(minutes)
+    def _fit(self, whole: np.ndarray) -> None:
         hours = whole / 60.0
         n = hours.size
-        self._require_samples(n)
         # Every Lloyd update of every k takes its circular means from these.
         angles = hours * _RADIANS_PER_HOUR
         unit = np.stack((np.cos(angles), np.sin(angles)))
@@ -421,11 +426,8 @@ class CircularKMeans(Detector):
         minute_labels = np.stack([labels for labels, _ in runs])[:, first]
         scores = _silhouettes(matrix, weights.astype(float), minute_labels, samples, 60.0)
         best = int(np.argmax(scores))  # the first best wins: ties go to the smaller k
-        fitted = copy.copy(self)
-        fitted.chosen_k = ks[best]
-        fitted.clusters = self._summarise(hours, *runs[best])
-        fitted.trained_version = version
-        return fitted
+        self.chosen_k = ks[best]
+        self.clusters = self._summarise(hours, *runs[best])
 
     def score_partial(self, minute: float) -> Score:
         self._require_trained()
@@ -639,11 +641,9 @@ class WrappedKde(Detector):
         self.density_threshold = 0.0
         self.densities: np.ndarray = np.empty(0)
 
-    def fit_partial(self, minutes: Sequence[float], version: int = 0) -> "WrappedKde":
-        whole = _whole_minutes(minutes)
+    def _fit(self, whole: np.ndarray) -> None:
         hours = whole / 60.0
         n = hours.size
-        self._require_samples(n)
         sd = float(np.std(hours))
         q75, q25 = np.percentile(hours, [75.0, 25.0])
         spread = min(sd, float(q75 - q25) / 1.34)
@@ -664,13 +664,10 @@ class WrappedKde(Detector):
             sums.append(np.add.reduce(terms, axis=1))
         densities = np.concatenate(sums) / (n * bandwidth * math.sqrt(2.0 * math.pi))
         densities.flags.writeable = False
-        fitted = copy.copy(self)
-        fitted.n = n
-        fitted.bandwidth = bandwidth
-        fitted.densities = densities
-        fitted.density_threshold = percentile(densities[sample_minutes], self.percentile)
-        fitted.trained_version = version
-        return fitted
+        self.n = n
+        self.bandwidth = bandwidth
+        self.densities = densities
+        self.density_threshold = percentile(densities[sample_minutes], self.percentile)
 
     def score_partial(self, minute: float) -> Score:
         self._require_trained()
@@ -748,17 +745,15 @@ class CosineLof(Detector):
         self.training_scores: np.ndarray = np.empty(0)
         self.score_threshold = 0.0
 
-    def fit_partial(self, minutes: Sequence[float], version: int = 0) -> "CosineLof":
-        hours = minutes_to_hours(minutes)
+    def _fit(self, whole: np.ndarray) -> None:
+        hours = whole / 60.0
         n = hours.size
-        self._require_samples(n)
-        fitted = copy.copy(self)
-        fitted.hours = hours
-        fitted.k_eff = min(self.n_neighbors, n - 1)
+        self.hours = hours
+        self.k_eff = min(self.n_neighbors, n - 1)
         matrix = _cosine_distances(hours[:, None], hours[None, :])
         np.fill_diagonal(matrix, np.inf)  # a point is not its own neighbour
 
-        kth = fitted.k_eff - 1
+        kth = self.k_eff - 1
         # A copy, so the model does not keep the whole partitioned matrix.
         k_distances = np.partition(matrix, kth, axis=1)[:, kth].copy()
         # Every neighbourhood in one gather: the rows sorted stably by the
@@ -772,12 +767,10 @@ class CosineLof(Detector):
         densities = _LOF_DENSITIES(_neighbourhood_means(reach, order, sizes)).astype(float)
         neighbour_densities = _neighbourhood_means(densities[neighbours], order, sizes)
         scores = _LOF_RATIOS(neighbour_densities, densities).astype(float)
-        fitted.k_distances = k_distances
-        fitted.local_densities = densities
-        fitted.training_scores = scores
-        fitted.score_threshold = percentile(scores, self.percentile)
-        fitted.trained_version = version
-        return fitted
+        self.k_distances = k_distances
+        self.local_densities = densities
+        self.training_scores = scores
+        self.score_threshold = percentile(scores, self.percentile)
 
     def score_partial(self, minute: float) -> Score:
         self._require_trained()

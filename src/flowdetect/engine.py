@@ -1,11 +1,13 @@
 """Interpreter for trees of composable state machines.
 
 A specification is a tree of nodes: plain automata at the leaves, combined by
-``Flow`` (both operands observe every event), ``QuantifiedFlow`` (one operand
-instance per element of a finite domain), ``QuantifiedInterleave`` (one
-isolated operand instance per routing value, created lazily for unbounded
-domains) and ``Call`` (delegation to a named specification with argument
-binding).
+``Flow`` (both operands observe every event), ``Call`` (delegation to a named
+specification with argument binding) and one quantification, an operand
+instance per value of a variable, under two offer rules: ``QuantifiedFlow``
+offers each event to every instance, ``QuantifiedInterleave`` to the instance
+its first argument names.  A bounded domain's values must be orderable and
+hashable; only an interleave may range over ``UNBOUNDED``, building each
+instance on first use.
 
 Execution is a labelled transition relation over runtime states.  Each
 step threads one mutable scope of variable bindings down the tree.  Entering
@@ -255,7 +257,7 @@ class Node:
     they are visible to the node like read-only enclosing variables.
 
     Each kind is one operator.  It names the class of its runtime states as
-    ``state_type`` and defines four methods: ``_validate(defs, call_chain)``
+    ``state_type`` and has four methods: ``_validate(defs, call_chain)``
     checks its own parts and its operands, ``_start(local, env, defs)``
     builds its initial state from its initialised attributes ``local`` and
     the enclosing ``env``, ``_final(state, defs)`` tests acceptance, and
@@ -426,11 +428,13 @@ class Flow(Node):
 
 @dataclass(kw_only=True)
 class _Quantified(Node):
-    """What the two quantified operators share.
+    """One quantification, two offer rules.
 
-    Each has one ``body`` instance per value of ``var``, built eagerly in
-    ascending order over a bounded ``domain``, and accepts when every
-    instance accepts.
+    One ``body`` instance per value of ``var``, built up front in ascending
+    order over a bounded ``domain``, or on first use over ``UNBOUNDED``; the
+    node accepts when every instance accepts, and fires when one fires.
+    ``_offered(state, event)`` names the ``(value, instance)`` pairs an event
+    is offered to, the instance ``None`` for one still to build.
     """
 
     var: str
@@ -442,16 +446,56 @@ class _Quantified(Node):
             raise SpecificationError(
                 f"node {self.name!r}: quantified variable shadows an attribute"
             )
+        # A flow offers each event to every instance, so it builds them all up front.
+        if self.state_type is QuantifiedFlowState or not isinstance(self.domain, _UnboundedDomain):
+            try:
+                if iter(self.domain) is self.domain:  # each init would sort what is left
+                    raise TypeError("a one-pass iterator")
+                dict.fromkeys(sorted(self.domain))
+            except TypeError as exc:
+                raise SpecificationError(
+                    f"node {self.name!r}: domain is not a bounded set of orderable, hashable "
+                    f"values ({exc})"
+                ) from exc
         _validate_node(self.body, defs, call_chain)
 
-    def _instances(self, env, defs):
-        return {
-            value: _init(self.body, env.override({self.var: value}), defs)
+    def _start(self, local, env, defs):
+        if isinstance(self.domain, _UnboundedDomain):
+            return self.state_type(local, {})
+        inner = env.override(local)
+        instances = {
+            value: _init(self.body, inner.override({self.var: value}), defs)
             for value in sorted(self.domain)
         }
+        return self.state_type(local, instances)
 
     def _final(self, state, defs):
         return all(self.body._final(inst, defs) for inst in state.instances.values())
+
+    def _step(self, state, scope, ctx):
+        offered = self._offered(state, ctx.event)
+        instances = state.instances  # commits replace or add values once the step succeeds
+        env = state.env
+        shadowed = _bind(scope, env) if env else None
+        var, body = self.var, self.body
+        hidden = {var: scope[var]} if var in scope else None
+        step_body = body._step
+        fired = False
+        for value, instance in offered:
+            scope[var] = value
+            start = _init(body, Env(scope), ctx.defs) if instance is None else instance
+            stepped = step_body(start, scope, ctx)
+            if stepped is not None:
+                fired = True
+                if stepped is not instance:
+                    ctx.commits.append((instances, value, stepped))
+        _drop(scope, (var,), hidden)
+        if not fired:
+            if env:
+                _drop(scope, env, shadowed)
+            return None
+        new_env = _leave(self, scope, env, shadowed)
+        return state if new_env is env else self.state_type(new_env, instances)
 
 
 @dataclass(kw_only=True)
@@ -460,30 +504,8 @@ class QuantifiedFlow(_Quantified):
 
     state_type = QuantifiedFlowState
 
-    def _start(self, local, env, defs):
-        return QuantifiedFlowState(local, self._instances(env.override(local), defs))
-
-    def _step(self, state, scope, ctx):
-        instances = state.instances  # built from the sorted domain; commits only replace values
-        env = state.env
-        shadowed = _bind(scope, env) if env else None
-        hidden = {self.var: scope[self.var]} if self.var in scope else None
-        fired = False
-        for value in instances:
-            scope[self.var] = value
-            instance = instances[value]
-            stepped = self.body._step(instance, scope, ctx)
-            if stepped is not None:
-                fired = True
-                if stepped is not instance:
-                    ctx.commits.append((instances, value, stepped))
-        _drop(scope, (self.var,), hidden)
-        if not fired:
-            if env:
-                _drop(scope, env, shadowed)
-            return None
-        new_env = _leave(self, scope, env, shadowed)
-        return state if new_env is env else QuantifiedFlowState(new_env, instances)
+    def _offered(self, state, event):
+        return state.instances.items()
 
 
 @dataclass(kw_only=True)
@@ -498,13 +520,7 @@ class QuantifiedInterleave(_Quantified):
 
     state_type = QuantifiedInterleaveState
 
-    def _start(self, local, env, defs):
-        if isinstance(self.domain, _UnboundedDomain):
-            return QuantifiedInterleaveState(local, {})
-        return QuantifiedInterleaveState(local, self._instances(env.override(local), defs))
-
-    def _step(self, state, scope, ctx):
-        event = ctx.event
+    def _offered(self, state, event):
         if not event.args:
             raise InputError(
                 f"node {self.name!r}: event {event.name!r} has no argument to route on"
@@ -520,23 +536,8 @@ class QuantifiedInterleave(_Quantified):
             raise InputError(f"node {self.name!r}: routing value is not equal to itself")
         instance = state.instances.get(value)
         if instance is None and not isinstance(self.domain, _UnboundedDomain):
-            return None  # outside a bounded domain
-
-        env = state.env
-        shadowed = _bind(scope, env) if env else None
-        hidden = {self.var: scope[self.var]} if self.var in scope else None
-        scope[self.var] = value
-        start = _init(self.body, Env(scope), ctx.defs) if instance is None else instance
-        stepped = self.body._step(start, scope, ctx)
-        _drop(scope, (self.var,), hidden)
-        if stepped is None:
-            if env:
-                _drop(scope, env, shadowed)
-            return None
-        if stepped is not instance:
-            ctx.commits.append((state.instances, value, stepped))
-        new_env = _leave(self, scope, env, shadowed)
-        return state if new_env is env else QuantifiedInterleaveState(new_env, state.instances)
+            return ()  # outside a bounded domain
+        return ((value, instance),)
 
 
 @dataclass(kw_only=True)
@@ -622,7 +623,9 @@ def _validate_node(spec: Node, defs: Mapping[str, Node], call_chain: tuple[str, 
     spec._validate(defs, call_chain)
 
 
-def init(spec: Node, env: Env | None = None, defs: Mapping[str, Node] | None = None) -> Any:
+def init(
+    spec: Node, env: Mapping[str, Any] | None = None, defs: Mapping[str, Node] | None = None
+) -> Any:
     """Build the initial runtime state of ``spec``.
 
     Attribute initialisers are evaluated against ``env`` extended with the
@@ -630,7 +633,7 @@ def init(spec: Node, env: Env | None = None, defs: Mapping[str, Node] | None = N
     """
     defs = defs or {}
     validate_spec(spec, defs)
-    return _init(spec, env or EMPTY_ENV, defs)
+    return _init(spec, Env(env) if env else EMPTY_ENV, defs)
 
 
 def _init_attrs(spec: Node, env: Env) -> Env:

@@ -772,3 +772,43 @@ def test_parser_rejects_unknown_profile():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["synth", "--profile", "weird",
                                    "--events-out", "x", "--labels-out", "y"])
+
+
+def help_entries(command: str, capsys) -> dict[str, list[str]]:
+    """The lines of each option in ``command --help``, keyed by its first flag."""
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    entries: dict[str, list[str]] = {}
+    lines = None
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  -"):
+            lines = entries[line.split()[0].rstrip(",")] = [line]
+        elif lines is not None and line.startswith("    "):
+            lines.append(line)
+        else:
+            lines = None
+    return entries
+
+
+@pytest.mark.parametrize("command", ("run", "evaluate", "synth", "dump-state"))
+def test_every_command_prints_its_help(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert "--help" in help_entries(command, capsys)["-h"][0]
+
+
+def test_run_and_dump_state_share_their_replay_flags(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    run, dump = help_entries("run", capsys), help_entries("dump-state", capsys)
+    for flag in ("--input", "--config", "--activity-filter", "--date-format"):
+        assert run[flag] == dump[flag]
+        # a help text beyond the flag and its metavar
+        assert len(" ".join(run[flag]).split()) > 2, flag
+    assert "'%m/%d/%Y %H:%M:%S'" in " ".join(run["--date-format"])
+    parser = build_parser()
+    for argv, reads, writes in (
+        (["run", "--input", "x"], ("--input", "--config"), ("--alerts-out", "--scores-out")),
+        (["dump-state", "--input", "x"], ("--input", "--config"), ("--out",)),
+    ):
+        args = parser.parse_args(argv)
+        assert (args.reads, args.writes) == (reads, writes)

@@ -515,6 +515,103 @@ def test_shadowing_cases_see_both_kinds_of_bind():
     assert set().union(*(case[3] for case in SHADOWING.values())) == {None, dict}
 
 
+# ---------------------------------------------------------------- node actions
+
+@pytest.mark.parametrize("kind", ("flow", "quantified_flow"))
+def test_a_node_action_runs_once_after_its_operands_and_keeps_what_it_rebinds(kind):
+    seen = []
+
+    def settle(env):
+        seen.append(dict(env))
+        env["n"] = env["n"] * 10
+
+    if kind == "flow":
+        spec = Flow(name="node", attrs=(("n", 0),), action=settle,
+                    left=loop("a", action=inc("n")), right=loop("b", action=inc("n", 2)))
+        event = Event("tick")
+    else:
+        spec = QuantifiedFlow(name="node", var="v", domain=(1, 2, 3), attrs=(("n", 0),),
+                              action=settle, body=loop("pick", EventPattern("t", (Ref("v"),)),
+                                                       action=inc("n", 3)))
+        event = Event("t", (2,))
+    new_state, out = step(spec, init(spec), event, env={"outer": 1})
+    assert seen == [{"outer": 1, "n": 3}]  # the operands' updates, no quantified variable
+    assert dict(new_state.env) == {"n": 30}
+    assert dict(out) == {"outer": 1}
+
+
+@pytest.mark.parametrize("kind", ("flow", "quantified_flow", "quantified_interleave"))
+def test_a_refused_node_runs_no_action(kind):
+    calls = []
+    deaf = loop("deaf", EventPattern("other"))
+    spec = {
+        "flow": Flow(name="node", attrs=(("n", 0),), action=calls.append, left=deaf, right=deaf),
+        "quantified_flow": QuantifiedFlow(name="node", var="v", domain=(1, 2), attrs=(("n", 0),),
+                                          action=calls.append, body=deaf),
+        "quantified_interleave": QuantifiedInterleave(name="node", var="v", domain=UNBOUNDED,
+                                                      attrs=(("n", 0),), action=calls.append,
+                                                      body=deaf),
+    }[kind]
+    assert step(spec, init(spec), Event("tick", ("alice",))) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ("flow", "quantified_flow"))
+def test_a_node_action_that_raises_changes_nothing(kind):
+    counter = loop("counter", attrs=(("hits", 0),), action=inc("hits"))
+    if kind == "flow":
+        spec = Flow(name="node", attrs=(("k", 1),), action=boom,
+                    left=counter, right=loop("other", action=inc("k")))
+    else:
+        spec = QuantifiedFlow(name="node", var="v", domain=(1, 2), attrs=(("k", 1),),
+                              action=boom, body=counter)
+    state = init(spec)
+    before = dump_state(state)
+    env = {"k": "enclosing", "kept": [1]}
+    with pytest.raises(RuntimeError, match="bad action"):
+        step(spec, state, Event("tick"), env=env)  # the operands fired first
+    assert dump_state(state) == before
+    assert env == {"k": "enclosing", "kept": [1]}
+
+
+def snapshot(env):
+    env["seen"] = {name: env[name] for name in sorted(env) if name != "seen"}
+
+
+#: An attribute-holding node that refuses ``Event("t", ("b",))``; its
+#: attributes ``n`` and ``m`` shadow names of the enclosing scope.
+REFUSING = {
+    "flow": Flow(
+        name="inner", attrs=(("n", 1), ("m", 2)),
+        left=loop("deaf_l", EventPattern("other")), right=loop("deaf_r", EventPattern("other")),
+    ),
+    "interleave_outside_its_domain": QuantifiedInterleave(
+        name="inner", attrs=(("n", 1), ("m", 2)), var="u", domain=("a",),
+        body=loop("any", EventPattern("t", (Capture("who"),))),
+    ),
+    "interleave_whose_instance_refuses": QuantifiedInterleave(
+        name="inner", attrs=(("n", 1), ("m", 2)), var="u", domain=UNBOUNDED,
+        body=loop("picky", EventPattern("t", (Capture("who"),)), guard=lambda env: False),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSING))
+def test_a_refusing_node_with_attributes_leaves_the_scope_as_it_found_it(case):
+    spec = Flow(
+        name="outer", attrs=(("n", 99), ("u", "outer")),
+        left=REFUSING[case],
+        right=loop("sibling", EventPattern("t", (Capture("who"),)), action=snapshot),
+    )
+    state = init(spec)
+    new_state, out = step(spec, state, Event("t", ("b",)), env={"m": "enclosing"})
+    # the sibling steps after the refusal: the refused node's names are gone,
+    # and what they shadowed is back
+    assert out["seen"] == {"m": "enclosing", "n": 99, "u": "outer", "who": "b"}
+    assert new_state.left is state.left
+    assert dict(new_state.env) == {"n": 99, "u": "outer"}
+
+
 # ------------------------------------------------- one match per pattern per step
 
 def test_shared_ref_pattern_fires_only_where_the_variable_equals_the_argument():
@@ -843,6 +940,37 @@ def test_validate_rejects_duplicate_attrs_and_shadowing():
         init(QuantifiedFlow(name="shadow", var="x", domain=(1,), attrs=(("x", 0),), body=loop("b")))
 
 
+@pytest.mark.parametrize(
+    "kind, domain",
+    [
+        (QuantifiedFlow, UNBOUNDED),
+        (QuantifiedFlow, (1, "x")),
+        (QuantifiedFlow, ([1], [2])),
+        (QuantifiedFlow, iter((1, 2))),
+        (QuantifiedInterleave, (1, "x")),
+        (QuantifiedInterleave, ([1], [2])),
+        (QuantifiedInterleave, (v for v in (1, 2))),
+    ],
+    ids=["flow-unbounded", "flow-unordered", "flow-unhashable", "flow-iterator",
+         "interleave-unordered", "interleave-unhashable", "interleave-generator"],
+)
+def test_validate_rejects_a_domain_the_engine_cannot_order(kind, domain):
+    spec = Flow(name="outer", left=kind(name="q", var="v", domain=domain, body=loop("b")),
+                right=loop("r"))
+    for check in (validate_spec, init):
+        with pytest.raises(SpecificationError, match="^node 'q': "):
+            check(spec)
+
+
+def test_init_takes_any_mapping_as_its_env():
+    spec = loop("leaf", attrs=(("z", lambda env: env["y"] + 1),))
+    expected = dump_state(init(spec, Env({"y": 1})))
+    for env in ({"y": 1}, MappingProxyType({"y": 1})):
+        assert dump_state(init(spec, env)) == expected
+    assert dict(init(spec, {"y": 1}).env) == {"z": 2}
+    assert init(loop("bare"), {}).env is EMPTY_ENV
+
+
 def test_attr_initialisers_see_earlier_attrs():
     spec = loop("chain", attrs=(("a", 2), ("b", lambda env: env["a"] * 10)))
     assert dict(init(spec).env) == {"a": 2, "b": 20}
@@ -892,6 +1020,12 @@ def test_every_node_kind_defines_its_own_rules():
         assert "state_type" in vars(kind), kind
         state_types.add(kind.state_type)
     assert len(state_types) == len(kinds)
+
+
+def test_both_quantified_kinds_share_one_set_of_rules():
+    for kind in (QuantifiedFlow, QuantifiedInterleave):
+        assert not {"_validate", "_start", "_final", "_step"} & set(vars(kind)), kind
+        assert "_offered" in vars(kind), kind
 
 
 def test_bare_node_is_an_unknown_node_type():
@@ -1035,6 +1169,27 @@ def test_dump_handles_rich_values():
     assert dumped["when"] == "2010-01-04T08:05:00"
     assert dumped["tags"] == ["a", "b"]
     assert list(dumped["tbl"]) == ["1", "2"]
+
+
+@dataclasses.dataclass
+class Point:
+    x: int
+    tags: tuple
+
+
+def test_dump_handles_dataclasses_and_opaque_values():
+    spec = loop("rich", attrs=(
+        ("point", Point(1, ("a", 2))),
+        ("kind", lambda env: Point),  # a dataclass type is opaque
+        ("thing", object()),
+    ))
+    assert state_to_dict(init(spec))["env"] == {
+        "kind": {"type": "type"},
+        "point": {"type": "Point", "x": 1, "tags": ["a", 2]},
+        "thing": {"type": "object"},
+    }
+    with pytest.raises(EngineError, match="cannot serialize int"):
+        state_to_dict(42)
 
 
 @settings(max_examples=60, deadline=None)

@@ -477,10 +477,8 @@ class LevelDetector(Detector):
         super().__init__()
         self.level = level
 
-    def fit_partial(self, minutes, version=0):
-        fitted = LevelDetector(self.level)
-        fitted.trained_version = version
-        return fitted
+    def _fit(self, whole):
+        pass
 
     def score_partial(self, minute, event_id=None):
         return Score(0, self.level)
@@ -509,10 +507,8 @@ class MinuteDetector(Detector):
 
     name = "minute"
 
-    def fit_partial(self, minutes, version=0):
-        fitted = MinuteDetector()
-        fitted.trained_version = version
-        return fitted
+    def _fit(self, whole):
+        pass
 
     def score_partial(self, minute):
         return Score(0, minute)
@@ -748,13 +744,10 @@ def failing_fit(fail_at: int | None) -> type[Detector]:
     class FailingFit(Detector):
         name = "zfit"  # sorts after kde, kmeans and lof, so it fits last
 
-        def fit_partial(self, minutes, version=0):
-            calls.append(version)
+        def _fit(self, whole):
+            calls.append(whole.size)
             if len(calls) == fail_at:
                 raise RuntimeError("fit failed")
-            fitted = FailingFit()
-            fitted.trained_version = version
-            return fitted
 
         def score_partial(self, minute):
             return Score(0, 0.0)
