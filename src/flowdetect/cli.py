@@ -95,8 +95,9 @@ def _events(path: str, activity_filter: str | None, stats: IngestStats) -> Itera
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     flags = {key: getattr(args, key, None) for key in ("date_format", "activity_filter")}
-    # A replaced config is checked again as it is made.
-    return replace(config, **{key: value for key, value in flags.items() if value})
+    # Every flag given, an empty one included, replaces the file's value, and
+    # a replaced config is checked again as it is made.
+    return replace(config, **{key: value for key, value in flags.items() if value is not None})
 
 
 def _jsonl(record: dict) -> str:

@@ -21,27 +21,19 @@ scope as it found it.  Guards must be side-effect free.  Local and
 enclosing environments are ``Env`` objects: plain ``dict`` instances whose
 mutators raise, so the scope is the only binding set a step writes.
 
-Ownership: a successful step consumes the state it is given (the instance
-maps of quantified nodes are updated in place once the whole step has
-succeeded), and a refused step, or one that raises, leaves it untouched.
-States change by copy: a step hands back every part of the state that did
-not change as the same object, an environment whose attributes all still
-hold the same objects included, so an instance at rest costs no
-allocation.  The at-rest states of attribute-free nodes (automata, flows
-and argument-less calls whose parts are themselves such states) are
-shared between the instances of one machine: each node keeps its own, so
-they go when the spec goes, and callers must treat every state as
-read-only.  Values bound in environments are not copied.
+Ownership is as ``step`` states it.  An environment is unchanged when its
+attributes all hold the same objects, so an instance at rest allocates
+nothing.  At-rest states of automata, and of flows and argument-less calls
+of such parts, are shared per node, so they go when the spec goes.
 
 Matching: a step does the event-only part of each pattern (name, arity,
 literals, capture types and the captures themselves) once, however many
 leaves use that pattern object, and each leaf then checks only the
 pattern's ``Ref`` slots against its own scope.
 
-Operators: each node class holds all of its operator's rules (validation,
-initial state, acceptance and step), and a node steps its operands by
-calling their methods.  ``step`` and ``is_final`` check only that the root
-state is of the root node's kind; the states nested in it are trusted, so a
+Operators: a node class holds its operator's rules (operands, validation,
+header, start, acceptance and step), and ``walk`` is the one traversal of a
+tree.  ``step`` and ``is_final`` check only the root state's kind, so a
 state must come from ``init`` or ``step`` for the same specification.
 
 Determinism: automaton transitions are tried in declaration order and the
@@ -53,7 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections.abc import Iterable, Mapping, MutableMapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from typing import Any, Callable
@@ -256,14 +248,11 @@ class Node:
     ``params`` names the values a ``Call`` targeting this node must bind;
     they are visible to the node like read-only enclosing variables.
 
-    Each kind is one operator.  It names the class of its runtime states as
-    ``state_type`` and has four methods: ``_validate(defs, call_chain)``
-    checks its own parts and its operands, ``_start(local, env, defs)``
-    builds its initial state from its initialised attributes ``local`` and
-    the enclosing ``env``, ``_final(state, defs)`` tests acceptance, and
-    ``_step(state, scope, ctx)`` steps on ``ctx.event``, returning the new
-    state or ``None`` when it refuses.  The base class runs on any state and
-    all four of its methods raise ``SpecificationError``.
+    Each kind is one operator with states of class ``state_type``.  It
+    defines ``_operands(defs)``, ``_validate(defs)`` of its own parts only,
+    ``_header()``, ``_start(local, env, defs)`` from initialised attributes
+    and the enclosing ``env``, ``_final(state, defs)``, and ``_step(state,
+    scope, ctx)``, ``None`` on refusal; on the base class all six raise.
 
     ``_rest`` holds the node's shared at-rest states.  The kinds that share
     them (automata, flows and calls) build each through ``_at_rest`` and
@@ -281,13 +270,10 @@ class Node:
 
     state_type = object
 
-    def attr_names(self) -> set[str]:
-        return {n for n, _ in self.attrs}
-
     def _unknown(self, *_: Any) -> Any:
         raise SpecificationError(f"unknown node type {type(self).__name__}")
 
-    _validate = _start = _final = _step = _unknown
+    _operands = _validate = _header = _start = _final = _step = _unknown
 
     def _is_rest(self, state: Any) -> bool:
         return False
@@ -308,6 +294,11 @@ class Transition:
     guard: Guard | None = None
     action: Action | None = None
 
+    def __str__(self) -> str:
+        slots = ", ".join(map(_slot, self.pattern.slots))
+        guard, action = _named(" [", self.guard, "]"), _named(" / ", self.action)
+        return f"{self.source} -{self.pattern.name}({slots}){guard}{action}-> {self.target}"
+
 
 @dataclass(kw_only=True)
 class Automaton(Node):
@@ -318,7 +309,10 @@ class Automaton(Node):
 
     state_type = AutomatonState
 
-    def _validate(self, defs, call_chain):
+    def _operands(self, defs):
+        return ()
+
+    def _validate(self, defs):
         states = set(self.states)
         if self.initial not in states:
             raise SpecificationError(f"automaton {self.name!r}: unknown initial state")
@@ -329,11 +323,23 @@ class Automaton(Node):
                 raise SpecificationError(
                     f"automaton {self.name!r}: transition uses undeclared state"
                 )
-            caps = [s.name for s in t.pattern.slots if isinstance(s, Capture)]
-            if len(caps) != len(set(caps)):
+            caps = [s for s in t.pattern.slots if isinstance(s, Capture)]
+            if len({s.name for s in caps}) != len(caps):
                 raise SpecificationError(
                     f"automaton {self.name!r}: duplicate capture in pattern"
                 )
+            if not all(f is None or callable(f) for f in (t.guard, t.action)):
+                raise SpecificationError(f"automaton {self.name!r}: uncallable guard or action")
+            for s in caps:
+                try:
+                    isinstance(None, s.type or ())
+                except TypeError:
+                    raise SpecificationError(f"automaton {self.name!r}: bad capture type") from None
+
+    def _header(self):
+        states, finals = ", ".join(self.states), ", ".join(self.finals)
+        moves = "".join(f"\n  {t}" for t in self.transitions)
+        return f"Automaton {{{states}}} init {self.initial} final {{{finals}}}{moves}"
 
     def _start(self, local, env, defs):
         return self._state(self.initial, local)
@@ -390,9 +396,14 @@ class Flow(Node):
 
     state_type = FlowState
 
-    def _validate(self, defs, call_chain):
-        _validate_node(self.left, defs, call_chain)
-        _validate_node(self.right, defs, call_chain)
+    def _operands(self, defs):
+        return self.left, self.right
+
+    def _validate(self, defs):
+        pass
+
+    def _header(self):
+        return "Flow"
 
     def _start(self, local, env, defs):
         inner = env.override(local)
@@ -441,8 +452,11 @@ class _Quantified(Node):
     domain: Sequence[Any]
     body: Node
 
-    def _validate(self, defs, call_chain):
-        if self.var in self.attr_names():
+    def _operands(self, defs):
+        return (self.body,)
+
+    def _validate(self, defs):
+        if self.var in dict(self.attrs):
             raise SpecificationError(
                 f"node {self.name!r}: quantified variable shadows an attribute"
             )
@@ -457,7 +471,10 @@ class _Quantified(Node):
                     f"node {self.name!r}: domain is not a bounded set of orderable, hashable "
                     f"values ({exc})"
                 ) from exc
-        _validate_node(self.body, defs, call_chain)
+
+    def _header(self):
+        domain = self.domain if isinstance(self.domain, _UnboundedDomain) else sorted(self.domain)
+        return f"{type(self).__name__} {self.var} in {domain}"
 
     def _start(self, local, env, defs):
         if isinstance(self.domain, _UnboundedDomain):
@@ -553,20 +570,21 @@ class Call(Node):
 
     state_type = CallState
 
-    def _validate(self, defs, call_chain):
+    def _operands(self, defs):
+        return (self._callee(defs),)
+
+    def _validate(self, defs):
         if self.attrs or self.action:
             raise SpecificationError(f"call {self.name!r} must not declare attributes")
-        if self.callee in call_chain:
-            raise SpecificationError(
-                f"recursive call to {self.callee!r} (chain {' -> '.join(call_chain)})"
-            )
-        callee = self._callee(defs)
-        if set(self.args) != set(callee.params):
+        params = self._callee(defs).params
+        if set(self.args) != set(params):
             raise SpecificationError(
                 f"call {self.name!r}: argument names {sorted(self.args)} do not match "
-                f"parameters {sorted(callee.params)} of {self.callee!r}"
+                f"parameters {sorted(params)} of {self.callee!r}"
             )
-        _validate_node(callee, defs, call_chain + (self.callee,))
+
+    def _header(self):
+        return f"Call {self.callee}({', '.join(self.args)})"
 
     def _start(self, local, env, defs):
         # A call declares no attributes, so ``env`` is the caller's.
@@ -610,17 +628,50 @@ class Call(Node):
 # ---------------------------------------------------------------------------
 
 
+def walk(spec: Node, defs: Mapping[str, Node] | None = None) -> Iterator[tuple[int, Node]]:
+    """Yield ``(depth, node)`` in pre-order, a call's callee from ``defs`` under the
+    call; raise ``SpecificationError`` for an unresolved callee or a recursive call."""
+    pending: list[tuple[int, Node, tuple[str, ...]]] = [(0, spec, ())]
+    while pending:
+        depth, node, chain = pending.pop()
+        callee = node.callee if isinstance(node, Call) else None
+        if callee in chain:
+            raise SpecificationError(f"recursive call to {callee!r} (chain {' -> '.join(chain)})")
+        chain += () if callee is None else (callee,)
+        yield depth, node
+        pending += [(depth + 1, operand, chain) for operand in reversed(node._operands(defs or {}))]
+
+
 def validate_spec(spec: Node, defs: Mapping[str, Node] | None = None) -> None:
     """Raise ``SpecificationError`` if the tree is not well formed."""
     defs = defs or {}
-    _validate_node(spec, defs, call_chain=())
+    for _, node in walk(spec, defs):
+        if len(dict(node.attrs)) != len(node.attrs):
+            raise SpecificationError(f"node {node.name!r} declares duplicate attributes")
+        if node.action is not None and not callable(node.action):
+            raise SpecificationError(f"node {node.name!r}: action is not callable")
+        node._validate(defs)
 
 
-def _validate_node(spec: Node, defs: Mapping[str, Node], call_chain: tuple[str, ...]) -> None:
-    names = [n for n, _ in spec.attrs]
-    if len(names) != len(set(names)):
-        raise SpecificationError(f"node {spec.name!r} declares duplicate attributes")
-    spec._validate(defs, call_chain)
+def describe(spec: Node, defs: Mapping[str, Node] | None = None) -> str:
+    """One line per node of ``walk``, indented by depth, and one per transition."""
+    lines = []
+    for depth, node in walk(spec, defs):
+        params = f"({', '.join(node.params)})" if node.params else ""
+        attrs = f" attrs({', '.join(n for n, _ in node.attrs)})" if node.attrs else ""
+        text = f"{node.name}{params}{attrs}{_named(' / ', node.action)}: {node._header()}"
+        lines += ["  " * depth + line for line in text.split("\n")]
+    return "\n".join(lines)
+
+
+def _named(before: str, value: Any, after: str = "") -> str:
+    name = getattr(value, "__qualname__", type(value).__qualname__)
+    return "" if value is None else f"{before}{name}{after}"
+
+
+def _slot(slot: Any) -> str:
+    name = slot.name if isinstance(slot, (Capture, Ref)) else repr(slot)
+    return f"?{name}" if isinstance(slot, Capture) else name
 
 
 def init(
@@ -680,14 +731,12 @@ def step(
     """Attempt one transition on ``event``.
 
     Returns ``(new_state, new_enclosing_env)`` when some part of the tree
-    fired, or ``None`` when the whole tree refuses the event.  Each operator
-    steps itself.  Only the root state's kind is checked against ``spec``,
-    so ``state`` must come from ``init`` or ``step`` for the same spec.  A
-    successful step consumes ``state``: every part of it that did not change
-    comes back as the same object (the whole of ``state`` when nothing
-    changed), and the instance maps of its quantified nodes are updated in
-    place.  A refused step, or one that raises, leaves ``state`` and ``env``
-    as they were.  Values bound in environments are not copied.  States of
+    fired, or ``None`` when the whole tree refuses the event.  A successful
+    step consumes ``state``: every part of it that did not change comes back
+    as the same object (the whole of ``state`` when nothing changed), and
+    the instance maps of its quantified nodes are updated in place.  A
+    refused step, or one that raises, leaves ``state`` and ``env`` as they
+    were.  Values bound in environments are not copied.  States of
     attribute-free nodes may be shared between the instances of one
     machine, so callers must treat every state as read-only.
     """

@@ -426,6 +426,35 @@ def test_run_activity_filter_flag(tmp_path, capsys):
     assert summary["filtered_rows"] == 1
 
 
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("activity_filter", "", {"events": 1, "filtered_rows": 1, "skipped_dates": 0}),
+        ("date_format", "", {"events": 1, "filtered_rows": 0, "skipped_dates": 1}),
+        ("date_format", "%Y-%m-%dT%H:%M:%S", {"events": 1, "filtered_rows": 0, "skipped_dates": 1}),
+    ],
+)
+def test_a_flag_applies_as_its_config_key_does(key, value, expected, tmp_path, capsys):
+    # An empty flag is a value, not an absent flag: "" keeps only rows with
+    # no activity, and as a date format it leaves only ISO timestamps.
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "id,date,user,pc,activity\n"
+        "E1,01/04/2010 08:00:00,alice,PC-1,Logon\n"
+        "E2,2010-01-04T09:00:00,alice,PC-1,\n"
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    flag = "--" + key.replace("_", "-")
+    lines = []
+    for extra in (["--config", str(config)], [flag, value]):
+        assert main(["run", "--input", str(path), *extra]) == 0
+        lines.append(capsys.readouterr().out.strip())
+    assert lines[0] == lines[1]
+    summary = parse_summary(lines[0])
+    assert {name: summary[name] for name in expected} == expected
+
+
 def test_run_reports_late_events_dropped_after_eviction(tmp_path, capsys):
     path = tmp_path / "log.csv"
     path.write_text(

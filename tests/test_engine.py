@@ -39,12 +39,14 @@ from flowdetect.engine import (
     QuantifiedInterleave,
     Ref,
     Transition,
+    describe,
     dump_state,
     init,
     is_final,
     state_to_dict,
     step,
     validate_spec,
+    walk,
 )
 from flowdetect.errors import EngineError, InputError, SpecificationError
 
@@ -912,6 +914,63 @@ def test_call_validation_errors():
             check()  # defs left out after init
 
 
+def test_walk_is_pre_order_left_before_right_with_callees_under_calls():
+    defs = {"acc": Flow(name="acc", params=("base",), left=loop("x"), right=loop("y"))}
+    spec = Flow(
+        name="root",
+        left=QuantifiedFlow(name="q", var="v", domain=(1, 2), body=loop("body")),
+        right=Call(name="c", callee="acc", args={"base": 1}),
+    )
+    assert [(depth, node.name) for depth, node in walk(spec, defs)] == [
+        (0, "root"), (1, "q"), (2, "body"), (1, "c"), (2, "acc"), (3, "x"), (3, "y"),
+    ]
+    assert [node for _, node in walk(spec, defs)][5] is defs["acc"].left
+
+
+def test_the_call_errors_come_from_the_walk():
+    with pytest.raises(SpecificationError, match="unresolved callee 'ghost'"):
+        list(walk(Flow(name="f", left=loop("l"), right=Call(name="u", callee="ghost"))))
+    loops = {"a": Call(name="x", callee="b"), "b": Call(name="y", callee="a")}
+    with pytest.raises(SpecificationError, match=r"recursive call to 'a' \(chain a -> b\)"):
+        list(walk(Call(name="top", callee="a"), loops))
+    # The walk refuses before it yields the node that recurses.
+    seen = []
+    with pytest.raises(SpecificationError):
+        for _, node in walk(Call(name="top", callee="a"), loops):
+            seen.append(node.name)
+    assert seen == ["top", "x"]
+
+
+def test_describe_prints_each_kind_its_parts_and_its_transitions():
+    def keep(env):
+        return True
+
+    defs = {"acc": loop("acc", GO, params=("base",), guard=keep, action=inc("base"))}
+    spec = Flow(
+        name="root",
+        attrs=(("n", 0),),
+        action=scale("n", 2),
+        left=QuantifiedInterleave(name="i", var="v", domain=UNBOUNDED, body=loop("b")),
+        right=QuantifiedFlow(
+            name="q", var="w", domain={3, 1, 2},
+            body=Call(name="c", callee="acc", args={"base": 1}),
+        ),
+    )
+    assert describe(spec, defs) == "\n".join([
+        "root attrs(n) / scale.<locals>.action: Flow",
+        "  i: QuantifiedInterleave v in UNBOUNDED",
+        "    b: Automaton {s} init s final {s}",
+        "      s -tick()-> s",
+        "  q: QuantifiedFlow w in [1, 2, 3]",
+        "    c: Call acc(base)",
+        "      acc(base): Automaton {s} init s final {s}",
+        "        s -go(?arg) [test_describe_prints_each_kind_its_parts_and_its_transitions"
+        ".<locals>.keep] / inc.<locals>.action-> s",
+    ])
+    literal = EventPattern("e", (Ref("u"), "x", 3))
+    assert str(Transition(source="a", pattern=literal, target="b")) == "a -e(u, 'x', 3)-> b"
+
+
 # ------------------------------------------------------------------ validation
 
 def test_validate_rejects_malformed_automata():
@@ -938,6 +997,33 @@ def test_validate_rejects_duplicate_attrs_and_shadowing():
         init(loop("dup", attrs=(("a", 1), ("a", 2))))
     with pytest.raises(SpecificationError):
         init(QuantifiedFlow(name="shadow", var="x", domain=(1,), attrs=(("x", 0),), body=loop("b")))
+
+
+def _with_transition(pattern=TICK, **fields):
+    return Automaton(
+        name="bad", states=("a",), initial="a", finals=("a",),
+        transitions=(Transition(source="a", pattern=pattern, target="a", **fields),),
+    )
+
+
+UNCALLABLE = {
+    "guard": _with_transition(guard=5),
+    "transition-action": _with_transition(action="x"),
+    "automaton-action": loop("bad", action=7),
+    "flow-action": Flow(name="bad", left=loop("l"), right=loop("r"), action=7),
+    "quantified-action": QuantifiedFlow(name="bad", var="v", domain=(1,), body=loop("b"), action=1),
+    "capture-type": _with_transition(pattern=EventPattern("go", (Capture("v", 5),))),
+    "capture-type-tuple": _with_transition(pattern=EventPattern("go", (Capture("v", (int, "x")),))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCALLABLE))
+def test_validate_refuses_what_a_step_could_not_call(name):
+    # Each would otherwise pass init and raise a bare TypeError on the first step.
+    spec = Flow(name="outer", left=loop("ok"), right=UNCALLABLE[name])
+    for check in (validate_spec, init):
+        with pytest.raises(SpecificationError, match="'bad'"):
+            check(spec)
 
 
 @pytest.mark.parametrize(
@@ -1015,16 +1101,22 @@ def test_every_node_kind_defines_its_own_rules():
     )
     state_types = set()
     for kind in kinds:
-        for rule in ("_validate", "_start", "_final", "_step"):
+        for rule in ("_operands", "_validate", "_header", "_start", "_final", "_step"):
             assert getattr(kind, rule) is not getattr(Node, rule), (kind, rule)
         assert "state_type" in vars(kind), kind
         state_types.add(kind.state_type)
     assert len(state_types) == len(kinds)
+    # A kind checks only its own parts; the walk brings it each operand.
+    malformed = Automaton(name="bad", states=("a",), initial="z", finals=())
+    Flow(name="f", left=malformed, right=malformed)._validate({})
+    with pytest.raises(SpecificationError, match="'bad'"):
+        validate_spec(Flow(name="f", left=loop("ok"), right=malformed))
 
 
 def test_both_quantified_kinds_share_one_set_of_rules():
     for kind in (QuantifiedFlow, QuantifiedInterleave):
-        assert not {"_validate", "_start", "_final", "_step"} & set(vars(kind)), kind
+        rules = {"_operands", "_validate", "_header", "_start", "_final", "_step"}
+        assert not rules & set(vars(kind)), kind
         assert "_offered" in vars(kind), kind
 
 

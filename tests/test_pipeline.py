@@ -8,6 +8,7 @@ import json
 import random
 import weakref
 from datetime import datetime, timedelta
+from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -28,16 +29,17 @@ from flowdetect.detectors import (
     init_map,
 )
 from flowdetect.engine import (
-    UNBOUNDED,
+    Automaton,
     Call,
     CallState,
     Capture,
     Event,
     EventPattern,
-    Flow,
     FlowState,
     QuantifiedFlow,
     QuantifiedInterleave,
+    describe,
+    walk,
 )
 from flowdetect.errors import ConfigurationError, InputError
 from flowdetect.pipeline import (
@@ -258,45 +260,41 @@ def test_detection_guard_cases():
 # ----------------------------------------------------------------- structure
 
 def test_build_spec_shape():
-    config = PipelineConfig()
-    root, defs = build_spec(config)
-    assert isinstance(root, QuantifiedInterleave)
-    assert root.var == "userId" and root.domain is UNBOUNDED
+    # The README's machine block pins the tree: each node's kind and name, its
+    # attributes, variable and domain, the callee under the call, and each
+    # transition.  Every automaton matches the one pattern object.
+    root, defs = build_spec(PipelineConfig())
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("`describe(*build_spec(PipelineConfig()))`", 1)[1]
+    assert describe(root, defs) == block.split("```text\n", 1)[1].split("\n```", 1)[0]
+    automata = [node for _, node in walk(root, defs) if isinstance(node, Automaton)]
+    assert len({id(t.pattern) for node in automata for t in node.transitions}) == 1
 
-    per_user = root.body
-    assert isinstance(per_user, Flow)
-    assert {name for name, _ in per_user.attrs} == {"window"}
 
-    scoring = per_user.left
-    detectors = scoring.left
-    assert isinstance(detectors, QuantifiedFlow)
-    assert detectors.var == "d"
-    assert detectors.domain == ("kde", "kmeans", "lof")
-    assert isinstance(detectors.body, Call)
-    assert detectors.body.callee in defs
-
-    instance = defs["detector_instance"]
-    assert isinstance(instance, Flow)
-    assert instance.left.name == "training"
-    assert instance.right.name == "detection"
-
-    # every automaton matches the same event shape
-    parser = per_user.right
-    voting = scoring.right
-    assert parser.transitions[0].pattern is voting.transitions[0].pattern
-    assert instance.left.transitions[0].pattern is parser.transitions[0].pattern
+@pytest.mark.parametrize(
+    "names",
+    [names for size in (1, 2, 3) for names in combinations(("kde", "kmeans", "lof"), size)],
+    ids="+".join,
+)
+def test_the_tree_is_one_size_for_any_set_of_detectors(names):
+    # Quantified Flow keeps the specification concise: the models it combines
+    # are its domain, so the domain line is the one line they change.
+    full = describe(*build_spec(PipelineConfig())).splitlines()
+    lines = describe(*build_spec(PipelineConfig(detectors={n: {} for n in names}))).splitlines()
+    (at,) = [i for i, line in enumerate(full) if line.lstrip().startswith("detectors ")]
+    assert lines[:at] + lines[at + 1 :] == full[:at] + full[at + 1 :]
+    assert lines[at] == full[at].replace("['kde', 'kmeans', 'lof']", repr(list(names)))
 
 
 def test_the_window_fold_is_the_last_action_of_a_step():
     # The fold is the one action that writes in place, so it must run after
-    # every action that can raise: the parser is the right operand of the
-    # per-user flow, and no node above it has an action of its own.
-    root, _ = build_spec(PipelineConfig())
-    per_user = root.body
-    parser = per_user.right
-    assert parser.name == "parser"
+    # every action that can raise: the parser, last in the walk, is the right
+    # operand of the per-user flow, and no node above it has an action.
+    nodes = list(walk(*build_spec(PipelineConfig())))
+    above, (depth, parser) = [node for d, node in nodes if d < 2], nodes[-1]
+    assert [(node.name, node.action) for node in above] == [("users", None), ("per_user", None)]
+    assert (parser.name, depth) == ("parser", 2)
     assert [t.action.__name__ for t in parser.transitions] == ["ingest_action"]
-    assert per_user.action is None and root.action is None
 
 
 def test_no_action_mutates_a_bound_value():
@@ -319,25 +317,15 @@ def test_no_action_mutates_a_bound_value():
 def test_the_tree_binds_pairwise_disjoint_names(monkeypatch):
     # Disjoint names mean no bind of a step ever shadows one, so the engine
     # never allocates to remember what a bind hid.
-    root, defs = build_spec(PipelineConfig())
-    captures, attributes, variables = set(), set(), set()
-
-    def walk(node):
-        attributes.update(node.attr_names())
-        if isinstance(node, (QuantifiedFlow, QuantifiedInterleave)):
-            variables.add(node.var)
-            walk(node.body)
-        elif isinstance(node, Flow):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Call):
-            assert not node.args  # a call binds no parameters
-            walk(defs[node.callee])
-        else:
-            for t in node.transitions:
-                captures.update(s.name for s in t.pattern.slots if isinstance(s, Capture))
-
-    walk(root)
+    nodes = [node for _, node in walk(*build_spec(PipelineConfig()))]
+    captures = {
+        s.name for node in nodes if isinstance(node, Automaton)
+        for t in node.transitions for s in t.pattern.slots if isinstance(s, Capture)
+    }
+    attributes = {name for node in nodes for name, _ in node.attrs}
+    quantified = (QuantifiedFlow, QuantifiedInterleave)
+    variables = {node.var for node in nodes if isinstance(node, quantified)}
+    assert not any(node.args for node in nodes if isinstance(node, Call))  # no call binds a parameter
     step_env = set()
 
     def recording(spec, state, event, env, defs):
