@@ -21,10 +21,20 @@ scope as it found it.  Guards must be side-effect free.  Local and
 enclosing environments are ``Env`` objects: plain ``dict`` instances whose
 mutators raise, so the scope is the only binding set a step writes.
 
+Initialisation threads one scope the same way.  A node binds its attributes
+for its operands' initialisers and pops them again; a callable initialiser
+reads a read-only ``Env`` of the enclosing names and the attributes bound
+before it, and a node whose initialisers are all plain values shares one
+local ``Env`` between its instances.
+
 Ownership is as ``step`` states it.  An environment is unchanged when its
 attributes all hold the same objects, so an instance at rest allocates
 nothing.  At-rest states of automata, and of flows and argument-less calls
-of such parts, are shared per node, so they go when the spec goes.
+of such parts, are shared per node, so they go when the spec goes.  A node
+whose initial state is at rest, an automaton without attributes or a flow
+of such parts, builds it once and keeps it; a call resolves its callee
+through ``defs`` on every start.  So a lazily built instance costs only the
+states and environments it does not share.
 
 Matching: a step does the event-only part of each pattern (name, arity,
 literals, capture types and the captures themselves) once, however many
@@ -250,9 +260,10 @@ class Node:
 
     Each kind is one operator with states of class ``state_type``.  It
     defines ``_operands(defs)``, ``_validate(defs)`` of its own parts only,
-    ``_header()``, ``_start(local, env, defs)`` from initialised attributes
-    and the enclosing ``env``, ``_final(state, defs)``, and ``_step(state,
-    scope, ctx)``, ``None`` on refusal; on the base class all six raise.
+    ``_header()``, ``_start(local, scope, defs)`` from initialised
+    attributes ``local``, also bound in ``scope``, ``_final(state, defs)``,
+    and ``_step(state, scope, ctx)``, ``None`` on refusal; on the base class
+    all six raise.
 
     ``_rest`` holds the node's shared at-rest states.  The kinds that share
     them (automata, flows and calls) build each through ``_at_rest`` and
@@ -260,6 +271,10 @@ class Node:
     current state name or by the ids of its children's shared states, which
     the cached state holds, so no id in a key is ever reused.  The keys are
     bounded by the spec's declared states, and the table goes with the node.
+    ``_kept`` is the one of them that every start of an automaton without
+    attributes, or of a flow of kept parts, returns once built; ``_plain``
+    is the local ``Env`` of a node whose initialisers are all plain values.
+    Both assume that a node is not changed once initialised.
     """
 
     name: str
@@ -267,6 +282,8 @@ class Node:
     attrs: Sequence[tuple[str, AttrInit]] = ()
     action: Action | None = None
     _rest: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _kept: Any = field(default=None, init=False, compare=False, repr=False)
+    _plain: Env | None = field(default=None, init=False, compare=False, repr=False)
 
     state_type = object
 
@@ -341,8 +358,11 @@ class Automaton(Node):
         moves = "".join(f"\n  {t}" for t in self.transitions)
         return f"Automaton {{{states}}} init {self.initial} final {{{finals}}}{moves}"
 
-    def _start(self, local, env, defs):
-        return self._state(self.initial, local)
+    def _start(self, local, scope, defs):
+        state = self._state(self.initial, local)
+        if local is EMPTY_ENV:
+            self._kept = state
+        return state
 
     def _state(self, current, env):
         if env is EMPTY_ENV:
@@ -405,9 +425,12 @@ class Flow(Node):
     def _header(self):
         return "Flow"
 
-    def _start(self, local, env, defs):
-        inner = env.override(local)
-        return self._state(local, _init(self.left, inner, defs), _init(self.right, inner, defs))
+    def _start(self, local, scope, defs):
+        left, right = _init(self.left, scope, defs), _init(self.right, scope, defs)
+        state = self._state(local, left, right)
+        if local is EMPTY_ENV and left is self.left._kept and right is self.right._kept:
+            self._kept = state
+        return state
 
     def _state(self, env, left, right):
         if env is EMPTY_ENV and self.left._is_rest(left) and self.right._is_rest(right):
@@ -476,14 +499,15 @@ class _Quantified(Node):
         domain = self.domain if isinstance(self.domain, _UnboundedDomain) else sorted(self.domain)
         return f"{type(self).__name__} {self.var} in {domain}"
 
-    def _start(self, local, env, defs):
-        if isinstance(self.domain, _UnboundedDomain):
-            return self.state_type(local, {})
-        inner = env.override(local)
-        instances = {
-            value: _init(self.body, inner.override({self.var: value}), defs)
-            for value in sorted(self.domain)
-        }
+    def _start(self, local, scope, defs):
+        instances = {}
+        if not isinstance(self.domain, _UnboundedDomain):
+            var, body = self.var, self.body
+            hidden = {var: scope[var]} if var in scope else None
+            for value in sorted(self.domain):
+                scope[var] = value
+                instances[value] = _init(body, scope, defs)
+            _drop(scope, (var,), hidden)
         return self.state_type(local, instances)
 
     def _final(self, state, defs):
@@ -500,7 +524,7 @@ class _Quantified(Node):
         fired = False
         for value, instance in offered:
             scope[var] = value
-            start = _init(body, Env(scope), ctx.defs) if instance is None else instance
+            start = _init(body, scope, ctx.defs) if instance is None else instance
             stepped = step_body(start, scope, ctx)
             if stepped is not None:
                 fired = True
@@ -586,12 +610,17 @@ class Call(Node):
     def _header(self):
         return f"Call {self.callee}({', '.join(self.args)})"
 
-    def _start(self, local, env, defs):
-        # A call declares no attributes, so ``env`` is the caller's.
-        params = {n: v(env) if callable(v) else v for n, v in self.args.items()}
-        param_env = Env(params) if params else EMPTY_ENV
+    def _start(self, local, scope, defs):
+        # A call declares no attributes; its parameters are bound like them.
         callee = defs[self.callee]
-        return self._state(callee, param_env, _init(callee, env.override(param_env), defs))
+        if not self.args:
+            return self._state(callee, EMPTY_ENV, _init(callee, scope, defs))
+        enclosing = Env(scope) if any(map(callable, self.args.values())) else None
+        params = Env({n: v(enclosing) if callable(v) else v for n, v in self.args.items()})
+        shadowed = _bind(scope, params)
+        inner = _init(callee, scope, defs)
+        _drop(scope, params, shadowed)
+        return self._state(callee, params, inner)
 
     def _state(self, callee, env, inner):
         if env is EMPTY_ENV and callee._is_rest(inner):
@@ -684,21 +713,40 @@ def init(
     """
     defs = defs or {}
     validate_spec(spec, defs)
-    return _init(spec, Env(env) if env else EMPTY_ENV, defs)
+    return _init(spec, dict(env) if env else {}, defs)
 
 
-def _init_attrs(spec: Node, env: Env) -> Env:
-    if not spec.attrs:
-        return EMPTY_ENV
+def _init(spec: Node, scope: dict, defs: Mapping[str, Node]) -> Any:
+    """The initial state of ``spec`` under ``scope``, which it leaves as it found it."""
+    state = spec._kept
+    if state is not None:
+        return state
+    local = spec._plain
+    if local is None:
+        local = _init_attrs(spec, scope)
+    if not local:
+        return spec._start(local, scope, defs)
+    shadowed = _bind(scope, local)
+    state = spec._start(local, scope, defs)
+    _drop(scope, local, shadowed)
+    return state
+
+
+def _init_attrs(spec: Node, scope: dict) -> Env:
+    """The local ``Env`` of ``spec``'s attributes, kept as ``_plain`` if no initialiser
+    is callable; each callable one reads a copy of ``scope`` and the attributes before it."""
     bound: dict[str, Any] = {}
+    plain = True
     for name, initial in spec.attrs:
-        scope = env.override(bound)
-        bound[name] = initial(scope) if callable(initial) else initial
-    return Env(bound)
-
-
-def _init(spec: Node, env: Env, defs: Mapping[str, Node]) -> Any:
-    return spec._start(_init_attrs(spec, env), env, defs)
+        if callable(initial):
+            visible = Env(scope)
+            dict.update(visible, bound)
+            initial, plain = initial(visible), False
+        bound[name] = initial
+    local = Env(bound) if bound else EMPTY_ENV
+    if plain:
+        spec._plain = local
+    return local
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,8 @@ class PipelineConfig:
         # g1 hand a detector fewer samples than it can fit, a sliding
         # instance window too small ever to reach that minimum (when g1
         # looks, it holds at most window_size + sliding_size - 1 samples),
-        # and a date format that cannot read back a timestamp it wrote.
+        # and a date format that cannot read back the date, hour and minute of
+        # a timestamp it wrote.
         needed = max(detector.min_samples for detector in init_map(self.detectors).values())
         if self.min_training_instances < needed:
             raise ConfigurationError(
@@ -129,13 +130,21 @@ class PipelineConfig:
         # The default layout is known to read back, and checking it would
         # import _strptime, which its parses never need.
         if self.date_format != DEFAULT_DATE_FORMAT:
+            # An afternoon hour, so a 12-hour %I without %p reads back wrong.
+            probe = datetime(2010, 1, 4, 20, 30, 15, tzinfo=timezone.utc)
             try:
-                probe = datetime(2010, 1, 4, 8, 30, 15, tzinfo=timezone.utc)
-                datetime.strptime(probe.strftime(self.date_format), self.date_format)
+                back = datetime.strptime(probe.strftime(self.date_format), self.date_format)
             except ValueError as exc:
                 raise ConfigurationError(
                     f"date_format {self.date_format!r} cannot parse a timestamp: {exc}"
                 ) from None
+            # A format without one of these fields reads back 1900-01-01 or
+            # 00:00 for it, so every row of a log would be skipped or misread.
+            if (back.date(), back.hour, back.minute) != (probe.date(), probe.hour, probe.minute):
+                raise ConfigurationError(
+                    f"date_format {self.date_format!r} does not carry a timestamp's "
+                    f"date, hour and minute"
+                )
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "PipelineConfig":

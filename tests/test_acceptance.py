@@ -45,6 +45,7 @@ from flowdetect.pipeline import Pipeline, PipelineConfig
 from flowdetect.windowing import DEFAULT_DATE_FORMAT, Window, WindowConfig, formatting_data
 
 from test_engine import digits_spec, gen_tree, in_order, loop, routed_spec, run_events
+from test_golden import _cpu_flags, _rerun_criterion_9
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -410,3 +411,11 @@ def test_criterion_9_byte_identical_runs(tmp_path, capsys):
     n_alerts = outputs[0][0].count(b"\n")
     n_scores = outputs[0][1].count(b"\n")
     report(9, ok, f"two runs byte-identical ({n_alerts} alerts, {n_scores} scored events)")
+
+
+def test_criterion_9_digests_hold_at_numpys_baseline_simd_level():
+    # Beside the AVX-512 groups, disabling X86_V3 (AVX2, FMA3 and the rest)
+    # leaves a fresh process only numpy's X86_V2 baseline loops.
+    if "avx2" not in _cpu_flags():
+        pytest.skip("/proc/cpuinfo lists no avx2: numpy takes its baseline loops here anyway")
+    _rerun_criterion_9(NPY_DISABLE_CPU_FEATURES="X86_V3,X86_V4,AVX512_ICL,AVX512_SPR")

@@ -403,12 +403,17 @@ def test_run_date_format_override(tmp_path, capsys):
     assert processed["skipped_dates"] == 0
 
 
-@pytest.mark.parametrize("date_format", ["%Q", "%"])
+# The last five parse their own output but lose a field of it: a log would
+# run to exit 0 with every row in skipped_dates, or with every afternoon
+# read as the morning.
+@pytest.mark.parametrize(
+    "date_format", ["%Q", "%", "", "x", "%H:%M", "%Y-%m-%d", "%d.%m.%Y %I:%M"]
+)
 def test_run_rejects_a_date_format_that_cannot_parse(date_format, tmp_path, capsys):
     path = tmp_path / "log.csv"
     path.write_text("id,date,user,pc,activity\nE1,04.01.2010 08:00,alice,PC-1,Logon\n")
     assert main(["run", "--input", str(path), "--date-format", date_format]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(f"error: date_format {date_format!r} ")
     assert main(["run", "--input", str(path), "--date-format", "%d.%m.%Y %H:%M"]) == 0
     assert parse_summary(capsys.readouterr().out.strip())["events"] == 1
 
@@ -430,13 +435,13 @@ def test_run_activity_filter_flag(tmp_path, capsys):
     "key, value, expected",
     [
         ("activity_filter", "", {"events": 1, "filtered_rows": 1, "skipped_dates": 0}),
-        ("date_format", "", {"events": 1, "filtered_rows": 0, "skipped_dates": 1}),
+        ("date_format", "", {"error": "error: date_format '' does not carry a timestamp's date"}),
         ("date_format", "%Y-%m-%dT%H:%M:%S", {"events": 1, "filtered_rows": 0, "skipped_dates": 1}),
     ],
 )
 def test_a_flag_applies_as_its_config_key_does(key, value, expected, tmp_path, capsys):
     # An empty flag is a value, not an absent flag: "" keeps only rows with
-    # no activity, and as a date format it leaves only ISO timestamps.
+    # no activity, and as a date format it is refused, as it carries no field.
     path = tmp_path / "log.csv"
     path.write_text(
         "id,date,user,pc,activity\n"
@@ -446,11 +451,16 @@ def test_a_flag_applies_as_its_config_key_does(key, value, expected, tmp_path, c
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: value}))
     flag = "--" + key.replace("_", "-")
+    refused = "error" in expected
     lines = []
     for extra in (["--config", str(config)], [flag, value]):
-        assert main(["run", "--input", str(path), *extra]) == 0
-        lines.append(capsys.readouterr().out.strip())
+        assert main(["run", "--input", str(path), *extra]) == (2 if refused else 0)
+        out, err = capsys.readouterr()
+        lines.append((err if refused else out).strip())
     assert lines[0] == lines[1]
+    if refused:
+        assert lines[0].startswith(expected["error"])
+        return
     summary = parse_summary(lines[0])
     assert {name: summary[name] for name in expected} == expected
 

@@ -493,8 +493,8 @@ def test_shadowing_round_trips(case, monkeypatch):
         kinds.add(None if shadowed is None else type(shadowed))
         return shadowed
 
+    state = init(spec)  # init binds through ``_bind`` too; only the step's binds count
     monkeypatch.setattr(engine_module, "_bind", recording)
-    state = init(spec)
     before = dump_state(state)
     given_env = dict(env) if env else None
     if isinstance(outcome, type):
@@ -1048,6 +1048,8 @@ def test_validate_rejects_a_domain_the_engine_cannot_order(kind, domain):
             check(spec)
 
 
+# -------------------------------------------------------------- initialisation
+
 def test_init_takes_any_mapping_as_its_env():
     spec = loop("leaf", attrs=(("z", lambda env: env["y"] + 1),))
     expected = dump_state(init(spec, Env({"y": 1})))
@@ -1061,6 +1063,88 @@ def test_attr_initialisers_see_earlier_attrs():
     spec = loop("chain", attrs=(("a", 2), ("b", lambda env: env["a"] * 10)))
     assert dict(init(spec).env) == {"a": 2, "b": 20}
 
+    # ... and the enclosing names, a quantified variable among them
+    seen = []
+
+    def record(env):
+        seen.append(dict(env))
+        return len(seen)
+
+    body = loop("b", attrs=(("first", 1), ("second", record)))
+    spec = QuantifiedFlow(name="q", var="v", domain=(2, 1), attrs=(("outer", "o"),), body=body)
+    given = {"g": 0}
+    state = init(spec, given)
+    assert seen == [{"g": 0, "outer": "o", "v": v, "first": 1} for v in (1, 2)]
+    assert [state.instances[v].env["second"] for v in (1, 2)] == [1, 2]
+    assert given == {"g": 0}  # init writes its own scope, never the caller's mapping
+
+
+def test_a_call_starts_the_callee_its_defs_name_on_every_start():
+    # The automata keep their initial states; neither the call nor a flow
+    # over it may keep one, since another ``defs`` names another callee.
+    first = Automaton(name="first", states=("s0", "s1"), initial="s0", finals=("s0",))
+    second = Automaton(name="second", states=("s0", "s1"), initial="s1", finals=("s1",))
+    call = Call(name="c", callee="a")
+    flow = Flow(name="f", left=call, right=loop("r"))
+    for spec, callee_state in ((call, lambda s: s.inner), (flow, lambda s: s.left.inner)):
+        starts = [init(spec, defs={"a": callee}) for callee in (first, second, first)]
+        assert [callee_state(s).current for s in starts] == ["s0", "s1", "s0"]
+        assert callee_state(starts[0]) is callee_state(starts[2])  # kept by the automaton
+        assert [is_final(spec, s, {"a": first}) for s in starts[::2]] == [True, True]
+        assert is_final(spec, starts[1], {"a": second})
+
+
+def test_a_lazily_built_instance_dumps_as_one_built_by_init():
+    hold = EventPattern("hold", (Ref("u"),))
+    leaf = loop("leaf", hold, params=("who",), attrs=(("k", lambda env: env["who"]),))
+
+    def users(domain):
+        body = Flow(
+            name="user",
+            attrs=(("seen", lambda env: env["u"] * 2), ("n", 0)),
+            left=QuantifiedFlow(
+                name="q", var="d", domain=("x", "y"), attrs=(("m", ()),),
+                body=Call(name="c", callee="leaf", args={"who": lambda env: (env["seen"], env["d"])}),
+            ),
+            right=Flow(name="pair", left=loop("l", hold), right=loop("r", hold)),
+        )
+        return QuantifiedInterleave(name="users", var="u", domain=domain, body=body)
+
+    defs = {"leaf": leaf}
+    lazy = run_events(users(UNBOUNDED), [Event("hold", ("al",))], defs=defs)  # built, then held
+    eager = init(users(("al",)), defs=defs)
+    assert dump_state(lazy) == dump_state(eager)
+    assert lazy.instances["al"].left.instances["y"].inner.env == {"k": ("alal", "y")}
+
+
+def write_env(env):
+    env["x"] = 1
+
+
+@pytest.mark.parametrize("spec", [
+    loop("attr", attrs=(("y", write_env),)),
+    Flow(name="f", attrs=(("a", 1), ("y", write_env)), left=loop("l"), right=loop("r")),
+    Call(name="c", callee="p", args={"y": write_env}),
+], ids=["attribute", "later_attribute", "call_argument"])
+def test_an_initialiser_cannot_write_its_env(spec):
+    with pytest.raises(TypeError, match="read-only"):
+        init(spec, {"g": 0}, defs={"p": loop("p", params=("y",))})
+
+
+def test_plain_attributes_share_one_env_and_a_rebinding_instance_gets_its_own():
+    body = loop("count", EventPattern("e", (Ref("v"),)), attrs=(("n", 0), ("tag", "t")), action=inc("n"))
+    spec = QuantifiedFlow(name="q", var="v", domain=(1, 2, 3), body=body)
+    state = init(spec)
+    shared = state.instances[1].env
+    assert all(instance.env is shared for instance in state.instances.values())
+    state, _ = step(spec, state, Event("e", (2,)))
+    assert state.instances[2].env == {"n": 1, "tag": "t"}
+    assert state.instances[1].env is state.instances[3].env is shared
+    assert shared == {"n": 0, "tag": "t"}
+    assert init(spec).instances[1].env is shared  # a later build shares it too
+
+
+# ------------------------------------------------------------------ node kinds
 
 SHAPE_DEFS = {"acc": loop("acc")}
 SHAPE_SPECS = {

@@ -654,29 +654,36 @@ def test_a_never_evicting_window_fits_each_detector_once():
     assert sliding.counters.retrains > never.counters.retrains
 
 
-def test_a_user_costs_at_most_ten_and_a_half_tracked_objects():
+def test_a_user_costs_eight_tracked_objects():
     # The 200-user, one-week stream of the unfilled dump-state golden: no
-    # window fills, so each user holds only its machine state.  That is 10
-    # tracked objects: three node states with attributes (two flows and the
-    # quantified flow) and the Env of each, the window with its samples map
-    # and one period's list, and the quantified flow's instance map.  The
-    # cast is the untracked ``()`` and the unfitted detector map is shared.
-    # The spec and the rest of the pipeline add about 0.3 a user.  Any
-    # further object per user, such as a per-user score list and detector
-    # map (12.34), puts the count at 11 or more.
+    # window fills, so each user holds only its machine state.  That is 8
+    # tracked objects: three node states (the ``per_user`` and ``scoring``
+    # flows and the quantified flow), the Env of the window, the window with
+    # its samples map and one period's list, and the quantified flow's
+    # instance map.  The Envs of the plain attributes ``scores`` and
+    # ``detectors`` are shared by every user, as are the at-rest states
+    # below them, and the cast is the untracked ``()``.  Any further
+    # object per user, such as a per-user copy of either Env (10 before they
+    # were shared) or a per-user score list, puts the count at 9 or more.
     events = [
         Event("e", (e.user, e.when.strftime(FMT), e.event_id))
         for e in synth.generate(200, 1, 0.0, seed=1, profile="static")
     ]
+    users = sorted({event.args[0] for event in events})
+    first = set(users[:100])
     pipeline = Pipeline()
-    run(pipeline, events)
-    users = pipeline.user_count
-    assert users == 200
+    run(pipeline, [event for event in events if event.args[0] in first])
+    gc.collect()
+    before = len(gc.get_objects())
+    run(pipeline, [event for event in events if event.args[0] not in first])
+    assert pipeline.user_count == len(users) == 200
     gc.collect()
     held = len(gc.get_objects())
+    assert round((held - before) / 100, 1) == 8
+    # The spec and the rest of the pipeline add about 0.3 a user.
     del pipeline
     gc.collect()
-    assert (held - len(gc.get_objects())) / users <= 10.5
+    assert (held - len(gc.get_objects())) / len(users) <= 8.5
 
 
 def detectors_of(pipeline: Pipeline, user: str) -> Mapping:
@@ -685,13 +692,21 @@ def detectors_of(pipeline: Pipeline, user: str) -> Mapping:
 
 
 def test_a_fit_leaves_the_other_users_detectors_unfitted():
-    # Unfitted users share one read-only map of unfitted detectors; a fit
-    # gives the fitted user a map of its own.
+    # Unfitted users share one read-only map of unfitted detectors, and the
+    # one Env of the plain attributes that holds it; a fit gives the fitted
+    # user a map and an Env of its own.
     pipeline = Pipeline(weekly_config())
     alice = weekday_events("alice", 4)  # the first fit comes at event 31
     pipeline.process_event(Event("e", ("bob", stamp(0, 0, 9), "bob-0001")))
     pipeline.process_event(Event("e", ("carol", stamp(0, 0, 9), "carol-0001")))
+    bob, carol = pipeline.state.instances["bob"], pipeline.state.instances["carol"]
+    assert bob.left.env is carol.left.env  # scores
+    shared = bob.left.left.env
+    assert carol.left.left.env is shared
+    held = dict(shared)
     run(pipeline, alice)
+    assert pipeline.state.instances["alice"].left.left.env is not shared
+    assert pipeline.state.instances["bob"].left.left.env is shared and dict(shared) == held
     fitted, unfitted = detectors_of(pipeline, "alice"), detectors_of(pipeline, "bob")
     assert detectors_of(pipeline, "carol") is unfitted
     assert isinstance(unfitted, MappingProxyType)
