@@ -1,49 +1,81 @@
-"""Composable state-machine engine with a streaming anomaly-detection pipeline."""
+"""Composable state-machine engine with a streaming anomaly-detection pipeline.
 
-from .engine import (
-    UNBOUNDED,
-    Automaton,
-    Call,
-    Capture,
-    Env,
-    Event,
-    EventPattern,
-    Flow,
-    QuantifiedFlow,
-    QuantifiedInterleave,
-    Ref,
-    Transition,
-    describe,
-    dump_state,
-    init,
-    is_final,
-    step,
-    walk,
-)
-from .detectors import (
-    CircularKMeans,
-    CosineLof,
-    Detector,
-    Score,
-    WrappedKde,
-    circ_distance,
-    init_map,
-    percentile,
-    silhouette,
-)
-from .ensemble import majority_vote
-from .pipeline import Pipeline, PipelineConfig, build_spec
-from .windowing import (
-    DEFAULT_DATE_FORMAT,
-    Window,
-    WindowConfig,
-    compute_period,
-    formatting_data,
-    parse_timestamp,
-    training_set,
-)
+Each name below is imported from its home module on first access, so
+``import flowdetect`` loads no submodule, and ``import flowdetect.engine``
+or ``flowdetect evaluate`` loads neither the detectors nor numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+#: Each re-exported name -> the submodule that defines it.
+_HOMES = {
+    name: module
+    for module, names in {
+        "engine": (
+            "UNBOUNDED",
+            "Automaton",
+            "Call",
+            "Capture",
+            "Env",
+            "Event",
+            "EventPattern",
+            "Flow",
+            "QuantifiedFlow",
+            "QuantifiedInterleave",
+            "Ref",
+            "Transition",
+            "describe",
+            "dump_state",
+            "init",
+            "is_final",
+            "step",
+            "walk",
+        ),
+        "detectors": (
+            "CircularKMeans",
+            "CosineLof",
+            "Detector",
+            "Score",
+            "WrappedKde",
+            "circ_distance",
+            "init_map",
+            "percentile",
+            "silhouette",
+        ),
+        "ensemble": ("majority_vote",),
+        "pipeline": ("Pipeline", "PipelineConfig", "build_spec"),
+        "windowing": (
+            "DEFAULT_DATE_FORMAT",
+            "Window",
+            "WindowConfig",
+            "compute_period",
+            "formatting_data",
+            "parse_timestamp",
+            "training_set",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    """Import ``name`` from its home module and keep it as a global.
+
+    Any other name raises ``AttributeError``, so ``from flowdetect import
+    engine`` still imports the submodule.
+    """
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "Automaton",

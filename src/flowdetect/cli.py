@@ -14,15 +14,38 @@ import os
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from . import evaluation, synth
-from .engine import Event
 from .errors import FlowdetectError, InputError
-from .pipeline import Pipeline, PipelineConfig
 from .windowing import DEFAULT_DATE_FORMAT
 
+if TYPE_CHECKING:
+    from .engine import Event
+    from .pipeline import Pipeline, PipelineConfig
+
 REQUIRED_COLUMNS = ("id", "date", "user", "pc", "activity")
+
+
+def __getattr__(name: str) -> Any:
+    """``Pipeline`` or ``PipelineConfig``, imported on first use and kept as a global.
+
+    Only ``run`` and ``dump-state`` build a pipeline, so ``evaluate`` and
+    ``synth`` load neither the engine nor the detectors.  The commands read
+    both names through ``_current``, so an assigned ``cli.Pipeline`` is the
+    one they build.
+    """
+    if name not in ("Pipeline", "PipelineConfig"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import pipeline
+
+    value = globals()[name] = getattr(pipeline, name)
+    return value
+
+
+def _current(name: str) -> Any:
+    """The module global ``name`` as it is now, resolved on first use."""
+    return getattr(sys.modules[__name__], name)
 
 
 @dataclass
@@ -54,6 +77,8 @@ def ingest(
 
 def _events(path: str, activity_filter: str | None, stats: IngestStats) -> Iterator[Any]:
     """``ingest``'s rows, after one ``None`` for a header that passed."""
+    from .engine import Event
+
     with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -93,7 +118,8 @@ def _events(path: str, activity_filter: str | None, stats: IngestStats) -> Itera
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    config_type = _current("PipelineConfig")
+    config = config_type.from_file(args.config) if args.config else config_type()
     flags = {key: getattr(args, key, None) for key in ("date_format", "activity_filter")}
     # Every flag given, an empty one included, replaces the file's value, and
     # a replaced config is checked again as it is made.
@@ -154,7 +180,7 @@ def _replay(
     scored records are drained as it is processed, written or not.
     """
     config = _load_config(args)
-    pipeline = Pipeline(config)
+    pipeline = _current("Pipeline")(config)
     stats = IngestStats()
     events = ingest(args.input, config.activity_filter, stats)
     with ExitStack() as outputs:

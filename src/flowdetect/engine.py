@@ -32,9 +32,9 @@ attributes all hold the same objects, so an instance at rest allocates
 nothing.  At-rest states of automata, and of flows and argument-less calls
 of such parts, are shared per node, so they go when the spec goes.  A node
 whose initial state is at rest, an automaton without attributes or a flow
-of such parts, builds it once and keeps it; a call resolves its callee
-through ``defs`` on every start.  So a lazily built instance costs only the
-states and environments it does not share.
+of such parts, builds it once per ``init`` and keeps it; a call resolves
+its callee through ``defs`` on every start.  So a lazily built instance
+costs only the states and environments it does not share.
 
 Matching: a step does the event-only part of each pattern (name, arity,
 literals, capture types and the captures themselves) once, however many
@@ -274,7 +274,10 @@ class Node:
     ``_kept`` is the one of them that every start of an automaton without
     attributes, or of a flow of kept parts, returns once built; ``_plain``
     is the local ``Env`` of a node whose initialisers are all plain values.
-    Both assume that a node is not changed once initialised.
+    ``init`` clears ``_kept`` on every node it walks, and ``_plain`` where it
+    no longer holds the node's initialisers, so a node edited since the last
+    ``init`` starts from its new fields; the instances one machine builds
+    lazily share both, and an unedited node's plain ``Env`` stays shared.
     """
 
     name: str
@@ -713,7 +716,16 @@ def init(
     """
     defs = defs or {}
     validate_spec(spec, defs)
+    for _, node in walk(spec, defs):  # a node may have been edited since the last init
+        node._kept = None
+        if node._plain is not None and not _holds(node._plain, node.attrs):
+            node._plain = None
     return _init(spec, dict(env) if env else {}, defs)
+
+
+def _holds(local: Env, attrs: Sequence[tuple[str, AttrInit]]) -> bool:
+    """True if ``local`` binds just the names of ``attrs``, each to its own initialiser."""
+    return len(local) == len(attrs) and all(n in local and local[n] is v for n, v in attrs)
 
 
 def _init(spec: Node, scope: dict, defs: Mapping[str, Node]) -> Any:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .detectors import Score
+if TYPE_CHECKING:
+    from .detectors import Score
 
 
 def majority_vote(cast: Sequence[tuple[str, Score]]) -> bool:

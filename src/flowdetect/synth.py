@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConfigurationError
 from .windowing import DEFAULT_DATE_FORMAT
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PROFILES = ("static", "shift")
 
@@ -53,6 +54,9 @@ def generate(
         raise ConfigurationError("n_users and n_weeks must be positive")
     if not 0.0 <= anomaly_rate < 1.0:
         raise ConfigurationError("anomaly_rate must be in [0, 1)")
+
+    # Imported here so that argparse can read ``PROFILES`` without numpy.
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     shift_week = n_weeks // 2

@@ -1144,6 +1144,64 @@ def test_plain_attributes_share_one_env_and_a_rebinding_instance_gets_its_own():
     assert init(spec).instances[1].env is shared  # a later build shares it too
 
 
+def _edit_initial(node):
+    node.initial = "s1"
+
+
+def _edit_attrs(value):
+    def edit(node):
+        node.attrs = (("x", value),)
+
+    return edit
+
+
+EDITED_NODES = {
+    # case: (node, edit, what init reads before, what it reads after)
+    "automaton_initial": (
+        lambda: Automaton(name="a", states=("s0", "s1"), initial="s0", finals=("s1",)),
+        _edit_initial, lambda state: state.current, "s0", "s1",
+    ),
+    "attrs_of_a_flow_of_kept_parts": (
+        lambda: Flow(name="f", left=loop("l"), right=loop("r")),
+        _edit_attrs(1), lambda state: dict(state.env), {}, {"x": 1},
+    ),
+    "plain_attribute_value": (
+        lambda: loop("a", attrs=(("x", 1),)),
+        _edit_attrs(2), lambda state: dict(state.env), {"x": 1}, {"x": 2},
+    ),
+    "plain_attribute_made_callable": (
+        lambda: loop("a", attrs=(("x", 1),)),
+        _edit_attrs(lambda env: 3), lambda state: dict(state.env), {"x": 1}, {"x": 3},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDITED_NODES))
+def test_init_starts_a_node_edited_since_the_last_init(case):
+    make, edit, read, before, after = EDITED_NODES[case]
+    node = make()
+    assert read(init(node)) == before
+    edit(node)
+    assert read(init(node)) == after
+    # an inner node edited under an interleave: a new machine reads the edit
+    inner = make()
+    spec = QuantifiedInterleave(name="i", var="v", domain=UNBOUNDED, body=Flow(
+        name="pair", left=inner, right=loop("r", EventPattern("e", (Ref("v"),))),
+    ))
+    state, _ = step(spec, init(spec), Event("e", ("u",)))
+    assert read(state.instances["u"].left) == before
+    edit(inner)
+    state, _ = step(spec, init(spec), Event("e", ("u",)))
+    assert read(state.instances["u"].left) == after
+
+
+def test_init_again_keeps_the_shared_states_of_an_unedited_node():
+    spec = Flow(name="f", left=loop("l"), right=loop("r"))
+    first = init(spec)
+    assert init(spec) is first
+    assert init(spec).left is first.left
+
+
 # ------------------------------------------------------------------ node kinds
 
 SHAPE_DEFS = {"acc": loop("acc")}
