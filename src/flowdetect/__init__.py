@@ -2,7 +2,9 @@
 
 Each name below is imported from its home module on first access, so
 ``import flowdetect`` loads no submodule, and ``import flowdetect.engine``
-or ``flowdetect evaluate`` loads neither the detectors nor numpy.
+or ``flowdetect evaluate`` loads neither the detectors nor numpy.  The
+detectors import numpy at their first fit, so ``flowdetect run`` over a log
+in which no window fills never loads it.
 """
 
 import importlib

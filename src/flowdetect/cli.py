@@ -172,12 +172,17 @@ def _check_paths(args: argparse.Namespace) -> None:
 
 
 def _replay(
-    args: argparse.Namespace, alerts_path: str | None = None, scores_path: str | None = None
+    args: argparse.Namespace,
+    alerts_path: str | None = None,
+    scores_path: str | None = None,
+    state_path: str | None = None,
 ) -> tuple[Pipeline, IngestStats]:
     """Run the pipeline over ``args.input``, writing alerts and scores as it goes.
 
-    The input's header is checked before any output opens.  Each event's
-    scored records are drained as it is processed, written or not.
+    The input's header is checked before any output opens, and every output
+    opens before the first event.  Each event's scored records are drained
+    as it is processed, written or not.  The final state is written to
+    ``state_path`` once the input is exhausted.
     """
     config = _load_config(args)
     pipeline = _current("Pipeline")(config)
@@ -187,6 +192,7 @@ def _replay(
         outputs.callback(events.close)  # the input, should an output fail to open
         alerts_out = _output(outputs, alerts_path)
         scores_out = _output(outputs, scores_path)
+        state_out = _output(outputs, state_path)
         for event in events:
             fresh = pipeline.process_event(event)
             if alerts_out:
@@ -205,6 +211,8 @@ def _replay(
             if scores_out:
                 for record in scored:
                     scores_out.write(_jsonl(record.to_record()))
+        if state_out:
+            state_out.write(pipeline.dump() + "\n")
     return pipeline, stats
 
 
@@ -242,9 +250,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_state(args: argparse.Namespace) -> int:
-    text = _replay(args)[0].dump() + "\n"
-    with ExitStack() as outputs:
-        (_output(outputs, args.out) or sys.stdout).write(text)
+    pipeline = _replay(args, state_path=args.out)[0]
+    if not args.out:
+        sys.stdout.write(pipeline.dump() + "\n")
     return 0
 
 

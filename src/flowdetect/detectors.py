@@ -29,22 +29,47 @@ arithmetic, never numpy's ``np.exp``, whose SIMD path varies with the CPU.
 The golden digests in ``tests/test_golden.py`` and ``tests/test_acceptance.py``
 pin the resulting scores, chosen k and alerts, and ``tests/test_golden.py``
 reruns them under other BLAS kernels and without numpy's AVX-512 paths.
+
+Importing this module does not import numpy, and neither does building an
+unfitted detector: its model holds empty tuples.  numpy is imported at the
+first ``np.`` lookup, which is a fit or one of the array helpers, so a run in
+which no window fills never imports it.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import numbers
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .errors import ConfigurationError, NotEnoughDataError, NotFittedError, checked_integer
+
+
+class _Numpy:
+    """Stands in for numpy until the first attribute is read from it.
+
+    That read imports numpy and rebinds this module's ``np`` to it, so every
+    later ``np.`` lookup is an ordinary global.
+    """
+
+    def __getattr__(self, name: str) -> Any:
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    np = _Numpy()
 
 HOURS_PER_DAY = 24.0
 MINUTES_PER_DAY = 1440
@@ -639,7 +664,7 @@ class WrappedKde(Detector):
         self.n = 0
         self.bandwidth = 0.0
         self.density_threshold = 0.0
-        self.densities: np.ndarray = np.empty(0)
+        self.densities: np.ndarray | tuple[()] = ()
 
     def _fit(self, whole: np.ndarray) -> None:
         hours = whole / 60.0
@@ -738,11 +763,11 @@ class CosineLof(Detector):
             raise ConfigurationError("n_neighbors must be at least 1")
         self.percentile = float(percentile)
         self.n_neighbors = int(n_neighbors)
-        self.hours: np.ndarray = np.empty(0)
+        self.hours: np.ndarray | tuple[()] = ()
         self.k_eff = 0
-        self.k_distances: np.ndarray = np.empty(0)
-        self.local_densities: np.ndarray = np.empty(0)
-        self.training_scores: np.ndarray = np.empty(0)
+        self.k_distances: np.ndarray | tuple[()] = ()
+        self.local_densities: np.ndarray | tuple[()] = ()
+        self.training_scores: np.ndarray | tuple[()] = ()
         self.score_threshold = 0.0
 
     def _fit(self, whole: np.ndarray) -> None:
@@ -764,9 +789,10 @@ class CosineLof(Detector):
         order = np.argsort(sizes, kind="stable")
         position, neighbours = np.divmod(np.flatnonzero(near[order]), n)
         reach = np.maximum(k_distances[neighbours], matrix[order[position], neighbours])
-        densities = _LOF_DENSITIES(_neighbourhood_means(reach, order, sizes)).astype(float)
+        lof_densities, lof_ratios = _lof_ufuncs()
+        densities = lof_densities(_neighbourhood_means(reach, order, sizes)).astype(float)
         neighbour_densities = _neighbourhood_means(densities[neighbours], order, sizes)
-        scores = _LOF_RATIOS(neighbour_densities, densities).astype(float)
+        scores = lof_ratios(neighbour_densities, densities).astype(float)
         self.k_distances = k_distances
         self.local_densities = densities
         self.training_scores = scores
@@ -787,7 +813,7 @@ class CosineLof(Detector):
             percentile=self.percentile,
             n_neighbors=self.n_neighbors,
             k_eff=self.k_eff,
-            n_samples=int(self.hours.size),
+            n_samples=len(self.hours),
             score_threshold=float(self.score_threshold),
         )
         return out
@@ -844,10 +870,14 @@ def _lof_ratio(neighbour_density: float, own_density: float) -> float:
     return neighbour_density / own_density
 
 
-# ``_lof_density`` and ``_lof_ratio`` on each element of an array, for the
-# fit: each element takes the Python float arithmetic that scoring takes.
-_LOF_DENSITIES = np.frompyfunc(_lof_density, 1, 1)
-_LOF_RATIOS = np.frompyfunc(_lof_ratio, 2, 1)
+@functools.cache
+def _lof_ufuncs() -> tuple[np.ufunc, np.ufunc]:
+    """``_lof_density`` and ``_lof_ratio`` on each element of an array, for the fit.
+
+    Each element takes the Python float arithmetic that scoring takes.  They
+    are built at the first fit, which imports numpy.
+    """
+    return np.frompyfunc(_lof_density, 1, 1), np.frompyfunc(_lof_ratio, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ it writes, so a step that raises changes nothing.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -51,7 +52,13 @@ from .engine import (
     step,
 )
 from .ensemble import majority_vote
-from .errors import ConfigurationError, EngineError, InputError, checked_integer
+from .errors import (
+    ConfigurationError,
+    EngineError,
+    FlowdetectError,
+    InputError,
+    checked_integer,
+)
 from .windowing import (
     DEFAULT_DATE_FORMAT,
     Window,
@@ -337,9 +344,15 @@ class Pipeline:
 
     ``process_event`` keeps each scored event until ``drain_scores`` returns
     it, so a caller that never drains holds every one.
+
+    The detectors import numpy at their first fit, which may come late in a
+    stream or never, so a pipeline is refused when it is built if numpy is
+    not installed: a run fails before its first event, not partway through.
     """
 
     def __init__(self, config: PipelineConfig | None = None):
+        if importlib.util.find_spec("numpy") is None:
+            raise FlowdetectError("the detectors need numpy, which is not installed")
         self.config = config if config is not None else PipelineConfig()
         self.counters = RunCounters()
         self._score_buffer: list[ScoredEvent] = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, checked_integer
 from .windowing import DEFAULT_DATE_FORMAT
 
 if TYPE_CHECKING:
@@ -47,11 +47,18 @@ def generate(
     seed: int,
     profile: str = "shift",
 ) -> list[SynthEvent]:
-    """Build a chronologically ordered, labelled event stream from ``DEFAULT_START``."""
+    """Build a chronologically ordered, labelled event stream from ``DEFAULT_START``.
+
+    ``n_users`` and ``n_weeks`` must be positive integers, ``seed`` a
+    non-negative one and ``anomaly_rate`` in [0, 1); anything else raises
+    ``ConfigurationError``.
+    """
     if profile not in PROFILES:
         raise ConfigurationError(f"unknown profile {profile!r}")
-    if n_users < 1 or n_weeks < 1:
+    if checked_integer(n_users, "n_users") < 1 or checked_integer(n_weeks, "n_weeks") < 1:
         raise ConfigurationError("n_users and n_weeks must be positive")
+    if checked_integer(seed, "seed") < 0:
+        raise ConfigurationError("seed must be non-negative")
     if not 0.0 <= anomaly_rate < 1.0:
         raise ConfigurationError("anomaly_rate must be in [0, 1)")
 

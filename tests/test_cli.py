@@ -90,6 +90,27 @@ def test_synth_argument_validation():
         synth.generate(5, 5, 1.0, seed=0)
     with pytest.raises(ConfigurationError):
         synth.generate(5, 5, 0.05, seed=0, profile="bogus")
+    for bad in (
+        {"n_users": 2.5},
+        {"n_users": True},
+        {"n_weeks": 1.5},
+        {"n_weeks": True},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": "1"},
+    ):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            synth.generate(**{"n_users": 2, "n_weeks": 1, "anomaly_rate": 0.0, "seed": 0, **bad})
+    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+        synth.generate(2, 1, 0.0, seed=-1)
+
+
+def test_synth_refuses_a_negative_seed_before_it_writes(tmp_path, capsys):
+    events, labels = tmp_path / "events.csv", tmp_path / "labels.csv"
+    argv = ["synth", "--seed", "-1", "--events-out", str(events), "--labels-out", str(labels)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_files(tmp_path):
@@ -503,6 +524,35 @@ def test_a_run_that_cannot_read_its_input_leaves_old_outputs_alone(tmp_path, cap
     assert "error:" in capsys.readouterr().err
     assert alerts.read_bytes() == b'{"old": 1}\n'
     assert scores.read_bytes() == b'{"old": 2}\n'
+
+
+@pytest.mark.parametrize("case", ["missing", "bad_header"])
+def test_a_dump_that_cannot_read_its_input_leaves_an_old_out_alone(tmp_path, capsys, case):
+    path = tmp_path / "log.csv"
+    if case == "bad_header":
+        path.write_text("a,b\n1,2\n")
+    state = tmp_path / "state.json"
+    state.write_bytes(b'{"old": 1}\n')
+    assert main(["dump-state", "--input", str(path), "--out", str(state)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert state.read_bytes() == b'{"old": 1}\n'
+
+
+def test_dump_state_opens_its_out_before_the_first_event(corpus, tmp_path, monkeypatch, capsys):
+    stepped = []
+    process_event = cli.Pipeline.process_event
+
+    def counted(self, event):
+        stepped.append(event)
+        return process_event(self, event)
+
+    monkeypatch.setattr(cli.Pipeline, "process_event", counted)
+    argv = ["dump-state", "--input", str(corpus["events"]), "--out"]
+    assert main([*argv, str(tmp_path / "nowhere" / "state.json")]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert stepped == []
+    assert main([*argv, str(tmp_path / "state.json")]) == 0
+    assert stepped != []
 
 
 @pytest.mark.parametrize("case, flags, clash", [

@@ -342,6 +342,16 @@ def test_a_fitted_kde_holds_only_its_whole_minute_densities():
     assert model.to_debug_dict()["n_samples"] == 5000
 
 
+def test_an_unfitted_detector_holds_no_array():
+    models = init_map()
+    for name, model in models.items():
+        assert not [key for key, value in vars(model).items() if isinstance(value, np.ndarray)], name
+    kde, lof = models["kde"], models["lof"]
+    assert kde.densities == ()
+    assert (lof.hours, lof.k_distances, lof.local_densities, lof.training_scores) == ((),) * 4
+    assert kde.to_debug_dict()["n_samples"] == lof.to_debug_dict()["n_samples"] == 0
+
+
 def test_kde_scoring_splits_on_threshold():
     model = WrappedKde().fit_partial([475 + i for i in range(30)])  # ~8:00 block
     night = model.score_partial(180)

@@ -1,10 +1,12 @@
 """What importing flowdetect loads, and each command run in a fresh interpreter.
 
-The package resolves its re-exports on first access, and ``cli`` resolves
-``Pipeline`` and ``PipelineConfig`` on first use.  In-process tests cannot
-show that a lazy name is bound where it is read: ``monkeypatch`` leaves
-``cli.Pipeline`` a real global for every later test.  So the commands also
-run here in child processes, some of them with numpy blocked.
+The package resolves its re-exports on first access, ``cli`` resolves
+``Pipeline`` and ``PipelineConfig`` on first use, and ``detectors`` imports
+numpy at its first ``np.`` lookup.  In-process tests cannot show that a lazy
+name is bound where it is read: ``monkeypatch`` leaves ``cli.Pipeline`` a
+real global for every later test, and numpy stays loaded once any test has
+loaded it.  So the commands also run here in child processes, some of them
+with numpy blocked.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ from flowdetect.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: What only ``run``, ``dump-state`` and ``synth`` may load.
+#: What only ``run``, ``dump-state`` and ``synth`` may load.  ``synth``
+#: imports numpy; ``run`` and ``dump-state`` load the pipeline and the
+#: detectors, which import numpy at the first fit, so not in a replay in
+#: which no window fills.
 HEAVY = ("numpy", "flowdetect.detectors", "flowdetect.pipeline")
 
 #: Run first in every child.  Its first argument is ``block`` to make every
@@ -69,14 +74,19 @@ print(is_final(spec, state), dump_state(state))
 """
 
 
-def child(code: str, *argv: str, numpy: str = "allow") -> tuple[bytes, list[str]]:
-    """Run ``code`` in a fresh interpreter; return its stdout and what it loaded of ``HEAVY``."""
+def spawn(code: str, *argv: str, numpy: str = "allow") -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter, with ``argv`` after the ``numpy`` choice."""
     env = dict(os.environ, COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, numpy, *argv],
         cwd=ROOT, env=env, capture_output=True, timeout=300,
     )
+
+
+def child(code: str, *argv: str, numpy: str = "allow") -> tuple[bytes, list[str]]:
+    """Run ``code`` in a fresh interpreter; return its stdout and what it loaded of ``HEAVY``."""
+    done = spawn(code, *argv, numpy=numpy)
     stderr = done.stderr.decode()
     assert done.returncode == 0, stderr
     last = stderr.splitlines()[-1].split()
@@ -191,8 +201,12 @@ def _outputs(command: str, logs: dict[str, str], out: Path) -> list[str]:
     return ["dump-state", *replay, "--out", str(out / "state.json")]
 
 
-@pytest.mark.parametrize("command", ("synth", "run", "dump-state"))
-def test_a_fresh_process_writes_the_same_bytes(command, logs, tmp_path, capsys):
+def _same_bytes(command: str, logs: dict[str, str], tmp_path: Path, capsys) -> tuple[bytes, list[str]]:
+    """Run ``command`` in-process and in a child; check both print and write the same bytes.
+
+    Returns what was printed and what the child loaded of ``HEAVY``; the
+    in-process outputs are left in ``tmp_path / "here"``.
+    """
     capsys.readouterr()
     here, there = tmp_path / "here", tmp_path / "there"
     here.mkdir()
@@ -200,10 +214,103 @@ def test_a_fresh_process_writes_the_same_bytes(command, logs, tmp_path, capsys):
     printed = in_process(_outputs(command, logs, here), capsys)
     stdout, loaded = child(MAIN, *_outputs(command, logs, there))
     assert stdout == printed
-    assert "numpy" in loaded  # these commands do need it
     names = sorted(path.name for path in here.iterdir())
     assert names == sorted(path.name for path in there.iterdir()) != []
     for name in names:
         assert (there / name).read_bytes() == (here / name).read_bytes(), name
+    return printed, loaded
+
+
+@pytest.mark.parametrize("command", ("synth", "run", "dump-state"))
+def test_a_fresh_process_writes_the_same_bytes(command, logs, tmp_path, capsys):
+    _, loaded = _same_bytes(command, logs, tmp_path, capsys)
+    assert "numpy" in loaded  # these commands do need it, here at a fit
+    here = tmp_path / "here"
     if command == "synth":
         assert (here / "events.csv").read_bytes() == Path(logs["events.csv"]).read_bytes()
+
+
+# ------------------------------------------------------- numpy at the first fit
+
+@pytest.fixture(scope="module")
+def unfilled(logs, tmp_path_factory):
+    """A one-week log, in which the three-week window of ``logs``' config never fills."""
+    events = tmp_path_factory.mktemp("unfilled") / "events.csv"
+    assert main([
+        "synth", "--users", "3", "--weeks", "1", "--seed", "5",
+        "--events-out", str(events), "--labels-out", str(events.with_name("labels.csv")),
+    ]) == 0
+    return {"events.csv": str(events), "config.json": logs["config.json"]}
+
+
+@pytest.mark.parametrize("command", ("run", "dump-state"))
+def test_a_replay_in_which_no_window_fills_never_imports_numpy(command, unfilled, tmp_path, capsys):
+    printed, loaded = _same_bytes(command, unfilled, tmp_path, capsys)
+    assert loaded == ["flowdetect.detectors", "flowdetect.pipeline"]
+    if command == "dump-state":
+        assert json.loads((tmp_path / "here" / "state.json").read_text())["instances"]
+    else:
+        assert "retrains=0" in printed.decode()
+
+
+#: Replays the log in its first argument under the config in its second, and
+#: prints, for each event, whether numpy was loaded before and after its step
+#: and how many fits the step made; then whether ``detectors.np`` is numpy.
+PER_EVENT = PRELUDE + """
+import json, sys
+from flowdetect import cli, detectors
+pipeline = cli.Pipeline(cli.PipelineConfig.from_file(sys.argv[2]))
+steps = []
+for event in cli.ingest(sys.argv[1]):
+    before, fits = "numpy" in sys.modules, pipeline.counters.retrains
+    pipeline.process_event(event)
+    steps.append((before, "numpy" in sys.modules, pipeline.counters.retrains - fits))
+print(json.dumps({"steps": steps, "np": detectors.np is sys.modules.get("numpy")}))
+"""
+
+
+def test_a_replay_imports_numpy_at_the_step_of_its_first_fit(logs):
+    stdout, loaded = child(PER_EVENT, logs["events.csv"], logs["config.json"])
+    assert loaded == list(HEAVY)
+    report = json.loads(stdout)
+    steps = report["steps"]
+    first_fit = next(i for i, (_, _, fits) in enumerate(steps) if fits > 0)
+    assert first_fit > 0
+    assert [after for _, after, _ in steps] == [i >= first_fit for i in range(len(steps))]
+    assert [before for before, _, _ in steps] == [i > first_fit for i in range(len(steps))]
+    assert report["np"] is True
+
+
+#: The array helpers, called in a process that has fitted nothing.
+HELPERS = """
+from flowdetect import detectors
+print(
+    repr(detectors.percentile([3.0, 1.0, 2.0, 10.0], 40.0)),
+    repr(detectors.silhouette([1.0, 1.5, 13.0, 13.5, 23.5], [0, 0, 1, 1, 0])),
+    repr(detectors.circular_mean([23.0, 1.5, 0.25])),
+    detectors.minutes_to_hours([0, 90, 1439]).tolist(),
+    detectors.np is __import__("sys").modules["numpy"],
+)
+"""
+
+
+def test_the_array_helpers_import_numpy_in_a_process_that_has_not_fitted(capsys):
+    exec(compile(HELPERS, "<helpers>", "exec"), {})
+    expected = capsys.readouterr().out.encode()
+    assert expected.endswith(b" True\n")
+    assert child(PRELUDE + HELPERS) == (expected, ["numpy", "flowdetect.detectors"])
+
+
+@pytest.mark.parametrize("command", ("run", "dump-state"))
+def test_without_numpy_a_replay_exits_2_before_it_opens_an_output(command, unfilled, tmp_path):
+    argv = _outputs(command, unfilled, tmp_path)
+    flags = ("--alerts-out", "--scores-out", "--out")
+    outputs = [Path(argv[i + 1]) for i, flag in enumerate(argv) if flag in flags]
+    for output in outputs:
+        output.write_bytes(b'{"old": 1}\n')
+    done = spawn(MAIN, *argv, numpy="block")
+    assert done.returncode == 2
+    assert done.stdout == b""
+    error = done.stderr.decode().splitlines()[0]
+    assert error == "error: the detectors need numpy, which is not installed"
+    assert [output.read_bytes() for output in outputs] == [b'{"old": 1}\n'] * len(outputs)
