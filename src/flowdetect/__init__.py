@@ -60,6 +60,7 @@ _HOMES = {
     }.items()
     for name in names
 }
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str):
@@ -78,44 +79,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-__all__ = [
-    "Automaton",
-    "Call",
-    "Capture",
-    "CircularKMeans",
-    "CosineLof",
-    "DEFAULT_DATE_FORMAT",
-    "Detector",
-    "Env",
-    "Event",
-    "EventPattern",
-    "Flow",
-    "Pipeline",
-    "PipelineConfig",
-    "QuantifiedFlow",
-    "QuantifiedInterleave",
-    "Ref",
-    "Score",
-    "Transition",
-    "UNBOUNDED",
-    "Window",
-    "WindowConfig",
-    "WrappedKde",
-    "build_spec",
-    "circ_distance",
-    "compute_period",
-    "describe",
-    "dump_state",
-    "formatting_data",
-    "init",
-    "init_map",
-    "is_final",
-    "majority_vote",
-    "parse_timestamp",
-    "percentile",
-    "silhouette",
-    "step",
-    "training_set",
-    "walk",
-]

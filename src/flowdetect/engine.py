@@ -32,19 +32,27 @@ attributes all hold the same objects, so an instance at rest allocates
 nothing.  At-rest states of automata, and of flows and argument-less calls
 of such parts, are shared per node, so they go when the spec goes.  A node
 whose initial state is at rest, an automaton without attributes or a flow
-of such parts, builds it once per ``init`` and keeps it; a call resolves
-its callee through ``defs`` on every start.  So a lazily built instance
-costs only the states and environments it does not share.
+of such parts, builds it once per ``init`` and keeps it; a call starts the
+callee ``defs`` names.  So a lazily built instance costs only the states
+and environments it does not share.
 
-Matching: a step does the event-only part of each pattern (name, arity,
-literals, capture types and the captures themselves) once, however many
-leaves use that pattern object, and each leaf then checks only the
-pattern's ``Ref`` slots against its own scope.
+Building: ``init`` fixes each node's step: an automaton's transitions by
+source state with their capture names, whether a node has neither
+attributes nor an action (its step binds and leaves nothing), and a call's
+callee.  A step given another ``defs`` object builds the tree again; a
+``defs`` or node changed in place is read at the next ``init``.  Guards and
+actions are read at every step, so a replaced one is called at the next.
+
+Matching: a step does the event-only part of a pattern (name, arity,
+literals, capture types and the captures themselves) once for each run of
+leaves that use that pattern object, in one slot of the step, and each leaf
+then checks only the pattern's ``Ref`` slots against its own scope.
 
 Operators: a node class holds its operator's rules (operands, validation,
-header, start, acceptance and step), and ``walk`` is the one traversal of a
-tree.  ``step`` and ``is_final`` check only the root state's kind, so a
-state must come from ``init`` or ``step`` for the same specification.
+header, build, start, acceptance and step), and ``walk`` is the one
+traversal of a tree.  ``step`` and ``is_final`` check only the root state's
+kind, so a state must come from ``init`` or ``step`` for the same
+specification.
 
 Determinism: automaton transitions are tried in declaration order and the
 first enabled one fires; quantified domains are iterated in ascending order
@@ -104,6 +112,9 @@ class Env(dict):
 
 
 EMPTY_ENV = Env()
+
+#: The ``defs`` of a tree built without any: one empty, read-only mapping.
+_NO_DEFS: Mapping[str, Any] = Env()
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +274,7 @@ class Node:
     ``_header()``, ``_start(local, scope, defs)`` from initialised
     attributes ``local``, also bound in ``scope``, ``_final(state, defs)``,
     and ``_step(state, scope, ctx)``, ``None`` on refusal; on the base class
-    all six raise.
+    all six raise.  ``_build(defs)`` sets the fields ``_step`` reads.
 
     ``_rest`` holds the node's shared at-rest states.  The kinds that share
     them (automata, flows and calls) build each through ``_at_rest`` and
@@ -274,7 +285,7 @@ class Node:
     ``_kept`` is the one of them that every start of an automaton without
     attributes, or of a flow of kept parts, returns once built; ``_plain``
     is the local ``Env`` of a node whose initialisers are all plain values.
-    ``init`` clears ``_kept`` on every node it walks, and ``_plain`` where it
+    A build clears ``_kept`` on every node it walks, and ``_plain`` where it
     no longer holds the node's initialisers, so a node edited since the last
     ``init`` starts from its new fields; the instances one machine builds
     lazily share both, and an unedited node's plain ``Env`` stays shared.
@@ -287,6 +298,8 @@ class Node:
     _rest: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _kept: Any = field(default=None, init=False, compare=False, repr=False)
     _plain: Env | None = field(default=None, init=False, compare=False, repr=False)
+    _defs: Any = field(default=None, init=False, compare=False, repr=False)
+    _bare: bool = field(default=False, init=False, compare=False, repr=False)
 
     state_type = object
 
@@ -294,6 +307,10 @@ class Node:
         raise SpecificationError(f"unknown node type {type(self).__name__}")
 
     _operands = _validate = _header = _start = _final = _step = _unknown
+
+    def _build(self, defs: Mapping[str, Node]) -> None:
+        """Set ``_defs``, the ``defs`` built for, and ``_bare``: no attributes, no action."""
+        self._defs, self._bare = defs, not self.attrs and self.action is None
 
     def _is_rest(self, state: Any) -> bool:
         return False
@@ -326,6 +343,7 @@ class Automaton(Node):
     initial: str
     finals: Sequence[str]
     transitions: Sequence[Transition] = ()
+    _moves: dict = field(default=None, init=False, compare=False, repr=False)
 
     state_type = AutomatonState
 
@@ -378,31 +396,43 @@ class Automaton(Node):
     def _final(self, state, defs):
         return state.current in set(self.finals)
 
+    def _build(self, defs):
+        super()._build(defs)
+        moves: dict[str, tuple] = {}
+        for t in self.transitions:
+            names = tuple(s.name for s in t.pattern.slots if isinstance(s, Capture))
+            moves[t.source] = moves.get(t.source, ()) + ((t, t.pattern, names),)
+        self._moves = moves
+
     def _step(self, state, scope, ctx):
         env = state.env
         shadowed = _bind(scope, env) if env else None
-        current = state.current
-        matches = ctx.matches
-        for t in self.transitions:
-            if t.source != current:
-                continue
-            pattern = t.pattern
-            part = matches.get(id(pattern))
-            if part is None:
-                part = matches[id(pattern)] = pattern._match_event(ctx.event)
-            captures = pattern._match_refs(part, scope)
+        for t, pattern, names in self._moves.get(state.current, ()):
+            if pattern is not ctx.pattern:
+                ctx.pattern, ctx.part = pattern, pattern._match_event(ctx.event)
+            refs, captures = ctx.part
+            for name, arg in refs:
+                if scope.get(name, _MISSING) != arg:  # let the pattern refuse or raise
+                    captures = pattern._match_refs(ctx.part, scope)
+                    break
             if captures is None:
                 continue
             # Captures are transient: bound for the guard and action only.
-            hidden = _bind(scope, captures)
+            hidden = None
+            for name in names:
+                if name in scope:
+                    hidden = _bind(scope, captures)
+                    break
+            else:
+                scope.update(captures)
             if t.guard is not None and not t.guard(scope):
-                _drop(scope, captures, hidden)
+                _drop(scope, names, hidden)
                 continue
             if t.action is not None:
                 t.action(scope)
-            _drop(scope, captures, hidden)
-            new_env = _leave(self, scope, env, shadowed)
-            if new_env is env and t.target == current:
+            _drop(scope, names, hidden)
+            new_env = env if self._bare else _leave(self, scope, env, shadowed)
+            if new_env is env and t.target == state.current:
                 return state
             return self._state(t.target, new_env)
         if env:
@@ -455,7 +485,7 @@ class Flow(Node):
             if env:
                 _drop(scope, env, shadowed)
             return None
-        new_env = _leave(self, scope, env, shadowed)
+        new_env = env if self._bare else _leave(self, scope, env, shadowed)
         left = state.left if left is None else left
         right = state.right if right is None else right
         if new_env is env and left is state.left and right is state.right:
@@ -522,7 +552,7 @@ class _Quantified(Node):
         env = state.env
         shadowed = _bind(scope, env) if env else None
         var, body = self.var, self.body
-        hidden = {var: scope[var]} if var in scope else None
+        hidden = scope.get(var, _MISSING)
         step_body = body._step
         fired = False
         for value, instance in offered:
@@ -533,12 +563,14 @@ class _Quantified(Node):
                 fired = True
                 if stepped is not instance:
                     ctx.commits.append((instances, value, stepped))
-        _drop(scope, (var,), hidden)
+        scope.pop(var, None)
+        if hidden is not _MISSING:
+            scope[var] = hidden
         if not fired:
             if env:
                 _drop(scope, env, shadowed)
             return None
-        new_env = _leave(self, scope, env, shadowed)
+        new_env = env if self._bare else _leave(self, scope, env, shadowed)
         return state if new_env is env else self.state_type(new_env, instances)
 
 
@@ -594,6 +626,7 @@ class Call(Node):
 
     callee: str
     args: Mapping[str, AttrInit] = field(default_factory=dict)
+    _to: Node | None = field(default=None, init=False, compare=False, repr=False)
 
     state_type = CallState
 
@@ -642,8 +675,14 @@ class Call(Node):
     def _final(self, state, defs):
         return self._callee(defs)._final(state.inner, defs)
 
+    def _build(self, defs):
+        super()._build(defs)
+        self._to = self._callee(defs)
+
     def _step(self, state, scope, ctx):
-        callee = self._callee(ctx.defs)
+        if self._defs is not ctx.defs:  # shared with a tree built for other defs
+            _build(self, ctx.defs)
+        callee = self._to
         # Parameters are constant; pop them before propagating updates.
         env = state.env
         shadowed = _bind(scope, env) if env else None
@@ -714,13 +753,19 @@ def init(
     Attribute initialisers are evaluated against ``env`` extended with the
     attributes already initialised on the same node, in declaration order.
     """
-    defs = defs or {}
+    defs = defs or _NO_DEFS
     validate_spec(spec, defs)
-    for _, node in walk(spec, defs):  # a node may have been edited since the last init
+    _build(spec, defs)
+    return _init(spec, dict(env) if env else {}, defs)
+
+
+def _build(spec: Node, defs: Mapping[str, Node]) -> None:
+    """Build the step of every node under ``spec`` for ``defs``."""
+    for _, node in walk(spec, defs):  # a node may have been edited since the last build
         node._kept = None
         if node._plain is not None and not _holds(node._plain, node.attrs):
             node._plain = None
-    return _init(spec, dict(env) if env else {}, defs)
+        node._build(defs)
 
 
 def _holds(local: Env, attrs: Sequence[tuple[str, AttrInit]]) -> bool:
@@ -801,8 +846,11 @@ def step(
     machine, so callers must treat every state as read-only.
     """
     _check_shape(spec, state)
+    defs = defs or _NO_DEFS
+    if spec._defs is not defs:
+        _build(spec, defs)
     scope = dict(env) if env else {}
-    ctx = _StepContext(event, defs or {})
+    ctx = _StepContext(event, defs)
     new_state = spec._step(state, scope, ctx)
     if new_state is None:
         return None
@@ -815,19 +863,17 @@ class _StepContext:
     """What every node of one step shares.
 
     ``commits`` queues ``(instances, value, instance)`` writes, applied only
-    once the whole step has succeeded.  ``matches`` holds the event-only
-    part of each pattern's match (``EventPattern._match_event``), keyed by
-    the pattern's ``id``: the spec keeps its patterns alive for the whole
-    step, and the captures in it are shared because nothing mutates them.
+    once the whole step has succeeded.  ``part`` is ``_match_event`` of the
+    last ``pattern``, its captures shared because nothing mutates them.
     """
 
-    __slots__ = ("event", "defs", "commits", "matches")
+    __slots__ = ("event", "defs", "commits", "pattern", "part")
 
     def __init__(self, event: Event, defs: Mapping[str, Node]):
         self.event = event
         self.defs = defs
         self.commits: list[tuple[dict, Any, Any]] = []
-        self.matches: dict[int, _MatchPart] = {}
+        self.pattern = self.part = None  # the last pattern matched, and its part
 
 
 def _bind(scope: dict, bindings: Mapping[str, Any]) -> dict | None:

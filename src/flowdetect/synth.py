@@ -11,6 +11,7 @@ models that never retrain.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from typing import TYPE_CHECKING, Iterable
@@ -50,8 +51,8 @@ def generate(
     """Build a chronologically ordered, labelled event stream from ``DEFAULT_START``.
 
     ``n_users`` and ``n_weeks`` must be positive integers, ``seed`` a
-    non-negative one and ``anomaly_rate`` in [0, 1); anything else raises
-    ``ConfigurationError``.
+    non-negative one and ``anomaly_rate`` a number in [0, 1); anything else
+    raises ``ConfigurationError``.
     """
     if profile not in PROFILES:
         raise ConfigurationError(f"unknown profile {profile!r}")
@@ -59,6 +60,8 @@ def generate(
         raise ConfigurationError("n_users and n_weeks must be positive")
     if checked_integer(seed, "seed") < 0:
         raise ConfigurationError("seed must be non-negative")
+    if isinstance(anomaly_rate, bool) or not isinstance(anomaly_rate, numbers.Real):
+        raise ConfigurationError(f"anomaly_rate must be a number, got {anomaly_rate!r}")
     if not 0.0 <= anomaly_rate < 1.0:
         raise ConfigurationError("anomaly_rate must be in [0, 1)")
 

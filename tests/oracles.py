@@ -5,12 +5,15 @@ explicit loops, no shared code with the package under test. When a test
 compares a library result against one of these functions, agreement is
 evidence, not tautology.
 
-The exceptions are the last two sections.  One holds earlier numpy
+The exceptions are the last three sections.  One holds earlier numpy
 formulations of the detectors' hot paths, kept as they were.  The library's
 faster forms must perform the same IEEE operations in the same order, so
 tests compare them with these using ``==``; a plain-Python loop would add in
-another order.  The other holds the loaders that ``load_labels`` and
-``load_scores`` replaced, whose results and messages they must keep.
+another order.  The next holds the loaders that ``load_labels`` and
+``load_scores`` replaced, whose results and messages they must keep.  The
+last is the detection pipeline as a plain loop over the package's own
+windows, detectors and vote: it checks how the machine tree assembles them,
+so it shares the parts and none of the assembly.
 """
 
 from __future__ import annotations
@@ -545,3 +548,78 @@ def load_scores_decode(path: str) -> list:
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not valid UTF-8: {exc}") from None
     return records
+
+
+# ---------------------------------------------------------------------------
+# The pipeline as a plain loop
+# ---------------------------------------------------------------------------
+
+
+def pipeline_plain(config, events) -> dict:
+    """What ``Pipeline`` computes for ``events``, written as one loop.
+
+    Per event: parse the date (an unparseable one is counted and skipped);
+    then, for each detector in name order, retrain it when its user's window
+    has a version it has not seen and at least ``min_training_instances``
+    samples, and score the event with it once it has ever been trained;
+    vote over the detectors that scored; fold the event into the window
+    last.  Each user has a window and a detector map of its own.  Returns
+    the score records (``ScoredEvent.to_record`` dicts), the counters and
+    each user's detectors' ``trained_version``.
+    """
+    # Imported here: this module has a ``parse_timestamp`` of its own.
+    from flowdetect.detectors import init_map
+    from flowdetect.ensemble import majority_vote
+    from flowdetect.windowing import Window, formatting_data, parse_timestamp, training_set
+
+    users: dict = {}
+    records = []
+    retrains = skipped_dates = 0
+    for event in events:
+        user, text, event_id = event.args
+        try:
+            when = parse_timestamp(text, config.date_format)
+        except InputError:
+            skipped_dates += 1
+            continue
+        if user not in users:
+            users[user] = (Window(config.window), init_map(config.detectors))
+        window, detectors = users[user]
+        minute = when.hour * 60 + when.minute
+        cast = []
+        for name in sorted(detectors):
+            detector = detectors[name]
+            held = sum(len(minutes) for minutes in window.samples.values())
+            if (
+                window.version >= 1
+                and window.version > detector.trained_version
+                and held >= config.min_training_instances
+            ):
+                detector = detector.fit_partial(training_set(window), version=window.version)
+                detectors[name] = detector
+                retrains += 1
+            if detector.is_trained:
+                cast.append((name, detector.score_partial(minute)))
+        if cast:
+            records.append({
+                "eventId": event_id,
+                "userId": user,
+                "eventDate": text,
+                "votes": sum(score.binary for _, score in cast),
+                "cast": len(cast),
+                "alert": bool(majority_vote(cast)),
+                "detectors": {
+                    name: {"raw": score.raw, "binary": score.binary} for name, score in cast
+                },
+            })
+        formatting_data(window, when)
+    return {
+        "records": records,
+        "retrains": retrains,
+        "skipped_dates": skipped_dates,
+        "stale_drops": sum(window.stale_drops for window, _ in users.values()),
+        "trained": {
+            user: {name: d.trained_version for name, d in detectors.items()}
+            for user, (_, detectors) in users.items()
+        },
+    }

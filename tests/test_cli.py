@@ -7,6 +7,7 @@ import json
 import statistics
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -103,6 +104,12 @@ def test_synth_argument_validation():
             synth.generate(**{"n_users": 2, "n_weeks": 1, "anomaly_rate": 0.0, "seed": 0, **bad})
     with pytest.raises(ConfigurationError, match="seed must be non-negative"):
         synth.generate(2, 1, 0.0, seed=-1)
+    for bad in ("x", None, True, [0.1]):
+        with pytest.raises(ConfigurationError, match="anomaly_rate must be a number"):
+            synth.generate(2, 1, bad, seed=0)
+    with pytest.raises(ConfigurationError, match=r"anomaly_rate must be in \[0, 1\)"):
+        synth.generate(2, 1, float("nan"), seed=0)
+    assert synth.generate(2, 1, Fraction(1, 20), seed=0) == synth.generate(2, 1, 0.05, seed=0)
 
 
 def test_synth_refuses_a_negative_seed_before_it_writes(tmp_path, capsys):

@@ -401,8 +401,8 @@ def names_in_scope(env):
 
 
 #: name -> (spec, step env, event, shadows, outcome).  ``shadows`` is the set
-#: of kinds ``_bind`` returns during the step (None: it shadowed nothing;
-#: dict: it shadowed a name).  ``outcome`` is ``(enclosing env, new state as
+#: of kinds the step's binds return (None: it shadowed nothing; dict: it
+#: shadowed a name).  ``outcome`` is ``(enclosing env, new state as
 #: state_to_dict)``, ``None`` for a refusal or the exception the step raises.
 SHADOWING = {
     "capture_shadows_an_attribute_guard_refuses": (
@@ -485,16 +485,25 @@ SHADOWING = {
 @pytest.mark.parametrize("case", sorted(SHADOWING))
 def test_shadowing_round_trips(case, monkeypatch):
     spec, env, event, shadows, outcome = SHADOWING[case]
-    bind = engine_module._bind
+    bind, drop = engine_module._bind, engine_module._drop
     kinds = set()
 
+    # Attributes, parameters and shadowing captures bind through ``_bind``.
+    # A step binds the captures that shadow nothing inline, so the kind of
+    # every capture bind is read where ``_drop`` restores what it shadowed;
+    # the restores of ``_bind``'s own binds add no kind it has not returned.
     def recording(scope, bindings):
         shadowed = bind(scope, bindings)
         kinds.add(None if shadowed is None else type(shadowed))
         return shadowed
 
+    def restoring(scope, names, shadowed):
+        kinds.add(None if shadowed is None else type(shadowed))
+        drop(scope, names, shadowed)
+
     state = init(spec)  # init binds through ``_bind`` too; only the step's binds count
     monkeypatch.setattr(engine_module, "_bind", recording)
+    monkeypatch.setattr(engine_module, "_drop", restoring)
     before = dump_state(state)
     given_env = dict(env) if env else None
     if isinstance(outcome, type):
@@ -1079,11 +1088,21 @@ def test_attr_initialisers_see_earlier_attrs():
     assert given == {"g": 0}  # init writes its own scope, never the caller's mapping
 
 
+def callees():
+    """Two callees for one call: ``first`` moves s0 -> s1 on tick, ``second`` s1 -> s0."""
+    first = Automaton(name="first", states=("s0", "s1"), initial="s0", finals=("s0",),
+                      transitions=(Transition(source="s0", pattern=TICK, target="s1"),))
+    second = Automaton(name="second", states=("s0", "s1"), initial="s1", finals=("s1",),
+                       transitions=(Transition(source="s1", pattern=TICK, target="s0"),))
+    return first, second
+
+
 def test_a_call_starts_the_callee_its_defs_name_on_every_start():
     # The automata keep their initial states; neither the call nor a flow
     # over it may keep one, since another ``defs`` names another callee.
-    first = Automaton(name="first", states=("s0", "s1"), initial="s0", finals=("s0",))
-    second = Automaton(name="second", states=("s0", "s1"), initial="s1", finals=("s1",))
+    # Its step is built for one defs object and again for another, so each
+    # step runs the callee its own ``defs`` name.
+    first, second = callees()
     call = Call(name="c", callee="a")
     flow = Flow(name="f", left=call, right=loop("r"))
     for spec, callee_state in ((call, lambda s: s.inner), (flow, lambda s: s.left.inner)):
@@ -1092,6 +1111,69 @@ def test_a_call_starts_the_callee_its_defs_name_on_every_start():
         assert callee_state(starts[0]) is callee_state(starts[2])  # kept by the automaton
         assert [is_final(spec, s, {"a": first}) for s in starts[::2]] == [True, True]
         assert is_final(spec, starts[1], {"a": second})
+        stepped = [step(spec, s, Event("tick"), defs={"a": c})[0]
+                   for s, c in zip(starts, (first, second, first))]
+        assert [callee_state(s).current for s in stepped] == ["s1", "s0", "s1"]
+    # a state started by ``first`` and stepped under ``second`` is refused by it
+    assert step(call, init(call, defs={"a": first}), Event("tick"), defs={"a": second}) is None
+    # ``call`` is in both trees: each steps the callee its own step's defs name
+    under_first, under_second = init(call, defs={"a": first}), init(flow, defs={"a": second})
+    assert step(call, under_first, Event("tick"), defs={"a": first})[0].inner.current == "s1"
+    assert step(flow, under_second, Event("tick"), defs={"a": second})[0].left.inner.current == "s0"
+
+
+def test_a_defs_changed_in_place_is_read_at_the_next_init():
+    first, second = callees()
+    spec = Call(name="c", callee="a")
+    defs = {"a": first}
+    state = init(spec, defs=defs)
+    defs["a"] = second
+    new_state, _ = step(spec, state, Event("tick"), defs=defs)  # still built for ``first``
+    assert new_state.inner.current == "s1"
+    state = init(spec, defs=defs)
+    assert state.inner.current == "s1"
+    new_state, _ = step(spec, state, Event("tick"), defs=defs)
+    assert new_state.inner.current == "s0"
+
+
+@pytest.mark.parametrize("with_defs", (True, False))
+def test_a_built_tree_copies_and_pickles_and_each_copy_steps_alike(with_defs):
+    right = Call(name="c", callee="p") if with_defs else loop("r", action=snapshot)
+    spec = Flow(name="f", attrs=(("n", 0),), left=loop("l", action=names_in_scope), right=right)
+    defs = {"p": loop("p")} if with_defs else None
+    state = init(spec, defs=defs)
+    expected = dump_state(step(spec, state, Event("tick"), defs=defs)[0])
+    for twin, twin_defs in (copy.deepcopy((spec, defs)), pickle.loads(pickle.dumps((spec, defs)))):
+        assert dump_state(step(twin, state, Event("tick"), defs=twin_defs)[0]) == expected
+
+
+@pytest.mark.parametrize("part", ("guard", "transition_action", "node_action"))
+def test_a_guard_or_action_replaced_after_init_is_the_one_the_next_step_calls(part):
+    calls = []
+
+    def record(name, result=None):
+        return lambda env: calls.append(name) or result
+
+    leaf = loop("leaf", attrs=(("n", 0),), guard=record("old guard", True),
+                action=record("old action"))
+    spec = Flow(name="f", attrs=(("m", 0),), action=record("old node action"),
+                left=leaf, right=loop("r", EventPattern("other")))
+    state = init(spec)
+    if part == "guard":
+        leaf.transitions[0].guard = record("new guard", True)
+    elif part == "transition_action":
+        leaf.transitions[0].action = record("new action")
+    else:
+        spec.action = record("new node action")
+    step(spec, state, Event("tick"))
+    new = {"guard": "new guard", "transition_action": "new action",
+           "node_action": "new node action"}[part]
+    assert new in calls and f"old {new[4:]}" not in calls
+    # one that is taken away is not called either
+    calls.clear()
+    leaf.transitions[0].guard = leaf.transitions[0].action = spec.action = None
+    assert step(spec, state, Event("tick")) is not None
+    assert calls == []
 
 
 def test_a_lazily_built_instance_dumps_as_one_built_by_init():

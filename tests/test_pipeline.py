@@ -14,9 +14,10 @@ from types import MappingProxyType
 from typing import Mapping
 
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import Phase, example, given, reject, settings
 from hypothesis import strategies as st
 
+import oracles
 from flowdetect import detectors as detectors_module
 from flowdetect import pipeline as pipeline_module
 from flowdetect import engine, synth
@@ -177,20 +178,41 @@ def window_configs(draw) -> WindowConfig:
     return WindowConfig(size, draw(st.integers(0, size)), kind)
 
 
+#: The draws of a config: a window, a training minimum and detector parameters.
+CONFIG_DRAWS = {
+    "window": window_configs(),
+    "minimum": st.integers(1, 30),
+    "names": st.sets(st.sampled_from(["kde", "kmeans", "lof"])),
+    "kde": st.sampled_from([0.0, 0.5, 5.0, 100.0]),
+    "lof": st.sampled_from([0.0, 75.0, 95.0, 100.0]),
+    "n_neighbors": st.integers(1, 10**6),
+    "kmeans": st.sampled_from([0.0, 1e-300, 1.5, 2.5, 1e300]),
+}
+
+
+def accepted_config(window, minimum, names, kde, lof, n_neighbors, kmeans) -> PipelineConfig:
+    """The config the draws name; a config the validator refuses rejects the example."""
+    params = {
+        "kde": {"kde_parameter": kde},
+        "kmeans": {"kmeans_parameter": kmeans},
+        "lof": {"lof_parameter": lof, "n_neighbors": n_neighbors},
+    }
+    try:
+        return PipelineConfig(
+            window=window,
+            detectors={name: params[name] for name in names},
+            min_training_instances=minimum,
+        )
+    except ConfigurationError:
+        reject()
+
+
 # ``DENSE_EVENTS`` fills and slides every window drawn here and brings 30
 # samples a day, so every config the validator accepts reaches its training
 # minimum of at most 30: each fits all its detectors.
 @pytest.mark.filterwarnings("ignore:.*outside the recommended range:UserWarning")
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(
-    window=window_configs(),
-    minimum=st.integers(1, 30),
-    names=st.sets(st.sampled_from(["kde", "kmeans", "lof"])),
-    kde=st.sampled_from([0.0, 0.5, 5.0, 100.0]),
-    lof=st.sampled_from([0.0, 75.0, 95.0, 100.0]),
-    n_neighbors=st.integers(1, 10**6),
-    kmeans=st.sampled_from([0.0, 1e-300, 1.5, 2.5, 1e300]),
-)
+@given(**CONFIG_DRAWS)
 @example(WindowConfig(1, 1, "day"), 30, {"kde", "kmeans", "lof"}, 0.0, 100.0, 10**6, 1e300)
 @example(WindowConfig(2, 1, "instance"), 2, {"kde"}, 100.0, 0.0, 1, 0.0)
 @example(WindowConfig(3, 1, "instance"), 3, {"kmeans", "lof"}, 0.0, 0.0, 1, 0.0)
@@ -200,24 +222,67 @@ def window_configs(draw) -> WindowConfig:
 def test_every_accepted_config_runs_to_the_end(
     window, minimum, names, kde, lof, n_neighbors, kmeans
 ):
-    params = {
-        "kde": {"kde_parameter": kde},
-        "kmeans": {"kmeans_parameter": kmeans},
-        "lof": {"lof_parameter": lof, "n_neighbors": n_neighbors},
-    }
-    try:
-        config = PipelineConfig(
-            window=window,
-            detectors={name: params[name] for name in names},
-            min_training_instances=minimum,
-        )
-    except ConfigurationError:
-        reject()
-    pipeline = Pipeline(config)
+    pipeline = Pipeline(accepted_config(window, minimum, names, kde, lof, n_neighbors, kmeans))
     records = run(pipeline, DENSE_EVENTS)
     assert pipeline.counters.events == len(DENSE_EVENTS)
     assert pipeline.counters.retrains >= len(names)
     assert records and all(r.cast == len(names) for r in records[-10:])
+
+
+@st.composite
+def plain_streams(draw) -> list[Event]:
+    """A log of up to four users over up to 12 days, in a shuffled order.
+
+    Some dates cannot be parsed, some are ISO-8601, some events arrive days
+    late (stale once their period has slid out), and event ids repeat.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    users = [f"u{n}" for n in range(draw(st.integers(1, 4)))]
+    days = draw(st.integers(2, 12))
+    rows = []
+    for user in users:
+        for day in range(days):
+            for _ in range(rng.randrange(0, 20)):
+                when = START + timedelta(days=day, hours=rng.uniform(6.0, 20.0))
+                rows.append((when + timedelta(days=rng.choice((0, 0, 0, 0, 2, 5))), user, when))
+    rows.sort(key=lambda row: row[0])  # arrival order: a late event lands days later
+    swaps = draw(st.integers(0, len(rows)))
+    for _ in range(swaps):  # local disorder
+        i = rng.randrange(len(rows))
+        j = min(len(rows) - 1, i + rng.randrange(1, 6))
+        rows[i], rows[j] = rows[j], rows[i]
+    events = []
+    for n, (_, user, when) in enumerate(rows):
+        text = rng.choices(
+            (when.strftime(FMT), when.isoformat(), "not a date", "13/45/2010 09:00:00"),
+            (20, 2, 1, 1),
+        )[0]
+        events.append(Event("e", (user, text, f"E{rng.randrange(max(1, n // 2) + 1)}")))
+    return events
+
+
+# The engine runs the tree; ``pipeline_plain`` runs what the tree specifies as
+# one loop.  Records are compared by ``repr``, so every float is compared bit
+# for bit.  A stream is drawn from a seed, so shrinking mostly redraws it
+# rather than making it smaller, and one shrink ran for minutes: a failing
+# example is reported as found.
+@pytest.mark.filterwarnings("ignore:.*outside the recommended range:UserWarning")
+@settings(derandomize=True, max_examples=30, deadline=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(config=st.builds(accepted_config, **CONFIG_DRAWS), events=plain_streams())
+def test_the_pipeline_is_its_plain_loop(config, events):
+    pipeline = Pipeline(config)
+    records = [scored.to_record() for scored in run(pipeline, events)]
+    plain = oracles.pipeline_plain(config, events)
+    assert repr(records) == repr(plain["records"])
+    counters = pipeline.counters
+    assert (counters.retrains, counters.skipped_dates, pipeline.stale_drops) == (
+        plain["retrains"], plain["skipped_dates"], plain["stale_drops"]
+    )
+    assert {
+        user: {name: d.trained_version for name, d in detectors_of(pipeline, user).items()}
+        for user in pipeline.state.instances
+    } == plain["trained"]
 
 
 # -------------------------------------------------------------------- guards
