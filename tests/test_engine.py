@@ -489,9 +489,10 @@ def test_shadowing_round_trips(case, monkeypatch):
     kinds = set()
 
     # Attributes, parameters and shadowing captures bind through ``_bind``.
-    # A step binds the captures that shadow nothing inline, so the kind of
-    # every capture bind is read where ``_drop`` restores what it shadowed;
-    # the restores of ``_bind``'s own binds add no kind it has not returned.
+    # A step binds the captures that shadow nothing inline, so the kind of a
+    # capture bind is read where ``_drop`` restores what it shadowed (an
+    # action that raises restores nothing); the restores of ``_bind``'s own
+    # binds add no kind it has not returned.
     def recording(scope, bindings):
         shadowed = bind(scope, bindings)
         kinds.add(None if shadowed is None else type(shadowed))
