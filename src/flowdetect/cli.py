@@ -126,8 +126,12 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return replace(config, **{key: value for key, value in flags.items() if value is not None})
 
 
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _jsonl(record: dict) -> str:
-    return json.dumps(record, sort_keys=True) + "\n"
+    return _encode(record) + "\n"
 
 
 def _output(outputs: ExitStack, path: str | None):

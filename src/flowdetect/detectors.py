@@ -30,6 +30,15 @@ The golden digests in ``tests/test_golden.py`` and ``tests/test_acceptance.py``
 pin the resulting scores, chosen k and alerts, and ``tests/test_golden.py``
 reruns them under other BLAS kernels and without numpy's AVX-512 paths.
 
+A score is a fixed handful of operations, the same bytes as the plain
+formulas.  A KDE score reads one of the 1,440 densities its fit keeps, and a
+k-means score takes the circular distance to each of at most ten centroids
+in plain float arithmetic.  A fitted LOF keeps its training hours and one
+(2, n) block of their k-distances and local densities, and a score is about
+a dozen array operations on them: the distances in one buffer, the k-th by
+one partition of a copy, the neighbourhood as one index array, and both rows
+gathered by one ``take`` and summed by one row-wise reduce.
+
 Importing this module does not import numpy, and neither does building an
 unfitted detector: its model holds empty tuples.  numpy is imported at the
 first ``np.`` lookup, which is a fit or one of the array helpers, so a run in
@@ -157,18 +166,6 @@ def _whole_minutes(minutes: Sequence[float]) -> np.ndarray:
 def minutes_to_hours(minutes: Sequence[float]) -> np.ndarray:
     """Whole minutes of the day as hours; anything else raises ``ValueError``."""
     return _whole_minutes(minutes) / 60.0
-
-
-def _minute_of(minute: float) -> int:
-    """One whole minute of the day, checked as ``minutes_to_hours`` checks."""
-    if not 0 <= minute < MINUTES_PER_DAY or minute % 1:
-        raise ValueError(_MINUTES_ERROR)
-    return int(minute)
-
-
-def _hour_of(minute: float) -> float:
-    """One whole minute of the day as an hour, checked as ``minutes_to_hours``."""
-    return _minute_of(minute) / 60.0
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -354,9 +351,14 @@ class Detector(ABC):
     def score_partial(self, minute: float) -> Score:
         """Score one event by its minute of the day."""
 
-    def _require_trained(self) -> None:
-        if not self.is_trained:
+    def _scored_minute(self, minute: float) -> int:
+        """``minute`` as an int, once this model is fitted and ``minute`` is a
+        whole minute of the day, checked as ``minutes_to_hours`` checks."""
+        if self.trained_version < 0:
             raise NotFittedError(f"{self.name} detector scored before fitting")
+        if not 0 <= minute < MINUTES_PER_DAY or minute % 1:
+            raise ValueError(_MINUTES_ERROR)
+        return int(minute)
 
     def to_debug_dict(self) -> dict[str, Any]:
         return {"name": self.name, "trained_version": self.trained_version}
@@ -455,12 +457,24 @@ class CircularKMeans(Detector):
         self.clusters = self._summarise(hours, *runs[best])
 
     def score_partial(self, minute: float) -> Score:
-        self._require_trained()
-        hour = _hour_of(minute)
+        hour = self._scored_minute(minute) / 60.0
+        # The least ``circ_distance`` to a centroid over its floored sigma,
+        # with the comparisons ``circ_distance``, ``min`` and ``max`` make
+        # written out, so each result is the one those calls return.
         z = math.inf
         for cluster in self.clusters:
-            d = circ_distance(hour, cluster.centroid)
-            z = min(z, d / max(cluster.sigma, SIGMA_FLOOR))
+            centroid, sigma = cluster.centroid, cluster.sigma
+            if not 0.0 <= centroid < HOURS_PER_DAY:
+                raise ValueError(f"hours must be in [0, 24): got {hour}, {centroid}")
+            if hour < centroid:
+                d, wrapped = centroid - hour, hour - centroid + HOURS_PER_DAY
+            else:
+                d, wrapped = hour - centroid, centroid - hour + HOURS_PER_DAY
+            if wrapped < d:
+                d = wrapped
+            d /= SIGMA_FLOOR if SIGMA_FLOOR > sigma else sigma
+            if d < z:
+                z = d
         return Score(int(z > self.threshold), z)
 
     def _lloyd(
@@ -695,9 +709,10 @@ class WrappedKde(Detector):
         self.density_threshold = percentile(densities[sample_minutes], self.percentile)
 
     def score_partial(self, minute: float) -> Score:
-        self._require_trained()
-        value = self.densities.item(_minute_of(minute))
-        return Score(int(value < self.density_threshold), self.density_threshold - value)
+        at = self._scored_minute(minute)  # first: an unfitted model's densities are ()
+        value = self.densities.item(at)
+        threshold = self.density_threshold
+        return Score(int(value < threshold), threshold - value)
 
     def to_debug_dict(self) -> dict[str, Any]:
         out = super().to_debug_dict()
@@ -747,9 +762,13 @@ class CosineLof(Detector):
     A fit gathers every neighbourhood at once, its rows ordered stably by
     size, and reduces the neighbourhoods of each size as one C-contiguous
     block: each row's sum is numpy's pairwise sum of that row alone, and is
-    divided by its size, as ``_mean`` does for the one neighbourhood of a
-    score.  So the densities and scores keep the bytes of one mean per row.
-    The fit still holds the n x n distance matrix.
+    divided by its size, as a score does for its one neighbourhood.  So the
+    densities and scores keep the bytes of one mean per row.  The fit still
+    holds the n x n distance matrix while it runs.
+
+    ``neighbour_terms`` is a C-contiguous (2, n) block of each training
+    point's k-distance and local density; ``k_distances`` and
+    ``local_densities`` are its rows.
     """
 
     name = "lof"
@@ -765,6 +784,7 @@ class CosineLof(Detector):
         self.n_neighbors = int(n_neighbors)
         self.hours: np.ndarray | tuple[()] = ()
         self.k_eff = 0
+        self.neighbour_terms: np.ndarray | tuple[()] = ()
         self.k_distances: np.ndarray | tuple[()] = ()
         self.local_densities: np.ndarray | tuple[()] = ()
         self.training_scores: np.ndarray | tuple[()] = ()
@@ -793,18 +813,33 @@ class CosineLof(Detector):
         densities = lof_densities(_neighbourhood_means(reach, order, sizes)).astype(float)
         neighbour_densities = _neighbourhood_means(densities[neighbours], order, sizes)
         scores = lof_ratios(neighbour_densities, densities).astype(float)
-        self.k_distances = k_distances
-        self.local_densities = densities
+        # A score gathers both rows at each neighbour with one ``take``.
+        self.neighbour_terms = np.stack((k_distances, densities))
+        self.k_distances, self.local_densities = self.neighbour_terms
         self.training_scores = scores
         self.score_threshold = percentile(scores, self.percentile)
 
     def score_partial(self, minute: float) -> Score:
-        self._require_trained()
-        dist = _cosine_distances(_hour_of(minute), self.hours)
+        hour = self._scored_minute(minute) / 60.0
+        # ``_cosine_distances(hour, self.hours)``, its operations in one buffer.
+        dist = np.subtract(hour, self.hours)
+        dist *= _RADIANS_PER_HOUR
+        np.cos(dist, out=dist)
+        np.subtract(1.0, dist, out=dist)
+        np.maximum(dist, 0.0, out=dist)
         kth = self.k_eff - 1
-        near = dist <= np.partition(dist, kth)[kth] + LOF_TIE_EPS
-        own_density = _lof_density(_mean(np.maximum(self.k_distances[near], dist[near])))
-        raw = _lof_ratio(_mean(self.local_densities[near]), own_density)
+        ordered = dist.copy()
+        ordered.partition(kth)
+        near = (dist <= ordered.item(kth) + LOF_TIE_EPS).nonzero()[0]
+        # Each neighbour's k-distance and density; the first row becomes its
+        # reach distance in place.  Each row of the C-contiguous (2, size)
+        # gather sums pairwise alone, as ``_neighbourhood_means`` sums a fit's.
+        terms = self.neighbour_terms.take(near, axis=1)
+        reach = terms[0]
+        np.maximum(reach, dist.take(near), out=reach)
+        reach_sum, density_sum = np.add.reduce(terms, axis=1).tolist()
+        own_density = _lof_density(reach_sum / near.size)
+        raw = _lof_ratio(density_sum / near.size, own_density)
         return Score(int(raw > self.score_threshold), raw)
 
     def to_debug_dict(self) -> dict[str, Any]:
@@ -825,19 +860,14 @@ def _cosine_distances(a: np.ndarray | float, b: np.ndarray) -> np.ndarray:
     return np.maximum(1.0 - np.cos(angles), 0.0)
 
 
-def _mean(values: np.ndarray) -> float:
-    """``values.mean()``, the same sum and division, without its overhead."""
-    return float(np.add.reduce(values)) / values.size
-
-
 def _neighbourhood_means(values: np.ndarray, order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The ``_mean`` of each row's values, for rows of ``sizes[row]`` values.
+    """The mean of each row's values, for rows of ``sizes[row]`` values.
 
     ``values`` holds the values of row ``order[0]``, then of ``order[1]``,
     and so on, where ``order`` sorts the rows stably by size.  The rows of
     one size are one C-contiguous (rows, size) block, and ``np.add.reduce``
-    along its last axis is numpy's pairwise sum of each row alone: the sum
-    ``_mean`` takes, before the same division by the size.
+    along its last axis is numpy's pairwise sum of each row alone: the sum a
+    score takes of its one neighbourhood, before the same division by the size.
     """
     means = np.empty(order.size)
     counts = np.bincount(sizes)

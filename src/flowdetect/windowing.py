@@ -22,8 +22,9 @@ from .errors import ConfigurationError, InputError, checked_integer
 DEFAULT_DATE_FORMAT = "%m/%d/%Y %H:%M:%S"
 
 #: The exact ASCII shape of ``DEFAULT_DATE_FORMAT`` with every field at full
-#: width, as ``MM/DD/YYYY HH:MM:SS``.
-_DEFAULT_LAYOUT = re.compile(r"(\d\d)/(\d\d)/(\d{4}) (\d\d):(\d\d):(\d\d)", re.ASCII)
+#: width, as ``MM/DD/YYYY HH:MM:SS``, with an hour below 24: ISO 8601 lets
+#: 24:00:00 mean the next midnight, which ``%H`` never reads.
+_DEFAULT_LAYOUT = re.compile(r"(\d\d)/(\d\d)/(\d{4}) ([01]\d|2[0-3]):(\d\d):(\d\d)", re.ASCII)
 
 PERIOD_TYPES = ("day", "week", "instance")
 
@@ -49,9 +50,10 @@ class WindowConfig:
 def parse_timestamp(text: str, date_format: str = DEFAULT_DATE_FORMAT) -> datetime:
     """Parse ``text`` with ``date_format``, falling back to ISO-8601.
 
-    Text in the default layout's exact shape is read field by field, which
-    gives what ``strptime`` gives; everything else, an out-of-range field
-    included, takes the ``strptime`` path.  Anything but a ``str`` raises
+    Text in the default layout's exact shape is reordered to ``YYYY-MM-DD
+    HH:MM:SS`` and read by one ``datetime.fromisoformat``, which gives what
+    ``strptime`` gives; everything else, an out-of-range field included,
+    takes the ``strptime`` path.  Anything but a ``str`` raises
     ``InputError``.
     """
     if not isinstance(text, str):
@@ -59,9 +61,9 @@ def parse_timestamp(text: str, date_format: str = DEFAULT_DATE_FORMAT) -> dateti
     if date_format == DEFAULT_DATE_FORMAT:
         fields = _DEFAULT_LAYOUT.fullmatch(text)
         if fields is not None:
-            month, day, year, hour, minute, second = map(int, fields.groups())
+            month, day, year, hour, minute, second = fields.groups()
             try:
-                return datetime(year, month, day, hour, minute, second)
+                return datetime.fromisoformat(f"{year}-{month}-{day} {hour}:{minute}:{second}")
             except ValueError:
                 pass
     try:

@@ -5,11 +5,13 @@ explicit loops, no shared code with the package under test. When a test
 compares a library result against one of these functions, agreement is
 evidence, not tautology.
 
-The exceptions are the last three sections.  One holds earlier numpy
+The exceptions are the last four sections.  One holds earlier numpy
 formulations of the detectors' hot paths, kept as they were.  The library's
 faster forms must perform the same IEEE operations in the same order, so
 tests compare them with these using ``==``; a plain-Python loop would add in
-another order.  The next holds the loaders that ``load_labels`` and
+another order.  The next holds the detectors' scores and the default-layout
+timestamp reading as they were, for the same ``==`` comparisons.  The next
+holds the loaders that ``load_labels`` and
 ``load_scores`` replaced, whose results and messages they must keep.  The
 last is the detection pipeline as a plain loop over the package's own
 windows, detectors and vote: it checks how the machine tree assembles them,
@@ -21,11 +23,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from datetime import datetime
 
 import numpy as np
 
-from flowdetect.errors import InputError
+from flowdetect.errors import InputError, NotFittedError
 
 DAY_HOURS = 24.0
 TIE = 1e-12
@@ -500,6 +503,82 @@ def lof_score_sorted(hours, k, k_distances, densities, hour):
     mean_reach = float(np.maximum(k_distances[neigh], dist[neigh]).mean())
     own = math.inf if mean_reach == 0.0 else 1.0 / mean_reach
     return _ratio(float(densities[neigh].mean()), own)
+
+
+# ---------------------------------------------------------------------------
+# The replaced scores and timestamp reading, for exact comparisons
+# ---------------------------------------------------------------------------
+
+SIGMA_FLOOR = 0.25
+MINUTES_ERROR = "minutes of day must be whole numbers in [0, 1440)"
+
+
+def _scored_hour(model, minute):
+    """The fitted check, then ``minute`` as an hour, as the scores made them."""
+    if not model.is_trained:
+        raise NotFittedError(f"{model.name} detector scored before fitting")
+    if not 0 <= minute < 1440 or minute % 1:
+        raise ValueError(MINUTES_ERROR)
+    return int(minute) / 60.0
+
+
+def _circ_distance_checked(a, b):
+    """``circ_distance`` as the k-means score called it, range check included."""
+    if not (0.0 <= a < DAY_HOURS and 0.0 <= b < DAY_HOURS):
+        raise ValueError(f"hours must be in [0, 24): got {a}, {b}")
+    if a < b:
+        return min(b - a, a - b + DAY_HOURS)
+    return min(a - b, b - a + DAY_HOURS)
+
+
+def kmeans_score_reference(model, minute):
+    """``CircularKMeans.score_partial`` as it was, as ``(binary, raw)``."""
+    hour = _scored_hour(model, minute)
+    z = math.inf
+    for cluster in model.clusters:
+        d = _circ_distance_checked(hour, cluster.centroid)
+        z = min(z, d / max(cluster.sigma, SIGMA_FLOOR))
+    return int(z > model.threshold), z
+
+
+def kde_score_reference(model, minute):
+    """``WrappedKde.score_partial`` as it was, as ``(binary, raw)``."""
+    _scored_hour(model, minute)
+    value = model.densities.item(int(minute))
+    return int(value < model.density_threshold), model.density_threshold - value
+
+
+def _lof_mean(values):
+    return float(np.add.reduce(values)) / values.size
+
+
+def lof_score_reference(model, minute):
+    """``CosineLof.score_partial`` as it was, as ``(binary, raw)``: a fresh
+    array per operation, a boolean mask per gather, and one sum per row."""
+    hour = _scored_hour(model, minute)
+    dist = cosine_distances_array(hour, model.hours)
+    kth = model.k_eff - 1
+    near = dist <= np.partition(dist, kth)[kth] + TIE
+    mean_reach = _lof_mean(np.maximum(model.k_distances[near], dist[near]))
+    own_density = math.inf if mean_reach == 0.0 else 1.0 / mean_reach
+    raw = _ratio(_lof_mean(model.local_densities[near]), own_density)
+    return int(raw > model.score_threshold), raw
+
+
+def parse_timestamp_fields(text, date_format="%m/%d/%Y %H:%M:%S"):
+    """``windowing.parse_timestamp`` as it was: the default layout read field
+    by field into the ``datetime`` constructor, then ``strptime``, then ISO."""
+    if not isinstance(text, str):
+        raise InputError(f"timestamp {text!r} is not text")
+    if date_format == "%m/%d/%Y %H:%M:%S":
+        fields = re.fullmatch(r"(\d\d)/(\d\d)/(\d{4}) (\d\d):(\d\d):(\d\d)", text, re.ASCII)
+        if fields is not None:
+            month, day, year, hour, minute, second = map(int, fields.groups())
+            try:
+                return datetime(year, month, day, hour, minute, second)
+            except ValueError:
+                pass
+    return parse_timestamp(text, date_format)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -817,3 +819,119 @@ def test_detector_types_are_read_only():
     assert DETECTOR_TYPES == {"kde": WrappedKde, "kmeans": CircularKMeans, "lof": CosineLof}
     assert all(cls.name == name for name, cls in DETECTOR_TYPES.items())
     assert isinstance(init_map()["kde"], WrappedKde)
+
+
+# ---------------------------------------------------------- score kernels
+
+_SCORE_REFERENCES = {
+    "kde": oracles.kde_score_reference,
+    "kmeans": oracles.kmeans_score_reference,
+    "lof": oracles.lof_score_reference,
+}
+_DAY_MINUTE = st.integers(0, 1439)
+#: Windows and ``n_neighbors`` whose LOF neighbourhoods hold 299 equal
+#: distances, over 128, 8 to 128 and under 8 members; in the last,
+#: ``n_neighbors`` is above n - 1.
+_EDGE_WINDOWS = (
+    ([615] * 300, 299),
+    ([480 + i % 3 for i in range(300)], 200),
+    ([i * 7 % 1440 for i in range(200)], 64),
+    ([100, 100, 101, 700, 1439], 1),
+    ([0, 719, 720, 1439], 9),
+)
+
+
+@st.composite
+def _scoring_windows(draw):
+    """A training window of 2 to 300 whole minutes, duplicate-heavy, at one
+    minute or spread over the day, and an ``n_neighbors`` from 1 to n + 2."""
+    n = draw(st.integers(2, 300))
+    shape = draw(st.sampled_from(["duplicates", "one minute", "spread"]))
+    if shape == "one minute":
+        minutes = [draw(_DAY_MINUTE)] * n
+    elif shape == "duplicates":
+        distinct = draw(st.lists(_DAY_MINUTE, min_size=1, max_size=6))
+        minutes = draw(st.lists(st.sampled_from(distinct), min_size=n, max_size=n))
+    else:
+        minutes = draw(st.lists(_DAY_MINUTE, min_size=n, max_size=n))
+    return minutes, draw(st.integers(1, n + 2))
+
+
+def _assert_scores_as_reference(model, minutes):
+    reference = _SCORE_REFERENCES[model.name]
+    for minute in minutes:
+        score = model.score_partial(minute)
+        binary, raw = reference(model, minute)
+        assert (score.binary, repr(score.raw)) == (binary, repr(raw)), (model.name, minute)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(_scoring_windows())
+@example(_EDGE_WINDOWS[0])
+@example(_EDGE_WINDOWS[1])
+@example(_EDGE_WINDOWS[2])
+@example(_EDGE_WINDOWS[3])
+@example(_EDGE_WINDOWS[4])
+def test_score_kernels_match_their_references(window):
+    """Every minute of the day, each detector against its score as it was,
+    ``raw`` by ``repr``: infinite LOF raws, and the pickled and deep-copied
+    model too."""
+    minutes, n_neighbors = window
+    params = {"kde": {}, "kmeans": {"seed": len(minutes)}, "lof": {"n_neighbors": n_neighbors}}
+    day = range(1440)
+    for name, unfitted in init_map(params).items():
+        if len(minutes) < unfitted.min_samples:
+            continue
+        model = unfitted.fit_partial(minutes, version=1)
+        _assert_scores_as_reference(model, day)
+        for twin in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert [twin.score_partial(m) for m in day] == [model.score_partial(m) for m in day]
+
+
+def test_lof_edge_windows_reach_infinite_raws_and_every_neighbourhood_size():
+    """The edge windows the score test always runs reach infinite raws, and
+    neighbourhoods under 8, of 8 to 128 and over 128 members."""
+    sizes, raws = set(), set()
+    for minutes, k in _EDGE_WINDOWS:
+        model = CosineLof(n_neighbors=k).fit_partial(minutes)
+        for minute in range(1440):
+            dist = oracles.cosine_distances_array(minute / 60.0, model.hours)
+            kth = np.partition(dist, model.k_eff - 1)[model.k_eff - 1]
+            size = int(np.count_nonzero(dist <= kth + oracles.TIE))
+            sizes.add("under 8" if size < 8 else "8 to 128" if size <= 128 else "over 128")
+            raws.add(model.score_partial(minute).raw)
+    assert sizes == {"under 8", "8 to 128", "over 128"}
+    assert math.inf in raws
+
+
+def test_a_reassigned_kmeans_model_scores_from_its_new_clusters():
+    model = CircularKMeans(seed=3).fit_partial(TWO_CLUSTER_MINUTES)
+    before = [model.score_partial(m) for m in range(1440)]
+    model.clusters = (Cluster(3.5, 0.1, 4), Cluster(12.0, 2.0, 9), Cluster(23.99, 0.25, 1))
+    _assert_scores_as_reference(model, range(1440))
+    assert [model.score_partial(m) for m in range(1440)] != before
+    model.clusters = (Cluster(24.0, 0.5, 3),)
+    with pytest.raises(ValueError, match="hours must be in"):
+        model.score_partial(60)
+    with pytest.raises(ValueError, match="hours must be in"):
+        oracles.kmeans_score_reference(model, 60)
+
+
+def test_scores_keep_their_checks():
+    """Unfitted, each score raises ``NotFittedError``; fitted, a minute that is
+    not a whole minute of the day raises ``ValueError``; a whole float minute
+    scores as its int; all as the references do."""
+    for name, model in init_map().items():
+        reference = _SCORE_REFERENCES[name]
+        for score in (model.score_partial, lambda m, model=model: reference(model, m)):
+            with pytest.raises(NotFittedError):
+                score(480)
+            with pytest.raises(NotFittedError):
+                score(0.5)
+        fitted = model.fit_partial(TWO_CLUSTER_MINUTES)
+        for score in (fitted.score_partial, lambda m, model=fitted: reference(model, m)):
+            for minute in (0.5, 479.25, -1, 1440, 1e9, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    score(minute)
+        assert fitted.score_partial(600.0) == fitted.score_partial(600)
+        _assert_scores_as_reference(fitted, (0.0, 600.0, np.int64(1439), np.float64(720.0)))

@@ -107,6 +107,42 @@ def test_parse_timestamp_agrees_with_strptime(text):
     assert _parsed(parse_timestamp, text) == _parsed(oracles.parse_timestamp, text)
 
 
+def _digits(width, near):
+    """Any ``width`` ASCII digits, or a value near a field's range, zero-padded."""
+    return st.one_of(st.integers(0, 10**width - 1), near).map(f"{{:0{width}d}}".format)
+
+
+_EXACT_LAYOUT_TEXT = st.tuples(
+    _digits(2, st.integers(0, 13)),
+    _digits(2, st.integers(0, 32)),
+    _digits(4, st.sampled_from([0, 1, 1900, 2000, 2010, 2011, 2012, 9999])),
+    _digits(2, st.integers(0, 25)),
+    _digits(2, st.integers(0, 61)),
+    _digits(2, st.integers(0, 61)),
+).map(lambda f: "{}/{}/{} {}:{}:{}".format(*f))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_EXACT_LAYOUT_TEXT)
+@example("00/04/2010 08:00:00")  # month 00
+@example("13/04/2010 08:00:00")  # month 13
+@example("01/00/2010 08:00:00")  # day 00
+@example("04/31/2010 08:00:00")  # day 31 in a 30-day month
+@example("11/31/2010 08:00:00")
+@example("02/29/2010 08:00:00")  # 29 February in a non-leap year
+@example("02/29/1900 08:00:00")
+@example("02/29/2012 08:00:00")
+@example("01/04/2010 24:00:00")  # hour 24
+@example("01/04/2010 08:60:00")  # minute 60
+@example("01/04/2010 08:00:60")  # second 60
+@example("01/01/0000 08:00:00")  # year 0000
+@example("12/31/9999 23:59:59")
+def test_default_layout_reads_as_the_field_by_field_constructor(text):
+    """Text of the exact default layout, any digits in each field, reads as
+    the ``datetime`` constructor read its fields, or fails as it failed."""
+    assert _parsed(parse_timestamp, text) == _parsed(oracles.parse_timestamp_fields, text)
+
+
 # ---------------------------------------------------------------- config guard
 
 @pytest.mark.parametrize(
