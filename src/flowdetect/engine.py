@@ -32,16 +32,15 @@ attributes all hold the same objects, so an instance at rest allocates
 nothing.  At-rest states of automata, and of flows and argument-less calls
 of such parts, are shared per node, so they go when the spec goes.  A node
 whose initial state is at rest, an automaton without attributes or a flow
-of such parts, builds it once per ``init`` and keeps it; a call starts the
+of such parts, builds it when it is made and keeps it; a call starts the
 callee ``defs`` names.  So a lazily built instance costs only the states
 and environments it does not share.
 
-Building: ``init`` fixes each node's step: an automaton's transitions by
-source state with their capture names, whether a node has neither
-attributes nor an action (its step binds and leaves nothing), and a call's
-callee.  A step given another ``defs`` object builds the tree again; a
-``defs`` or node changed in place is read at the next ``init``.  Guards and
-actions are read at every step, so a replaced one is called at the next.
+Building: a node is fixed when it is made; a step reads guards and actions
+when it runs.  A constructor computes what the step reads (see ``Node``);
+only a node's ``action`` (a call has none) and a transition's ``guard`` and
+``action`` may be assigned later.  A call reads its callee from each
+step's ``defs``, so ``init`` only validates and starts the tree.
 
 Matching: a step does the event-only part of a pattern (name, arity,
 literals, capture types and the captures themselves) once for each run of
@@ -49,7 +48,7 @@ leaves that use that pattern object, in one slot of the step, and each leaf
 then checks only the pattern's ``Ref`` slots against its own scope.
 
 Operators: a node class holds its operator's rules (operands, validation,
-header, build, start, acceptance and step), and ``walk`` is the one
+header, fixed facts, start, acceptance and step), and ``walk`` is the one
 traversal of a tree.  ``step`` and ``is_final`` check only the root state's
 kind, so a state must come from ``init`` or ``step`` for the same
 specification.
@@ -112,9 +111,6 @@ class Env(dict):
 
 
 EMPTY_ENV = Env()
-
-#: The ``defs`` of a tree built without any: one empty, read-only mapping.
-_NO_DEFS: Mapping[str, Any] = Env()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +270,13 @@ class Node:
     ``_header()``, ``_start(local, scope, defs)`` from initialised
     attributes ``local``, also bound in ``scope``, ``_final(state, defs)``,
     and ``_step(state, scope, ctx)``, ``None`` on refusal; on the base class
-    all six raise.  ``_build(defs)`` sets the fields ``_step`` reads.
+    all six raise.
+
+    A node is fixed when it is made.  ``__post_init__`` holds each sequence
+    field as a tuple, sets ``_bare`` (no attributes, no action) and
+    ``_plain``, and calls the kind's ``_fix()`` for its own facts.  Then
+    assigning a field not in ``_open`` raises ``AttributeError``, and a
+    non-callable action ``SpecificationError``.
 
     ``_rest`` holds the node's shared at-rest states.  The kinds that share
     them (automata, flows and calls) build each through ``_at_rest`` and
@@ -283,12 +285,8 @@ class Node:
     the cached state holds, so no id in a key is ever reused.  The keys are
     bounded by the spec's declared states, and the table goes with the node.
     ``_kept`` is the one of them that every start of an automaton without
-    attributes, or of a flow of kept parts, returns once built; ``_plain``
-    is the local ``Env`` of a node whose initialisers are all plain values.
-    A build clears ``_kept`` on every node it walks, and ``_plain`` where it
-    no longer holds the node's initialisers, so a node edited since the last
-    ``init`` starts from its new fields; the instances one machine builds
-    lazily share both, and an unedited node's plain ``Env`` stays shared.
+    attributes, or of a flow of kept parts, returns.  The instances of every
+    machine share it and ``_plain``.
     """
 
     name: str
@@ -298,8 +296,10 @@ class Node:
     _rest: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _kept: Any = field(default=None, init=False, compare=False, repr=False)
     _plain: Env | None = field(default=None, init=False, compare=False, repr=False)
-    _defs: Any = field(default=None, init=False, compare=False, repr=False)
     _bare: bool = field(default=False, init=False, compare=False, repr=False)
+
+    _made = False  # True once ``__post_init__`` ends: assignments are checked from then
+    _open = ("action",)  # the fields a made node may still be given
 
     state_type = object
 
@@ -308,9 +308,25 @@ class Node:
 
     _operands = _validate = _header = _start = _final = _step = _unknown
 
-    def _build(self, defs: Mapping[str, Node]) -> None:
-        """Set ``_defs``, the ``defs`` built for, and ``_bare``: no attributes, no action."""
-        self._defs, self._bare = defs, not self.attrs and self.action is None
+    def __post_init__(self) -> None:
+        self.params, self.attrs = tuple(self.params), tuple(self.attrs)
+        self._bare = not self.attrs and self.action is None
+        if not any(callable(initial) for _, initial in self.attrs):
+            self._plain = Env(self.attrs) if self.attrs else EMPTY_ENV
+        self._fix()
+        self._made = True
+
+    def _fix(self) -> None:
+        """Compute the kind's own fixed facts; the common ones are set."""
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if self._made:
+            if name not in self._open:
+                raise AttributeError(f"node {self.name!r} is fixed: {name!r} cannot change")
+            if value is not None and not callable(value):
+                raise SpecificationError(f"node {self.name!r}: action is not callable")
+            object.__setattr__(self, "_bare", not self.attrs and value is None)
+        object.__setattr__(self, name, value)
 
     def _is_rest(self, state: Any) -> bool:
         return False
@@ -330,6 +346,19 @@ class Transition:
     target: str
     guard: Guard | None = None
     action: Action | None = None
+
+    _made = False
+
+    def __post_init__(self) -> None:
+        self._made = True
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if self._made:
+            if name not in ("guard", "action"):
+                raise AttributeError(f"transition {self} is fixed: {name!r} cannot change")
+            if value is not None and not callable(value):
+                raise SpecificationError(f"transition {self}: {name} is not callable")
+        object.__setattr__(self, name, value)
 
     def __str__(self) -> str:
         slots = ", ".join(map(_slot, self.pattern.slots))
@@ -379,11 +408,19 @@ class Automaton(Node):
         moves = "".join(f"\n  {t}" for t in self.transitions)
         return f"Automaton {{{states}}} init {self.initial} final {{{finals}}}{moves}"
 
+    def _fix(self):
+        self.states, self.finals = tuple(self.states), tuple(self.finals)
+        self.transitions = tuple(self.transitions)
+        moves: dict[str, tuple] = {}
+        for t in self.transitions:
+            names = tuple(s.name for s in t.pattern.slots if isinstance(s, Capture))
+            moves[t.source] = moves.get(t.source, ()) + ((t, t.pattern, names),)
+        self._moves = moves
+        if not self.attrs:
+            self._kept = self._state(self.initial, EMPTY_ENV)
+
     def _start(self, local, scope, defs):
-        state = self._state(self.initial, local)
-        if local is EMPTY_ENV:
-            self._kept = state
-        return state
+        return self._state(self.initial, local)
 
     def _state(self, current, env):
         if env is EMPTY_ENV:
@@ -395,14 +432,6 @@ class Automaton(Node):
 
     def _final(self, state, defs):
         return state.current in set(self.finals)
-
-    def _build(self, defs):
-        super()._build(defs)
-        moves: dict[str, tuple] = {}
-        for t in self.transitions:
-            names = tuple(s.name for s in t.pattern.slots if isinstance(s, Capture))
-            moves[t.source] = moves.get(t.source, ()) + ((t, t.pattern, names),)
-        self._moves = moves
 
     def _step(self, state, scope, ctx):
         env = state.env
@@ -458,12 +487,13 @@ class Flow(Node):
     def _header(self):
         return "Flow"
 
+    def _fix(self):
+        left, right = self.left._kept, self.right._kept
+        if not self.attrs and left is not None and right is not None:
+            self._kept = self._state(EMPTY_ENV, left, right)
+
     def _start(self, local, scope, defs):
-        left, right = _init(self.left, scope, defs), _init(self.right, scope, defs)
-        state = self._state(local, left, right)
-        if local is EMPTY_ENV and left is self.left._kept and right is self.right._kept:
-            self._kept = state
-        return state
+        return self._state(local, _init(self.left, scope, defs), _init(self.right, scope, defs))
 
     def _state(self, env, left, right):
         if env is EMPTY_ENV and self.left._is_rest(left) and self.right._is_rest(right):
@@ -626,9 +656,9 @@ class Call(Node):
 
     callee: str
     args: Mapping[str, AttrInit] = field(default_factory=dict)
-    _to: Node | None = field(default=None, init=False, compare=False, repr=False)
 
     state_type = CallState
+    _open = ()  # a call has no action
 
     def _operands(self, defs):
         return (self._callee(defs),)
@@ -667,22 +697,16 @@ class Call(Node):
         return self._rest.get(id(state.inner)) is state
 
     def _callee(self, defs):
-        callee = defs.get(self.callee)
-        if callee is None:
-            raise SpecificationError(f"call {self.name!r}: unresolved callee {self.callee!r}")
-        return callee
+        try:
+            return defs[self.callee]
+        except KeyError:
+            raise SpecificationError(f"call {self.name!r}: unresolved callee {self.callee!r}") from None
 
     def _final(self, state, defs):
         return self._callee(defs)._final(state.inner, defs)
 
-    def _build(self, defs):
-        super()._build(defs)
-        self._to = self._callee(defs)
-
     def _step(self, state, scope, ctx):
-        if self._defs is not ctx.defs:  # shared with a tree built for other defs
-            _build(self, ctx.defs)
-        callee = self._to
+        callee = self._callee(ctx.defs)
         # Parameters are constant; pop them before propagating updates.
         env = state.env
         shadowed = _bind(scope, env) if env else None
@@ -753,24 +777,8 @@ def init(
     Attribute initialisers are evaluated against ``env`` extended with the
     attributes already initialised on the same node, in declaration order.
     """
-    defs = defs or _NO_DEFS
     validate_spec(spec, defs)
-    _build(spec, defs)
-    return _init(spec, dict(env) if env else {}, defs)
-
-
-def _build(spec: Node, defs: Mapping[str, Node]) -> None:
-    """Build the step of every node under ``spec`` for ``defs``."""
-    for _, node in walk(spec, defs):  # a node may have been edited since the last build
-        node._kept = None
-        if node._plain is not None and not _holds(node._plain, node.attrs):
-            node._plain = None
-        node._build(defs)
-
-
-def _holds(local: Env, attrs: Sequence[tuple[str, AttrInit]]) -> bool:
-    """True if ``local`` binds just the names of ``attrs``, each to its own initialiser."""
-    return len(local) == len(attrs) and all(n in local and local[n] is v for n, v in attrs)
+    return _init(spec, dict(env) if env else {}, defs or EMPTY_ENV)
 
 
 def _init(spec: Node, scope: dict, defs: Mapping[str, Node]) -> Any:
@@ -790,20 +798,16 @@ def _init(spec: Node, scope: dict, defs: Mapping[str, Node]) -> Any:
 
 
 def _init_attrs(spec: Node, scope: dict) -> Env:
-    """The local ``Env`` of ``spec``'s attributes, kept as ``_plain`` if no initialiser
-    is callable; each callable one reads a copy of ``scope`` and the attributes before it."""
+    """The local ``Env`` of a node with a callable initialiser; each callable one
+    reads a copy of ``scope`` and the attributes before it."""
     bound: dict[str, Any] = {}
-    plain = True
     for name, initial in spec.attrs:
         if callable(initial):
             visible = Env(scope)
             dict.update(visible, bound)
-            initial, plain = initial(visible), False
+            initial = initial(visible)
         bound[name] = initial
-    local = Env(bound) if bound else EMPTY_ENV
-    if plain:
-        spec._plain = local
-    return local
+    return Env(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -846,11 +850,8 @@ def step(
     machine, so callers must treat every state as read-only.
     """
     _check_shape(spec, state)
-    defs = defs or _NO_DEFS
-    if spec._defs is not defs:
-        _build(spec, defs)
     scope = dict(env) if env else {}
-    ctx = _StepContext(event, defs)
+    ctx = _StepContext(event, defs or EMPTY_ENV)
     new_state = spec._step(state, scope, ctx)
     if new_state is None:
         return None

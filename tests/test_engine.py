@@ -1123,18 +1123,21 @@ def test_a_call_starts_the_callee_its_defs_name_on_every_start():
     assert step(flow, under_second, Event("tick"), defs={"a": second})[0].left.inner.current == "s0"
 
 
-def test_a_defs_changed_in_place_is_read_at_the_next_init():
+def test_a_defs_changed_in_place_is_read_at_the_next_step():
     first, second = callees()
     spec = Call(name="c", callee="a")
     defs = {"a": first}
     state = init(spec, defs=defs)
     defs["a"] = second
-    new_state, _ = step(spec, state, Event("tick"), defs=defs)  # still built for ``first``
-    assert new_state.inner.current == "s1"
+    # the state ``first`` started is at s0, where ``second`` has no move
+    assert step(spec, state, Event("tick"), defs=defs) is None
     state = init(spec, defs=defs)
     assert state.inner.current == "s1"
     new_state, _ = step(spec, state, Event("tick"), defs=defs)
     assert new_state.inner.current == "s0"
+    del defs["a"]
+    with pytest.raises(SpecificationError, match="unresolved callee 'a'"):
+        step(spec, new_state, Event("tick"), defs=defs)
 
 
 @pytest.mark.parametrize("with_defs", (True, False))
@@ -1148,7 +1151,7 @@ def test_a_built_tree_copies_and_pickles_and_each_copy_steps_alike(with_defs):
         assert dump_state(step(twin, state, Event("tick"), defs=twin_defs)[0]) == expected
 
 
-@pytest.mark.parametrize("part", ("guard", "transition_action", "node_action"))
+@pytest.mark.parametrize("part", ("guard", "transition_action", "node_action", "bare_node_action"))
 def test_a_guard_or_action_replaced_after_init_is_the_one_the_next_step_calls(part):
     calls = []
 
@@ -1157,24 +1160,41 @@ def test_a_guard_or_action_replaced_after_init_is_the_one_the_next_step_calls(pa
 
     leaf = loop("leaf", attrs=(("n", 0),), guard=record("old guard", True),
                 action=record("old action"))
+    bare = loop("r")  # neither attributes nor an action
     spec = Flow(name="f", attrs=(("m", 0),), action=record("old node action"),
-                left=leaf, right=loop("r", EventPattern("other")))
+                left=leaf, right=bare)
     state = init(spec)
     if part == "guard":
         leaf.transitions[0].guard = record("new guard", True)
     elif part == "transition_action":
         leaf.transitions[0].action = record("new action")
-    else:
+    elif part == "node_action":
         spec.action = record("new node action")
+    else:
+        bare.action = record("new bare action")
     step(spec, state, Event("tick"))
     new = {"guard": "new guard", "transition_action": "new action",
-           "node_action": "new node action"}[part]
+           "node_action": "new node action", "bare_node_action": "new bare action"}[part]
     assert new in calls and f"old {new[4:]}" not in calls
     # one that is taken away is not called either
     calls.clear()
-    leaf.transitions[0].guard = leaf.transitions[0].action = spec.action = None
+    leaf.transitions[0].guard = leaf.transitions[0].action = spec.action = bare.action = None
     assert step(spec, state, Event("tick")) is not None
     assert calls == []
+
+
+@pytest.mark.parametrize("part", ("guard", "transition_action", "node_action"))
+def test_a_guard_or_action_that_cannot_be_called_is_refused_when_assigned(part):
+    guard, action = (lambda env: True), inc("n")
+    spec = loop("leaf", attrs=(("n", 0),), guard=guard, action=action)
+    owner, name = (spec, "action") if part == "node_action" else (
+        spec.transitions[0], part.removeprefix("transition_"))
+    state = init(spec)
+    with pytest.raises(SpecificationError, match="not callable"):
+        setattr(owner, name, 5)
+    assert (spec.action, spec.transitions[0].guard, spec.transitions[0].action) == (
+        None, guard, action)
+    assert step(spec, state, Event("tick"))[0].env == {"n": 1}
 
 
 def test_a_lazily_built_instance_dumps_as_one_built_by_init():
@@ -1227,55 +1247,67 @@ def test_plain_attributes_share_one_env_and_a_rebinding_instance_gets_its_own():
     assert init(spec).instances[1].env is shared  # a later build shares it too
 
 
-def _edit_initial(node):
-    node.initial = "s1"
+def made(kind):
+    """The spec, its defs, the object whose fields are tried and the fields it may still be given."""
+    leaf = loop("a", attrs=(("n", 0),), action=inc("n"))
+    if kind == "transition":
+        return leaf, None, leaf.transitions[0], {"guard", "action"}
+    spec = {
+        "automaton": leaf,
+        "flow": Flow(name="f", attrs=(("n", 0),), left=loop("l"), right=loop("r", action=inc("n"))),
+        "quantified_flow": QuantifiedFlow(name="q", var="v", domain=(1, 2), body=loop("b")),
+        "quantified_interleave": QuantifiedInterleave(
+            name="i", var="v", domain=UNBOUNDED, body=loop("b", EventPattern("tick", (Capture("u"),)))
+        ),
+        "call": Call(name="c", callee="p", args={"x": 1}),
+    }[kind]
+    return spec, {"p": loop("p", params=("x",))}, spec, set() if kind == "call" else {"action"}
 
 
-def _edit_attrs(value):
-    def edit(node):
-        node.attrs = (("x", value),)
-
-    return edit
-
-
-EDITED_NODES = {
-    # case: (node, edit, what init reads before, what it reads after)
-    "automaton_initial": (
-        lambda: Automaton(name="a", states=("s0", "s1"), initial="s0", finals=("s1",)),
-        _edit_initial, lambda state: state.current, "s0", "s1",
-    ),
-    "attrs_of_a_flow_of_kept_parts": (
-        lambda: Flow(name="f", left=loop("l"), right=loop("r")),
-        _edit_attrs(1), lambda state: dict(state.env), {}, {"x": 1},
-    ),
-    "plain_attribute_value": (
-        lambda: loop("a", attrs=(("x", 1),)),
-        _edit_attrs(2), lambda state: dict(state.env), {"x": 1}, {"x": 2},
-    ),
-    "plain_attribute_made_callable": (
-        lambda: loop("a", attrs=(("x", 1),)),
-        _edit_attrs(lambda env: 3), lambda state: dict(state.env), {"x": 1}, {"x": 3},
-    ),
-}
+@pytest.mark.parametrize(
+    "kind", ("automaton", "call", "flow", "quantified_flow", "quantified_interleave", "transition")
+)
+def test_a_made_node_refuses_every_fixed_field_and_steps_as_before(kind):
+    spec, defs, fixed, open_fields = made(kind)
+    event = Event("tick", ("u",)) if kind == "quantified_interleave" else Event("tick")
+    state = init(spec, defs=defs)
+    expected = dump_state(step(spec, state, event, defs=defs)[0])
+    names = [f.name for f in dataclasses.fields(fixed)] + ["extra"]
+    assert open_fields < set(names)
+    for name in names:
+        if name in open_fields:
+            continue
+        with pytest.raises(AttributeError, match="is fixed"):
+            setattr(fixed, name, getattr(fixed, name, None))
+    for name in open_fields:  # the same value back, so the step below is unchanged
+        setattr(fixed, name, getattr(fixed, name))
+    assert "extra" not in vars(fixed)
+    assert dump_state(step(spec, init(spec, defs=defs), event, defs=defs)[0]) == expected
 
 
-@pytest.mark.parametrize("case", sorted(EDITED_NODES))
-def test_init_starts_a_node_edited_since_the_last_init(case):
-    make, edit, read, before, after = EDITED_NODES[case]
-    node = make()
-    assert read(init(node)) == before
-    edit(node)
-    assert read(init(node)) == after
-    # an inner node edited under an interleave: a new machine reads the edit
-    inner = make()
-    spec = QuantifiedInterleave(name="i", var="v", domain=UNBOUNDED, body=Flow(
-        name="pair", left=inner, right=loop("r", EventPattern("e", (Ref("v"),))),
-    ))
-    state, _ = step(spec, init(spec), Event("e", ("u",)))
-    assert read(state.instances["u"].left) == before
-    edit(inner)
-    state, _ = step(spec, init(spec), Event("e", ("u",)))
-    assert read(state.instances["u"].left) == after
+def test_a_changed_copy_starts_from_its_own_fields():
+    automaton = Automaton(name="a", states=("s0", "s1"), initial="s0", finals=("s1",))
+    assert init(dataclasses.replace(automaton, initial="s1")).current == "s1"
+    assert init(automaton).current == "s0"
+    flow = Flow(name="f", left=loop("l"), right=loop("r"))
+    for attrs, env in (((("x", 1),), {"x": 1}), ((("x", lambda env: 3),), {"x": 3})):
+        assert dict(init(dataclasses.replace(flow, attrs=attrs)).env) == env
+    assert init(flow).env is EMPTY_ENV
+
+
+def test_one_pass_iterables_are_read_once_when_a_node_is_made():
+    leaf = Automaton(name="a", states=(s for s in ("s0", "s1")), initial="s0",
+                     finals=(s for s in ("s1",)), transitions=(
+                         t for t in (Transition(source="s0", pattern=TICK, target="s1"),)))
+    assert (leaf.states, leaf.finals) == (("s0", "s1"), ("s1",))
+    state, _ = step(leaf, init(leaf), Event("tick"))
+    assert state.current == "s1" and is_final(leaf, state)
+    spec = Flow(name="f", attrs=((n, v) for n, v in (("x", 1), ("y", 2))), params=iter(("p",)),
+                left=loop("l", action=inc("x")), right=loop("r"))
+    assert spec.params == ("p",)
+    state = init(spec, {"p": 0})
+    assert dict(state.env) == {"x": 1, "y": 2}
+    assert dict(step(spec, state, Event("tick"))[0].env) == {"x": 2, "y": 2}
 
 
 def test_init_again_keeps_the_shared_states_of_an_unedited_node():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import importlib.util
 import json
 import random
 import weakref
@@ -801,6 +802,23 @@ def test_a_pipeline_event_matches_its_pattern_once(monkeypatch):
         pipeline.process_event(event)
         assert calls == [event]
     assert pipeline.drain_scores()
+
+
+def test_the_benchmark_tracer_spans_every_guard_and_action_a_step_calls():
+    # perfbench/tracing.py wraps the guards and actions of a built tree by
+    # assigning them, the only assignments a made node allows; the step
+    # must then call the wrapped ones.  Before any window fills, a step
+    # calls three training and three detection guards, the vote and the fold.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    found = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(found)
+    found.loader.exec_module(tracing)
+    pipeline, tracer = Pipeline(), tracing.Tracer()
+    tracer.wrap_spec(pipeline.spec, pipeline.defs)
+    events = weekday_events("alice", 1) + weekday_events("bob", 1, hours=(11,))
+    run(pipeline, events)
+    assert pipeline.counters.events == len(events) == 15 and pipeline.counters.retrains == 0
+    assert tracer.calls == {"engine.guard": 6 * 15, "engine.action": 2 * 15}
 
 
 # ------------------------------------------------------- a step that raises
