@@ -24,8 +24,8 @@ mutators raise, so the scope is the only binding set a step writes.
 Initialisation threads one scope the same way.  A node binds its attributes
 for its operands' initialisers and pops them again; a callable initialiser
 reads a read-only ``Env`` of the enclosing names and the attributes bound
-before it, and a node whose initialisers are all plain values shares one
-local ``Env`` between its instances.
+before it, and a node whose initialisers (or a call whose arguments) are all
+plain values shares one local ``Env`` between its instances.
 
 Ownership is as ``step`` states it.  An environment is unchanged when its
 attributes all hold the same objects, so an instance at rest allocates
@@ -36,19 +36,19 @@ of such parts, builds it when it is made and keeps it; a call starts the
 callee ``defs`` names.  So a lazily built instance costs only the states
 and environments it does not share.
 
-Building: a node is fixed when it is made; a step reads guards and actions
-when it runs.  A constructor computes what the step reads (see ``Node``);
-only a node's ``action`` (a call has none) and a transition's ``guard`` and
-``action`` may be assigned later.  A call reads its callee from each
-step's ``defs``, so ``init`` only validates and starts the tree.
+Building: a node is checked and fixed when it is made; a step reads guards
+and actions when it runs.  A constructor computes what the step reads (see
+``Node``); only a node's ``action`` (a call has none) and a transition's
+``guard`` and ``action`` may be assigned later.  A call reads its callee
+from each step's ``defs``, so ``init`` checks only calls and starts the tree.
 
 Matching: a step does the event-only part of a pattern (name, arity,
 literals, capture types and the captures themselves) once for each run of
 leaves that use that pattern object, in one slot of the step, and each leaf
 then checks only the pattern's ``Ref`` slots against its own scope.
 
-Operators: a node class holds its operator's rules (operands, validation,
-header, fixed facts, start, acceptance and step), and ``walk`` is the one
+Operators: a node class holds its operator's rules (operands, header, field
+checks and fixed facts, start, acceptance and step), and ``walk`` is the one
 traversal of a tree.  ``step`` and ``is_final`` check only the root state's
 kind, so a state must come from ``init`` or ``step`` for the same
 specification.
@@ -266,17 +266,17 @@ class Node:
     they are visible to the node like read-only enclosing variables.
 
     Each kind is one operator with states of class ``state_type``.  It
-    defines ``_operands(defs)``, ``_validate(defs)`` of its own parts only,
-    ``_header()``, ``_start(local, scope, defs)`` from initialised
-    attributes ``local``, also bound in ``scope``, ``_final(state, defs)``,
-    and ``_step(state, scope, ctx)``, ``None`` on refusal; on the base class
-    all six raise.
+    defines ``_operands(defs)``, ``_header()``, ``_start(local, scope,
+    defs)`` from initialised attributes ``local``, also bound in ``scope``,
+    ``_final(state, defs)``, and ``_step(state, scope, ctx)``, ``None`` on
+    refusal; on the base class all five raise.
 
-    A node is fixed when it is made.  ``__post_init__`` holds each sequence
-    field as a tuple, sets ``_bare`` (no attributes, no action) and
-    ``_plain``, and calls the kind's ``_fix()`` for its own facts.  Then
-    assigning a field not in ``_open`` raises ``AttributeError``, and a
-    non-callable action ``SpecificationError``.
+    A node is fixed, and valid, when it is made.  ``__post_init__`` holds
+    each sequence field as a tuple, checks ``attrs``, sets ``_bare`` (no
+    attributes, no action) and ``_plain``, and calls the kind's ``_fix()``,
+    which checks its own fields and computes its facts; a refusal, like a
+    non-callable action at any time, is a ``SpecificationError`` naming the
+    node.  Once made, assigning a field not in ``_open`` raises ``AttributeError``.
 
     ``_rest`` holds the node's shared at-rest states.  The kinds that share
     them (automata, flows and calls) build each through ``_at_rest`` and
@@ -306,25 +306,36 @@ class Node:
     def _unknown(self, *_: Any) -> Any:
         raise SpecificationError(f"unknown node type {type(self).__name__}")
 
-    _operands = _validate = _header = _start = _final = _step = _unknown
+    _operands = _header = _start = _final = _step = _unknown
 
     def __post_init__(self) -> None:
-        self.params, self.attrs = tuple(self.params), tuple(self.attrs)
+        self.params, self.attrs = self._names("params", self.params), tuple(self.attrs)
+        try:
+            local = Env(self.attrs)
+        except (TypeError, ValueError):
+            raise SpecificationError(f"node {self.name!r}: attrs are not (name, initial) pairs") from None
+        if len(local) != len(self.attrs):
+            raise SpecificationError(f"node {self.name!r} declares duplicate attributes")
         self._bare = not self.attrs and self.action is None
-        if not any(callable(initial) for _, initial in self.attrs):
-            self._plain = Env(self.attrs) if self.attrs else EMPTY_ENV
+        if not any(map(callable, local.values())):
+            self._plain = local or EMPTY_ENV
         self._fix()
         self._made = True
 
     def _fix(self) -> None:
-        """Compute the kind's own fixed facts; the common ones are set."""
+        """Check the kind's own fields and compute its fixed facts; the common ones are set."""
+
+    def _names(self, label: str, names: Iterable[str]) -> tuple[str, ...]:
+        if isinstance(names, str):  # ``tuple`` would split it into characters
+            raise SpecificationError(f"node {self.name!r}: {label} is a string, not names")
+        return tuple(names)
 
     def __setattr__(self, name: str, value: Any) -> None:
+        if self._made and name not in self._open:
+            raise AttributeError(f"node {self.name!r} is fixed: {name!r} cannot change")
+        if name == "action" and value is not None and not callable(value):
+            raise SpecificationError(f"node {self.name!r}: action is not callable")
         if self._made:
-            if name not in self._open:
-                raise AttributeError(f"node {self.name!r} is fixed: {name!r} cannot change")
-            if value is not None and not callable(value):
-                raise SpecificationError(f"node {self.name!r}: action is not callable")
             object.__setattr__(self, "_bare", not self.attrs and value is None)
         object.__setattr__(self, name, value)
 
@@ -379,22 +390,29 @@ class Automaton(Node):
     def _operands(self, defs):
         return ()
 
-    def _validate(self, defs):
+    def _header(self):
+        states, finals = ", ".join(self.states), ", ".join(self.finals)
+        moves = "".join(f"\n  {t}" for t in self.transitions)
+        return f"Automaton {{{states}}} init {self.initial} final {{{finals}}}{moves}"
+
+    def _fix(self):
+        self.states, self.finals = self._names("states", self.states), self._names("finals", self.finals)
+        self.transitions = tuple(self.transitions)
         states = set(self.states)
         if self.initial not in states:
             raise SpecificationError(f"automaton {self.name!r}: unknown initial state")
         if not set(self.finals) <= states:
             raise SpecificationError(f"automaton {self.name!r}: final states not declared")
+        moves: dict[str, tuple] = {}
         for t in self.transitions:
+            if not isinstance(t, Transition) or not isinstance(t.pattern, EventPattern):
+                raise SpecificationError(f"automaton {self.name!r}: malformed transition {t!r}")
             if t.source not in states or t.target not in states:
-                raise SpecificationError(
-                    f"automaton {self.name!r}: transition uses undeclared state"
-                )
+                raise SpecificationError(f"automaton {self.name!r}: transition uses undeclared state")
             caps = [s for s in t.pattern.slots if isinstance(s, Capture)]
-            if len({s.name for s in caps}) != len(caps):
-                raise SpecificationError(
-                    f"automaton {self.name!r}: duplicate capture in pattern"
-                )
+            names = tuple(s.name for s in caps)
+            if len(set(names)) != len(names):
+                raise SpecificationError(f"automaton {self.name!r}: duplicate capture in pattern")
             if not all(f is None or callable(f) for f in (t.guard, t.action)):
                 raise SpecificationError(f"automaton {self.name!r}: uncallable guard or action")
             for s in caps:
@@ -402,18 +420,6 @@ class Automaton(Node):
                     isinstance(None, s.type or ())
                 except TypeError:
                     raise SpecificationError(f"automaton {self.name!r}: bad capture type") from None
-
-    def _header(self):
-        states, finals = ", ".join(self.states), ", ".join(self.finals)
-        moves = "".join(f"\n  {t}" for t in self.transitions)
-        return f"Automaton {{{states}}} init {self.initial} final {{{finals}}}{moves}"
-
-    def _fix(self):
-        self.states, self.finals = tuple(self.states), tuple(self.finals)
-        self.transitions = tuple(self.transitions)
-        moves: dict[str, tuple] = {}
-        for t in self.transitions:
-            names = tuple(s.name for s in t.pattern.slots if isinstance(s, Capture))
             moves[t.source] = moves.get(t.source, ()) + ((t, t.pattern, names),)
         self._moves = moves
         if not self.attrs:
@@ -481,13 +487,12 @@ class Flow(Node):
     def _operands(self, defs):
         return self.left, self.right
 
-    def _validate(self, defs):
-        pass
-
     def _header(self):
         return "Flow"
 
     def _fix(self):
+        if not isinstance(self.left, Node) or not isinstance(self.right, Node):
+            raise SpecificationError(f"node {self.name!r}: an operand is not a node")
         left, right = self.left._kept, self.right._kept
         if not self.attrs and left is not None and right is not None:
             self._kept = self._state(EMPTY_ENV, left, right)
@@ -528,8 +533,9 @@ class _Quantified(Node):
     """One quantification, two offer rules.
 
     One ``body`` instance per value of ``var``, built up front in ascending
-    order over a bounded ``domain``, or on first use over ``UNBOUNDED``; the
-    node accepts when every instance accepts, and fires when one fires.
+    order over a bounded ``domain``, held as its sorted, de-duplicated
+    tuple, or on first use over ``UNBOUNDED``; the node accepts when every
+    instance accepts, and fires when one fires.
     ``_offered(state, event)`` names the ``(value, instance)`` pairs an event
     is offered to, the instance ``None`` for one still to build.
     """
@@ -541,25 +547,21 @@ class _Quantified(Node):
     def _operands(self, defs):
         return (self.body,)
 
-    def _validate(self, defs):
+    def _fix(self):
+        if not isinstance(self.body, Node):
+            raise SpecificationError(f"node {self.name!r}: body is not a node")
         if self.var in dict(self.attrs):
-            raise SpecificationError(
-                f"node {self.name!r}: quantified variable shadows an attribute"
-            )
+            raise SpecificationError(f"node {self.name!r}: quantified variable shadows an attribute")
         # A flow offers each event to every instance, so it builds them all up front.
         if self.state_type is QuantifiedFlowState or not isinstance(self.domain, _UnboundedDomain):
             try:
-                if iter(self.domain) is self.domain:  # each init would sort what is left
-                    raise TypeError("a one-pass iterator")
-                dict.fromkeys(sorted(self.domain))
+                self.domain = tuple(dict.fromkeys(sorted(self.domain)))
             except TypeError as exc:
-                raise SpecificationError(
-                    f"node {self.name!r}: domain is not a bounded set of orderable, hashable "
-                    f"values ({exc})"
-                ) from exc
+                raise SpecificationError(f"node {self.name!r}: domain is not a bounded set of "
+                                         f"orderable, hashable values ({exc})") from exc
 
     def _header(self):
-        domain = self.domain if isinstance(self.domain, _UnboundedDomain) else sorted(self.domain)
+        domain = self.domain if isinstance(self.domain, _UnboundedDomain) else list(self.domain)
         return f"{type(self).__name__} {self.var} in {domain}"
 
     def _start(self, local, scope, defs):
@@ -567,7 +569,7 @@ class _Quantified(Node):
         if not isinstance(self.domain, _UnboundedDomain):
             var, body = self.var, self.body
             hidden = {var: scope[var]} if var in scope else None
-            for value in sorted(self.domain):
+            for value in self.domain:
                 scope[var] = value
                 instances[value] = _init(body, scope, defs)
             _drop(scope, (var,), hidden)
@@ -650,8 +652,8 @@ class QuantifiedInterleave(_Quantified):
 class Call(Node):
     """Delegate to the specification registered under ``callee``.
 
-    ``args`` binds the callee's parameters; values may be callables evaluated
-    against the environment at initialisation time.
+    ``args`` binds the callee's parameters, held as an ``Env``; values may be
+    callables evaluated against the environment at initialisation time.
     """
 
     callee: str
@@ -663,26 +665,22 @@ class Call(Node):
     def _operands(self, defs):
         return (self._callee(defs),)
 
-    def _validate(self, defs):
+    def _fix(self):
         if self.attrs or self.action:
             raise SpecificationError(f"call {self.name!r} must not declare attributes")
-        params = self._callee(defs).params
-        if set(self.args) != set(params):
-            raise SpecificationError(
-                f"call {self.name!r}: argument names {sorted(self.args)} do not match "
-                f"parameters {sorted(params)} of {self.callee!r}"
-            )
+        self.args = Env(self.args) if self.args else EMPTY_ENV
 
     def _header(self):
         return f"Call {self.callee}({', '.join(self.args)})"
 
     def _start(self, local, scope, defs):
         # A call declares no attributes; its parameters are bound like them.
-        callee = defs[self.callee]
-        if not self.args:
+        callee, params = self._callee(defs), self.args
+        if not params:
             return self._state(callee, EMPTY_ENV, _init(callee, scope, defs))
-        enclosing = Env(scope) if any(map(callable, self.args.values())) else None
-        params = Env({n: v(enclosing) if callable(v) else v for n, v in self.args.items()})
+        if any(map(callable, params.values())):
+            enclosing = Env(scope)
+            params = Env({n: v(enclosing) if callable(v) else v for n, v in params.items()})
         shadowed = _bind(scope, params)
         inner = _init(callee, scope, defs)
         _drop(scope, params, shadowed)
@@ -697,10 +695,10 @@ class Call(Node):
         return self._rest.get(id(state.inner)) is state
 
     def _callee(self, defs):
-        try:
-            return defs[self.callee]
-        except KeyError:
-            raise SpecificationError(f"call {self.name!r}: unresolved callee {self.callee!r}") from None
+        callee = defs.get(self.callee)
+        if isinstance(callee, Node):
+            return callee
+        raise SpecificationError(f"call {self.name!r}: unresolved callee {self.callee!r}")
 
     def _final(self, state, defs):
         return self._callee(defs)._final(state.inner, defs)
@@ -738,14 +736,14 @@ def walk(spec: Node, defs: Mapping[str, Node] | None = None) -> Iterator[tuple[i
 
 
 def validate_spec(spec: Node, defs: Mapping[str, Node] | None = None) -> None:
-    """Raise ``SpecificationError`` if the tree is not well formed."""
-    defs = defs or {}
+    """Raise ``SpecificationError`` for a call whose callee ``defs`` does not resolve,
+    that recurses, or whose argument names are not the callee's ``params``."""
     for _, node in walk(spec, defs):
-        if len(dict(node.attrs)) != len(node.attrs):
-            raise SpecificationError(f"node {node.name!r} declares duplicate attributes")
-        if node.action is not None and not callable(node.action):
-            raise SpecificationError(f"node {node.name!r}: action is not callable")
-        node._validate(defs)
+        if isinstance(node, Call) and set(node.args) != set(params := node._callee(defs or {}).params):
+            raise SpecificationError(
+                f"call {node.name!r}: argument names {sorted(node.args)} do not match "
+                f"parameters {sorted(params)} of {node.callee!r}"
+            )
 
 
 def describe(spec: Node, defs: Mapping[str, Node] | None = None) -> str:

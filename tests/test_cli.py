@@ -9,6 +9,7 @@ import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -374,6 +375,24 @@ def test_run_then_evaluate(corpus, tmp_path, capsys):
     ]) == 0
     by_kmeans = json.loads(capsys.readouterr().out)
     assert 0.0 <= by_kmeans["auc"] <= 1.0
+
+
+def test_the_readme_round_trip_prints_the_summary_it_shows(tmp_path, monkeypatch, capsys):
+    """README's "Command line" block: its synth and run arguments print its summary line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    synth_argv, run_argv = (
+        next(line for line in lines if line.startswith(f"flowdetect {name} ")).split()[1:]
+        for name in ("synth", "run")
+    )
+    shown = next(line for line in lines if line.startswith("# events="))
+    assert shown.endswith(" ...")
+    monkeypatch.chdir(tmp_path)  # the block names its files relative to where it runs
+    assert main(synth_argv) == 0
+    capsys.readouterr()
+    assert main(run_argv) == 0
+    assert capsys.readouterr().out.startswith(shown.removeprefix("# ").removesuffix("..."))
 
 
 def test_evaluate_unlabelled_event_fails(corpus, tmp_path, capsys):

@@ -910,8 +910,9 @@ def test_call_validation_errors():
     defs = {"acc": callee_spec()}
     with pytest.raises(SpecificationError):  # unresolved callee
         init(Call(name="u", callee="ghost"), defs=defs)
-    with pytest.raises(SpecificationError):  # argument/parameter mismatch
-        init(Call(name="u", callee="acc", args={"base": 1, "extra": 2}), defs=defs)
+    for check in (validate_spec, lambda spec, defs: init(spec, defs=defs)):
+        with pytest.raises(SpecificationError, match=r"argument names \['base', 'extra'\] do not"):
+            check(Call(name="u", callee="acc", args={"base": 1, "extra": 2}), defs)
     with pytest.raises(SpecificationError):  # calls own no state
         init(Call(name="u", callee="acc", args={"base": 1}, attrs=(("z", 0),)), defs=defs)
     loops = {"a": Call(name="x", callee="a")}
@@ -1017,23 +1018,24 @@ def _with_transition(pattern=TICK, **fields):
 
 
 UNCALLABLE = {
-    "guard": _with_transition(guard=5),
-    "transition-action": _with_transition(action="x"),
-    "automaton-action": loop("bad", action=7),
-    "flow-action": Flow(name="bad", left=loop("l"), right=loop("r"), action=7),
-    "quantified-action": QuantifiedFlow(name="bad", var="v", domain=(1,), body=loop("b"), action=1),
-    "capture-type": _with_transition(pattern=EventPattern("go", (Capture("v", 5),))),
-    "capture-type-tuple": _with_transition(pattern=EventPattern("go", (Capture("v", (int, "x")),))),
+    "guard": lambda: _with_transition(guard=5),
+    "transition-action": lambda: _with_transition(action="x"),
+    "automaton-action": lambda: loop("bad", action=7),
+    "flow-action": lambda: Flow(name="bad", left=loop("l"), right=loop("r"), action=7),
+    "quantified-action": lambda: QuantifiedFlow(
+        name="bad", var="v", domain=(1,), body=loop("b"), action=1),
+    "capture-type": lambda: _with_transition(pattern=EventPattern("go", (Capture("v", 5),))),
+    "capture-type-tuple": lambda: _with_transition(
+        pattern=EventPattern("go", (Capture("v", (int, "x")),))),
 }
 
 
 @pytest.mark.parametrize("name", sorted(UNCALLABLE))
 def test_validate_refuses_what_a_step_could_not_call(name):
-    # Each would otherwise pass init and raise a bare TypeError on the first step.
-    spec = Flow(name="outer", left=loop("ok"), right=UNCALLABLE[name])
-    for check in (validate_spec, init):
-        with pytest.raises(SpecificationError, match="'bad'"):
-            check(spec)
+    # Each would otherwise raise a bare TypeError on the first step; the
+    # node refuses to be made, so no tree can hold it.
+    with pytest.raises(SpecificationError, match="'bad'"):
+        UNCALLABLE[name]()
 
 
 @pytest.mark.parametrize(
@@ -1042,20 +1044,78 @@ def test_validate_refuses_what_a_step_could_not_call(name):
         (QuantifiedFlow, UNBOUNDED),
         (QuantifiedFlow, (1, "x")),
         (QuantifiedFlow, ([1], [2])),
-        (QuantifiedFlow, iter((1, 2))),
         (QuantifiedInterleave, (1, "x")),
         (QuantifiedInterleave, ([1], [2])),
-        (QuantifiedInterleave, (v for v in (1, 2))),
     ],
-    ids=["flow-unbounded", "flow-unordered", "flow-unhashable", "flow-iterator",
-         "interleave-unordered", "interleave-unhashable", "interleave-generator"],
+    ids=["flow-unbounded", "flow-unordered", "flow-unhashable",
+         "interleave-unordered", "interleave-unhashable"],
 )
 def test_validate_rejects_a_domain_the_engine_cannot_order(kind, domain):
-    spec = Flow(name="outer", left=kind(name="q", var="v", domain=domain, body=loop("b")),
-                right=loop("r"))
-    for check in (validate_spec, init):
-        with pytest.raises(SpecificationError, match="^node 'q': "):
-            check(spec)
+    with pytest.raises(SpecificationError, match="^node 'q': "):
+        kind(name="q", var="v", domain=domain, body=loop("b"))
+
+
+@pytest.mark.parametrize(
+    "kind, domain",
+    [(QuantifiedFlow, lambda: iter((2, 1, 2))), (QuantifiedInterleave, lambda: (v for v in (2, 1)))],
+    ids=["flow-iterator", "interleave-generator"],
+)
+def test_a_one_pass_domain_is_read_once_when_the_node_is_made(kind, domain):
+    spec = kind(name="q", var="v", domain=domain(), body=loop("b"))
+    assert spec.domain == (1, 2)  # sorted, de-duplicated, held
+    assert describe(spec).startswith(f"q: {kind.__name__} v in [1, 2]\n")
+    for _ in range(2):
+        assert list(init(spec).instances) == [1, 2]
+
+
+def test_a_made_node_keeps_its_call_args_and_its_domain():
+    values = [2, 1]
+    leaf = loop("p", EventPattern("tick", (Capture("who"),)), params=("x",),
+                attrs=(("seen", lambda env: dict(env)),))
+    call = Call(name="c", callee="p", args={"x": 1})
+    spec = Flow(name="f", left=QuantifiedFlow(name="q", var="v", domain=values, body=loop("b")),
+                right=QuantifiedInterleave(name="i", var="u", domain=UNBOUNDED, body=call))
+    defs = {"p": leaf}
+    before, state = describe(spec, defs), init(spec, defs=defs)
+    with pytest.raises(TypeError, match="read-only"):
+        call.args["y"] = 2
+    values.append(3)
+    assert describe(spec, defs) == before
+    assert dump_state(init(spec, defs=defs)) == dump_state(state)
+    assert list(state.left.instances) == [1, 2]
+    state, _ = step(spec, state, Event("tick", ("al",)), defs=defs)
+    assert dict(state.right.instances["al"].inner.env["seen"]) == {"u": "al", "x": 1}
+
+
+MALFORMED = {
+    "transition-not-a-transition": lambda: Automaton(
+        name="bad", states=("a",), initial="a", finals=("a",), transitions=("a -tick-> a",)),
+    "pattern-not-an-event-pattern": lambda: _with_transition(pattern="tick"),
+    "flow-operand-not-a-node": lambda: Flow(name="bad", left=loop("l"), right="r"),
+    "quantified-body-not-a-node": lambda: QuantifiedFlow(name="bad", var="v", domain=(1,), body=0),
+    "interleave-body-not-a-node": lambda: QuantifiedInterleave(
+        name="bad", var="v", domain=UNBOUNDED, body=None),
+    "attribute-not-a-pair": lambda: loop("bad", attrs=(("n", 0), ("m",))),
+    "attribute-a-bare-name": lambda: loop("bad", attrs=(("n", 0), "m")),
+    "defs-entry-not-a-node": lambda: init(Call(name="bad", callee="p"), defs={"p": None}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_a_malformed_field_is_refused_naming_the_node(name):
+    # Each raised a bare AttributeError or ValueError from inside the engine.
+    with pytest.raises(SpecificationError, match="'bad'"):
+        MALFORMED[name]()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: loop("bad", params="xy"),
+    lambda: Automaton(name="bad", states="ab", initial="a", finals=("a",)),
+    lambda: Automaton(name="bad", states=("a", "b"), initial="a", finals="a"),
+], ids=["params", "states", "finals"])
+def test_a_string_of_names_is_refused_not_split_into_characters(make):
+    with pytest.raises(SpecificationError, match="^node 'bad': .* is a string"):
+        make()
 
 
 # -------------------------------------------------------------- initialisation
@@ -1358,21 +1418,21 @@ def test_every_node_kind_defines_its_own_rules():
     )
     state_types = set()
     for kind in kinds:
-        for rule in ("_operands", "_validate", "_header", "_start", "_final", "_step"):
+        for rule in ("_operands", "_fix", "_header", "_start", "_final", "_step"):
             assert getattr(kind, rule) is not getattr(Node, rule), (kind, rule)
         assert "state_type" in vars(kind), kind
         state_types.add(kind.state_type)
     assert len(state_types) == len(kinds)
-    # A kind checks only its own parts; the walk brings it each operand.
-    malformed = Automaton(name="bad", states=("a",), initial="z", finals=())
-    Flow(name="f", left=malformed, right=malformed)._validate({})
+    # A kind checks its own fields when it is made, so no tree holds a
+    # malformed node and validation has no per-kind rule left.
+    assert not hasattr(Node, "_validate")
     with pytest.raises(SpecificationError, match="'bad'"):
-        validate_spec(Flow(name="f", left=loop("ok"), right=malformed))
+        Automaton(name="bad", states=("a",), initial="z", finals=())
 
 
 def test_both_quantified_kinds_share_one_set_of_rules():
     for kind in (QuantifiedFlow, QuantifiedInterleave):
-        rules = {"_operands", "_validate", "_header", "_start", "_final", "_step"}
+        rules = {"_operands", "_fix", "_header", "_start", "_final", "_step"}
         assert not rules & set(vars(kind)), kind
         assert "_offered" in vars(kind), kind
 
