@@ -1,4 +1,4 @@
-"""Interpreter for trees of composable state machines.
+"""Engine for trees of composable state machines, each step compiled to Python.
 
 A specification is a tree of nodes: plain automata at the leaves, combined by
 ``Flow`` (both operands observe every event), ``Call`` (delegation to a named
@@ -36,22 +36,29 @@ of such parts, builds it when it is made and keeps it; a call starts the
 callee ``defs`` names.  So a lazily built instance costs only the states
 and environments it does not share.
 
-Building: a node is checked and fixed when it is made; a step reads guards
-and actions when it runs.  A constructor computes what the step reads (see
-``Node``); only a node's ``action`` (a call has none) and a transition's
-``guard`` and ``action`` may be assigned later.  A call reads its callee
-from each step's ``defs``, so ``init`` checks only calls and starts the tree.
+Building: a node is checked and fixed when it is made.  A constructor
+computes what the step reads (see ``Node``); only a node's ``action`` (a
+call has none) and a transition's ``guard`` and ``action`` may be assigned
+later.  A node's first ``step`` generates its step as Python and compiles it
+once, in the file ``<flowdetect step 'NAME'>``, kept on the node and never
+copied or pickled: one function unrolls its flows and automata (states and
+transitions in declaration order) and calls its callees' code, and one per
+quantified node runs its instance loop.  Attributes, one-state leaves, capture names and
+patterns are constants there; guards, actions and ``_bare`` are read from
+the nodes as it runs, and a call resolves its callee from the step's
+``defs`` where the step first reaches it and runs the code compiled for
+that node.  So ``init`` checks only calls and starts the tree.
 
 Matching: a step does the event-only part of a pattern (name, arity,
 literals, capture types and the captures themselves) once for each run of
-leaves that use that pattern object, in one slot of the step, and each leaf
-then checks only the pattern's ``Ref`` slots against its own scope.
+leaves that use that pattern object, in one slot its functions share, and
+each leaf then checks only the pattern's ``Ref`` slots against its own scope.
 
 Operators: a node class holds its operator's rules (operands, header, field
-checks and fixed facts, start, acceptance and step), and ``walk`` is the one
-traversal of a tree.  ``step`` and ``is_final`` check only the root state's
-kind, so a state must come from ``init`` or ``step`` for the same
-specification.
+checks and fixed facts, start, acceptance and its step's code), and ``walk``
+is the one traversal of a tree.  ``step`` and ``is_final`` check only the
+root state's kind, so a state must come from ``init`` or ``step`` for the
+same specification.
 
 Determinism: automaton transitions are tried in declaration order and the
 first enabled one fires; quantified domains are iterated in ascending order
@@ -63,6 +70,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from typing import Any, Callable
@@ -268,8 +276,9 @@ class Node:
     Each kind is one operator with states of class ``state_type``.  It
     defines ``_operands(defs)``, ``_header()``, ``_start(local, scope,
     defs)`` from initialised attributes ``local``, also bound in ``scope``,
-    ``_final(state, defs)``, and ``_step(state, scope, ctx)``, ``None`` on
-    refusal; on the base class all five raise.
+    ``_final(state, defs)``, and ``_emit(out, s)``, which writes its step's
+    code to ``out`` for the state in variable ``s`` and names the variable of
+    the new state, ``None`` on refusal; on the base class all five raise.
 
     A node is fixed, and valid, when it is made.  ``__post_init__`` holds
     each sequence field as a tuple, checks ``attrs``, sets ``_bare`` (no
@@ -300,13 +309,14 @@ class Node:
 
     _made = False  # True once ``__post_init__`` ends: assignments are checked from then
     _open = ("action",)  # the fields a made node may still be given
+    _code = None  # the compiled step, once a step needs it; copies and pickles leave it out
 
     state_type = object
 
     def _unknown(self, *_: Any) -> Any:
         raise SpecificationError(f"unknown node type {type(self).__name__}")
 
-    _operands = _header = _start = _final = _step = _unknown
+    _operands = _header = _start = _final = _emit = _unknown
 
     def __post_init__(self) -> None:
         self.params, self.attrs = self._names("params", self.params), tuple(self.attrs)
@@ -338,6 +348,9 @@ class Node:
         if self._made:
             object.__setattr__(self, "_bare", not self.attrs and value is None)
         object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "_code"}
 
     def _is_rest(self, state: Any) -> bool:
         return False
@@ -415,9 +428,14 @@ class Automaton(Node):
                 raise SpecificationError(f"automaton {self.name!r}: duplicate capture in pattern")
             if not all(f is None or callable(f) for f in (t.guard, t.action)):
                 raise SpecificationError(f"automaton {self.name!r}: uncallable guard or action")
-            for s in caps:
+            members = [s.type or () for s in caps]
+            while members:  # every member of each type spec, as ``isinstance`` may read it
+                member = members.pop()
+                if isinstance(member, tuple):
+                    members += member
+                    continue
                 try:
-                    isinstance(None, s.type or ())
+                    isinstance(None, member)
                 except TypeError:
                     raise SpecificationError(f"automaton {self.name!r}: bad capture type") from None
             moves[t.source] = moves.get(t.source, ()) + ((t, t.pattern, names),)
@@ -439,40 +457,40 @@ class Automaton(Node):
     def _final(self, state, defs):
         return state.current in set(self.finals)
 
-    def _step(self, state, scope, ctx):
-        env = state.env
-        shadowed = _bind(scope, env) if env else None
-        for t, pattern, names in self._moves.get(state.current, ()):
-            if pattern is not ctx.pattern:
-                ctx.pattern, ctx.part = pattern, pattern._match_event(ctx.event)
-            refs, captures = ctx.part
-            for name, arg in refs:
-                if scope.get(name, _MISSING) != arg:  # let the pattern refuse or raise
-                    captures = pattern._match_refs(ctx.part, scope)
-                    break
-            if captures is None:
-                continue
+    def _emit(self, out, s):
+        r, current, many = out.var("r"), out.var("c"), len(self.states) > 1
+        bound = out.enter(s, self.attrs)
+        out.add(f"{r} = None" + (f"\n{current} = {s}.current" if many else ""))  # one state: always in it
+        for source, moves in self._moves.items():
+            with out.block(f"if {current} == {out.const(source)}:", many):
+                for i, move in enumerate(moves):
+                    with out.block(f"if {r} is None:", i > 0):
+                        self._emit_move(out, s, r, bound, source, *move)
+        out.refuse(bound, f"{r} is None and ")
+        return r
+
+    def _emit_move(self, out, s, r, bound, source, t, pattern, names):
+        p, t_, n = out.const(pattern), out.const(t), out.const(self)
+        out.add(f"if m[0] is not {p}:\n    m[1] = {p}._match_event(event)\n    m[0] = {p}")
+        refs = [out.const(slot.name) for slot in pattern.slots if isinstance(slot, Ref)]
+        differ = " or ".join(f"scope.get({name}, _MISSING) != refs[{i}][1]" for i, name in enumerate(refs))
+        out.add(f"refs, caps = m[1]\nif caps is None:\n    if refs:\n        {p}._match_refs(m[1], scope)\n"
+                f"elif {differ}:\n    caps = {p}._match_refs(m[1], scope)" if refs else "caps = m[1][1]")
+        with out.block("if caps is not None:"):
             # Captures are transient: bound for the guard and action only.
-            hidden = None
-            for name in names:
-                if name in scope:
-                    hidden = _bind(scope, captures)
-                    break
-            else:
-                scope.update(captures)
-            if t.guard is not None and not t.guard(scope):
-                _drop(scope, names, hidden)
-                continue
-            if t.action is not None:
-                t.action(scope)
-            _drop(scope, names, hidden)
-            new_env = env if self._bare else _leave(self, scope, env, shadowed)
-            if new_env is env and t.target == state.current:
-                return state
-            return self._state(t.target, new_env)
-        if env:
-            _drop(scope, env, shadowed)
-        return None
+            shadows = " or ".join(f"{out.const(name)} in scope" for name in names)
+            pops = "".join(f"\n    scope.pop({out.const(name)}, None)" for name in names)
+            drop = f"if hid is None:{pops}\nelse:\n    _drop(scope, {out.const(names)}, hid)" if names else ""
+            out.add(f"if {shadows}:\n    hid = _bind(scope, caps)\nelse:\n    scope.update(caps)\n    hid = None\n"
+                    f"g = {t_}.guard\nif g is not None and not g(scope):\n    " + drop.replace("\n", "\n    ")
+                    if names else f"g = {t_}.guard")
+            with out.block("else:" if names else "if g is None or g(scope):"):
+                out.add(f"a = {t_}.action\nif a is not None:\n    a(scope)\n{drop}")
+                env, target = out.leave(self, bound), out.const(t.target)
+                if t.target != source:
+                    out.add(f"{r} = {n}._state({target}, {env or s + '.env'})")
+                else:  # a self-loop keeps its state when its env is unchanged
+                    out.add(f"{r} = {s} if {env} is {bound[0]} else {n}._state({target}, {env})" if env else f"{r} = {s}")
 
 
 @dataclass(kw_only=True)
@@ -511,21 +529,24 @@ class Flow(Node):
     def _final(self, state, defs):
         return self.left._final(state.left, defs) and self.right._final(state.right, defs)
 
-    def _step(self, state, scope, ctx):
-        env = state.env
-        shadowed = _bind(scope, env) if env else None
-        left = self.left._step(state.left, scope, ctx)
-        right = self.right._step(state.right, scope, ctx)
-        if left is None and right is None:
-            if env:
-                _drop(scope, env, shadowed)
-            return None
-        new_env = env if self._bare else _leave(self, scope, env, shadowed)
-        left = state.left if left is None else left
-        right = state.right if right is None else right
-        if new_env is env and left is state.left and right is state.right:
-            return state
-        return self._state(new_env, left, right)
+    def _emit(self, out, s):
+        n, left, right, r = out.const(self), out.var("s"), out.var("s"), out.var("r")
+        bound = out.enter(s, self.attrs)
+        out.add(f"{left} = {s}.left")
+        fired_left = self.left._emit(out, left)
+        out.add(f"{right} = {s}.right")
+        fired_right = self.right._emit(out, right)
+        with out.block(f"if {fired_left} is None and {fired_right} is None:"):
+            out.refuse(bound)
+            out.add(f"{r} = None")
+        with out.block("else:"):
+            env = out.leave(self, bound)
+            same = f"{env} is {bound[0]} and " if env else ""
+            out.add(f"if {fired_left} is None:\n    {fired_left} = {left}\n"
+                    f"if {fired_right} is None:\n    {fired_right} = {right}\n"
+                    f"{r} = {s} if {same}{fired_left} is {left} and {fired_right} is {right} else "
+                    f"{n}._state({env or s + '.env'}, {fired_left}, {fired_right})")
+        return r
 
 
 @dataclass(kw_only=True)
@@ -578,32 +599,31 @@ class _Quantified(Node):
     def _final(self, state, defs):
         return all(self.body._final(inst, defs) for inst in state.instances.values())
 
-    def _step(self, state, scope, ctx):
-        offered = self._offered(state, ctx.event)
-        instances = state.instances  # commits replace or add values once the step succeeds
-        env = state.env
-        shadowed = _bind(scope, env) if env else None
-        var, body = self.var, self.body
-        hidden = scope.get(var, _MISSING)
-        step_body = body._step
-        fired = False
-        for value, instance in offered:
-            scope[var] = value
-            start = _init(body, scope, ctx.defs) if instance is None else instance
-            stepped = step_body(start, scope, ctx)
-            if stepped is not None:
-                fired = True
-                if stepped is not instance:
-                    ctx.commits.append((instances, value, stepped))
-        scope.pop(var, None)
-        if hidden is not _MISSING:
-            scope[var] = hidden
-        if not fired:
-            if env:
-                _drop(scope, env, shadowed)
-            return None
-        new_env = env if self._bare else _leave(self, scope, env, shadowed)
-        return state if new_env is env else self.state_type(new_env, instances)
+    def _emit(self, out, s):
+        r = out.var("r")
+        out.add(f"{r} = {out.function(self._loop)}({s}, scope, event, defs, commits, m)")
+        return r
+
+    def _loop(self, out, s):
+        """The node's own function: its instance loop, the body unrolled in it."""
+        n, var, body = out.const(self), out.const(self.var), out.var("s")
+        # Commits replace or add values once the whole step succeeds.
+        out.add(f"offered = {n}._offered({s}, event)\ninstances = {s}.instances")
+        bound = out.enter(s, self.attrs)
+        out.add(f"hidden = scope.get({var}, _MISSING)\nfired = False")
+        with out.block("for value, instance in offered:"):
+            lazy = isinstance(self.domain, _UnboundedDomain)
+            start = f"_init({out.const(self.body)}, scope, defs) if instance is None else " if lazy else ""
+            out.add(f"scope[{var}] = value\n{body} = {start}instance")
+            stepped = self.body._emit(out, body)
+            out.add(f"if {stepped} is not None:\n    fired = True\n    if {stepped} is not instance:\n"
+                    f"        commits.append((instances, value, {stepped}))")
+        out.add(f"scope.pop({var}, None)\nif hidden is not _MISSING:\n    scope[{var}] = hidden")
+        with out.block("if not fired:"):
+            out.refuse(bound)
+            out.add("return None")
+        env = out.leave(self, bound)
+        return f"{s} if {env} is {bound[0]} else {n}.state_type({env}, instances)" if env else s
 
 
 @dataclass(kw_only=True)
@@ -668,6 +688,8 @@ class Call(Node):
     def _fix(self):
         if self.attrs or self.action:
             raise SpecificationError(f"call {self.name!r} must not declare attributes")
+        if not isinstance(self.args, Mapping):
+            raise SpecificationError(f"call {self.name!r}: args is not a mapping of names to values")
         self.args = Env(self.args) if self.args else EMPTY_ENV
 
     def _header(self):
@@ -703,17 +725,20 @@ class Call(Node):
     def _final(self, state, defs):
         return self._callee(defs)._final(state.inner, defs)
 
-    def _step(self, state, scope, ctx):
-        callee = self._callee(ctx.defs)
-        # Parameters are constant; pop them before propagating updates.
-        env = state.env
-        shadowed = _bind(scope, env) if env else None
-        inner = callee._step(state.inner, scope, ctx)
-        if env:
-            _drop(scope, env, shadowed)
-        if inner is None:
-            return None
-        return state if inner is state.inner else self._state(callee, env, inner)
+    def _emit(self, out, s):
+        n, callee, code, inner, r = out.const(self), out.var("c"), out.var("f"), out.var("r"), out.var("r")
+        # The callee is the one this step's defs name where the function first
+        # reaches the call, stepped by the code compiled for it.
+        out.first.append(callee)
+        out.add(f"if {callee} is None:\n    {callee} = defs.get({out.const(self.callee)})\n"
+                f"    if not isinstance({callee}, Node):\n        {n}._callee(defs)\n"
+                f"    {code} = {callee}._code or _compile({callee})")
+        bound = out.enter(s, self.args)  # parameters are constant: popped whether or not it fires
+        out.add(f"{inner} = {code}({s}.inner, scope, event, defs, commits, m)")
+        out.refuse(bound)
+        out.add(f"{r} = None if {inner} is None else {s} if {inner} is {s}.inner else "
+                f"{n}._state({callee}, {s}.env, {inner})")
+        return r
 
 
 # ---------------------------------------------------------------------------
@@ -848,31 +873,104 @@ def step(
     machine, so callers must treat every state as read-only.
     """
     _check_shape(spec, state)
+    code = spec._code or _compile(spec)
     scope = dict(env) if env else {}
-    ctx = _StepContext(event, defs or EMPTY_ENV)
-    new_state = spec._step(state, scope, ctx)
+    commits: list[tuple[dict, Any, Any]] = []  # instance writes, made once the step succeeds
+    new_state = code(state, scope, event, defs or EMPTY_ENV, commits, [None, None])
     if new_state is None:
         return None
-    for instances, value, instance in ctx.commits:
+    for instances, value, instance in commits:
         instances[value] = instance
     return new_state, Env(scope)
 
 
-class _StepContext:
-    """What every node of one step shares.
+def _compile(spec: Node) -> Callable:
+    """Generate ``spec``'s step, compile it and keep it on ``spec``.  Each function
+    takes the state, the scope, the event, the step's ``defs``, the commit
+    queue and ``m``: the last pattern matched in the step and its ``_match_event``."""
+    out = _Source()
+    entry = out.function(spec._loop if isinstance(spec, _Quantified) else spec._emit)
+    source = "\n".join([f"def _unit({', '.join(out.consts)}):", *out.defs, f"    return {entry}\n"])
+    namespace: dict[str, Any] = {}
+    exec(compile(source, f"<flowdetect step {spec.name!r}>", "exec"), globals(), namespace)
+    object.__setattr__(spec, "_code", namespace["_unit"](*out.consts.values()))
+    return spec._code
 
-    ``commits`` queues ``(instances, value, instance)`` writes, applied only
-    once the whole step has succeeded.  ``part`` is ``_match_event`` of the
-    last ``pattern``, its captures shared because nothing mutates them.
+
+class _Source:
+    """The source of one compiled step: in ``defs``, a function for the node
+    compiled and one per quantified node under it, down to the calls.  A
+    function takes the ``consts`` it names (nodes, transitions, patterns,
+    names and states) and the functions it calls as defaults no caller
+    passes, so it reads them as locals; its ``first`` variables start as ``None``.
     """
 
-    __slots__ = ("event", "defs", "commits", "pattern", "part")
+    def __init__(self) -> None:
+        # ``names`` maps a const's id to its name; ``used`` is what the current function names.
+        self.consts, self.names, self.used = {}, {}, {}
+        self.defs, self.lines, self.first = [], [], []
+        self.depth = self.count = 0
 
-    def __init__(self, event: Event, defs: Mapping[str, Node]):
-        self.event = event
-        self.defs = defs
-        self.commits: list[tuple[dict, Any, Any]] = []
-        self.pattern = self.part = None  # the last pattern matched, and its part
+    def var(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def const(self, value: Any) -> str:
+        name = self.names.setdefault(id(value), f"k{len(self.names)}")
+        self.consts[name] = self.used[name] = value
+        return name
+
+    def add(self, code: str) -> None:
+        self.lines += ["    " * self.depth + line for line in code.splitlines()]
+
+    @contextmanager
+    def block(self, header: str, opened: bool = True) -> Iterator[None]:
+        self.add(header if opened else "")  # then what is added inside goes under it
+        self.depth += opened
+        yield
+        self.depth -= opened
+
+    def function(self, emit: Callable[[_Source, str], str]) -> str:
+        """Emit a function of its own around ``emit``'s code; return its name."""
+        outer = self.lines, self.depth, self.used, self.first
+        name, s = self.var("f"), self.var("s")
+        self.lines, self.depth, self.used, self.first = [], 1, {}, []
+        self.add(f"return {emit(self, s)}")
+        defaults = ", ".join(f"{k}={k}" for k in self.used)
+        self.defs += [f"    def {name}({s}, scope, event, defs, commits, m, {defaults}):"]
+        self.defs += [f"        {' = '.join(self.first)} = None"] if self.first else []
+        self.defs += ["    " + line for line in self.lines]
+        self.lines, self.depth, self.used, self.first = outer
+        self.used[name] = None
+        return name
+
+    def enter(self, s: str, bindings: Any) -> tuple[str, str] | None:
+        """Bind the env of the state in ``s``; the variables of it and of what it shadowed."""
+        if not bindings:
+            return None
+        env, shadowed = self.var("e"), self.var("h")
+        self.add(f"{env} = {s}.env\n{shadowed} = _bind(scope, {env}) if {env} else None")
+        return env, shadowed
+
+    def refuse(self, bound: tuple[str, str] | None, when: str = "") -> None:
+        if bound:
+            self.add(f"if {when}{bound[0]}:\n    _drop(scope, {bound[0]}, {bound[1]})")
+
+    def leave(self, node: Node, bound: tuple[str, str] | None) -> str | None:
+        """Run the node action, pop its attributes, restore what they shadowed;
+        the variable of the new env (``None``: a node without attributes keeps its own)."""
+        n = self.const(node)
+        if bound is None:
+            self.add(f"if not {n}._bare:\n    {n}.action(scope)")
+            return None
+        (env, shadowed), new = bound, self.var("e")
+        names = [self.const(name) for name, _ in node.attrs]
+        same = " and ".join(f"scope.get({k}, _MISSING) is {env}[{k}]" for k in names)
+        popped = "".join(f"\n    if {k} in scope:\n        {new}[{k}] = scope.pop({k})" for k in names)
+        self.add(f"a = {n}.action\nif a is not None:\n    a(scope)\nif len({env}) == {len(names)} and {same}:"
+                 + "".join(f"\n    del scope[{k}]" for k in names) + f"\n    {new} = {env}\nelse:\n    {new} = {{}}"
+                 f"{popped}\n    {new} = Env({new}) or EMPTY_ENV\nif {shadowed}:\n    scope.update({shadowed})")
+        return new
 
 
 def _bind(scope: dict, bindings: Mapping[str, Any]) -> dict | None:
@@ -899,36 +997,6 @@ def _drop(scope: dict, names: Iterable[str], shadowed: dict | None) -> None:
 
 
 _MISSING = object()
-
-
-def _leave(spec: Node, scope: dict, env: Env, shadowed: dict | None) -> Env:
-    """Run the node action, then pop the node's attributes out of ``scope``.
-
-    Returns ``env`` itself when every attribute still holds the object it
-    held on entry, at once for a node that declares none, else a new local
-    environment.
-    """
-    if spec.action is not None:
-        spec.action(scope)
-    if not spec.attrs:
-        new = env
-    else:
-        unchanged = len(env) == len(spec.attrs)
-        for name, _ in spec.attrs:
-            value = scope.get(name, _MISSING)
-            if value is _MISSING or value is not env.get(name, _MISSING):
-                unchanged = False
-                break
-        if unchanged:
-            for name in env:
-                del scope[name]
-            new = env
-        else:
-            popped = {name: scope.pop(name) for name, _ in spec.attrs if name in scope}
-            new = Env(popped) if popped else EMPTY_ENV
-    if shadowed:
-        scope.update(shadowed)
-    return new
 
 
 # ---------------------------------------------------------------------------

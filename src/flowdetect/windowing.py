@@ -28,6 +28,10 @@ _DEFAULT_LAYOUT = re.compile(r"(\d\d)/(\d\d)/(\d{4}) ([01]\d|2[0-3]):(\d\d):(\d\
 
 PERIOD_TYPES = ("day", "week", "instance")
 
+#: Every minute of the day as one int object, so that held samples share them
+#: instead of each holding its own (CPython caches only ints up to 256).
+_MINUTES = tuple(range(24 * 60))
+
 @dataclass(frozen=True)
 class WindowConfig:
     window_size: int = 10
@@ -129,12 +133,12 @@ def formatting_data(window: Window, when: datetime) -> None:
     """Fold one event into ``window``: fill it, slide it, evict what slid out.
 
     Sub-minute precision is dropped: the stored sample is
-    ``hour * 60 + minute``.  A unit is a period, or one event for
-    ``instance`` windows.
+    ``hour * 60 + minute``, the shared int of ``_MINUTES``.  A unit is a
+    period, or one event for ``instance`` windows.
     """
     config = window.config
     samples = window.samples
-    minute = when.hour * 60 + when.minute
+    minute = _MINUTES[when.hour * 60 + when.minute]
     if config.type == "instance":
         held = samples.setdefault(0, [])
         held.append(minute)

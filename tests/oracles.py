@@ -13,9 +13,12 @@ another order.  The next holds the detectors' scores and the default-layout
 timestamp reading as they were, for the same ``==`` comparisons.  The next
 holds the loaders that ``load_labels`` and
 ``load_scores`` replaced, whose results and messages they must keep.  The
-last is the detection pipeline as a plain loop over the package's own
+next is the detection pipeline as a plain loop over the package's own
 windows, detectors and vote: it checks how the machine tree assembles them,
-so it shares the parts and none of the assembly.
+so it shares the parts and none of the assembly.  The last is the engine's
+step as the interpreter it was before it was compiled: it reads the same
+nodes and starts instances with the engine's ``_init``, and keeps its own
+scope helpers.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from datetime import datetime
 
 import numpy as np
 
-from flowdetect.errors import InputError, NotFittedError
+from flowdetect.errors import InputError, NotFittedError, SpecificationError
 
 DAY_HOURS = 24.0
 TIE = 1e-12
@@ -702,3 +705,198 @@ def pipeline_plain(config, events) -> dict:
             for user, (_, detectors) in users.items()
         },
     }
+
+
+# ---------------------------------------------------------------------------
+# The engine's step, interpreted node by node
+# ---------------------------------------------------------------------------
+
+
+def step_reference(spec, state, event, env=None, defs=None):
+    """``engine.step`` as the interpreter it replaced: each node kind's step,
+    called node by node, with one scope threaded down the tree."""
+    from flowdetect.engine import EMPTY_ENV, Env, _check_shape
+
+    _check_shape(spec, state)
+    scope = dict(env) if env else {}
+    ctx = _StepContext(event, defs or EMPTY_ENV)
+    new_state = _step(spec, state, scope, ctx)
+    if new_state is None:
+        return None
+    for instances, value, instance in ctx.commits:
+        instances[value] = instance
+    return new_state, Env(scope)
+
+
+class _StepContext:
+    """What every node of one step shares: the queued instance commits, and
+    ``_match_event`` of the last pattern matched."""
+
+    __slots__ = ("event", "defs", "commits", "pattern", "part")
+
+    def __init__(self, event, defs):
+        self.event = event
+        self.defs = defs
+        self.commits = []
+        self.pattern = self.part = None
+
+
+def _step(node, state, scope, ctx):
+    from flowdetect import engine
+
+    step = {
+        engine.Automaton: _step_automaton,
+        engine.Flow: _step_flow,
+        engine.QuantifiedFlow: _step_quantified,
+        engine.QuantifiedInterleave: _step_quantified,
+        engine.Call: _step_call,
+    }.get(type(node))
+    if step is None:
+        raise SpecificationError(f"unknown node type {type(node).__name__}")
+    return step(node, state, scope, ctx)
+
+
+def _step_automaton(self, state, scope, ctx):
+    env = state.env
+    shadowed = _bind(scope, env) if env else None
+    for t, pattern, names in self._moves.get(state.current, ()):
+        if pattern is not ctx.pattern:
+            ctx.pattern, ctx.part = pattern, pattern._match_event(ctx.event)
+        refs, captures = ctx.part
+        for name, arg in refs:
+            if scope.get(name, _MISSING) != arg:  # let the pattern refuse or raise
+                captures = pattern._match_refs(ctx.part, scope)
+                break
+        if captures is None:
+            continue
+        # Captures are transient: bound for the guard and action only.
+        hidden = None
+        for name in names:
+            if name in scope:
+                hidden = _bind(scope, captures)
+                break
+        else:
+            scope.update(captures)
+        if t.guard is not None and not t.guard(scope):
+            _drop(scope, names, hidden)
+            continue
+        if t.action is not None:
+            t.action(scope)
+        _drop(scope, names, hidden)
+        new_env = env if self._bare else _leave(self, scope, env, shadowed)
+        if new_env is env and t.target == state.current:
+            return state
+        return self._state(t.target, new_env)
+    if env:
+        _drop(scope, env, shadowed)
+    return None
+
+
+def _step_flow(self, state, scope, ctx):
+    env = state.env
+    shadowed = _bind(scope, env) if env else None
+    left = _step(self.left, state.left, scope, ctx)
+    right = _step(self.right, state.right, scope, ctx)
+    if left is None and right is None:
+        if env:
+            _drop(scope, env, shadowed)
+        return None
+    new_env = env if self._bare else _leave(self, scope, env, shadowed)
+    left = state.left if left is None else left
+    right = state.right if right is None else right
+    if new_env is env and left is state.left and right is state.right:
+        return state
+    return self._state(new_env, left, right)
+
+
+def _step_quantified(self, state, scope, ctx):
+    from flowdetect.engine import _init
+
+    offered = self._offered(state, ctx.event)
+    instances = state.instances  # commits replace or add values once the step succeeds
+    env = state.env
+    shadowed = _bind(scope, env) if env else None
+    var, body = self.var, self.body
+    hidden = scope.get(var, _MISSING)
+    fired = False
+    for value, instance in offered:
+        scope[var] = value
+        start = _init(body, scope, ctx.defs) if instance is None else instance
+        stepped = _step(body, start, scope, ctx)
+        if stepped is not None:
+            fired = True
+            if stepped is not instance:
+                ctx.commits.append((instances, value, stepped))
+    scope.pop(var, None)
+    if hidden is not _MISSING:
+        scope[var] = hidden
+    if not fired:
+        if env:
+            _drop(scope, env, shadowed)
+        return None
+    new_env = env if self._bare else _leave(self, scope, env, shadowed)
+    return state if new_env is env else self.state_type(new_env, instances)
+
+
+def _step_call(self, state, scope, ctx):
+    callee = self._callee(ctx.defs)
+    # Parameters are constant; pop them before propagating updates.
+    env = state.env
+    shadowed = _bind(scope, env) if env else None
+    inner = _step(callee, state.inner, scope, ctx)
+    if env:
+        _drop(scope, env, shadowed)
+    if inner is None:
+        return None
+    return state if inner is state.inner else self._state(callee, env, inner)
+
+
+def _bind(scope, bindings):
+    """Bind ``bindings`` into ``scope``; return the bindings they shadow, or ``None``."""
+    shadowed = None
+    for name in bindings:
+        if name in scope:
+            if shadowed is None:
+                shadowed = {}
+            shadowed[name] = scope[name]
+    scope.update(bindings)
+    return shadowed
+
+
+def _drop(scope, names, shadowed):
+    """Pop ``names`` out of ``scope`` and restore what they shadowed."""
+    for name in names:
+        scope.pop(name, None)
+    if shadowed:
+        scope.update(shadowed)
+
+
+_MISSING = object()
+
+
+def _leave(spec, scope, env, shadowed):
+    """Run the node action, then pop the node's attributes out of ``scope``;
+    ``env`` itself when every attribute still holds the object it held."""
+    from flowdetect.engine import EMPTY_ENV, Env
+
+    if spec.action is not None:
+        spec.action(scope)
+    if not spec.attrs:
+        new = env
+    else:
+        unchanged = len(env) == len(spec.attrs)
+        for name, _ in spec.attrs:
+            value = scope.get(name, _MISSING)
+            if value is _MISSING or value is not env.get(name, _MISSING):
+                unchanged = False
+                break
+        if unchanged:
+            for name in env:
+                del scope[name]
+            new = env
+        else:
+            popped = {name: scope.pop(name) for name, _ in spec.attrs if name in scope}
+            new = Env(popped) if popped else EMPTY_ENV
+    if shadowed:
+        scope.update(shadowed)
+    return new

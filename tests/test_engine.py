@@ -464,7 +464,7 @@ SHADOWING = {
             left=Flow(name="inner", left=loop("a", action=inc("n")), right=loop("b", action=scale("n", 10))),
             right=loop("deaf", EventPattern("other")),
         ),
-        {"n": 7}, Event("tick"), {None, dict},
+        {"n": 7}, Event("tick"), {dict},
         ({"n": 7}, {
             "kind": "flow", "env": {"n": 10},
             "left": {
@@ -489,10 +489,11 @@ def test_shadowing_round_trips(case, monkeypatch):
     kinds = set()
 
     # Attributes, parameters and shadowing captures bind through ``_bind``.
-    # A step binds the captures that shadow nothing inline, so the kind of a
-    # capture bind is read where ``_drop`` restores what it shadowed (an
-    # action that raises restores nothing); the restores of ``_bind``'s own
-    # binds add no kind it has not returned.
+    # A step binds the captures that shadow nothing inline and pops them
+    # inline, so a capture bind is seen only where it shadowed a name, when
+    # ``_drop`` restores what it hid (an action that raises restores
+    # nothing); the restores of ``_bind``'s own binds add no kind it has not
+    # returned.
     def recording(scope, bindings):
         shadowed = bind(scope, bindings)
         kinds.add(None if shadowed is None else type(shadowed))
@@ -1098,6 +1099,13 @@ MALFORMED = {
     "attribute-not-a-pair": lambda: loop("bad", attrs=(("n", 0), ("m",))),
     "attribute-a-bare-name": lambda: loop("bad", attrs=(("n", 0), "m")),
     "defs-entry-not-a-node": lambda: init(Call(name="bad", callee="p"), defs={"p": None}),
+    # A member after one that matches None was never checked: e(1) raised a bare TypeError.
+    "capture-type-member-after-a-match": lambda: _with_transition(
+        pattern=EventPattern("go", (Capture("v", (type(None), 5)),))),
+    "capture-type-nested-member": lambda: _with_transition(
+        pattern=EventPattern("go", (Capture("v", (int, (type(None), "x"))),))),
+    "call-args-a-number": lambda: Call(name="bad", callee="p", args=5),
+    "call-args-a-list-of-names": lambda: Call(name="bad", callee="p", args=["x"]),
 }
 
 
@@ -1418,7 +1426,7 @@ def test_every_node_kind_defines_its_own_rules():
     )
     state_types = set()
     for kind in kinds:
-        for rule in ("_operands", "_fix", "_header", "_start", "_final", "_step"):
+        for rule in ("_operands", "_fix", "_header", "_start", "_final", "_emit"):
             assert getattr(kind, rule) is not getattr(Node, rule), (kind, rule)
         assert "state_type" in vars(kind), kind
         state_types.add(kind.state_type)
@@ -1432,7 +1440,7 @@ def test_every_node_kind_defines_its_own_rules():
 
 def test_both_quantified_kinds_share_one_set_of_rules():
     for kind in (QuantifiedFlow, QuantifiedInterleave):
-        rules = {"_operands", "_fix", "_header", "_start", "_final", "_step"}
+        rules = {"_operands", "_fix", "_header", "_start", "_final", "_emit"}
         assert not rules & set(vars(kind)), kind
         assert "_offered" in vars(kind), kind
 
