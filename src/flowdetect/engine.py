@@ -36,18 +36,17 @@ of such parts, builds it when it is made and keeps it; a call starts the
 callee ``defs`` names.  So a lazily built instance costs only the states
 and environments it does not share.
 
-Building: a node is checked and fixed when it is made.  A constructor
-computes what the step reads (see ``Node``); only a node's ``action`` (a
-call has none) and a transition's ``guard`` and ``action`` may be assigned
-later.  A node's first ``step`` generates its step as Python and compiles it
-once, in the file ``<flowdetect step 'NAME'>``, kept on the node and never
-copied or pickled: one function unrolls its flows and automata (states and
-transitions in declaration order) and calls its callees' code, and one per
-quantified node runs its instance loop.  Attributes, one-state leaves, capture names and
-patterns are constants there; guards, actions and ``_bare`` are read from
-the nodes as it runs, and a call resolves its callee from the step's
-``defs`` where the step first reaches it and runs the code compiled for
-that node.  So ``init`` checks only calls and starts the tree.
+Building: a node is checked and fixed when it is made, and its constructor
+computes what ``init`` reads (see ``Node``).  Its first ``step`` generates
+its step as Python and compiles it once, in the file ``<flowdetect step
+'NAME'>``, kept on the node and never copied or pickled: one function
+unrolls its flows and automata (states and transitions in declaration
+order) and calls its callees' code, and one per quantified node runs its
+instance loop.  Attributes, one-state leaves, capture names, patterns,
+guards and actions are constants there: a node's ``action`` and a
+transition's ``guard`` and ``action`` may be assigned until then, not
+after.  A call resolves its callee from the step's ``defs`` where the step
+first reaches it.  So ``init`` checks only calls and starts the tree.
 
 Matching: a step does the event-only part of a pattern (name, arity,
 literals, capture types and the captures themselves) once for each run of
@@ -266,8 +265,26 @@ UNBOUNDED = _UnboundedDomain()
 AttrInit = Any
 
 
+class _Fixed:
+    """A spec part, fixed once made but for the callables in ``_open``, which compiling
+    a step that runs it empties; a copy or pickle leaves out ``_open`` and the code."""
+
+    _made = False  # True once ``__post_init__`` ends: assignments are checked from then
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if self._made:
+            if name not in self._open:
+                raise AttributeError(f"{self._label} is fixed: {name!r} cannot change")
+            if value is not None and not callable(value):
+                raise SpecificationError(f"{self._label}: {name} is not callable")
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name not in ("_code", "_open")}
+
+
 @dataclass(kw_only=True)
-class Node:
+class Node(_Fixed):
     """Common header of every specification node.
 
     ``params`` names the values a ``Call`` targeting this node must bind;
@@ -280,12 +297,11 @@ class Node:
     code to ``out`` for the state in variable ``s`` and names the variable of
     the new state, ``None`` on refusal; on the base class all five raise.
 
-    A node is fixed, and valid, when it is made.  ``__post_init__`` holds
-    each sequence field as a tuple, checks ``attrs``, sets ``_bare`` (no
-    attributes, no action) and ``_plain``, and calls the kind's ``_fix()``,
-    which checks its own fields and computes its facts; a refusal, like a
-    non-callable action at any time, is a ``SpecificationError`` naming the
-    node.  Once made, assigning a field not in ``_open`` raises ``AttributeError``.
+    A node is fixed, and valid, when it is made.  ``__post_init__`` holds each
+    sequence field as a tuple, checks ``attrs`` and ``action``, sets ``_plain``
+    and calls the kind's ``_fix()``, which checks its own fields and computes
+    what ``init`` reads; a refusal is a ``SpecificationError`` naming the node.
+    Then only ``action`` may be assigned (a call has none), until compiled.
 
     ``_rest`` holds the node's shared at-rest states.  The kinds that share
     them (automata, flows and calls) build each through ``_at_rest`` and
@@ -305,10 +321,9 @@ class Node:
     _rest: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _kept: Any = field(default=None, init=False, compare=False, repr=False)
     _plain: Env | None = field(default=None, init=False, compare=False, repr=False)
-    _bare: bool = field(default=False, init=False, compare=False, repr=False)
 
-    _made = False  # True once ``__post_init__`` ends: assignments are checked from then
-    _open = ("action",)  # the fields a made node may still be given
+    _open = ("action",)
+    _label = property(lambda self: f"node {self.name!r}")
     _code = None  # the compiled step, once a step needs it; copies and pickles leave it out
 
     state_type = object
@@ -326,7 +341,8 @@ class Node:
             raise SpecificationError(f"node {self.name!r}: attrs are not (name, initial) pairs") from None
         if len(local) != len(self.attrs):
             raise SpecificationError(f"node {self.name!r} declares duplicate attributes")
-        self._bare = not self.attrs and self.action is None
+        if self.action is not None and not callable(self.action):
+            raise SpecificationError(f"node {self.name!r}: action is not callable")
         if not any(map(callable, local.values())):
             self._plain = local or EMPTY_ENV
         self._fix()
@@ -340,18 +356,6 @@ class Node:
             raise SpecificationError(f"node {self.name!r}: {label} is a string, not names")
         return tuple(names)
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        if self._made and name not in self._open:
-            raise AttributeError(f"node {self.name!r} is fixed: {name!r} cannot change")
-        if name == "action" and value is not None and not callable(value):
-            raise SpecificationError(f"node {self.name!r}: action is not callable")
-        if self._made:
-            object.__setattr__(self, "_bare", not self.attrs and value is None)
-        object.__setattr__(self, name, value)
-
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name != "_code"}
-
     def _is_rest(self, state: Any) -> bool:
         return False
 
@@ -364,25 +368,18 @@ class Node:
 
 
 @dataclass(kw_only=True)
-class Transition:
+class Transition(_Fixed):
     source: str
     pattern: EventPattern
     target: str
     guard: Guard | None = None
     action: Action | None = None
 
-    _made = False
+    _open = ("guard", "action")
+    _label = property(lambda self: f"transition {self}")
 
     def __post_init__(self) -> None:
         self._made = True
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if self._made:
-            if name not in ("guard", "action"):
-                raise AttributeError(f"transition {self} is fixed: {name!r} cannot change")
-            if value is not None and not callable(value):
-                raise SpecificationError(f"transition {self}: {name} is not callable")
-        object.__setattr__(self, name, value)
 
     def __str__(self) -> str:
         slots = ", ".join(map(_slot, self.pattern.slots))
@@ -396,7 +393,6 @@ class Automaton(Node):
     initial: str
     finals: Sequence[str]
     transitions: Sequence[Transition] = ()
-    _moves: dict = field(default=None, init=False, compare=False, repr=False)
 
     state_type = AutomatonState
 
@@ -416,7 +412,6 @@ class Automaton(Node):
             raise SpecificationError(f"automaton {self.name!r}: unknown initial state")
         if not set(self.finals) <= states:
             raise SpecificationError(f"automaton {self.name!r}: final states not declared")
-        moves: dict[str, tuple] = {}
         for t in self.transitions:
             if not isinstance(t, Transition) or not isinstance(t.pattern, EventPattern):
                 raise SpecificationError(f"automaton {self.name!r}: malformed transition {t!r}")
@@ -438,8 +433,6 @@ class Automaton(Node):
                     isinstance(None, member)
                 except TypeError:
                     raise SpecificationError(f"automaton {self.name!r}: bad capture type") from None
-            moves[t.source] = moves.get(t.source, ()) + ((t, t.pattern, names),)
-        self._moves = moves
         if not self.attrs:
             self._kept = self._state(self.initial, EMPTY_ENV)
 
@@ -459,18 +452,20 @@ class Automaton(Node):
 
     def _emit(self, out, s):
         r, current, many = out.var("r"), out.var("c"), len(self.states) > 1
+        out.sealed += (self, *self.transitions)
         bound = out.enter(s, self.attrs)
         out.add(f"{r} = None" + (f"\n{current} = {s}.current" if many else ""))  # one state: always in it
-        for source, moves in self._moves.items():
+        for source in dict.fromkeys(t.source for t in self.transitions):
             with out.block(f"if {current} == {out.const(source)}:", many):
-                for i, move in enumerate(moves):
+                for i, t in enumerate([t for t in self.transitions if t.source == source]):
                     with out.block(f"if {r} is None:", i > 0):
-                        self._emit_move(out, s, r, bound, source, *move)
+                        self._emit_move(out, s, r, bound, t)
         out.refuse(bound, f"{r} is None and ")
         return r
 
-    def _emit_move(self, out, s, r, bound, source, t, pattern, names):
-        p, t_, n = out.const(pattern), out.const(t), out.const(self)
+    def _emit_move(self, out, s, r, bound, t):
+        pattern, n = t.pattern, out.const(self)
+        p, names = out.const(pattern), tuple(slot.name for slot in pattern.slots if isinstance(slot, Capture))
         out.add(f"if m[0] is not {p}:\n    m[1] = {p}._match_event(event)\n    m[0] = {p}")
         refs = [out.const(slot.name) for slot in pattern.slots if isinstance(slot, Ref)]
         differ = " or ".join(f"scope.get({name}, _MISSING) != refs[{i}][1]" for i, name in enumerate(refs))
@@ -481,13 +476,14 @@ class Automaton(Node):
             shadows = " or ".join(f"{out.const(name)} in scope" for name in names)
             pops = "".join(f"\n    scope.pop({out.const(name)}, None)" for name in names)
             drop = f"if hid is None:{pops}\nelse:\n    _drop(scope, {out.const(names)}, hid)" if names else ""
-            out.add(f"if {shadows}:\n    hid = _bind(scope, caps)\nelse:\n    scope.update(caps)\n    hid = None\n"
-                    f"g = {t_}.guard\nif g is not None and not g(scope):\n    " + drop.replace("\n", "\n    ")
-                    if names else f"g = {t_}.guard")
-            with out.block("else:" if names else "if g is None or g(scope):"):
-                out.add(f"a = {t_}.action\nif a is not None:\n    a(scope)\n{drop}")
+            guard = None if t.guard is None else f"{out.const(t.guard)}(scope)"
+            if names:
+                out.add(f"if {shadows}:\n    hid = _bind(scope, caps)\nelse:\n    scope.update(caps)\n    hid = None"
+                        + (f"\nif not {guard}:\n    " + drop.replace("\n", "\n    ") if guard else ""))
+            with out.block("else:" if names else f"if {guard}:", guard is not None):
+                out.add(("" if t.action is None else f"{out.const(t.action)}(scope)\n") + drop)
                 env, target = out.leave(self, bound), out.const(t.target)
-                if t.target != source:
+                if t.target != t.source:
                     out.add(f"{r} = {n}._state({target}, {env or s + '.env'})")
                 else:  # a self-loop keeps its state when its env is unchanged
                     out.add(f"{r} = {s} if {env} is {bound[0]} else {n}._state({target}, {env})" if env else f"{r} = {s}")
@@ -531,6 +527,7 @@ class Flow(Node):
 
     def _emit(self, out, s):
         n, left, right, r = out.const(self), out.var("s"), out.var("s"), out.var("r")
+        out.sealed.append(self)
         bound = out.enter(s, self.attrs)
         out.add(f"{left} = {s}.left")
         fired_left = self.left._emit(out, left)
@@ -607,6 +604,7 @@ class _Quantified(Node):
     def _loop(self, out, s):
         """The node's own function: its instance loop, the body unrolled in it."""
         n, var, body = out.const(self), out.const(self.var), out.var("s")
+        out.sealed.append(self)
         # Commits replace or add values once the whole step succeeds.
         out.add(f"offered = {n}._offered({s}, event)\ninstances = {s}.instances")
         bound = out.enter(s, self.attrs)
@@ -894,21 +892,23 @@ def _compile(spec: Node) -> Callable:
     namespace: dict[str, Any] = {}
     exec(compile(source, f"<flowdetect step {spec.name!r}>", "exec"), globals(), namespace)
     object.__setattr__(spec, "_code", namespace["_unit"](*out.consts.values()))
+    for part in out.sealed:  # its guards and actions are constants of the code now
+        object.__setattr__(part, "_open", ())
     return spec._code
 
 
 class _Source:
     """The source of one compiled step: in ``defs``, a function for the node
-    compiled and one per quantified node under it, down to the calls.  A
-    function takes the ``consts`` it names (nodes, transitions, patterns,
-    names and states) and the functions it calls as defaults no caller
-    passes, so it reads them as locals; its ``first`` variables start as ``None``.
-    """
+    compiled and one per quantified node under it, down to the calls, and in
+    ``sealed`` the parts it is written from.  A function takes the ``consts``
+    it names (nodes, patterns, guards, actions, names and states) and the
+    functions it calls as defaults no caller passes, so it reads them as
+    locals; its ``first`` variables start as ``None``."""
 
     def __init__(self) -> None:
         # ``names`` maps a const's id to its name; ``used`` is what the current function names.
         self.consts, self.names, self.used = {}, {}, {}
-        self.defs, self.lines, self.first = [], [], []
+        self.defs, self.lines, self.first, self.sealed = [], [], [], []
         self.depth = self.count = 0
 
     def var(self, prefix: str) -> str:
@@ -959,15 +959,15 @@ class _Source:
     def leave(self, node: Node, bound: tuple[str, str] | None) -> str | None:
         """Run the node action, pop its attributes, restore what they shadowed;
         the variable of the new env (``None``: a node without attributes keeps its own)."""
-        n = self.const(node)
+        if node.action is not None:
+            self.add(f"{self.const(node.action)}(scope)")
         if bound is None:
-            self.add(f"if not {n}._bare:\n    {n}.action(scope)")
             return None
         (env, shadowed), new = bound, self.var("e")
         names = [self.const(name) for name, _ in node.attrs]
         same = " and ".join(f"scope.get({k}, _MISSING) is {env}[{k}]" for k in names)
         popped = "".join(f"\n    if {k} in scope:\n        {new}[{k}] = scope.pop({k})" for k in names)
-        self.add(f"a = {n}.action\nif a is not None:\n    a(scope)\nif len({env}) == {len(names)} and {same}:"
+        self.add(f"if len({env}) == {len(names)} and {same}:"
                  + "".join(f"\n    del scope[{k}]" for k in names) + f"\n    {new} = {env}\nelse:\n    {new} = {{}}"
                  f"{popped}\n    {new} = Env({new}) or EMPTY_ENV\nif {shadowed}:\n    scope.update({shadowed})")
         return new

@@ -39,6 +39,7 @@ from .engine import (
     Automaton,
     Call,
     Capture,
+    Env,
     Event,
     EventPattern,
     Flow,
@@ -269,10 +270,9 @@ def build_spec(config: PipelineConfig) -> tuple[QuantifiedInterleave, dict[str, 
     its caller, and binds a scored event as ``scored``.  The vote is the
     ``majority_vote`` this module holds when the tree is built.
     """
-    names = sorted(config.detectors)
     vote = majority_vote
-    # Unfitted detectors are shared by every user: a fit replaces the map.
-    unfitted = MappingProxyType(init_map(config.detectors))
+    # Unfitted detectors are shared by every user, read-only: a fit replaces the map.
+    unfitted = Env(init_map(config.detectors))
 
     pattern = EventPattern(
         "e", (Ref("userId"), Capture("eventDate", str), Capture("eventId", str))
@@ -323,7 +323,7 @@ def build_spec(config: PipelineConfig) -> tuple[QuantifiedInterleave, dict[str, 
         left=QuantifiedFlow(
             name="detectors",
             var="d",
-            domain=tuple(names),
+            domain=tuple(config.detectors),  # held sorted
             attrs=[("detectors", unfitted)],
             body=Call(name="detector", callee="detector_instance"),
         ),

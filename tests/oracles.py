@@ -714,7 +714,8 @@ def pipeline_plain(config, events) -> dict:
 
 def step_reference(spec, state, event, env=None, defs=None):
     """``engine.step`` as the interpreter it replaced: each node kind's step,
-    called node by node, with one scope threaded down the tree."""
+    called node by node, with one scope threaded down the tree.  It reads
+    only a node's public fields, never what its constructor computed."""
     from flowdetect.engine import EMPTY_ENV, Env, _check_shape
 
     _check_shape(spec, state)
@@ -757,9 +758,15 @@ def _step(node, state, scope, ctx):
 
 
 def _step_automaton(self, state, scope, ctx):
+    from flowdetect.engine import Capture
+
     env = state.env
     shadowed = _bind(scope, env) if env else None
-    for t, pattern, names in self._moves.get(state.current, ()):
+    for t in self.transitions:  # in declaration order
+        if t.source != state.current:
+            continue
+        pattern = t.pattern
+        names = [slot.name for slot in pattern.slots if isinstance(slot, Capture)]
         if pattern is not ctx.pattern:
             ctx.pattern, ctx.part = pattern, pattern._match_event(ctx.event)
         refs, captures = ctx.part
@@ -783,7 +790,7 @@ def _step_automaton(self, state, scope, ctx):
         if t.action is not None:
             t.action(scope)
         _drop(scope, names, hidden)
-        new_env = env if self._bare else _leave(self, scope, env, shadowed)
+        new_env = _leave(self, scope, env, shadowed)
         if new_env is env and t.target == state.current:
             return state
         return self._state(t.target, new_env)
@@ -801,7 +808,7 @@ def _step_flow(self, state, scope, ctx):
         if env:
             _drop(scope, env, shadowed)
         return None
-    new_env = env if self._bare else _leave(self, scope, env, shadowed)
+    new_env = _leave(self, scope, env, shadowed)
     left = state.left if left is None else left
     right = state.right if right is None else right
     if new_env is env and left is state.left and right is state.right:
@@ -834,7 +841,7 @@ def _step_quantified(self, state, scope, ctx):
         if env:
             _drop(scope, env, shadowed)
         return None
-    new_env = env if self._bare else _leave(self, scope, env, shadowed)
+    new_env = _leave(self, scope, env, shadowed)
     return state if new_env is env else self.state_type(new_env, instances)
 
 

@@ -391,8 +391,17 @@ def test_a_guard_that_raises_is_traced_to_the_compiled_step():
 
 
 def nodes_of(code):
-    """The nodes, transitions and patterns compiled code reads, by id."""
-    return {id(value) for value in code.__defaults__ if isinstance(value, (Node, Transition, EventPattern))}
+    """The nodes and patterns compiled code reads, by id."""
+    return {id(value) for value in code.__defaults__ if isinstance(value, (Node, EventPattern))}
+
+
+def open_fields(spec, defs):
+    """The ``(part, field)`` of every guard and action of a tree, set or not."""
+    for _, node in walk(spec, defs):
+        if not isinstance(node, Call):
+            yield node, "action"
+        for t in getattr(node, "transitions", ()):
+            yield from ((t, "guard"), (t, "action"))
 
 
 def test_pipelines_and_copies_share_no_compiled_code():
@@ -403,14 +412,19 @@ def test_pipelines_and_copies_share_no_compiled_code():
     for a, b in ((first.spec, second.spec), (first.defs["detector_instance"], second.defs["detector_instance"])):
         assert a._code is not None and b._code is not None and a._code is not b._code
         assert not nodes_of(a._code) & nodes_of(b._code)
-    # A copy or a pickle of a stepped spec starts without code and compiles
-    # its own, which reads the copy's nodes.
+    # A copy or a pickle of a stepped spec starts without code and unsealed,
+    # and compiles its own, which reads the copy's nodes.
     spec = Flow(name="f", attrs=(("n", 0),), left=leaf("l", move=count), right=Call(name="c", callee="p"))
     defs = {"p": leaf("p", attrs=(("n", 0),), move=count)}
     state, _ = step(spec, init(spec, defs=defs), Event("t", (1,)), defs=defs)
     originals = {id(node) for _, node in walk(spec, defs)}
+    for part, name in open_fields(spec, defs):
+        with pytest.raises(AttributeError, match="is fixed"):
+            setattr(part, name, getattr(part, name))
     for twin, twin_defs in (copy.deepcopy((spec, defs)), pickle.loads(pickle.dumps((spec, defs)))):
         assert all(node._code is None for _, node in walk(twin, twin_defs))
+        for part, name in open_fields(twin, twin_defs):
+            setattr(part, name, getattr(part, name))  # the same value back
         twin_state, _ = step(twin, init(twin, defs=twin_defs), Event("t", (1,)), defs=twin_defs)
         assert dump_state(twin_state) == dump_state(state)
         for node, original in ((twin, spec), (twin_defs["p"], defs["p"])):
@@ -446,3 +460,23 @@ def test_code_is_compiled_once_per_node_it_steps(monkeypatch):
         for _ in range(3):
             state, _ = step(call, state, Event("tick"), defs=defs)
     assert compiled == ["<flowdetect step 'c'>", "<flowdetect step 'first'>", "<flowdetect step 'second'>"]
+
+
+def test_the_pipelines_code_holds_its_guards_and_actions_as_constants(monkeypatch):
+    # Each is taken into the code when it is compiled, so a step reads none
+    # from the tree, and every part the code was compiled from is sealed.
+    sources = {}
+
+    def keeping(source, filename, mode):
+        sources[filename] = source
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(engine_module, "compile", keeping, raising=False)
+    pipeline = Pipeline()
+    pipeline.process_event(Event("e", ("alice", "01/04/2010 09:00:00", "a-1")))
+    assert sorted(sources) == ["<flowdetect step 'detector_instance'>", "<flowdetect step 'users'>"]
+    for source in sources.values():
+        assert ".guard" not in source and ".action" not in source and "_bare" not in source
+    for part, name in open_fields(pipeline.spec, pipeline.defs):
+        with pytest.raises(AttributeError, match="is fixed"):
+            setattr(part, name, getattr(part, name))

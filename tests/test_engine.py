@@ -1221,6 +1221,7 @@ def test_a_built_tree_copies_and_pickles_and_each_copy_steps_alike(with_defs):
 
 @pytest.mark.parametrize("part", ("guard", "transition_action", "node_action", "bare_node_action"))
 def test_a_guard_or_action_replaced_after_init_is_the_one_the_next_step_calls(part):
+    # Until the first step compiles them in; then each is fixed.
     calls = []
 
     def record(name, result=None):
@@ -1244,11 +1245,14 @@ def test_a_guard_or_action_replaced_after_init_is_the_one_the_next_step_calls(pa
     new = {"guard": "new guard", "transition_action": "new action",
            "node_action": "new node action", "bare_node_action": "new bare action"}[part]
     assert new in calls and f"old {new[4:]}" not in calls
-    # one that is taken away is not called either
+    compiled = calls.copy()
+    for owner, name in ((leaf.transitions[0], "guard"), (leaf.transitions[0], "action"),
+                        (spec, "action"), (bare, "action")):
+        with pytest.raises(AttributeError, match="is fixed"):
+            setattr(owner, name, None)
     calls.clear()
-    leaf.transitions[0].guard = leaf.transitions[0].action = spec.action = bare.action = None
     assert step(spec, state, Event("tick")) is not None
-    assert calls == []
+    assert calls == compiled
 
 
 @pytest.mark.parametrize("part", ("guard", "transition_action", "node_action"))
@@ -1337,9 +1341,9 @@ def made(kind):
 )
 def test_a_made_node_refuses_every_fixed_field_and_steps_as_before(kind):
     spec, defs, fixed, open_fields = made(kind)
+    twin, twin_defs, _, _ = made(kind)
     event = Event("tick", ("u",)) if kind == "quantified_interleave" else Event("tick")
-    state = init(spec, defs=defs)
-    expected = dump_state(step(spec, state, event, defs=defs)[0])
+    expected = dump_state(step(twin, init(twin, defs=twin_defs), event, defs=twin_defs)[0])
     names = [f.name for f in dataclasses.fields(fixed)] + ["extra"]
     assert open_fields < set(names)
     for name in names:
@@ -1350,6 +1354,10 @@ def test_a_made_node_refuses_every_fixed_field_and_steps_as_before(kind):
     for name in open_fields:  # the same value back, so the step below is unchanged
         setattr(fixed, name, getattr(fixed, name))
     assert "extra" not in vars(fixed)
+    assert dump_state(step(spec, init(spec, defs=defs), event, defs=defs)[0]) == expected
+    for name in open_fields:  # the first step compiled them in
+        with pytest.raises(AttributeError, match="is fixed"):
+            setattr(fixed, name, getattr(fixed, name))
     assert dump_state(step(spec, init(spec, defs=defs), event, defs=defs)[0]) == expected
 
 

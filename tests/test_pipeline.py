@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import gc
 import importlib.util
 import json
@@ -35,12 +36,14 @@ from flowdetect.engine import (
     Call,
     CallState,
     Capture,
+    Env,
     Event,
     EventPattern,
     FlowState,
     QuantifiedFlow,
     QuantifiedInterleave,
     describe,
+    init,
     walk,
 )
 from flowdetect.errors import ConfigurationError, InputError
@@ -775,13 +778,29 @@ def test_a_fit_leaves_the_other_users_detectors_unfitted():
     assert pipeline.state.instances["bob"].left.left.env is shared and dict(shared) == held
     fitted, unfitted = detectors_of(pipeline, "alice"), detectors_of(pipeline, "bob")
     assert detectors_of(pipeline, "carol") is unfitted
-    assert isinstance(unfitted, MappingProxyType)
+    assert isinstance(unfitted, Env)
     assert fitted is not unfitted
     assert all(detector.trained_version == 1 for detector in fitted.values())
     assert sorted(unfitted) == sorted(fitted)
     for name, detector in unfitted.items():
         assert detector.trained_version == -1
         assert detector is not fitted[name]
+
+
+def test_the_built_tree_deep_copies_and_the_copy_steps_alike():
+    # The shared unfitted detectors are held in an Env, which copies, so the
+    # whole tree and its defs copy; the copy compiles and fits on its own.
+    pipeline, twin = Pipeline(weekly_config()), Pipeline(weekly_config())
+    twin.spec, twin.defs = copy.deepcopy((pipeline.spec, pipeline.defs))
+    twin.state = init(twin.spec, defs=twin.defs)
+    assert twin.dump() == pipeline.dump()
+    for event in weekday_events("alice", 4) + weekday_events("bob", 1):  # alice fits from event 31
+        assert twin.process_event(event) == pipeline.process_event(event)
+        assert twin.dump() == pipeline.dump()
+    assert twin.drain_scores() == pipeline.drain_scores() != []
+    assert twin.counters == pipeline.counters and pipeline.counters.retrains > 0
+    for name, detector in detectors_of(twin, "alice").items():
+        assert detector is not detectors_of(pipeline, "alice")[name]
 
 
 def test_a_pipeline_event_matches_its_pattern_once(monkeypatch):
