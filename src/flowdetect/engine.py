@@ -14,10 +14,10 @@ step threads one mutable scope of variable bindings down the tree.  Entering
 a node binds its attributes (a call's parameters, a quantified variable)
 into the scope and remembers what they shadow, so a node that shadows no
 name allocates nothing to bind; leaving it runs the node action on the
-scope, pops the node's attributes into its new local environment and
-restores what they shadowed, so every other name travels outward to the
-caller.  A refusing node pops its bindings and leaves the
-scope as it found it.  Guards must be side-effect free.  Local and
+scope, takes back the names its entry bound into its new local environment
+and restores what they shadowed, so every other name travels outward to the
+caller.  A refusing node pops its bindings and leaves the scope as it found
+it.  Guards must be side-effect free.  Local and
 enclosing environments are ``Env`` objects: plain ``dict`` instances whose
 mutators raise, so the scope is the only binding set a step writes.
 
@@ -67,6 +67,7 @@ of their values, the order of the instance map they build.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping, Sequence
 from contextlib import contextmanager
@@ -275,8 +276,7 @@ class _Fixed:
         if self._made:
             if name not in self._open:
                 raise AttributeError(f"{self._label} is fixed: {name!r} cannot change")
-            if value is not None and not callable(value):
-                raise SpecificationError(f"{self._label}: {name} is not callable")
+            _check_arity(f"{self._label}: {name}", value)
         object.__setattr__(self, name, value)
 
     def __getstate__(self) -> dict:
@@ -298,9 +298,10 @@ class Node(_Fixed):
     the new state, ``None`` on refusal; on the base class all five raise.
 
     A node is fixed, and valid, when it is made.  ``__post_init__`` holds each
-    sequence field as a tuple, checks ``attrs`` and ``action``, sets ``_plain``
-    and calls the kind's ``_fix()``, which checks its own fields and computes
-    what ``init`` reads; a refusal is a ``SpecificationError`` naming the node.
+    sequence field as a tuple, checks ``attrs`` and ``action`` (each callable
+    must take one argument), sets ``_plain`` and calls the kind's ``_fix()``,
+    which checks its own fields and computes what ``init`` reads; a refusal is
+    a ``SpecificationError`` naming the node.
     Then only ``action`` may be assigned (a call has none), until compiled.
 
     ``_rest`` holds the node's shared at-rest states.  The kinds that share
@@ -341,8 +342,8 @@ class Node(_Fixed):
             raise SpecificationError(f"node {self.name!r}: attrs are not (name, initial) pairs") from None
         if len(local) != len(self.attrs):
             raise SpecificationError(f"node {self.name!r} declares duplicate attributes")
-        if self.action is not None and not callable(self.action):
-            raise SpecificationError(f"node {self.name!r}: action is not callable")
+        _check_arity(f"node {self.name!r}: action", self.action)
+        self._check_initialisers(local)
         if not any(map(callable, local.values())):
             self._plain = local or EMPTY_ENV
         self._fix()
@@ -350,6 +351,11 @@ class Node(_Fixed):
 
     def _fix(self) -> None:
         """Check the kind's own fields and compute its fixed facts; the common ones are set."""
+
+    def _check_initialisers(self, initials: Mapping[str, AttrInit]) -> None:
+        for name, initial in initials.items():
+            if callable(initial):
+                _check_arity(f"node {self.name!r}: initialiser of {name!r}", initial)
 
     def _names(self, label: str, names: Iterable[str]) -> tuple[str, ...]:
         if isinstance(names, str):  # ``tuple`` would split it into characters
@@ -421,8 +427,8 @@ class Automaton(Node):
             names = tuple(s.name for s in caps)
             if len(set(names)) != len(names):
                 raise SpecificationError(f"automaton {self.name!r}: duplicate capture in pattern")
-            if not all(f is None or callable(f) for f in (t.guard, t.action)):
-                raise SpecificationError(f"automaton {self.name!r}: uncallable guard or action")
+            _check_arity(f"automaton {self.name!r}: guard", t.guard)
+            _check_arity(f"automaton {self.name!r}: action", t.action)
             members = [s.type or () for s in caps]
             while members:  # every member of each type spec, as ``isinstance`` may read it
                 member = members.pop()
@@ -689,6 +695,7 @@ class Call(Node):
         if not isinstance(self.args, Mapping):
             raise SpecificationError(f"call {self.name!r}: args is not a mapping of names to values")
         self.args = Env(self.args) if self.args else EMPTY_ENV
+        self._check_initialisers(self.args)
 
     def _header(self):
         return f"Call {self.callee}({', '.join(self.args)})"
@@ -728,8 +735,7 @@ class Call(Node):
         # The callee is the one this step's defs name where the function first
         # reaches the call, stepped by the code compiled for it.
         out.first.append(callee)
-        out.add(f"if {callee} is None:\n    {callee} = defs.get({out.const(self.callee)})\n"
-                f"    if not isinstance({callee}, Node):\n        {n}._callee(defs)\n"
+        out.add(f"if {callee} is None:\n    {callee} = {n}._callee(defs)\n"
                 f"    {code} = {callee}._code or _compile({callee})")
         bound = out.enter(s, self.args)  # parameters are constant: popped whether or not it fires
         out.add(f"{inner} = {code}({s}.inner, scope, event, defs, commits, m)")
@@ -778,6 +784,21 @@ def describe(spec: Node, defs: Mapping[str, Node] | None = None) -> str:
         text = f"{node.name}{params}{attrs}{_named(' / ', node.action)}: {node._header()}"
         lines += ["  " * depth + line for line in text.split("\n")]
     return "\n".join(lines)
+
+
+def _check_arity(label: str, f: Any) -> None:
+    """Refuse ``f`` unless it is ``None`` or takes the one argument the engine
+    passes; a callable whose signature cannot be read (``dict``, some builtins) passes."""
+    try:
+        signature = inspect.signature(f)
+    except (TypeError, ValueError):  # not callable, or no signature to read
+        if f is None or callable(f):
+            return
+        raise SpecificationError(f"{label} is not callable") from None
+    try:
+        signature.bind(object())
+    except TypeError:
+        raise SpecificationError(f"{label} does not take one argument") from None
 
 
 def _named(before: str, value: Any, after: str = "") -> str:
@@ -883,27 +904,26 @@ def step(
 
 
 def _compile(spec: Node) -> Callable:
-    """Generate ``spec``'s step, compile it and keep it on ``spec``.  Each function
-    takes the state, the scope, the event, the step's ``defs``, the commit
-    queue and ``m``: the last pattern matched in the step and its ``_match_event``."""
+    """Generate ``spec``'s step as top-level functions, callees first, whose defaults read
+    the consts; compile it and keep it on ``spec``.  Each takes the state, the scope, the event,
+    the step's ``defs``, the commit queue and ``m``: the last pattern matched and its ``_match_event``."""
     out = _Source()
     entry = out.function(spec._loop if isinstance(spec, _Quantified) else spec._emit)
-    source = "\n".join([f"def _unit({', '.join(out.consts)}):", *out.defs, f"    return {entry}\n"])
-    namespace: dict[str, Any] = {}
-    exec(compile(source, f"<flowdetect step {spec.name!r}>", "exec"), globals(), namespace)
-    object.__setattr__(spec, "_code", namespace["_unit"](*out.consts.values()))
+    namespace = dict(out.consts)  # what the defaults read; each function is defined into it
+    exec(compile("\n".join(out.defs) + "\n", f"<flowdetect step {spec.name!r}>", "exec"), globals(), namespace)
+    object.__setattr__(spec, "_code", namespace[entry])
     for part in out.sealed:  # its guards and actions are constants of the code now
         object.__setattr__(part, "_open", ())
     return spec._code
 
 
 class _Source:
-    """The source of one compiled step: in ``defs``, a function for the node
-    compiled and one per quantified node under it, down to the calls, and in
-    ``sealed`` the parts it is written from.  A function takes the ``consts``
-    it names (nodes, patterns, guards, actions, names and states) and the
-    functions it calls as defaults no caller passes, so it reads them as
-    locals; its ``first`` variables start as ``None``."""
+    """The source of one compiled step: in ``defs``, a top-level function for
+    the node compiled and one per quantified node under it, down to the calls,
+    and in ``sealed`` the parts it is written from.  A function takes the
+    ``consts`` it names (nodes, patterns, guards, actions, names and states)
+    and the functions it calls as defaults no caller passes, so it reads them
+    as locals; its ``first`` variables start as ``None``."""
 
     def __init__(self) -> None:
         # ``names`` maps a const's id to its name; ``used`` is what the current function names.
@@ -937,9 +957,9 @@ class _Source:
         self.lines, self.depth, self.used, self.first = [], 1, {}, []
         self.add(f"return {emit(self, s)}")
         defaults = ", ".join(f"{k}={k}" for k in self.used)
-        self.defs += [f"    def {name}({s}, scope, event, defs, commits, m, {defaults}):"]
-        self.defs += [f"        {' = '.join(self.first)} = None"] if self.first else []
-        self.defs += ["    " + line for line in self.lines]
+        self.defs += [f"def {name}({s}, scope, event, defs, commits, m, {defaults}):"]
+        self.defs += [f"    {' = '.join(self.first)} = None"] if self.first else []
+        self.defs += self.lines
         self.lines, self.depth, self.used, self.first = outer
         self.used[name] = None
         return name
@@ -957,8 +977,8 @@ class _Source:
             self.add(f"if {when}{bound[0]}:\n    _drop(scope, {bound[0]}, {bound[1]})")
 
     def leave(self, node: Node, bound: tuple[str, str] | None) -> str | None:
-        """Run the node action, pop its attributes, restore what they shadowed;
-        the variable of the new env (``None``: a node without attributes keeps its own)."""
+        """Run the node action, take back the keys of the env the entry bound, restore what they
+        shadowed; the variable of the new env (``None``: a node without attributes keeps its own)."""
         if node.action is not None:
             self.add(f"{self.const(node.action)}(scope)")
         if bound is None:
@@ -966,10 +986,10 @@ class _Source:
         (env, shadowed), new = bound, self.var("e")
         names = [self.const(name) for name, _ in node.attrs]
         same = " and ".join(f"scope.get({k}, _MISSING) is {env}[{k}]" for k in names)
-        popped = "".join(f"\n    if {k} in scope:\n        {new}[{k}] = scope.pop({k})" for k in names)
         self.add(f"if len({env}) == {len(names)} and {same}:"
-                 + "".join(f"\n    del scope[{k}]" for k in names) + f"\n    {new} = {env}\nelse:\n    {new} = {{}}"
-                 f"{popped}\n    {new} = Env({new}) or EMPTY_ENV\nif {shadowed}:\n    scope.update({shadowed})")
+                 + "".join(f"\n    del scope[{k}]" for k in names) + f"\n    {new} = {env}\nelse:\n    {new} = {{}}\n"
+                 f"    for name in {env}:\n        if name in scope:\n            {new}[name] = scope.pop(name)\n"
+                 f"    {new} = Env({new}) or EMPTY_ENV\nif {shadowed}:\n    scope.update({shadowed})")
         return new
 
 

@@ -882,8 +882,9 @@ _MISSING = object()
 
 
 def _leave(spec, scope, env, shadowed):
-    """Run the node action, then pop the node's attributes out of ``scope``;
-    ``env`` itself when every attribute still holds the object it held."""
+    """Run the node action, then take back out of ``scope`` the names its entry
+    bound, the keys of ``env``; ``env`` itself when every attribute still holds
+    the object it held."""
     from flowdetect.engine import EMPTY_ENV, Env
 
     if spec.action is not None:
@@ -902,7 +903,7 @@ def _leave(spec, scope, env, shadowed):
                 del scope[name]
             new = env
         else:
-            popped = {name: scope.pop(name) for name, _ in spec.attrs if name in scope}
+            popped = {name: scope.pop(name) for name in env if name in scope}
             new = Env(popped) if popped else EMPTY_ENV
     if shadowed:
         scope.update(shadowed)

@@ -15,7 +15,7 @@ import pickle
 from datetime import datetime
 
 import pytest
-from hypothesis import Phase, given, note, settings
+from hypothesis import Phase, example, given, note, settings
 from hypothesis import strategies as st
 
 from flowdetect import engine as engine_module
@@ -248,8 +248,21 @@ def attempt(run, spec, state, event, env, defs):
         return (type(exc), str(exc))
 
 
+#: A leaf under a flow that both declare ``x``: ``a`` deletes the leaf's, then
+#: ``b`` leaves the leaf while the flow's ``x`` is bound, which is not the leaf's.
+DELETED_WHILE_BOUND = (
+    ("flow", (("x", ("plain", 0)),), None,
+     ("auto", (("x", ("plain", 1)),), None, ("s0",), "s0", ("s0",), (
+         ("s0", "s0", ("a", (("lit", 0),)), None, ("del", "x", 0)),
+         ("s0", "s0", ("b", (("lit", 0),)), None, None))),
+     ("auto", (), None, ("s0",), "s0", (), (("s0", "s0", ("b", (("lit", 1),)), None, None),))),
+    [Event("a", (0,)), Event("b", (0,))],
+)
+
+
 @settings(derandomize=True, max_examples=500, deadline=None, phases=[Phase.explicit, Phase.generate])
 @given(drawn=cases)
+@example(drawn=DELETED_WHILE_BOUND)
 def test_the_compiled_step_is_the_reference_interpreter(drawn):
     recipe, stream = drawn
     spec, defs = build(recipe)
@@ -291,22 +304,44 @@ def test_the_recipes_reach_every_outcome_and_kind():
                 seen.add("unbounded" if node.domain is UNBOUNDED else "bounded")
             if isinstance(node, Automaton):
                 seen.add("multi-state" if len(node.states) > 1 else "one-state")
-        state = init(spec, STEP_ENV, defs)
+        state, env = init(spec, STEP_ENV, defs), dict(STEP_ENV)
         for event in stream:
-            result = attempt(step, spec, state, event, STEP_ENV, defs)
+            result = attempt(step, spec, state, event, env, defs)
             if result is None:
                 seen.add("refused")
             elif isinstance(result[0], type):
                 seen.add(result[0].__name__)
             else:
                 seen.add("accepted")
-                state = result[0]
+                state, env = result[0], dict(result[1])
+                if deleted_while_bound(spec, state, defs, set(env)):
+                    seen.add("deleted while bound")
 
     record()
     assert seen >= {
         "Automaton", "Flow", "QuantifiedFlow", "QuantifiedInterleave", "Call", "bounded", "unbounded",
         "one-state", "multi-state", "accepted", "refused", "RuntimeError", "SpecificationError",
+        "deleted while bound",
     }
+
+
+def deleted_while_bound(spec, state, defs, outer):
+    """True when a node of ``state`` no longer holds one of its attributes while
+    ``outer`` (the next step's env) or an enclosing node binds that name: the
+    case where a leave that took back every declared name took the caller's."""
+    if (set(dict(spec.attrs)) - set(state.env)) & outer:
+        return True
+    outer = outer | set(state.env)
+    if isinstance(spec, Flow):
+        parts = ((spec.left, state.left), (spec.right, state.right))
+    elif isinstance(spec, Call):
+        parts = ((defs[spec.callee], state.inner),)
+    elif isinstance(spec, Automaton):
+        parts = ()
+    else:
+        outer |= {spec.var}
+        parts = ((spec.body, instance) for instance in state.instances.values())
+    return any(deleted_while_bound(node, part, defs, outer) for node, part in parts)
 
 
 # ------------------------------------------------------- deep and large trees
@@ -477,6 +512,8 @@ def test_the_pipelines_code_holds_its_guards_and_actions_as_constants(monkeypatc
     assert sorted(sources) == ["<flowdetect step 'detector_instance'>", "<flowdetect step 'users'>"]
     for source in sources.values():
         assert ".guard" not in source and ".action" not in source and "_bare" not in source
+        # Each function is defined at top level, and a call finds its callee through ``Call._callee``.
+        assert "def _unit" not in source and "defs.get(" not in source
     for part, name in open_fields(pipeline.spec, pipeline.defs):
         with pytest.raises(AttributeError, match="is fixed"):
             setattr(part, name, getattr(part, name))

@@ -50,6 +50,8 @@ from flowdetect.engine import (
 )
 from flowdetect.errors import EngineError, InputError, SpecificationError
 
+import oracles
+
 TICK = EventPattern("tick")
 GO = EventPattern("go", (Capture("arg"),))
 
@@ -293,6 +295,42 @@ def test_bindings_partition_between_levels():
     assert dict(new_state.left.env) == {"inner": 1}
     assert dict(new_state.env) == {"outer": 1}
     assert dict(out) == {"fresh": "hello"}  # unclaimed names travel outward
+
+
+def forgetful():
+    """A one-state leaf with attribute ``a``: ``drop`` deletes it, ``write`` sets it."""
+    def drop(env):
+        del env["a"]
+
+    def write(env):
+        env["a"] = 5
+
+    return Automaton(name="leaf", states=("s",), initial="s", finals=("s",), attrs=(("a", 1),), transitions=(
+        Transition(source="s", pattern=EventPattern("drop"), target="s", action=drop),
+        Transition(source="s", pattern=EventPattern("write"), target="s", action=write),
+        Transition(source="s", pattern=TICK, target="s"),
+    ))
+
+
+def test_a_node_takes_back_only_the_names_its_entry_bound():
+    # Once ``a`` is deleted the leaf binds nothing on entry, so the caller's
+    # ``a`` is not the leaf's to take on the way out.
+    spec = forgetful()
+    state, out = step(spec, init(spec), Event("drop"))
+    assert state.env is EMPTY_ENV and dict(out) == {}
+    state, out = step(spec, state, Event("tick"), env={"a": 99})
+    assert dict(out) == {"a": 99} and dict(state.env) == {}
+
+
+def test_a_deleted_attribute_written_later_travels_outward_like_any_name():
+    spec, twin = forgetful(), forgetful()
+    state, twin_state = init(spec), init(twin)
+    for event in (Event("drop"), Event("write"), Event("tick")):
+        (state, out), (twin_state, twin_out) = (
+            step(spec, state, event), oracles.step_reference(twin, twin_state, event))
+        assert dump_state(state) == dump_state(twin_state) and dict(out) == dict(twin_out)
+        assert state.env is EMPTY_ENV
+        assert dict(out) == ({"a": 5} if event.name == "write" else {})
 
 
 # -------------------------------------------------------------- quantified flow
@@ -1106,6 +1144,12 @@ MALFORMED = {
         pattern=EventPattern("go", (Capture("v", (int, (type(None), "x"))),))),
     "call-args-a-number": lambda: Call(name="bad", callee="p", args=5),
     "call-args-a-list-of-names": lambda: Call(name="bad", callee="p", args=["x"]),
+    # Each of these ran until its first call, then raised a bare TypeError mid-stream.
+    "guard-of-no-argument": lambda: _with_transition(guard=lambda: True),
+    "action-of-two-arguments": lambda: _with_transition(action=lambda a, b: None),
+    "node-action-of-no-argument": lambda: Flow(name="bad", left=loop("l"), right=loop("r"), action=lambda: None),
+    "initialiser-of-no-argument": lambda: loop("bad", attrs=(("n", lambda: 0),)),
+    "call-argument-of-no-argument": lambda: Call(name="bad", callee="p", args={"x": lambda: 0}),
 }
 
 
@@ -1264,6 +1308,8 @@ def test_a_guard_or_action_that_cannot_be_called_is_refused_when_assigned(part):
     state = init(spec)
     with pytest.raises(SpecificationError, match="not callable"):
         setattr(owner, name, 5)
+    with pytest.raises(SpecificationError, match="does not take one argument"):
+        setattr(owner, name, lambda: True)
     assert (spec.action, spec.transitions[0].guard, spec.transitions[0].action) == (
         None, guard, action)
     assert step(spec, state, Event("tick"))[0].env == {"n": 1}
