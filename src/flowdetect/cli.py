@@ -201,16 +201,7 @@ def _replay(
             fresh = pipeline.process_event(event)
             if alerts_out:
                 for alert in fresh:
-                    alerts_out.write(
-                        _jsonl(
-                            {
-                                "eventId": alert.event_id,
-                                "userId": alert.user_id,
-                                "eventDate": alert.event_date,
-                                "votes": alert.votes,
-                            }
-                        )
-                    )
+                    alerts_out.write(_jsonl(alert.to_alert()))
             scored = pipeline.drain_scores()
             if scores_out:
                 for record in scored:

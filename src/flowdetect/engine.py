@@ -62,6 +62,10 @@ same specification.
 Determinism: automaton transitions are tried in declaration order and the
 first enabled one fires; quantified domains are iterated in ascending order
 of their values, the order of the instance map they build.
+
+Dumping: one value dumper writes a state, even one held as a value, as its
+kind and its fields.  A map's keys are written with ``str``, sorted by type
+name and ``repr``; two keys that print alike raise, never merge.
 """
 
 from __future__ import annotations
@@ -1024,6 +1028,11 @@ _MISSING = object()
 # ---------------------------------------------------------------------------
 
 
+#: The kind a runtime state dumps under, ahead of its fields.
+_STATE_KINDS = {AutomatonState: "automaton", FlowState: "flow", CallState: "call",
+                QuantifiedFlowState: "quantified_flow", QuantifiedInterleaveState: "quantified_interleave"}
+
+
 def _dump_value(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -1034,14 +1043,19 @@ def _dump_value(value: Any) -> Any:
     if isinstance(value, (set, frozenset)):
         return sorted((_dump_value(v) for v in value), key=repr)
     if isinstance(value, Mapping):
-        items = sorted(value.items(), key=lambda kv: (type(kv[0]).__name__, repr(kv[0])))
-        return {str(k): _dump_value(v) for k, v in items}
+        named = {}
+        for k in sorted(value, key=lambda k: (type(k).__name__, repr(k))):
+            first = named.setdefault(str(k), k)
+            if first is not k:
+                raise EngineError(f"cannot dump keys {first!r} and {k!r}: both print as {str(k)!r}")
+        return {name: _dump_value(value[k]) for name, k in named.items()}
     if hasattr(value, "to_debug_dict"):
         out = {"type": type(value).__name__}
         out.update(_dump_value(value.to_debug_dict()))
         return out
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out = {"type": type(value).__name__}
+        kind = _STATE_KINDS.get(type(value))
+        out = {"type": type(value).__name__} if kind is None else {"kind": kind}
         for f in dataclasses.fields(value):
             out[f.name] = _dump_value(getattr(value, f.name))
         return out
@@ -1049,27 +1063,13 @@ def _dump_value(value: Any) -> Any:
 
 
 def state_to_dict(state: Any) -> dict[str, Any]:
-    """Plain-data view of a runtime state with deterministic ordering."""
-    if isinstance(state, AutomatonState):
-        return {"kind": "automaton", "current": state.current, "env": _dump_value(state.env)}
-    if isinstance(state, FlowState):
-        return {
-            "kind": "flow",
-            "env": _dump_value(state.env),
-            "left": state_to_dict(state.left),
-            "right": state_to_dict(state.right),
-        }
-    if isinstance(state, (QuantifiedFlowState, QuantifiedInterleaveState)):
-        kind = "quantified_flow" if isinstance(state, QuantifiedFlowState) else "quantified_interleave"
-        keys = sorted(state.instances, key=lambda k: (type(k).__name__, repr(k)))
-        return {
-            "kind": kind,
-            "env": _dump_value(state.env),
-            "instances": {str(k): state_to_dict(state.instances[k]) for k in keys},
-        }
-    if isinstance(state, CallState):
-        return {"kind": "call", "env": _dump_value(state.env), "inner": state_to_dict(state.inner)}
-    raise EngineError(f"cannot serialize {type(state).__name__}")
+    """Plain-data view of a runtime state: its ``kind`` and each field, as ``_dump_value`` writes them.
+
+    Map keys sort by type name and ``repr``; two that print alike raise ``EngineError``.
+    """
+    if type(state) not in _STATE_KINDS:
+        raise EngineError(f"cannot serialize {type(state).__name__}")
+    return _dump_value(state)
 
 
 def dump_state(state: Any) -> str:

@@ -208,7 +208,8 @@ class ScoredEvent:
     """One scored event: everything the voters saw, and the vote's decision.
 
     The alerting ones are the alerts: ``process_event`` returns them, and
-    an alert line is the record cut down to its first four fields.
+    an alert line, ``to_alert``, is the record cut down to its first four
+    fields.
     """
 
     event_id: str
@@ -219,12 +220,17 @@ class ScoredEvent:
     alert: bool
     detectors: dict[str, dict[str, float]]
 
-    def to_record(self) -> dict[str, Any]:
+    def to_alert(self) -> dict[str, Any]:
         return {
             "eventId": self.event_id,
             "userId": self.user_id,
             "eventDate": self.event_date,
             "votes": self.votes,
+        }
+
+    def to_record(self) -> dict[str, Any]:
+        return {
+            **self.to_alert(),
             "cast": self.cast,
             "alert": self.alert,
             "detectors": {name: dict(v) for name, v in sorted(self.detectors.items())},

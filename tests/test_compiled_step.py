@@ -99,9 +99,10 @@ def pattern(rng, scope):
 
 
 def attrs(rng, scope, taken=None):
-    """Plain values, or initialisers that read a name in scope or an earlier attribute."""
+    """Plain values, or initialisers that read a name in scope or an earlier
+    attribute; ``g`` shadows the step env's, and ``x``, ``y`` or ``z`` a parent's."""
     out = []
-    for name in rng.sample(("x", "y", "z"), rng.randint(0, 2)):
+    for name in rng.sample(("g", "x", "y", "z"), rng.randint(0, 2)):
         if name == taken:
             continue
         read = rng.choice(sorted(scope | {n for n, _ in out}))
@@ -133,6 +134,10 @@ def tree(rng, depth, scope):
               maybe(rng, guard, inner), maybe(rng, action, inner | {"out"})) for _ in range(rng.randint(1, 3))]
     if rng.random() < 0.5:  # a second move on the first one's pattern: the first declared wins
         moves.append((moves[0][0], rng.choice(states), moves[0][2], None, action(rng, inner)))
+    shadows = sorted(scope & {name for name, _ in own})
+    if shadows:  # drop a shadowing attribute, so that a later leave finds it gone
+        moves.append((moves[0][0], moves[0][0], rng.choice((0, 1, pattern(rng, inner))), None,
+                      ("del", rng.choice(shadows), 0)))
     finals = tuple(state for state in states if rng.random() < 0.5)
     return (*header, states, moves[0][0], finals, tuple(moves))  # the initial state has a move
 

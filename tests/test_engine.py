@@ -1663,6 +1663,35 @@ def test_dump_handles_dataclasses_and_opaque_values():
         state_to_dict(42)
 
 
+def test_dump_refuses_instances_whose_values_print_alike():
+    spec = QuantifiedInterleave(name="q", var="u", domain=UNBOUNDED, body=loop("leaf", EventPattern("e", (Ref("u"),))))
+    state = run_events(spec, [Event("e", (1,)), Event("e", ("1",))])
+    assert len(state.instances) == 2
+    with pytest.raises(EngineError, match="cannot dump keys 1 and '1': both print as '1'"):
+        dump_state(state)
+
+
+def test_dump_refuses_an_attribute_map_whose_keys_print_alike():
+    spec = loop("tbl", attrs=(("tbl", {1: "a", "1": "b"}),))
+    with pytest.raises(EngineError, match="cannot dump keys 1 and '1'"):
+        dump_state(init(spec))
+
+
+def test_dump_writes_a_state_held_as_a_value_in_its_kind_form():
+    held = init(loop("held", attrs=(("n", 1),)))
+    spec = loop("holder", attrs=(("held", held), ("opaque", object())))
+    assert state_to_dict(init(spec))["env"] == {
+        "held": {"kind": "automaton", "current": "s", "env": {"n": 1}},
+        "opaque": {"type": "object"},
+    }
+    # A hand-built state whose child is no state dumps that child as a value.
+    assert state_to_dict(engine_module.FlowState(EMPTY_ENV, held, 7)) == {
+        "kind": "flow", "env": {}, "left": {"kind": "automaton", "current": "s", "env": {"n": 1}}, "right": 7,
+    }
+    with pytest.raises(EngineError, match="cannot serialize object"):
+        state_to_dict(object())
+
+
 @settings(max_examples=60, deadline=None)
 @given(ticks=st.integers(0, 30))
 def test_dump_deterministic_for_same_history(ticks):

@@ -524,6 +524,16 @@ def test_off_hours_event_alerts_and_matches_direct_fits():
     assert any(180 in samples for samples in data.values())
 
 
+def test_an_alert_is_its_record_cut_to_the_first_four_fields():
+    pipeline = Pipeline(weekly_config())
+    events = weekday_events("alice", 4) + [Event("e", ("alice", stamp(4, 2, 3), "alice-night"))]
+    alerts = [alert for event in events for alert in pipeline.process_event(event)]
+    assert alerts
+    for alert in alerts:
+        assert alert.to_alert() == dict(list(alert.to_record().items())[:4])
+        assert list(alert.to_alert()) == ["eventId", "userId", "eventDate", "votes"]
+
+
 class LevelDetector(Detector):
     """Scores every event at its configured level."""
 
