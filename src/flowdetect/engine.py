@@ -12,12 +12,12 @@ instance on first use.
 Execution is a labelled transition relation over runtime states.  Each
 step threads one mutable scope of variable bindings down the tree.  Entering
 a node binds its attributes (a call's parameters, a quantified variable)
-into the scope and remembers what they shadow, so a node that shadows no
-name allocates nothing to bind; leaving it runs the node action on the
-scope, takes back the names its entry bound into its new local environment
-and restores what they shadowed, so every other name travels outward to the
-caller.  A refusing node pops its bindings and leaves the scope as it found
-it.  Guards must be side-effect free.  Local and
+into the scope in place; only where one of its names is already bound does
+it call ``_bind``, which remembers what they shadow.  Leaving it runs the
+node action on the scope, takes back the names its entry bound into its new
+local environment and restores what they shadowed, so every other name
+travels outward to the caller.  A refusing node pops its bindings and leaves
+the scope as it found it.  Guards must be side-effect free.  Local and
 enclosing environments are ``Env`` objects: plain ``dict`` instances whose
 mutators raise, so the scope is the only binding set a step writes.
 
@@ -42,16 +42,19 @@ its step as Python and compiles it once, in the file ``<flowdetect step
 'NAME'>``, kept on the node and never copied or pickled: one function
 unrolls its flows and automata (states and transitions in declaration
 order) and calls its callees' code, and one per quantified node runs its
-instance loop.  Attributes, one-state leaves, capture names, patterns,
-guards and actions are constants there: a node's ``action`` and a
-transition's ``guard`` and ``action`` may be assigned until then, not
-after.  A call resolves its callee from the step's ``defs`` where the step
-first reaches it.  So ``init`` checks only calls and starts the tree.
+instance loop and routes an event inline.  Attributes, one-state leaves,
+capture names, patterns, guards and actions are constants there: a node's
+``action`` and a transition's ``guard`` and ``action`` may be assigned until
+then, not after.  A call resolves its callee from the step's ``defs`` where
+the step first reaches it.  So ``init`` checks only calls and starts the
+tree.
 
-Matching: a step does the event-only part of a pattern (name, arity,
-literals, capture types and the captures themselves) once for each run of
-leaves that use that pattern object, in one slot its functions share, and
-each leaf then checks only the pattern's ``Ref`` slots against its own scope.
+Matching: each generated function tests the event side of each pattern
+its leaves use (name, arity, literals and capture types) once, at its top,
+as straight-line code.  Each leaf then checks the pattern's ``Ref`` slots
+against its own scope and stores its captures; where a ``Ref`` differs, or
+the event fails after one, it asks ``EventPattern.match``, which raises for
+an unbound one or refuses.
 
 Operators: a node class holds its operator's rules (operands, header, field
 checks and fixed facts, start, acceptance and its step's code), and ``walk``
@@ -160,11 +163,6 @@ class Ref:
     name: str
 
 
-#: The event-only part of a pattern match: the ``(variable, argument)``
-#: pairs its ``Ref`` slots still have to check, and the captures or ``None``.
-_MatchPart = tuple[list[tuple[str, Any]], dict[str, Any] | None]
-
-
 @dataclass(frozen=True)
 class EventPattern:
     """Event name plus one slot per argument; literals match by equality."""
@@ -178,40 +176,22 @@ class EventPattern:
         Slots are checked in order, so a ``Ref`` to an unbound variable
         raises ``SpecificationError`` unless an earlier slot already failed.
         """
-        return self._match_refs(self._match_event(event), env)
-
-    def _match_event(self, event: Event) -> _MatchPart:
-        """The part of ``match`` that reads only the event.
-
-        Returns the ``(variable, argument)`` pairs of the ``Ref`` slots
-        before the first slot that fails on the event alone, and the capture
-        bindings, or ``None`` for them when the name, the arity, a literal
-        or a capture's type fails.
-        """
-        refs: list[tuple[str, Any]] = []
         if event.name != self.name or len(event.args) != len(self.slots):
-            return refs, None
+            return None
         captures: dict[str, Any] = {}
         for slot, arg in zip(self.slots, event.args):
             if isinstance(slot, Capture):
                 if slot.type is not None and not isinstance(arg, slot.type):
-                    return refs, None
+                    return None
                 captures[slot.name] = arg
             elif isinstance(slot, Ref):
-                refs.append((slot.name, arg))
+                if slot.name not in env:
+                    raise SpecificationError(
+                        f"pattern for {self.name!r} references unbound variable {slot.name!r}"
+                    )
+                if env[slot.name] != arg:
+                    return None
             elif slot != arg:
-                return refs, None
-        return refs, captures
-
-    def _match_refs(self, part: _MatchPart, env: Mapping[str, Any]) -> dict[str, Any] | None:
-        """Finish a match from its event-only ``part`` against ``env``."""
-        refs, captures = part
-        for name, arg in refs:
-            if name not in env:
-                raise SpecificationError(
-                    f"pattern for {self.name!r} references unbound variable {name!r}"
-                )
-            if env[name] != arg:
                 return None
         return captures
 
@@ -463,7 +443,7 @@ class Automaton(Node):
     def _emit(self, out, s):
         r, current, many = out.var("r"), out.var("c"), len(self.states) > 1
         out.sealed += (self, *self.transitions)
-        bound = out.enter(s, self.attrs)
+        bound = out.enter(s, dict(self.attrs))
         out.add(f"{r} = None" + (f"\n{current} = {s}.current" if many else ""))  # one state: always in it
         for source in dict.fromkeys(t.source for t in self.transitions):
             with out.block(f"if {current} == {out.const(source)}:", many):
@@ -475,28 +455,35 @@ class Automaton(Node):
 
     def _emit_move(self, out, s, r, bound, t):
         pattern, n = t.pattern, out.const(self)
-        p, names = out.const(pattern), tuple(slot.name for slot in pattern.slots if isinstance(slot, Capture))
-        out.add(f"if m[0] is not {p}:\n    m[1] = {p}._match_event(event)\n    m[0] = {p}")
-        refs = [out.const(slot.name) for slot in pattern.slots if isinstance(slot, Ref)]
-        differ = " or ".join(f"scope.get({name}, _MISSING) != refs[{i}][1]" for i, name in enumerate(refs))
-        out.add(f"refs, caps = m[1]\nif caps is None:\n    if refs:\n        {p}._match_refs(m[1], scope)\n"
-                f"elif {differ}:\n    caps = {p}._match_refs(m[1], scope)" if refs else "caps = m[1][1]")
-        with out.block("if caps is not None:"):
-            # Captures are transient: bound for the guard and action only.
-            shadows = " or ".join(f"{out.const(name)} in scope" for name in names)
-            pops = "".join(f"\n    scope.pop({out.const(name)}, None)" for name in names)
-            drop = f"if hid is None:{pops}\nelse:\n    _drop(scope, {out.const(names)}, hid)" if names else ""
-            guard = None if t.guard is None else f"{out.const(t.guard)}(scope)"
-            if names:
-                out.add(f"if {shadows}:\n    hid = _bind(scope, caps)\nelse:\n    scope.update(caps)\n    hid = None"
-                        + (f"\nif not {guard}:\n    " + drop.replace("\n", "\n    ") if guard else ""))
-            with out.block("else:" if names else f"if {guard}:", guard is not None):
-                out.add(("" if t.action is None else f"{out.const(t.action)}(scope)\n") + drop)
-                env, target = out.leave(self, bound), out.const(t.target)
-                if t.target != t.source:
-                    out.add(f"{r} = {n}._state({target}, {env or s + '.env'})")
-                else:  # a self-loop keeps its state when its env is unchanged
-                    out.add(f"{r} = {s} if {env} is {bound[0]} else {n}._state({target}, {env})" if env else f"{r} = {s}")
+        (q, late), p = out.test(pattern), out.const(pattern)
+        names = tuple(slot.name for slot in pattern.slots if isinstance(slot, Capture))
+        caps = [(out.const(slot.name), i) for i, slot in enumerate(pattern.slots) if isinstance(slot, Capture)]
+        refs = [(out.const(slot.name), i) for i, slot in enumerate(pattern.slots) if isinstance(slot, Ref)]
+        # Each Ref is checked against this leaf's scope.  Where one differs, or the event
+        # fails after a Ref, ``match`` raises for an unbound one, or the leaf refuses.
+        with out.block(f"if {q}:"):
+            differ = " or ".join(f"scope.get({name}, _MISSING) != args[{i}]" for name, i in refs)
+            out.add(f"if {differ}:\n    {p}.match(event, scope)" if refs else "")
+            with out.block("else:", bool(refs)):
+                # Captures are transient: stored for the guard and action only.
+                pops = "".join(f"\n    scope.pop({name}, None)" for name, _ in caps)
+                drop = f"if hid is None:{pops}\nelse:\n    _drop(scope, {out.const(names)}, hid)" if caps else ""
+                guard = None if t.guard is None else f"{out.const(t.guard)}(scope)"
+                if caps:
+                    shadows = " or ".join(f"{name} in scope" for name, _ in caps)
+                    given = ", ".join(f"{name}: args[{i}]" for name, i in caps)
+                    stores = "".join(f"\n    scope[{name}] = args[{i}]" for name, i in caps)
+                    out.add(f"if {shadows}:\n    hid = _bind(scope, {{{given}}})\nelse:{stores}\n    hid = None"
+                            + (f"\nif not {guard}:\n    " + drop.replace("\n", "\n    ") if guard else ""))
+                with out.block("else:" if caps else f"if {guard}:", guard is not None):
+                    out.add(("" if t.action is None else f"{out.const(t.action)}(scope)\n") + drop)
+                    env, target = out.leave(self, bound), out.const(t.target)
+                    if t.target != t.source:
+                        out.add(f"{r} = {n}._state({target}, {env or s + '.env'})")
+                    else:  # a self-loop keeps its state when its env is unchanged
+                        out.add(f"{r} = {s} if {env} is {bound[0]} else {n}._state({target}, {env})"
+                                if env else f"{r} = {s}")
+        out.add(f"elif {q} is None:\n    {p}.match(event, scope)" if late else "")
 
 
 @dataclass(kw_only=True)
@@ -538,7 +525,7 @@ class Flow(Node):
     def _emit(self, out, s):
         n, left, right, r = out.const(self), out.var("s"), out.var("s"), out.var("r")
         out.sealed.append(self)
-        bound = out.enter(s, self.attrs)
+        bound = out.enter(s, dict(self.attrs))
         out.add(f"{left} = {s}.left")
         fired_left = self.left._emit(out, left)
         out.add(f"{right} = {s}.right")
@@ -564,8 +551,9 @@ class _Quantified(Node):
     order over a bounded ``domain``, held as its sorted, de-duplicated
     tuple, or on first use over ``UNBOUNDED``; the node accepts when every
     instance accepts, and fires when one fires.
-    ``_offered(state, event)`` names the ``(value, instance)`` pairs an event
-    is offered to, the instance ``None`` for one still to build.
+    ``_offered(out)`` writes the routing of an event and returns the header
+    of the block that offers it ``value`` and its ``instance`` (``None``
+    for one still to build), ``None`` for no block: one instance, or none.
     """
 
     var: str
@@ -608,7 +596,7 @@ class _Quantified(Node):
 
     def _emit(self, out, s):
         r = out.var("r")
-        out.add(f"{r} = {out.function(self._loop)}({s}, scope, event, defs, commits, m)")
+        out.add(f"{r} = {out.function(self._loop)}({s}, scope, event, defs, commits)")
         return r
 
     def _loop(self, out, s):
@@ -616,10 +604,11 @@ class _Quantified(Node):
         n, var, body = out.const(self), out.const(self.var), out.var("s")
         out.sealed.append(self)
         # Commits replace or add values once the whole step succeeds.
-        out.add(f"offered = {n}._offered({s}, event)\ninstances = {s}.instances")
-        bound = out.enter(s, self.attrs)
+        out.add(f"instances = {s}.instances")
+        offer = self._offered(out)
+        bound = out.enter(s, dict(self.attrs))
         out.add(f"hidden = scope.get({var}, _MISSING)\nfired = False")
-        with out.block("for value, instance in offered:"):
+        with out.block(offer, offer is not None):
             lazy = isinstance(self.domain, _UnboundedDomain)
             start = f"_init({out.const(self.body)}, scope, defs) if instance is None else " if lazy else ""
             out.add(f"scope[{var}] = value\n{body} = {start}instance")
@@ -640,8 +629,8 @@ class QuantifiedFlow(_Quantified):
 
     state_type = QuantifiedFlowState
 
-    def _offered(self, state, event):
-        return state.instances.items()
+    def _offered(self, out):
+        return "for value, instance in instances.items():"
 
 
 @dataclass(kw_only=True)
@@ -656,24 +645,17 @@ class QuantifiedInterleave(_Quantified):
 
     state_type = QuantifiedInterleaveState
 
-    def _offered(self, state, event):
-        if not event.args:
-            raise InputError(
-                f"node {self.name!r}: event {event.name!r} has no argument to route on"
-            )
-        value = event.args[0]
-        if value is None:
-            raise InputError(f"node {self.name!r}: routing value is missing")
-        try:
-            hash(value)
-        except TypeError as exc:
-            raise InputError(f"node {self.name!r}: routing value is not hashable") from exc
-        if value != value:  # a NaN would route each object to its own instance
-            raise InputError(f"node {self.name!r}: routing value is not equal to itself")
-        instance = state.instances.get(value)
-        if instance is None and not isinstance(self.domain, _UnboundedDomain):
-            return ()  # outside a bounded domain
-        return ((value, instance),)
+    def _offered(self, out):
+        node = out.const(f"node {self.name!r}: ")
+        out.add(f"if not event.args:\n    raise InputError({node} + 'event ' + repr(event.name) + "
+                f"' has no argument to route on')\nvalue = event.args[0]\nif value is None:\n"
+                f"    raise InputError({node} + 'routing value is missing')\ntry:\n    hash(value)\n"
+                f"except TypeError as exc:\n    raise InputError({node} + 'routing value is not hashable') from exc\n"
+                f"if value != value:  # a NaN would route each object to its own instance\n"
+                f"    raise InputError({node} + 'routing value is not equal to itself')\n"
+                f"instance = instances.get(value)")
+        # Outside a bounded domain no instance is offered; an unbounded one builds it.
+        return None if isinstance(self.domain, _UnboundedDomain) else "if instance is not None:"
 
 
 @dataclass(kw_only=True)
@@ -712,7 +694,8 @@ class Call(Node):
         if any(map(callable, params.values())):
             enclosing = Env(scope)
             params = Env({n: v(enclosing) if callable(v) else v for n, v in params.items()})
-        shadowed = _bind(scope, params)
+        shadowed = None if scope.keys().isdisjoint(params) else _bind(scope, params)
+        scope.update(params)
         inner = _init(callee, scope, defs)
         _drop(scope, params, shadowed)
         return self._state(callee, params, inner)
@@ -742,7 +725,7 @@ class Call(Node):
         out.add(f"if {callee} is None:\n    {callee} = {n}._callee(defs)\n"
                 f"    {code} = {callee}._code or _compile({callee})")
         bound = out.enter(s, self.args)  # parameters are constant: popped whether or not it fires
-        out.add(f"{inner} = {code}({s}.inner, scope, event, defs, commits, m)")
+        out.add(f"{inner} = {code}({s}.inner, scope, event, defs, commits)")
         out.refuse(bound)
         out.add(f"{r} = None if {inner} is None else {s} if {inner} is {s}.inner else "
                 f"{n}._state({callee}, {s}.env, {inner})")
@@ -837,7 +820,8 @@ def _init(spec: Node, scope: dict, defs: Mapping[str, Node]) -> Any:
         local = _init_attrs(spec, scope)
     if not local:
         return spec._start(local, scope, defs)
-    shadowed = _bind(scope, local)
+    shadowed = None if scope.keys().isdisjoint(local) else _bind(scope, local)
+    scope.update(local)
     state = spec._start(local, scope, defs)
     _drop(scope, local, shadowed)
     return state
@@ -899,7 +883,7 @@ def step(
     code = spec._code or _compile(spec)
     scope = dict(env) if env else {}
     commits: list[tuple[dict, Any, Any]] = []  # instance writes, made once the step succeeds
-    new_state = code(state, scope, event, defs or EMPTY_ENV, commits, [None, None])
+    new_state = code(state, scope, event, defs or EMPTY_ENV, commits)
     if new_state is None:
         return None
     for instances, value, instance in commits:
@@ -910,7 +894,7 @@ def step(
 def _compile(spec: Node) -> Callable:
     """Generate ``spec``'s step as top-level functions, callees first, whose defaults read
     the consts; compile it and keep it on ``spec``.  Each takes the state, the scope, the event,
-    the step's ``defs``, the commit queue and ``m``: the last pattern matched and its ``_match_event``."""
+    the step's ``defs`` and the commit queue."""
     out = _Source()
     entry = out.function(spec._loop if isinstance(spec, _Quantified) else spec._emit)
     namespace = dict(out.consts)  # what the defaults read; each function is defined into it
@@ -927,11 +911,12 @@ class _Source:
     and in ``sealed`` the parts it is written from.  A function takes the
     ``consts`` it names (nodes, patterns, guards, actions, names and states)
     and the functions it calls as defaults no caller passes, so it reads them
-    as locals; its ``first`` variables start as ``None``."""
+    as locals; its ``first`` variables start as ``None``, and at its top it
+    tests the event side of each pattern its leaves use, its ``tests``."""
 
     def __init__(self) -> None:
         # ``names`` maps a const's id to its name; ``used`` is what the current function names.
-        self.consts, self.names, self.used = {}, {}, {}
+        self.consts, self.names, self.used, self.tests = {}, {}, {}, {}
         self.defs, self.lines, self.first, self.sealed = [], [], [], []
         self.depth = self.count = 0
 
@@ -956,24 +941,48 @@ class _Source:
 
     def function(self, emit: Callable[[_Source, str], str]) -> str:
         """Emit a function of its own around ``emit``'s code; return its name."""
-        outer = self.lines, self.depth, self.used, self.first
+        outer = self.lines, self.depth, self.used, self.first, self.tests
         name, s = self.var("f"), self.var("s")
-        self.lines, self.depth, self.used, self.first = [], 1, {}, []
+        self.lines, self.depth, self.used, self.first, self.tests = [], 1, {}, [], {}
         self.add(f"return {emit(self, s)}")
         defaults = ", ".join(f"{k}={k}" for k in self.used)
-        self.defs += [f"def {name}({s}, scope, event, defs, commits, m, {defaults}):"]
+        self.defs += [f"def {name}({s}, scope, event, defs, commits, {defaults}):"]
         self.defs += [f"    {' = '.join(self.first)} = None"] if self.first else []
+        self.defs += ["    args = event.args"] if self.tests else []
+        self.defs += ["    " + line for _, test in self.tests.values() for line in test.splitlines()]
         self.defs += self.lines
-        self.lines, self.depth, self.used, self.first = outer
+        self.lines, self.depth, self.used, self.first, self.tests = outer
         self.used[name] = None
         return name
 
-    def enter(self, s: str, bindings: Any) -> tuple[str, str] | None:
-        """Bind the env of the state in ``s``; the variables of it and of what it shadowed."""
+    def test(self, pattern: EventPattern) -> tuple[str, bool]:
+        """The variable of this function's test of the event side of ``pattern``, and whether
+        it may be ``None``: true when it matches, ``None`` when it fails after a ``Ref``, else false."""
+        if id(pattern) not in self.tests:
+            fails = early = [f"event.name != {self.const(pattern.name)}", f"len(args) != {len(pattern.slots)}"]
+            late: list[str] = []
+            for i, slot in enumerate(pattern.slots):
+                if isinstance(slot, Ref):
+                    fails = late
+                elif not isinstance(slot, Capture):
+                    fails.append(f"{self.const(slot)} != args[{i}]")
+                elif slot.type is not None:
+                    fails.append(f"not isinstance(args[{i}], {self.const(slot.type)})")
+            q = self.var("q")
+            test = f"if {' or '.join(early)}:\n    {q} = False\n" + (
+                f"elif {' or '.join(late)}:\n    {q} = None\n" if late else "") + f"else:\n    {q} = True"
+            self.tests[id(pattern)] = (q, bool(late)), test
+        return self.tests[id(pattern)][0]
+
+    def enter(self, s: str, bindings: Mapping[str, Any]) -> tuple[str, str] | None:
+        """Bind the env of the state in ``s``, whose keys are among the names of ``bindings``,
+        through ``_bind`` only if one of them is in scope; the variables of it and of what it shadowed."""
         if not bindings:
             return None
         env, shadowed = self.var("e"), self.var("h")
-        self.add(f"{env} = {s}.env\n{shadowed} = _bind(scope, {env}) if {env} else None")
+        names = " or ".join(f"{self.const(name)} in scope" for name in bindings)
+        self.add(f"{env} = {s}.env\nif {names}:\n    {shadowed} = _bind(scope, {env})\n"
+                 f"else:\n    scope.update({env})\n    {shadowed} = None")
         return env, shadowed
 
     def refuse(self, bound: tuple[str, str] | None, when: str = "") -> None:
@@ -1000,7 +1009,9 @@ class _Source:
 def _bind(scope: dict, bindings: Mapping[str, Any]) -> dict | None:
     """Bind ``bindings`` into ``scope``; return the bindings they shadow.
 
-    Returns ``None``, allocating nothing, when they shadow no name.
+    Returns ``None``, allocating nothing, when they shadow no name.  The
+    engine calls it only where one of the names is bound already, and binds
+    in place where none is.
     """
     shadowed = None
     for name in bindings:

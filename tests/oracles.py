@@ -730,16 +730,15 @@ def step_reference(spec, state, event, env=None, defs=None):
 
 
 class _StepContext:
-    """What every node of one step shares: the queued instance commits, and
-    ``_match_event`` of the last pattern matched."""
+    """What every node of one step shares: the event, the ``defs`` and the
+    queued instance commits."""
 
-    __slots__ = ("event", "defs", "commits", "pattern", "part")
+    __slots__ = ("event", "defs", "commits")
 
     def __init__(self, event, defs):
         self.event = event
         self.defs = defs
         self.commits = []
-        self.pattern = self.part = None
 
 
 def _step(node, state, scope, ctx):
@@ -765,15 +764,8 @@ def _step_automaton(self, state, scope, ctx):
     for t in self.transitions:  # in declaration order
         if t.source != state.current:
             continue
-        pattern = t.pattern
-        names = [slot.name for slot in pattern.slots if isinstance(slot, Capture)]
-        if pattern is not ctx.pattern:
-            ctx.pattern, ctx.part = pattern, pattern._match_event(ctx.event)
-        refs, captures = ctx.part
-        for name, arg in refs:
-            if scope.get(name, _MISSING) != arg:  # let the pattern refuse or raise
-                captures = pattern._match_refs(ctx.part, scope)
-                break
+        names = [slot.name for slot in t.pattern.slots if isinstance(slot, Capture)]
+        captures = t.pattern.match(ctx.event, scope)
         if captures is None:
             continue
         # Captures are transient: bound for the guard and action only.
@@ -819,7 +811,7 @@ def _step_flow(self, state, scope, ctx):
 def _step_quantified(self, state, scope, ctx):
     from flowdetect.engine import _init
 
-    offered = self._offered(state, ctx.event)
+    offered = _offered(self, state, ctx.event)
     instances = state.instances  # commits replace or add values once the step succeeds
     env = state.env
     shadowed = _bind(scope, env) if env else None
@@ -843,6 +835,30 @@ def _step_quantified(self, state, scope, ctx):
         return None
     new_env = _leave(self, scope, env, shadowed)
     return state if new_env is env else self.state_type(new_env, instances)
+
+
+def _offered(self, state, event):
+    """The ``(value, instance)`` pairs a quantified node offers ``event`` to,
+    the instance ``None`` for one still to build."""
+    from flowdetect.engine import QuantifiedFlow, _UnboundedDomain
+
+    if isinstance(self, QuantifiedFlow):
+        return state.instances.items()
+    if not event.args:
+        raise InputError(f"node {self.name!r}: event {event.name!r} has no argument to route on")
+    value = event.args[0]
+    if value is None:
+        raise InputError(f"node {self.name!r}: routing value is missing")
+    try:
+        hash(value)
+    except TypeError as exc:
+        raise InputError(f"node {self.name!r}: routing value is not hashable") from exc
+    if value != value:  # a NaN would route each object to its own instance
+        raise InputError(f"node {self.name!r}: routing value is not equal to itself")
+    instance = state.instances.get(value)
+    if instance is None and not isinstance(self.domain, _UnboundedDomain):
+        return ()  # outside a bounded domain
+    return ((value, instance),)
 
 
 def _step_call(self, state, scope, ctx):

@@ -440,8 +440,10 @@ def names_in_scope(env):
 
 #: name -> (spec, step env, event, shadows, outcome).  ``shadows`` is the set
 #: of kinds the step's binds return (None: it shadowed nothing; dict: it
-#: shadowed a name).  ``outcome`` is ``(enclosing env, new state as
-#: state_to_dict)``, ``None`` for a refusal or the exception the step raises.
+#: shadowed a name), as the reference interpreter, which binds each attribute
+#: and parameter env and each shadowing capture through its ``_bind``, sees
+#: them.  ``outcome`` is ``(enclosing env, new state as state_to_dict)``,
+#: ``None`` for a refusal or the exception the step raises.
 SHADOWING = {
     "capture_shadows_an_attribute_guard_refuses": (
         loop("leaf", X_CAPTURE, attrs=(("x", 5), ("seen", None)),
@@ -523,47 +525,51 @@ SHADOWING = {
 @pytest.mark.parametrize("case", sorted(SHADOWING))
 def test_shadowing_round_trips(case, monkeypatch):
     spec, env, event, shadows, outcome = SHADOWING[case]
-    bind, drop = engine_module._bind, engine_module._drop
-    kinds = set()
+    engine_binds, reference_kinds = [], []
 
-    # Attributes, parameters and shadowing captures bind through ``_bind``.
-    # A step binds the captures that shadow nothing inline and pops them
-    # inline, so a capture bind is seen only where it shadowed a name, when
-    # ``_drop`` restores what it hid (an action that raises restores
-    # nothing); the restores of ``_bind``'s own binds add no kind it has not
-    # returned.
-    def recording(scope, bindings):
-        shadowed = bind(scope, bindings)
-        kinds.add(None if shadowed is None else type(shadowed))
-        return shadowed
+    # The compiled step binds inline what shadows nothing, so it calls
+    # ``_bind`` only for a bind that shadows: once for each shadowing bind
+    # the reference interpreter makes, in the same order.
+    def recording(bind, seen):
+        def wrapper(scope, bindings):
+            shadowed = bind(scope, bindings)
+            seen.append(None if shadowed is None else type(shadowed))
+            return shadowed
 
-    def restoring(scope, names, shadowed):
-        kinds.add(None if shadowed is None else type(shadowed))
-        drop(scope, names, shadowed)
+        return wrapper
 
-    state = init(spec)  # init binds through ``_bind`` too; only the step's binds count
-    monkeypatch.setattr(engine_module, "_bind", recording)
-    monkeypatch.setattr(engine_module, "_drop", restoring)
-    before = dump_state(state)
-    given_env = dict(env) if env else None
-    if isinstance(outcome, type):
-        with pytest.raises(outcome):
-            step(spec, state, event, env=env)
-    else:
-        result = step(spec, state, event, env=env)
-        if outcome is None:
-            assert result is None
+    def attempt(run, state):
+        given_env = dict(env) if env else None
+        before = dump_state(state)
+        if isinstance(outcome, type):
+            with pytest.raises(outcome):
+                run(spec, state, event, env)
         else:
-            new_state, out = result
-            assert (dict(out), json.loads(dump_state(new_state))) == outcome
-    if not isinstance(outcome, tuple):
-        assert dump_state(state) == before
-    assert env == given_env
-    assert kinds == shadows
+            result = run(spec, state, event, env)
+            if outcome is None:
+                assert result is None
+            else:
+                new_state, out = result
+                assert (dict(out), json.loads(dump_state(new_state))) == outcome
+        if not isinstance(outcome, tuple):
+            assert dump_state(state) == before
+        assert env == given_env
+
+    state, twin = init(spec), init(spec)  # init binds through ``_bind`` too; only a step's binds count
+    monkeypatch.setattr(engine_module, "_bind", recording(engine_module._bind, engine_binds))
+    attempt(step, state)
+    engine_binds = list(engine_binds)  # the reference starts lazy instances through the engine's ``_init``
+    monkeypatch.setattr(oracles, "_bind", recording(oracles._bind, reference_kinds))
+    attempt(oracles.step_reference, twin)
+    assert set(reference_kinds) == shadows
+    assert engine_binds == [k for k in reference_kinds if k is dict]
 
 
 def test_shadowing_cases_see_both_kinds_of_bind():
-    assert set().union(*(case[3] for case in SHADOWING.values())) == {None, dict}
+    # Some case binds only what shadows nothing, so its step calls no
+    # ``_bind``; some binds only what shadows, so every bind it makes does.
+    kinds = {frozenset(case[3]) for case in SHADOWING.values()}
+    assert {frozenset({None}), frozenset({dict}), frozenset({None, dict})} <= kinds
 
 
 # ---------------------------------------------------------------- node actions

@@ -8,7 +8,9 @@ import gc
 import importlib.util
 import json
 import random
+import sys
 import weakref
+from collections import Counter
 from datetime import datetime, timedelta
 from itertools import combinations
 from pathlib import Path
@@ -416,18 +418,15 @@ def test_the_tree_binds_pairwise_disjoint_names(monkeypatch):
 
 
 def test_no_bind_of_a_replay_shadows_a_name(monkeypatch):
-    bind = engine._bind
-    results = []
-
-    def recording(scope, bindings):
-        results.append(bind(scope, bindings))
-        return results[-1]
-
-    monkeypatch.setattr(engine, "_bind", recording)
+    # A step binds through ``_bind`` only what shadows a name, and the tree's
+    # names are disjoint, so no step of a replay calls it, not even one that
+    # starts a user's instance.
+    calls = []
     pipeline = Pipeline(weekly_config())
+    monkeypatch.setattr(engine, "_bind", lambda scope, bindings: calls.append(bindings))
     records = run(pipeline, interleave(weekday_events("alice", 5), weekday_events("bob", 4, (8, 16))))
     assert pipeline.counters.retrains > 0 and records
-    assert results and not any(results)
+    assert calls == []
 
 
 def test_build_spec_requires_detectors():
@@ -814,23 +813,61 @@ def test_the_built_tree_deep_copies_and_the_copy_steps_alike():
 
 
 def test_a_pipeline_event_matches_its_pattern_once(monkeypatch):
-    # The eight leaves a user steps share one pattern object, whose event
-    # side is worked out once per step rather than once per leaf.
-    calls = []
-    original = EventPattern._match_event
+    # The leaves a function of the pipeline's code steps share one pattern
+    # object, whose event side that function tests once, at its top, inline.
+    sources = {}
 
-    def counting(self, event):
-        calls.append(event)
-        return original(self, event)
+    def keeping(source, filename, mode):
+        sources[filename] = source
+        return compile(source, filename, mode)
 
-    monkeypatch.setattr(EventPattern, "_match_event", counting)
+    def matching(*_):
+        raise AssertionError("a matching event went through EventPattern.match")
+
+    monkeypatch.setattr(engine, "compile", keeping, raising=False)
+    monkeypatch.setattr(EventPattern, "match", matching)
     pipeline = Pipeline(weekly_config())
-    events = weekday_events("alice", 4)  # scored from event 31 on
-    for event in events:
-        calls.clear()
+    for event in weekday_events("alice", 4):  # scored from event 31 on
         pipeline.process_event(event)
-        assert calls == [event]
     assert pipeline.drain_scores()
+    tests = {
+        filename: [function.count("event.name != ") for function in source.split("\ndef ")]
+        for filename, source in sources.items()
+    }
+    # The users' function tests it for the parser and the vote, the detector
+    # instance's for its training and detection; the detectors' loop has no leaf.
+    assert tests == {"<flowdetect step 'users'>": [0, 1], "<flowdetect step 'detector_instance'>": [1]}
+
+
+def test_a_fanout_event_makes_a_fixed_number_of_python_calls():
+    # A gate on the per-event work of the many-user benchmark stream that no
+    # timing noise moves: one event of a warmed user whose window has not
+    # filled, under the default config, makes exactly these Python-level
+    # calls.  The engine's share is ``step``, ``_check_shape``, the users'
+    # and the detectors' functions, one callee resolution, the detector
+    # instance's function per detector, and one ``_drop`` when no detector
+    # fires; the rest is the parse, the six guards, the fold and the vote.
+    pipeline = Pipeline()
+    for n in range(12):
+        pipeline.process_event(Event("e", (f"u{n % 3}", f"01/0{4 + n % 2}/2010 0{n % 9}:00:00", f"e-{n}")))
+    assert pipeline.counters.retrains == 0
+    event, calls = Event("e", ("u1", "01/05/2010 09:30:00", "e-last")), Counter()
+
+    def profile(frame, what, arg):
+        if what == "call":
+            calls[frame.f_code.co_name] += 1
+
+    collecting, profiling = gc.isenabled(), sys.getprofile()
+    gc.disable()  # a collection could run a finalizer inside the profiled event
+    sys.setprofile(profile)
+    try:
+        pipeline.process_event(event)
+    finally:
+        sys.setprofile(profiling)
+        if collecting:
+            gc.enable()
+    assert sum(calls.values()) == 24, sorted(calls.items())
+    assert calls["_bind"] == calls["match"] == 0
 
 
 def test_the_benchmark_tracer_spans_every_guard_and_action_a_step_calls():
