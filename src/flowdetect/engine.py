@@ -1,8 +1,8 @@
 """Engine for trees of composable state machines, each step compiled to Python.
 
 A specification is a tree of nodes: plain automata at the leaves, combined by
-``Flow`` (both operands observe every event), ``Call`` (delegation to a named
-specification with argument binding) and one quantification, an operand
+``Flow`` (both operands observe every event), ``Call`` (delegation to a
+callee node with argument binding) and one quantification, an operand
 instance per value of a variable, under two offer rules: ``QuantifiedFlow``
 offers each event to every instance, ``QuantifiedInterleave`` to the instance
 its first argument names.  A bounded domain's values must be orderable and
@@ -32,22 +32,21 @@ attributes all hold the same objects, so an instance at rest allocates
 nothing.  At-rest states of automata, and of flows and argument-less calls
 of such parts, are shared per node, so they go when the spec goes.  A node
 whose initial state is at rest, an automaton without attributes or a flow
-of such parts, builds it when it is made and keeps it; a call starts the
-callee ``defs`` names.  So a lazily built instance costs only the states
-and environments it does not share.
+or argument-less call of such parts, builds it when it is made and keeps
+it.  So a lazily built instance costs only the states and environments it
+does not share.
 
-Building: a node is checked and fixed when it is made, and its constructor
-computes what ``init`` reads (see ``Node``).  Its first ``step`` generates
-its step as Python and compiles it once, in the file ``<flowdetect step
-'NAME'>``, kept on the node and never copied or pickled: one function
+Building: a node is checked and fixed when it is made, after its operands,
+so no call is unresolved or recursive, and its constructor computes what
+``init`` reads (see ``Node``); ``init`` checks nothing.  Its first ``step``
+generates its step as Python and compiles it once, in the file ``<flowdetect
+step 'NAME'>``, kept on the node and never copied or pickled: one function
 unrolls its flows and automata (states and transitions in declaration
-order) and calls its callees' code, and one per quantified node runs its
-instance loop and routes an event inline.  Attributes, one-state leaves,
-capture names, patterns, guards and actions are constants there: a node's
-``action`` and a transition's ``guard`` and ``action`` may be assigned until
-then, not after.  A call resolves its callee from the step's ``defs`` where
-the step first reaches it.  So ``init`` checks only calls and starts the
-tree.
+order), and one per quantified node runs its instance loop and routes an
+event inline.  A callee's own code, compiled with its caller's if not
+before, is a constant there, as are attributes, one-state leaves, capture
+names, patterns, guards and actions: a node's ``action`` and a transition's
+``guard`` and ``action`` may be assigned until then, not after.
 
 Matching: each generated function tests the event side of each pattern
 its leaves use (name, arity, literals and capture types) once, at its top,
@@ -252,7 +251,8 @@ AttrInit = Any
 
 class _Fixed:
     """A spec part, fixed once made but for the callables in ``_open``, which compiling
-    a step that runs it empties; a copy or pickle leaves out ``_open`` and the code."""
+    a step that runs it empties.  A copy or pickle is remade by the constructor from the
+    fields it takes, so it starts as a new part: its own at-rest states, unsealed, no code."""
 
     _made = False  # True once ``__post_init__`` ends: assignments are checked from then
 
@@ -263,8 +263,12 @@ class _Fixed:
             _check_arity(f"{self._label}: {name}", value)
         object.__setattr__(self, name, value)
 
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name not in ("_code", "_open")}
+    def __reduce__(self) -> tuple:
+        return _remake, (type(self), {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.init})
+
+
+def _remake(kind: type, fields: dict) -> Any:
+    return kind(**fields)
 
 
 @dataclass(kw_only=True)
@@ -275,9 +279,9 @@ class Node(_Fixed):
     they are visible to the node like read-only enclosing variables.
 
     Each kind is one operator with states of class ``state_type``.  It
-    defines ``_operands(defs)``, ``_header()``, ``_start(local, scope,
-    defs)`` from initialised attributes ``local``, also bound in ``scope``,
-    ``_final(state, defs)``, and ``_emit(out, s)``, which writes its step's
+    defines ``_operands()``, ``_header()``, ``_start(local, scope)`` from
+    initialised attributes ``local``, also bound in ``scope``,
+    ``_final(state)``, and ``_emit(out, s)``, which writes its step's
     code to ``out`` for the state in variable ``s`` and names the variable of
     the new state, ``None`` on refusal; on the base class all five raise.
 
@@ -295,8 +299,8 @@ class Node(_Fixed):
     the cached state holds, so no id in a key is ever reused.  The keys are
     bounded by the spec's declared states, and the table goes with the node.
     ``_kept`` is the one of them that every start of an automaton without
-    attributes, or of a flow of kept parts, returns.  The instances of every
-    machine share it and ``_plain``.
+    attributes, or of a flow or argument-less call of kept parts, returns.
+    The instances of every machine share it and ``_plain``.
     """
 
     name: str
@@ -386,7 +390,7 @@ class Automaton(Node):
 
     state_type = AutomatonState
 
-    def _operands(self, defs):
+    def _operands(self):
         return ()
 
     def _header(self):
@@ -426,7 +430,7 @@ class Automaton(Node):
         if not self.attrs:
             self._kept = self._state(self.initial, EMPTY_ENV)
 
-    def _start(self, local, scope, defs):
+    def _start(self, local, scope):
         return self._state(self.initial, local)
 
     def _state(self, current, env):
@@ -437,7 +441,7 @@ class Automaton(Node):
     def _is_rest(self, state):
         return self._rest.get(state.current) is state
 
-    def _final(self, state, defs):
+    def _final(self, state):
         return state.current in set(self.finals)
 
     def _emit(self, out, s):
@@ -495,7 +499,7 @@ class Flow(Node):
 
     state_type = FlowState
 
-    def _operands(self, defs):
+    def _operands(self):
         return self.left, self.right
 
     def _header(self):
@@ -508,8 +512,8 @@ class Flow(Node):
         if not self.attrs and left is not None and right is not None:
             self._kept = self._state(EMPTY_ENV, left, right)
 
-    def _start(self, local, scope, defs):
-        return self._state(local, _init(self.left, scope, defs), _init(self.right, scope, defs))
+    def _start(self, local, scope):
+        return self._state(local, _init(self.left, scope), _init(self.right, scope))
 
     def _state(self, env, left, right):
         if env is EMPTY_ENV and self.left._is_rest(left) and self.right._is_rest(right):
@@ -519,8 +523,8 @@ class Flow(Node):
     def _is_rest(self, state):
         return self._rest.get((id(state.left), id(state.right))) is state
 
-    def _final(self, state, defs):
-        return self.left._final(state.left, defs) and self.right._final(state.right, defs)
+    def _final(self, state):
+        return self.left._final(state.left) and self.right._final(state.right)
 
     def _emit(self, out, s):
         n, left, right, r = out.const(self), out.var("s"), out.var("s"), out.var("r")
@@ -560,7 +564,7 @@ class _Quantified(Node):
     domain: Sequence[Any]
     body: Node
 
-    def _operands(self, defs):
+    def _operands(self):
         return (self.body,)
 
     def _fix(self):
@@ -580,23 +584,23 @@ class _Quantified(Node):
         domain = self.domain if isinstance(self.domain, _UnboundedDomain) else list(self.domain)
         return f"{type(self).__name__} {self.var} in {domain}"
 
-    def _start(self, local, scope, defs):
+    def _start(self, local, scope):
         instances = {}
         if not isinstance(self.domain, _UnboundedDomain):
             var, body = self.var, self.body
             hidden = {var: scope[var]} if var in scope else None
             for value in self.domain:
                 scope[var] = value
-                instances[value] = _init(body, scope, defs)
+                instances[value] = _init(body, scope)
             _drop(scope, (var,), hidden)
         return self.state_type(local, instances)
 
-    def _final(self, state, defs):
-        return all(self.body._final(inst, defs) for inst in state.instances.values())
+    def _final(self, state):
+        return all(self.body._final(inst) for inst in state.instances.values())
 
     def _emit(self, out, s):
         r = out.var("r")
-        out.add(f"{r} = {out.function(self._loop)}({s}, scope, event, defs, commits)")
+        out.add(f"{r} = {out.function(self._loop)}({s}, scope, event, commits)")
         return r
 
     def _loop(self, out, s):
@@ -610,7 +614,7 @@ class _Quantified(Node):
         out.add(f"hidden = scope.get({var}, _MISSING)\nfired = False")
         with out.block(offer, offer is not None):
             lazy = isinstance(self.domain, _UnboundedDomain)
-            start = f"_init({out.const(self.body)}, scope, defs) if instance is None else " if lazy else ""
+            start = f"_init({out.const(self.body)}, scope) if instance is None else " if lazy else ""
             out.add(f"scope[{var}] = value\n{body} = {start}instance")
             stepped = self.body._emit(out, body)
             out.add(f"if {stepped} is not None:\n    fired = True\n    if {stepped} is not instance:\n"
@@ -660,75 +664,75 @@ class QuantifiedInterleave(_Quantified):
 
 @dataclass(kw_only=True)
 class Call(Node):
-    """Delegate to the specification registered under ``callee``.
+    """Delegate to ``callee``, a node made before the call, so never unresolved or recursive.
 
-    ``args`` binds the callee's parameters, held as an ``Env``; values may be
+    ``args`` binds exactly the callee's ``params``, held as an ``Env``; values may be
     callables evaluated against the environment at initialisation time.
     """
 
-    callee: str
+    callee: Node
     args: Mapping[str, AttrInit] = field(default_factory=dict)
 
     state_type = CallState
     _open = ()  # a call has no action
 
-    def _operands(self, defs):
-        return (self._callee(defs),)
+    def _operands(self):
+        return (self.callee,)
 
     def _fix(self):
         if self.attrs or self.action:
             raise SpecificationError(f"call {self.name!r} must not declare attributes")
+        if not isinstance(self.callee, Node):
+            raise SpecificationError(f"call {self.name!r}: callee {self.callee!r} is not a node")
         if not isinstance(self.args, Mapping):
             raise SpecificationError(f"call {self.name!r}: args is not a mapping of names to values")
         self.args = Env(self.args) if self.args else EMPTY_ENV
         self._check_initialisers(self.args)
+        if set(self.args) != set(params := self.callee.params):
+            raise SpecificationError(
+                f"call {self.name!r}: argument names {sorted(self.args)} do not match "
+                f"parameters {sorted(params)} of {self.callee.name!r}"
+            )
+        if not self.args and self.callee._kept is not None:
+            self._kept = self._state(EMPTY_ENV, self.callee._kept)
 
     def _header(self):
-        return f"Call {self.callee}({', '.join(self.args)})"
+        return f"Call {self.callee.name}({', '.join(self.args)})"
 
-    def _start(self, local, scope, defs):
+    def _start(self, local, scope):
         # A call declares no attributes; its parameters are bound like them.
-        callee, params = self._callee(defs), self.args
+        params = self.args
         if not params:
-            return self._state(callee, EMPTY_ENV, _init(callee, scope, defs))
+            return self._state(EMPTY_ENV, _init(self.callee, scope))
         if any(map(callable, params.values())):
             enclosing = Env(scope)
             params = Env({n: v(enclosing) if callable(v) else v for n, v in params.items()})
         shadowed = None if scope.keys().isdisjoint(params) else _bind(scope, params)
         scope.update(params)
-        inner = _init(callee, scope, defs)
+        inner = _init(self.callee, scope)
         _drop(scope, params, shadowed)
-        return self._state(callee, params, inner)
+        return self._state(params, inner)
 
-    def _state(self, callee, env, inner):
-        if env is EMPTY_ENV and callee._is_rest(inner):
+    def _state(self, env, inner):
+        if env is EMPTY_ENV and self.callee._is_rest(inner):
             return self._at_rest(id(inner), CallState, env, inner)
         return CallState(env, inner)
 
     def _is_rest(self, state):
         return self._rest.get(id(state.inner)) is state
 
-    def _callee(self, defs):
-        callee = defs.get(self.callee)
-        if isinstance(callee, Node):
-            return callee
-        raise SpecificationError(f"call {self.name!r}: unresolved callee {self.callee!r}")
-
-    def _final(self, state, defs):
-        return self._callee(defs)._final(state.inner, defs)
+    def _final(self, state):
+        return self.callee._final(state.inner)
 
     def _emit(self, out, s):
-        n, callee, code, inner, r = out.const(self), out.var("c"), out.var("f"), out.var("r"), out.var("r")
-        # The callee is the one this step's defs name where the function first
-        # reaches the call, stepped by the code compiled for it.
-        out.first.append(callee)
-        out.add(f"if {callee} is None:\n    {callee} = {n}._callee(defs)\n"
-                f"    {code} = {callee}._code or _compile({callee})")
+        # The callee's own function, compiled now if it is not yet, is a constant here.
+        n, code = out.const(self), out.const(self.callee._code or _compile(self.callee))
+        inner, r = out.var("r"), out.var("r")
         bound = out.enter(s, self.args)  # parameters are constant: popped whether or not it fires
-        out.add(f"{inner} = {code}({s}.inner, scope, event, defs, commits)")
+        out.add(f"{inner} = {code}({s}.inner, scope, event, commits)")
         out.refuse(bound)
         out.add(f"{r} = None if {inner} is None else {s} if {inner} is {s}.inner else "
-                f"{n}._state({callee}, {s}.env, {inner})")
+                f"{n}._state({s}.env, {inner})")
         return r
 
 
@@ -737,35 +741,19 @@ class Call(Node):
 # ---------------------------------------------------------------------------
 
 
-def walk(spec: Node, defs: Mapping[str, Node] | None = None) -> Iterator[tuple[int, Node]]:
-    """Yield ``(depth, node)`` in pre-order, a call's callee from ``defs`` under the
-    call; raise ``SpecificationError`` for an unresolved callee or a recursive call."""
-    pending: list[tuple[int, Node, tuple[str, ...]]] = [(0, spec, ())]
+def walk(spec: Node) -> Iterator[tuple[int, Node]]:
+    """Yield ``(depth, node)`` in pre-order, a call's callee under the call."""
+    pending = [(0, spec)]
     while pending:
-        depth, node, chain = pending.pop()
-        callee = node.callee if isinstance(node, Call) else None
-        if callee in chain:
-            raise SpecificationError(f"recursive call to {callee!r} (chain {' -> '.join(chain)})")
-        chain += () if callee is None else (callee,)
+        depth, node = pending.pop()
         yield depth, node
-        pending += [(depth + 1, operand, chain) for operand in reversed(node._operands(defs or {}))]
+        pending += [(depth + 1, operand) for operand in reversed(node._operands())]
 
 
-def validate_spec(spec: Node, defs: Mapping[str, Node] | None = None) -> None:
-    """Raise ``SpecificationError`` for a call whose callee ``defs`` does not resolve,
-    that recurses, or whose argument names are not the callee's ``params``."""
-    for _, node in walk(spec, defs):
-        if isinstance(node, Call) and set(node.args) != set(params := node._callee(defs or {}).params):
-            raise SpecificationError(
-                f"call {node.name!r}: argument names {sorted(node.args)} do not match "
-                f"parameters {sorted(params)} of {node.callee!r}"
-            )
-
-
-def describe(spec: Node, defs: Mapping[str, Node] | None = None) -> str:
+def describe(spec: Node) -> str:
     """One line per node of ``walk``, indented by depth, and one per transition."""
     lines = []
-    for depth, node in walk(spec, defs):
+    for depth, node in walk(spec):
         params = f"({', '.join(node.params)})" if node.params else ""
         attrs = f" attrs({', '.join(n for n, _ in node.attrs)})" if node.attrs else ""
         text = f"{node.name}{params}{attrs}{_named(' / ', node.action)}: {node._header()}"
@@ -798,19 +786,16 @@ def _slot(slot: Any) -> str:
     return f"?{name}" if isinstance(slot, Capture) else name
 
 
-def init(
-    spec: Node, env: Mapping[str, Any] | None = None, defs: Mapping[str, Node] | None = None
-) -> Any:
+def init(spec: Node, env: Mapping[str, Any] | None = None) -> Any:
     """Build the initial runtime state of ``spec``.
 
     Attribute initialisers are evaluated against ``env`` extended with the
     attributes already initialised on the same node, in declaration order.
     """
-    validate_spec(spec, defs)
-    return _init(spec, dict(env) if env else {}, defs or EMPTY_ENV)
+    return _init(spec, dict(env) if env else {})
 
 
-def _init(spec: Node, scope: dict, defs: Mapping[str, Node]) -> Any:
+def _init(spec: Node, scope: dict) -> Any:
     """The initial state of ``spec`` under ``scope``, which it leaves as it found it."""
     state = spec._kept
     if state is not None:
@@ -819,10 +804,10 @@ def _init(spec: Node, scope: dict, defs: Mapping[str, Node]) -> Any:
     if local is None:
         local = _init_attrs(spec, scope)
     if not local:
-        return spec._start(local, scope, defs)
+        return spec._start(local, scope)
     shadowed = None if scope.keys().isdisjoint(local) else _bind(scope, local)
     scope.update(local)
-    state = spec._start(local, scope, defs)
+    state = spec._start(local, scope)
     _drop(scope, local, shadowed)
     return state
 
@@ -854,18 +839,14 @@ def _check_shape(spec: Node, state: Any) -> None:
         )
 
 
-def is_final(spec: Node, state: Any, defs: Mapping[str, Node] | None = None) -> bool:
+def is_final(spec: Node, state: Any) -> bool:
     """True when the state satisfies the node's acceptance condition."""
     _check_shape(spec, state)
-    return spec._final(state, defs or {})
+    return spec._final(state)
 
 
 def step(
-    spec: Node,
-    state: Any,
-    event: Event,
-    env: Mapping[str, Any] | None = None,
-    defs: Mapping[str, Node] | None = None,
+    spec: Node, state: Any, event: Event, env: Mapping[str, Any] | None = None
 ) -> tuple[Any, Env] | None:
     """Attempt one transition on ``event``.
 
@@ -883,7 +864,7 @@ def step(
     code = spec._code or _compile(spec)
     scope = dict(env) if env else {}
     commits: list[tuple[dict, Any, Any]] = []  # instance writes, made once the step succeeds
-    new_state = code(state, scope, event, defs or EMPTY_ENV, commits)
+    new_state = code(state, scope, event, commits)
     if new_state is None:
         return None
     for instances, value, instance in commits:
@@ -892,13 +873,13 @@ def step(
 
 
 def _compile(spec: Node) -> Callable:
-    """Generate ``spec``'s step as top-level functions, callees first, whose defaults read
-    the consts; compile it and keep it on ``spec``.  Each takes the state, the scope, the event,
-    the step's ``defs`` and the commit queue."""
+    """Generate ``spec``'s step as top-level functions whose defaults read the consts, its
+    callees' compiled first; compile it and keep it on ``spec``.  Each takes the state, the
+    scope, the event and the commit queue."""
     out = _Source()
     entry = out.function(spec._loop if isinstance(spec, _Quantified) else spec._emit)
     namespace = dict(out.consts)  # what the defaults read; each function is defined into it
-    exec(compile("\n".join(out.defs) + "\n", f"<flowdetect step {spec.name!r}>", "exec"), globals(), namespace)
+    exec(compile("\n".join(out.text) + "\n", f"<flowdetect step {spec.name!r}>", "exec"), globals(), namespace)
     object.__setattr__(spec, "_code", namespace[entry])
     for part in out.sealed:  # its guards and actions are constants of the code now
         object.__setattr__(part, "_open", ())
@@ -906,18 +887,18 @@ def _compile(spec: Node) -> Callable:
 
 
 class _Source:
-    """The source of one compiled step: in ``defs``, a top-level function for
+    """The source of one compiled step: in ``text``, a top-level function for
     the node compiled and one per quantified node under it, down to the calls,
     and in ``sealed`` the parts it is written from.  A function takes the
-    ``consts`` it names (nodes, patterns, guards, actions, names and states)
-    and the functions it calls as defaults no caller passes, so it reads them
-    as locals; its ``first`` variables start as ``None``, and at its top it
-    tests the event side of each pattern its leaves use, its ``tests``."""
+    ``consts`` it names (nodes, patterns, guards, actions, names, states and
+    its callees' functions) and the functions it calls as defaults no caller
+    passes, so it reads them as locals; at its top it tests the event side of
+    each pattern its leaves use, its ``tests``."""
 
     def __init__(self) -> None:
         # ``names`` maps a const's id to its name; ``used`` is what the current function names.
         self.consts, self.names, self.used, self.tests = {}, {}, {}, {}
-        self.defs, self.lines, self.first, self.sealed = [], [], [], []
+        self.text, self.lines, self.sealed = [], [], []
         self.depth = self.count = 0
 
     def var(self, prefix: str) -> str:
@@ -941,17 +922,16 @@ class _Source:
 
     def function(self, emit: Callable[[_Source, str], str]) -> str:
         """Emit a function of its own around ``emit``'s code; return its name."""
-        outer = self.lines, self.depth, self.used, self.first, self.tests
+        outer = self.lines, self.depth, self.used, self.tests
         name, s = self.var("f"), self.var("s")
-        self.lines, self.depth, self.used, self.first, self.tests = [], 1, {}, [], {}
+        self.lines, self.depth, self.used, self.tests = [], 1, {}, {}
         self.add(f"return {emit(self, s)}")
         defaults = ", ".join(f"{k}={k}" for k in self.used)
-        self.defs += [f"def {name}({s}, scope, event, defs, commits, {defaults}):"]
-        self.defs += [f"    {' = '.join(self.first)} = None"] if self.first else []
-        self.defs += ["    args = event.args"] if self.tests else []
-        self.defs += ["    " + line for _, test in self.tests.values() for line in test.splitlines()]
-        self.defs += self.lines
-        self.lines, self.depth, self.used, self.first, self.tests = outer
+        self.text += [f"def {name}({s}, scope, event, commits, {defaults}):"]
+        self.text += ["    args = event.args"] if self.tests else []
+        self.text += ["    " + line for _, test in self.tests.values() for line in test.splitlines()]
+        self.text += self.lines
+        self.lines, self.depth, self.used, self.tests = outer
         self.used[name] = None
         return name
 

@@ -270,7 +270,10 @@ def _loop(name: str, pattern: EventPattern, guard=None, action=None) -> Automato
 def build_spec(config: PipelineConfig) -> tuple[QuantifiedInterleave, dict[str, Node]]:
     """Assemble the machine tree for ``config``.
 
-    Returns the root node and the definitions map needed to resolve calls.
+    Returns the root node and ``{"detector_instance": ...}``, the callee its
+    detector call holds.  Nothing in this package reads that map; the
+    benchmark tracer (``perfbench/tracing.py``) finds the detector
+    instance's guards and actions only through it, as it walks no callee.
     It checks nothing: ``config`` checked itself when it was made.  A step
     of the tree reads ``when`` and adds each fit to ``fits``, both bound by
     its caller, and binds a scored event as ``scored``.  The vote is the
@@ -331,7 +334,7 @@ def build_spec(config: PipelineConfig) -> tuple[QuantifiedInterleave, dict[str, 
             var="d",
             domain=tuple(config.detectors),  # held sorted
             attrs=[("detectors", unfitted)],
-            body=Call(name="detector", callee="detector_instance"),
+            body=Call(name="detector", callee=detector_instance),
         ),
         right=_loop("voting", pattern, action=vote_action),
     )
@@ -363,7 +366,7 @@ class Pipeline:
         self.counters = RunCounters()
         self._score_buffer: list[ScoredEvent] = []
         self.spec, self.defs = build_spec(self.config)
-        self.state = init(self.spec, defs=self.defs)
+        self.state = init(self.spec)
 
     def process_event(self, event: Event) -> list[ScoredEvent]:
         """Run one event through the machine; return its alerting scored events."""
@@ -374,7 +377,7 @@ class Pipeline:
         except InputError:
             self.counters.skipped_dates += 1
             return []
-        result = step(self.spec, self.state, event, {"when": when, "fits": 0}, defs=self.defs)
+        result = step(self.spec, self.state, event, {"when": when, "fits": 0})
         if result is None:
             raise EngineError(f"pipeline refused event {event!r}")
         self.state, out = result

@@ -712,15 +712,15 @@ def pipeline_plain(config, events) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def step_reference(spec, state, event, env=None, defs=None):
+def step_reference(spec, state, event, env=None):
     """``engine.step`` as the interpreter it replaced: each node kind's step,
     called node by node, with one scope threaded down the tree.  It reads
     only a node's public fields, never what its constructor computed."""
-    from flowdetect.engine import EMPTY_ENV, Env, _check_shape
+    from flowdetect.engine import Env, _check_shape
 
     _check_shape(spec, state)
     scope = dict(env) if env else {}
-    ctx = _StepContext(event, defs or EMPTY_ENV)
+    ctx = _StepContext(event)
     new_state = _step(spec, state, scope, ctx)
     if new_state is None:
         return None
@@ -730,14 +730,13 @@ def step_reference(spec, state, event, env=None, defs=None):
 
 
 class _StepContext:
-    """What every node of one step shares: the event, the ``defs`` and the
-    queued instance commits."""
+    """What every node of one step shares: the event and the queued instance
+    commits."""
 
-    __slots__ = ("event", "defs", "commits")
+    __slots__ = ("event", "commits")
 
-    def __init__(self, event, defs):
+    def __init__(self, event):
         self.event = event
-        self.defs = defs
         self.commits = []
 
 
@@ -820,7 +819,7 @@ def _step_quantified(self, state, scope, ctx):
     fired = False
     for value, instance in offered:
         scope[var] = value
-        start = _init(body, scope, ctx.defs) if instance is None else instance
+        start = _init(body, scope) if instance is None else instance
         stepped = _step(body, start, scope, ctx)
         if stepped is not None:
             fired = True
@@ -862,16 +861,15 @@ def _offered(self, state, event):
 
 
 def _step_call(self, state, scope, ctx):
-    callee = self._callee(ctx.defs)
     # Parameters are constant; pop them before propagating updates.
     env = state.env
     shadowed = _bind(scope, env) if env else None
-    inner = _step(callee, state.inner, scope, ctx)
+    inner = _step(self.callee, state.inner, scope, ctx)
     if env:
         _drop(scope, env, shadowed)
     if inner is None:
         return None
-    return state if inner is state.inner else self._state(callee, env, inner)
+    return state if inner is state.inner else self._state(env, inner)
 
 
 def _bind(scope, bindings):

@@ -110,15 +110,13 @@ def test_criterion_1_engine_semantics():
 
     # random trees: acceptance law, refusal totality, determinism
     for seed in range(40):
-        rng = random.Random(seed)
-        defs: dict = {}
-        tree, expect_final = gen_tree(rng, 3, defs, [0])
-        s = init(tree, defs=defs)
-        assert is_final(tree, s, defs) == expect_final
+        tree, expect_final = gen_tree(random.Random(seed), 3, [0])
+        s = init(tree)
+        assert is_final(tree, s) == expect_final
         before = dump_state(s)
-        assert step(tree, s, Event("nope", ("k",)), defs=defs) is None
+        assert step(tree, s, Event("nope", ("k",))) is None
         assert dump_state(s) == before
-        fired = step(tree, s, Event("go", ("k",)), defs=defs)
+        fired = step(tree, s, Event("go", ("k",)))
         assert fired is not None
         assert "0x" not in dump_state(fired[0])
 

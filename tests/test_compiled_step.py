@@ -146,9 +146,8 @@ SHARED = (("a", (("cap", "c", 0),)), ("b", (("ref", "v"), ("cap", "d", 2))))
 
 
 def build(recipe):
-    """``(spec, defs)`` made from ``recipe``: new nodes, closures and patterns."""
+    """The spec made from ``recipe``: new nodes, closures and patterns."""
     shared = [make_pattern(p) for p in SHARED]
-    defs = {}
     counter = [0]
 
     def make(recipe, params=()):
@@ -157,8 +156,7 @@ def build(recipe):
         kind = recipe[0]
         if kind == "call":
             _, callee_params, args, body = recipe
-            callee = f"def{counter[0]}"
-            defs[callee] = make(body, callee_params)
+            callee = make(body, callee_params)
             return Call(name=name, params=params, callee=callee, args={p: initial(v) for p, v in args})
         _, own, act, *rest = recipe
         header = dict(name=name, params=params, attrs=[(n, initial(v)) for n, v in own],
@@ -177,7 +175,7 @@ def build(recipe):
         cls = QuantifiedFlow if kind == "qflow" else QuantifiedInterleave
         return cls(**header, var=var, domain=domain, body=make(body))
 
-    return make(recipe), defs
+    return make(recipe)
 
 
 def initial(value):
@@ -245,10 +243,10 @@ cases = st.randoms(use_true_random=False).map(case)
 
 # ------------------------------------------------------------ the property
 
-def attempt(run, spec, state, event, env, defs):
+def attempt(run, spec, state, event, env):
     """``run``'s result, or the type and text of what it raised."""
     try:
-        return run(spec, state, event, env, defs)
+        return run(spec, state, event, env)
     except Exception as exc:  # noqa: BLE001 - the exception itself is compared
         return (type(exc), str(exc))
 
@@ -270,17 +268,16 @@ DELETED_WHILE_BOUND = (
 @example(drawn=DELETED_WHILE_BOUND)
 def test_the_compiled_step_is_the_reference_interpreter(drawn):
     recipe, stream = drawn
-    spec, defs = build(recipe)
-    twin, twin_defs = build(recipe)
-    note(describe(spec, defs))
-    state, twin_state = init(spec, STEP_ENV, defs), init(twin, STEP_ENV, twin_defs)
+    spec, twin = build(recipe), build(recipe)
+    note(describe(spec))
+    state, twin_state = init(spec, STEP_ENV), init(twin, STEP_ENV)
     assert dump_state(state) == dump_state(twin_state)
     env = dict(STEP_ENV)
     for event in stream:
         note(f"event {event}")
         before, twin_before = dump_state(state), dump_state(twin_state)
-        got = attempt(step, spec, state, event, env, defs)
-        want = attempt(oracles.step_reference, twin, twin_state, event, env, twin_defs)
+        got = attempt(step, spec, state, event, env)
+        want = attempt(oracles.step_reference, twin, twin_state, event, env)
         if not all(result is not None and isinstance(result[0], State) for result in (got, want)):
             assert got == want  # both refused, or both raised the same
             # A refused step, or one that raised, leaves the state it was given.
@@ -289,7 +286,7 @@ def test_the_compiled_step_is_the_reference_interpreter(drawn):
         (state, out), (twin_state, twin_out) = got, want
         assert dump_state(state) == dump_state(twin_state)
         assert dict(out) == dict(twin_out)
-        assert is_final(spec, state, defs) == is_final(twin, twin_state, twin_defs)
+        assert is_final(spec, state) == is_final(twin, twin_state)
         env = dict(out)
 
 
@@ -302,16 +299,16 @@ def test_the_recipes_reach_every_outcome_and_kind():
     @given(drawn=cases)
     def record(drawn):
         recipe, stream = drawn
-        spec, defs = build(recipe)
-        seen.update(type(node).__name__ for _, node in walk(spec, defs))
-        for _, node in walk(spec, defs):
+        spec = build(recipe)
+        seen.update(type(node).__name__ for _, node in walk(spec))
+        for _, node in walk(spec):
             if isinstance(node, QuantifiedInterleave):
                 seen.add("unbounded" if node.domain is UNBOUNDED else "bounded")
             if isinstance(node, Automaton):
                 seen.add("multi-state" if len(node.states) > 1 else "one-state")
-        state, env = init(spec, STEP_ENV, defs), dict(STEP_ENV)
+        state, env = init(spec, STEP_ENV), dict(STEP_ENV)
         for event in stream:
-            result = attempt(step, spec, state, event, env, defs)
+            result = attempt(step, spec, state, event, env)
             if result is None:
                 seen.add("refused")
             elif isinstance(result[0], type):
@@ -319,7 +316,7 @@ def test_the_recipes_reach_every_outcome_and_kind():
             else:
                 seen.add("accepted")
                 state, env = result[0], dict(result[1])
-                if deleted_while_bound(spec, state, defs, set(env)):
+                if deleted_while_bound(spec, state, set(env)):
                     seen.add("deleted while bound")
 
     record()
@@ -330,7 +327,7 @@ def test_the_recipes_reach_every_outcome_and_kind():
     }
 
 
-def deleted_while_bound(spec, state, defs, outer):
+def deleted_while_bound(spec, state, outer):
     """True when a node of ``state`` no longer holds one of its attributes while
     ``outer`` (the next step's env) or an enclosing node binds that name: the
     case where a leave that took back every declared name took the caller's."""
@@ -340,13 +337,13 @@ def deleted_while_bound(spec, state, defs, outer):
     if isinstance(spec, Flow):
         parts = ((spec.left, state.left), (spec.right, state.right))
     elif isinstance(spec, Call):
-        parts = ((defs[spec.callee], state.inner),)
+        parts = ((spec.callee, state.inner),)
     elif isinstance(spec, Automaton):
         parts = ()
     else:
         outer |= {spec.var}
         parts = ((spec.body, instance) for instance in state.instances.values())
-    return any(deleted_while_bound(node, part, defs, outer) for node, part in parts)
+    return any(deleted_while_bound(node, part, outer) for node, part in parts)
 
 
 # ------------------------------------------------------- deep and large trees
@@ -435,9 +432,9 @@ def nodes_of(code):
     return {id(value) for value in code.__defaults__ if isinstance(value, (Node, EventPattern))}
 
 
-def open_fields(spec, defs):
+def open_fields(spec):
     """The ``(part, field)`` of every guard and action of a tree, set or not."""
-    for _, node in walk(spec, defs):
+    for _, node in walk(spec):
         if not isinstance(node, Call):
             yield node, "action"
         for t in getattr(node, "transitions", ()):
@@ -449,27 +446,32 @@ def test_pipelines_and_copies_share_no_compiled_code():
     event = Event("e", ("alice", "01/04/2010 09:00:00", "a-1"))
     for pipeline in (first, second):
         pipeline.process_event(event)
-    for a, b in ((first.spec, second.spec), (first.defs["detector_instance"], second.defs["detector_instance"])):
+    for a, b in ((first.spec, second.spec), (callee_of(first.spec), callee_of(second.spec))):
         assert a._code is not None and b._code is not None and a._code is not b._code
         assert not nodes_of(a._code) & nodes_of(b._code)
     # A copy or a pickle of a stepped spec starts without code and unsealed,
     # and compiles its own, which reads the copy's nodes.
-    spec = Flow(name="f", attrs=(("n", 0),), left=leaf("l", move=count), right=Call(name="c", callee="p"))
-    defs = {"p": leaf("p", attrs=(("n", 0),), move=count)}
-    state, _ = step(spec, init(spec, defs=defs), Event("t", (1,)), defs=defs)
-    originals = {id(node) for _, node in walk(spec, defs)}
-    for part, name in open_fields(spec, defs):
+    callee = leaf("p", attrs=(("n", 0),), move=count)
+    spec = Flow(name="f", attrs=(("n", 0),), left=leaf("l", move=count), right=Call(name="c", callee=callee))
+    state, _ = step(spec, init(spec), Event("t", (1,)))
+    originals = {id(node) for _, node in walk(spec)}
+    for part, name in open_fields(spec):
         with pytest.raises(AttributeError, match="is fixed"):
             setattr(part, name, getattr(part, name))
-    for twin, twin_defs in (copy.deepcopy((spec, defs)), pickle.loads(pickle.dumps((spec, defs)))):
-        assert all(node._code is None for _, node in walk(twin, twin_defs))
-        for part, name in open_fields(twin, twin_defs):
+    for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert all(node._code is None for _, node in walk(twin))
+        for part, name in open_fields(twin):
             setattr(part, name, getattr(part, name))  # the same value back
-        twin_state, _ = step(twin, init(twin, defs=twin_defs), Event("t", (1,)), defs=twin_defs)
+        twin_state, _ = step(twin, init(twin), Event("t", (1,)))
         assert dump_state(twin_state) == dump_state(state)
-        for node, original in ((twin, spec), (twin_defs["p"], defs["p"])):
+        for node, original in ((twin, spec), (callee_of(twin), callee)):
             assert node._code is not None and node._code is not original._code
             assert not nodes_of(node._code) & originals
+
+
+def callee_of(spec):
+    """The callee of the first call in ``spec``."""
+    return next(node.callee for _, node in walk(spec) if isinstance(node, Call))
 
 
 def test_code_is_compiled_once_per_node_it_steps(monkeypatch):
@@ -485,21 +487,19 @@ def test_code_is_compiled_once_per_node_it_steps(monkeypatch):
         pipeline.process_event(Event("e", (f"u{n % 3}", f"01/0{4 + n % 3}/2010 09:00:00", f"e-{n}")))
     assert sorted(compiled) == ["<flowdetect step 'detector_instance'>", "<flowdetect step 'users'>"]
 
-    # A call runs the code compiled for the callee its step's defs name:
-    # each callee is compiled the first time a step reaches it, and only then.
+    # A callee is compiled with the first of its callers to step, before it,
+    # and only then: every caller's code runs the callee's.
     compiled.clear()
-    first = Automaton(name="first", states=("s0", "s1"), initial="s0", finals=("s0",),
-                      transitions=(Transition(source="s0", pattern=EventPattern("tick"), target="s1"),
-                                   Transition(source="s1", pattern=EventPattern("tick"), target="s0")))
-    second = Automaton(name="second", states=("s0",), initial="s0", finals=("s0",),
-                       transitions=(Transition(source="s0", pattern=EventPattern("tick"), target="s0"),))
-    call = Call(name="c", callee="a")
-    for callee in (first, second, first, second):
-        defs = {"a": callee}
-        state = init(call, defs=defs)
+    callee = Automaton(name="a", states=("s0", "s1"), initial="s0", finals=("s0",),
+                       transitions=(Transition(source="s0", pattern=EventPattern("tick"), target="s1"),
+                                    Transition(source="s1", pattern=EventPattern("tick"), target="s0")))
+    calls = [Call(name="c", callee=callee), Call(name="d", callee=callee)]
+    for spec in (*calls, callee):
+        state = init(spec)
         for _ in range(3):
-            state, _ = step(call, state, Event("tick"), defs=defs)
-    assert compiled == ["<flowdetect step 'c'>", "<flowdetect step 'first'>", "<flowdetect step 'second'>"]
+            state, _ = step(spec, state, Event("tick"))
+    assert compiled == ["<flowdetect step 'a'>", "<flowdetect step 'c'>", "<flowdetect step 'd'>"]
+    assert all(callee._code in call._code.__defaults__ for call in calls)
 
 
 def test_the_pipelines_code_holds_its_guards_and_actions_as_constants(monkeypatch):
@@ -517,8 +517,8 @@ def test_the_pipelines_code_holds_its_guards_and_actions_as_constants(monkeypatc
     assert sorted(sources) == ["<flowdetect step 'detector_instance'>", "<flowdetect step 'users'>"]
     for source in sources.values():
         assert ".guard" not in source and ".action" not in source and "_bare" not in source
-        # Each function is defined at top level, and a call finds its callee through ``Call._callee``.
-        assert "def _unit" not in source and "defs.get(" not in source
-    for part, name in open_fields(pipeline.spec, pipeline.defs):
+        # Each function is defined at top level, and a call runs its callee's code, a constant.
+        assert "def _unit" not in source and "_callee" not in source and "_compile" not in source
+    for part, name in open_fields(pipeline.spec):
         with pytest.raises(AttributeError, match="is fixed"):
             setattr(part, name, getattr(part, name))

@@ -45,7 +45,6 @@ from flowdetect.engine import (
     is_final,
     state_to_dict,
     step,
-    validate_spec,
     walk,
 )
 from flowdetect.errors import EngineError, InputError, SpecificationError
@@ -732,10 +731,10 @@ def routed_spec(domain=UNBOUNDED):
     return QuantifiedInterleave(name="users", var="u", domain=domain, body=body)
 
 
-def run_events(spec, events, defs=None):
-    state = init(spec, defs=defs)
+def run_events(spec, events):
+    state = init(spec)
     for event in events:
-        result = step(spec, state, event, defs=defs)
+        result = step(spec, state, event)
         if result is not None:
             state, _ = result
     return state
@@ -910,20 +909,18 @@ def callee_spec():
 
 
 def test_call_binds_parameters():
-    defs = {"acc": callee_spec()}
-    spec = Call(name="use", callee="acc", args={"base": 7})
-    state = init(spec, defs=defs)
+    spec = Call(name="use", callee=callee_spec(), args={"base": 7})
+    state = init(spec)
     assert dict(state.env) == {"base": 7}
-    new_state, out = step(spec, state, Event("tick"), defs=defs)
+    new_state, out = step(spec, state, Event("tick"))
     assert dict(new_state.inner.env) == {"total": 7}
     assert dict(new_state.env) == {"base": 7}  # parameters are constant
     assert "base" not in out
 
 
 def test_call_evaluates_callable_arguments_at_init():
-    defs = {"acc": callee_spec()}
-    spec = Call(name="use", callee="acc", args={"base": lambda env: env["offset"] * 2})
-    state = init(spec, Env({"offset": 5}), defs=defs)
+    spec = Call(name="use", callee=callee_spec(), args={"base": lambda env: env["offset"] * 2})
+    state = init(spec, Env({"offset": 5}))
     assert dict(state.env) == {"base": 10}
 
 
@@ -931,77 +928,66 @@ def test_call_propagates_enclosing_updates_without_parameters():
     def bump(env):
         env["g"] = env["g"] + env["base"]
 
-    defs = {"bumper": loop("b", params=("base",), action=bump)}
-    spec = Call(name="use", callee="bumper", args={"base": 7})
+    spec = Call(name="use", callee=loop("b", params=("base",), action=bump), args={"base": 7})
     outer = Env({"g": 0})
-    state = init(spec, outer, defs=defs)
-    _, out = step(spec, state, Event("tick"), env=outer, defs=defs)
+    state = init(spec, outer)
+    _, out = step(spec, state, Event("tick"), env=outer)
     assert dict(out) == {"g": 7}
 
 
 def test_nested_calls_layer_parameters():
     inner = loop("leaf", params=("p2",), attrs=(("total", 0),),
                  action=lambda env: env.__setitem__("total", env["p2"]))
-    middle = Call(name="mid", callee="leaf", params=("p1",),
+    middle = Call(name="mid", callee=inner, params=("p1",),
                   args={"p2": lambda env: env["p1"] + 1})
-    defs = {"leaf": inner, "outer": middle}
-    top = Call(name="top", callee="outer", args={"p1": 3})
-    state = init(top, defs=defs)
-    new_state, _ = step(top, state, Event("tick"), defs=defs)
+    top = Call(name="top", callee=middle, args={"p1": 3})
+    state = init(top)
+    new_state, _ = step(top, state, Event("tick"))
     assert dict(new_state.inner.inner.env) == {"total": 4}
 
 
 def test_call_validation_errors():
-    defs = {"acc": callee_spec()}
-    with pytest.raises(SpecificationError):  # unresolved callee
-        init(Call(name="u", callee="ghost"), defs=defs)
-    for check in (validate_spec, lambda spec, defs: init(spec, defs=defs)):
-        with pytest.raises(SpecificationError, match=r"argument names \['base', 'extra'\] do not"):
-            check(Call(name="u", callee="acc", args={"base": 1, "extra": 2}), defs)
+    # A call's arguments are its callee's parameters, checked when it is made.
+    with pytest.raises(SpecificationError, match=r"argument names \['base', 'extra'\] do not match "
+                                                 r"parameters \['base'\] of 'acc'"):
+        Call(name="u", callee=callee_spec(), args={"base": 1, "extra": 2})
+    with pytest.raises(SpecificationError, match=r"^call 'u': argument names \[\] do not"):
+        Call(name="u", callee=callee_spec())
     with pytest.raises(SpecificationError):  # calls own no state
-        init(Call(name="u", callee="acc", args={"base": 1}, attrs=(("z", 0),)), defs=defs)
-    loops = {"a": Call(name="x", callee="a")}
-    with pytest.raises(SpecificationError):  # recursion
-        init(Call(name="top", callee="a"), defs=loops)
-    spec = Call(name="c", callee="acc", args={"base": 1})
-    state = init(spec, defs=defs)
-    for check in (lambda: step(spec, state, Event("tick")), lambda: is_final(spec, state)):
-        with pytest.raises(SpecificationError, match="unresolved callee 'acc'"):
-            check()  # defs left out after init
+        Call(name="u", callee=callee_spec(), args={"base": 1}, attrs=(("z", 0),))
+
+
+def test_the_call_errors_come_from_the_constructor():
+    # A callee is a node, made before its call: a name, or nothing, is refused.
+    for callee in ("acc", None):
+        with pytest.raises(SpecificationError, match=f"^call 'u': callee {callee!r} is not a node"):
+            Call(name="u", callee=callee)
+    # A made call is fixed, so none can call itself, directly or through another.
+    call = Call(name="x", callee=loop("a"))
+    with pytest.raises(AttributeError, match="is fixed"):
+        call.callee = call
+    outer = Call(name="y", callee=call)
+    assert [node.name for _, node in walk(outer)] == ["y", "x", "a"]
 
 
 def test_walk_is_pre_order_left_before_right_with_callees_under_calls():
-    defs = {"acc": Flow(name="acc", params=("base",), left=loop("x"), right=loop("y"))}
+    acc = Flow(name="acc", params=("base",), left=loop("x"), right=loop("y"))
     spec = Flow(
         name="root",
         left=QuantifiedFlow(name="q", var="v", domain=(1, 2), body=loop("body")),
-        right=Call(name="c", callee="acc", args={"base": 1}),
+        right=Call(name="c", callee=acc, args={"base": 1}),
     )
-    assert [(depth, node.name) for depth, node in walk(spec, defs)] == [
+    assert [(depth, node.name) for depth, node in walk(spec)] == [
         (0, "root"), (1, "q"), (2, "body"), (1, "c"), (2, "acc"), (3, "x"), (3, "y"),
     ]
-    assert [node for _, node in walk(spec, defs)][5] is defs["acc"].left
-
-
-def test_the_call_errors_come_from_the_walk():
-    with pytest.raises(SpecificationError, match="unresolved callee 'ghost'"):
-        list(walk(Flow(name="f", left=loop("l"), right=Call(name="u", callee="ghost"))))
-    loops = {"a": Call(name="x", callee="b"), "b": Call(name="y", callee="a")}
-    with pytest.raises(SpecificationError, match=r"recursive call to 'a' \(chain a -> b\)"):
-        list(walk(Call(name="top", callee="a"), loops))
-    # The walk refuses before it yields the node that recurses.
-    seen = []
-    with pytest.raises(SpecificationError):
-        for _, node in walk(Call(name="top", callee="a"), loops):
-            seen.append(node.name)
-    assert seen == ["top", "x"]
+    assert [node for _, node in walk(spec)][5] is acc.left
 
 
 def test_describe_prints_each_kind_its_parts_and_its_transitions():
     def keep(env):
         return True
 
-    defs = {"acc": loop("acc", GO, params=("base",), guard=keep, action=inc("base"))}
+    acc = loop("acc", GO, params=("base",), guard=keep, action=inc("base"))
     spec = Flow(
         name="root",
         attrs=(("n", 0),),
@@ -1009,10 +995,10 @@ def test_describe_prints_each_kind_its_parts_and_its_transitions():
         left=QuantifiedInterleave(name="i", var="v", domain=UNBOUNDED, body=loop("b")),
         right=QuantifiedFlow(
             name="q", var="w", domain={3, 1, 2},
-            body=Call(name="c", callee="acc", args={"base": 1}),
+            body=Call(name="c", callee=acc, args={"base": 1}),
         ),
     )
-    assert describe(spec, defs) == "\n".join([
+    assert describe(spec) == "\n".join([
         "root attrs(n) / scale.<locals>.action: Flow",
         "  i: QuantifiedInterleave v in UNBOUNDED",
         "    b: Automaton {s} init s final {s}",
@@ -1117,18 +1103,17 @@ def test_a_made_node_keeps_its_call_args_and_its_domain():
     values = [2, 1]
     leaf = loop("p", EventPattern("tick", (Capture("who"),)), params=("x",),
                 attrs=(("seen", lambda env: dict(env)),))
-    call = Call(name="c", callee="p", args={"x": 1})
+    call = Call(name="c", callee=leaf, args={"x": 1})
     spec = Flow(name="f", left=QuantifiedFlow(name="q", var="v", domain=values, body=loop("b")),
                 right=QuantifiedInterleave(name="i", var="u", domain=UNBOUNDED, body=call))
-    defs = {"p": leaf}
-    before, state = describe(spec, defs), init(spec, defs=defs)
+    before, state = describe(spec), init(spec)
     with pytest.raises(TypeError, match="read-only"):
         call.args["y"] = 2
     values.append(3)
-    assert describe(spec, defs) == before
-    assert dump_state(init(spec, defs=defs)) == dump_state(state)
+    assert describe(spec) == before
+    assert dump_state(init(spec)) == dump_state(state)
     assert list(state.left.instances) == [1, 2]
-    state, _ = step(spec, state, Event("tick", ("al",)), defs=defs)
+    state, _ = step(spec, state, Event("tick", ("al",)))
     assert dict(state.right.instances["al"].inner.env["seen"]) == {"u": "al", "x": 1}
 
 
@@ -1142,20 +1127,21 @@ MALFORMED = {
         name="bad", var="v", domain=UNBOUNDED, body=None),
     "attribute-not-a-pair": lambda: loop("bad", attrs=(("n", 0), ("m",))),
     "attribute-a-bare-name": lambda: loop("bad", attrs=(("n", 0), "m")),
-    "defs-entry-not-a-node": lambda: init(Call(name="bad", callee="p"), defs={"p": None}),
+    "callee-not-a-node": lambda: Call(name="bad", callee=None),
     # A member after one that matches None was never checked: e(1) raised a bare TypeError.
     "capture-type-member-after-a-match": lambda: _with_transition(
         pattern=EventPattern("go", (Capture("v", (type(None), 5)),))),
     "capture-type-nested-member": lambda: _with_transition(
         pattern=EventPattern("go", (Capture("v", (int, (type(None), "x"))),))),
-    "call-args-a-number": lambda: Call(name="bad", callee="p", args=5),
-    "call-args-a-list-of-names": lambda: Call(name="bad", callee="p", args=["x"]),
+    "call-args-a-number": lambda: Call(name="bad", callee=loop("p", params=("x",)), args=5),
+    "call-args-a-list-of-names": lambda: Call(name="bad", callee=loop("p", params=("x",)), args=["x"]),
     # Each of these ran until its first call, then raised a bare TypeError mid-stream.
     "guard-of-no-argument": lambda: _with_transition(guard=lambda: True),
     "action-of-two-arguments": lambda: _with_transition(action=lambda a, b: None),
     "node-action-of-no-argument": lambda: Flow(name="bad", left=loop("l"), right=loop("r"), action=lambda: None),
     "initialiser-of-no-argument": lambda: loop("bad", attrs=(("n", lambda: 0),)),
-    "call-argument-of-no-argument": lambda: Call(name="bad", callee="p", args={"x": lambda: 0}),
+    "call-argument-of-no-argument": lambda: Call(
+        name="bad", callee=loop("p", params=("x",)), args={"x": lambda: 0}),
 }
 
 
@@ -1207,66 +1193,91 @@ def test_attr_initialisers_see_earlier_attrs():
     assert given == {"g": 0}  # init writes its own scope, never the caller's mapping
 
 
-def callees():
-    """Two callees for one call: ``first`` moves s0 -> s1 on tick, ``second`` s1 -> s0."""
-    first = Automaton(name="first", states=("s0", "s1"), initial="s0", finals=("s0",),
-                      transitions=(Transition(source="s0", pattern=TICK, target="s1"),))
-    second = Automaton(name="second", states=("s0", "s1"), initial="s1", finals=("s1",),
-                       transitions=(Transition(source="s1", pattern=TICK, target="s0"),))
-    return first, second
-
-
-def test_a_call_starts_the_callee_its_defs_name_on_every_start():
-    # The automata keep their initial states; neither the call nor a flow
-    # over it may keep one, since another ``defs`` names another callee.
-    # Its step is built for one defs object and again for another, so each
-    # step runs the callee its own ``defs`` name.
-    first, second = callees()
-    call = Call(name="c", callee="a")
+def test_an_argument_less_call_of_a_kept_callee_keeps_its_initial_state():
+    # The automaton keeps its initial state, so the call over it keeps one,
+    # and so does a flow of such calls: every start returns the same object.
+    callee = Automaton(name="a", states=("s0", "s1"), initial="s0", finals=("s0",),
+                       transitions=(Transition(source="s0", pattern=TICK, target="s1"),))
+    call = Call(name="c", callee=callee)
     flow = Flow(name="f", left=call, right=loop("r"))
-    for spec, callee_state in ((call, lambda s: s.inner), (flow, lambda s: s.left.inner)):
-        starts = [init(spec, defs={"a": callee}) for callee in (first, second, first)]
-        assert [callee_state(s).current for s in starts] == ["s0", "s1", "s0"]
-        assert callee_state(starts[0]) is callee_state(starts[2])  # kept by the automaton
-        assert [is_final(spec, s, {"a": first}) for s in starts[::2]] == [True, True]
-        assert is_final(spec, starts[1], {"a": second})
-        stepped = [step(spec, s, Event("tick"), defs={"a": c})[0]
-                   for s, c in zip(starts, (first, second, first))]
-        assert [callee_state(s).current for s in stepped] == ["s1", "s0", "s1"]
-    # a state started by ``first`` and stepped under ``second`` is refused by it
-    assert step(call, init(call, defs={"a": first}), Event("tick"), defs={"a": second}) is None
-    # ``call`` is in both trees: each steps the callee its own step's defs name
-    under_first, under_second = init(call, defs={"a": first}), init(flow, defs={"a": second})
-    assert step(call, under_first, Event("tick"), defs={"a": first})[0].inner.current == "s1"
-    assert step(flow, under_second, Event("tick"), defs={"a": second})[0].left.inner.current == "s0"
+    assert init(call) is call._kept and init(call).inner is init(callee) is callee._kept
+    assert init(flow) is flow._kept and init(flow).left is call._kept
+    assert is_final(call, init(call)) and is_final(flow, init(flow))
+    stepped, _ = step(flow, init(flow), Event("tick"))
+    assert stepped.left.inner.current == "s1" and init(flow).left.inner.current == "s0"
+    # A call that binds parameters, or over a callee with attributes, keeps none.
+    with_args = Call(name="d", callee=loop("p", params=("x",)), args={"x": 1})
+    over_attrs = Call(name="e", callee=loop("q", attrs=(("n", 0),)))
+    assert with_args._kept is None and over_attrs._kept is None
+    assert init(with_args) is not init(with_args)
 
 
-def test_a_defs_changed_in_place_is_read_at_the_next_step():
-    first, second = callees()
-    spec = Call(name="c", callee="a")
-    defs = {"a": first}
-    state = init(spec, defs=defs)
-    defs["a"] = second
-    # the state ``first`` started is at s0, where ``second`` has no move
-    assert step(spec, state, Event("tick"), defs=defs) is None
-    state = init(spec, defs=defs)
-    assert state.inner.current == "s1"
-    new_state, _ = step(spec, state, Event("tick"), defs=defs)
-    assert new_state.inner.current == "s0"
-    del defs["a"]
-    with pytest.raises(SpecificationError, match="unresolved callee 'a'"):
-        step(spec, new_state, Event("tick"), defs=defs)
-
-
-@pytest.mark.parametrize("with_defs", (True, False))
-def test_a_built_tree_copies_and_pickles_and_each_copy_steps_alike(with_defs):
-    right = Call(name="c", callee="p") if with_defs else loop("r", action=snapshot)
+@pytest.mark.parametrize("with_call", (True, False))
+def test_a_built_tree_copies_and_pickles_and_each_copy_steps_alike(with_call):
+    right = Call(name="c", callee=loop("p")) if with_call else loop("r", action=snapshot)
     spec = Flow(name="f", attrs=(("n", 0),), left=loop("l", action=names_in_scope), right=right)
-    defs = {"p": loop("p")} if with_defs else None
-    state = init(spec, defs=defs)
-    expected = dump_state(step(spec, state, Event("tick"), defs=defs)[0])
-    for twin, twin_defs in (copy.deepcopy((spec, defs)), pickle.loads(pickle.dumps((spec, defs)))):
-        assert dump_state(step(twin, state, Event("tick"), defs=twin_defs)[0]) == expected
+    state = init(spec)
+    expected = dump_state(step(spec, state, Event("tick"))[0])
+    for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert dump_state(step(twin, state, Event("tick"))[0]) == expected
+
+
+def flip(name):
+    """A two-state automaton without attributes that moves on every tick."""
+    return Automaton(name=name, states=("s0", "s1"), initial="s0", finals=("s0",),
+                     transitions=(Transition(source="s0", pattern=TICK, target="s1"),
+                                  Transition(source="s1", pattern=TICK, target="s0")))
+
+
+def test_copies_and_pickles_keep_at_rest_sharing():
+    # A copy is a newly made tree, so its instances at rest share one state as
+    # the original's do, whether it is copied before or after it stepped.
+    def shared_after_a_step(spec):
+        state, _ = step(spec, init(spec), Event("tick"))
+        return state.instances[1] is state.instances[2]
+
+    spec = QuantifiedFlow(name="q", var="v", domain=(1, 2),
+                          body=Flow(name="f", left=flip("l"), right=flip("r")))
+    for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert shared_after_a_step(twin)
+    assert shared_after_a_step(spec)
+    for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert twin._code is None and init(twin.body) is twin.body._kept is not spec.body._kept
+        assert shared_after_a_step(twin)
+
+
+def test_two_machines_of_one_tree_share_no_mutable_state():
+    # Whatever the machines share (plain Envs, kept at-rest states), stepping
+    # one never changes what the other holds.
+    def count(env):
+        env["n"] = env["n"] + env["by"]
+
+    who = EventPattern("tick", (Capture("who"),))
+    spec = Flow(
+        name="root",
+        attrs=(("total", 0),),
+        left=QuantifiedFlow(
+            name="q", var="v", domain=(1, 2), attrs=(("seen", ()),),
+            body=Flow(name="pair", left=Call(name="kept", callee=flip("a")),
+                      right=Call(name="given", callee=loop("by", who, params=("by",), attrs=(("n", 0),),
+                                                            action=count),
+                                 args={"by": lambda env: env["v"]})),
+        ),
+        right=QuantifiedInterleave(name="users", var="u", domain=UNBOUNDED,
+                                   body=loop("user", who, attrs=(("n", lambda env: 0),),
+                                             action=inc("n"))),
+    )
+    assert spec.left.body.left._kept is not None  # an argument-less call over a kept callee
+    stream = [Event("tick", (user,)) for user in ("al", "bo", "al")]
+    for first, second in ((0, 1), (1, 0)):
+        machines = [init(spec), init(spec)]
+        before = dump_state(machines[second])
+        for event in stream:
+            machines[first], _ = step(spec, machines[first], event)
+            assert dump_state(machines[second]) == before
+        assert dump_state(machines[first]) != before
+        assert dump_state(step(spec, machines[second], stream[0])[0]) == dump_state(
+            step(spec, init(spec), stream[0])[0])
 
 
 @pytest.mark.parametrize("part", ("guard", "transition_action", "node_action", "bare_node_action"))
@@ -1331,15 +1342,14 @@ def test_a_lazily_built_instance_dumps_as_one_built_by_init():
             attrs=(("seen", lambda env: env["u"] * 2), ("n", 0)),
             left=QuantifiedFlow(
                 name="q", var="d", domain=("x", "y"), attrs=(("m", ()),),
-                body=Call(name="c", callee="leaf", args={"who": lambda env: (env["seen"], env["d"])}),
+                body=Call(name="c", callee=leaf, args={"who": lambda env: (env["seen"], env["d"])}),
             ),
             right=Flow(name="pair", left=loop("l", hold), right=loop("r", hold)),
         )
         return QuantifiedInterleave(name="users", var="u", domain=domain, body=body)
 
-    defs = {"leaf": leaf}
-    lazy = run_events(users(UNBOUNDED), [Event("hold", ("al",))], defs=defs)  # built, then held
-    eager = init(users(("al",)), defs=defs)
+    lazy = run_events(users(UNBOUNDED), [Event("hold", ("al",))])  # built, then held
+    eager = init(users(("al",)))
     assert dump_state(lazy) == dump_state(eager)
     assert lazy.instances["al"].left.instances["y"].inner.env == {"k": ("alal", "y")}
 
@@ -1351,11 +1361,11 @@ def write_env(env):
 @pytest.mark.parametrize("spec", [
     loop("attr", attrs=(("y", write_env),)),
     Flow(name="f", attrs=(("a", 1), ("y", write_env)), left=loop("l"), right=loop("r")),
-    Call(name="c", callee="p", args={"y": write_env}),
+    Call(name="c", callee=loop("p", params=("y",)), args={"y": write_env}),
 ], ids=["attribute", "later_attribute", "call_argument"])
 def test_an_initialiser_cannot_write_its_env(spec):
     with pytest.raises(TypeError, match="read-only"):
-        init(spec, {"g": 0}, defs={"p": loop("p", params=("y",))})
+        init(spec, {"g": 0})
 
 
 def test_plain_attributes_share_one_env_and_a_rebinding_instance_gets_its_own():
@@ -1372,10 +1382,10 @@ def test_plain_attributes_share_one_env_and_a_rebinding_instance_gets_its_own():
 
 
 def made(kind):
-    """The spec, its defs, the object whose fields are tried and the fields it may still be given."""
+    """The spec, the object whose fields are tried and the fields it may still be given."""
     leaf = loop("a", attrs=(("n", 0),), action=inc("n"))
     if kind == "transition":
-        return leaf, None, leaf.transitions[0], {"guard", "action"}
+        return leaf, leaf.transitions[0], {"guard", "action"}
     spec = {
         "automaton": leaf,
         "flow": Flow(name="f", attrs=(("n", 0),), left=loop("l"), right=loop("r", action=inc("n"))),
@@ -1383,19 +1393,19 @@ def made(kind):
         "quantified_interleave": QuantifiedInterleave(
             name="i", var="v", domain=UNBOUNDED, body=loop("b", EventPattern("tick", (Capture("u"),)))
         ),
-        "call": Call(name="c", callee="p", args={"x": 1}),
+        "call": Call(name="c", callee=loop("p", params=("x",)), args={"x": 1}),
     }[kind]
-    return spec, {"p": loop("p", params=("x",))}, spec, set() if kind == "call" else {"action"}
+    return spec, spec, set() if kind == "call" else {"action"}
 
 
 @pytest.mark.parametrize(
     "kind", ("automaton", "call", "flow", "quantified_flow", "quantified_interleave", "transition")
 )
 def test_a_made_node_refuses_every_fixed_field_and_steps_as_before(kind):
-    spec, defs, fixed, open_fields = made(kind)
-    twin, twin_defs, _, _ = made(kind)
+    spec, fixed, open_fields = made(kind)
+    twin, _, _ = made(kind)
     event = Event("tick", ("u",)) if kind == "quantified_interleave" else Event("tick")
-    expected = dump_state(step(twin, init(twin, defs=twin_defs), event, defs=twin_defs)[0])
+    expected = dump_state(step(twin, init(twin), event)[0])
     names = [f.name for f in dataclasses.fields(fixed)] + ["extra"]
     assert open_fields < set(names)
     for name in names:
@@ -1406,11 +1416,11 @@ def test_a_made_node_refuses_every_fixed_field_and_steps_as_before(kind):
     for name in open_fields:  # the same value back, so the step below is unchanged
         setattr(fixed, name, getattr(fixed, name))
     assert "extra" not in vars(fixed)
-    assert dump_state(step(spec, init(spec, defs=defs), event, defs=defs)[0]) == expected
+    assert dump_state(step(spec, init(spec), event)[0]) == expected
     for name in open_fields:  # the first step compiled them in
         with pytest.raises(AttributeError, match="is fixed"):
             setattr(fixed, name, getattr(fixed, name))
-    assert dump_state(step(spec, init(spec, defs=defs), event, defs=defs)[0]) == expected
+    assert dump_state(step(spec, init(spec), event)[0]) == expected
 
 
 def test_a_changed_copy_starts_from_its_own_fields():
@@ -1447,13 +1457,12 @@ def test_init_again_keeps_the_shared_states_of_an_unedited_node():
 
 # ------------------------------------------------------------------ node kinds
 
-SHAPE_DEFS = {"acc": loop("acc")}
 SHAPE_SPECS = {
     "automaton": loop("a"),
     "flow": Flow(name="f", left=loop("l"), right=loop("r")),
     "quantified_flow": QuantifiedFlow(name="q", var="v", domain=(1,), body=loop("b")),
     "quantified_interleave": QuantifiedInterleave(name="i", var="v", domain=UNBOUNDED, body=loop("b")),
-    "call": Call(name="c", callee="acc"),
+    "call": Call(name="c", callee=loop("acc")),
 }
 
 
@@ -1466,9 +1475,9 @@ def test_step_rejects_mismatched_state_shape(kind, op):
     wrong = init(other)
     with pytest.raises(EngineError, match="does not match node"):
         if op == "step":
-            step(spec, wrong, Event("tick"), defs=SHAPE_DEFS)
+            step(spec, wrong, Event("tick"))
         else:
-            is_final(spec, wrong, SHAPE_DEFS)
+            is_final(spec, wrong)
 
 
 def test_every_node_kind_defines_its_own_rules():
@@ -1518,7 +1527,7 @@ def test_bare_node_is_an_unknown_node_type():
 
 # --------------------------------------------------------------- random trees
 
-def gen_tree(rng: random.Random, depth: int, defs: dict, tag: list):
+def gen_tree(rng: random.Random, depth: int, tag: list):
     """Random spec tree; returns (node, is_final_at_init)."""
     tag[0] += 1
     name = f"n{tag[0]}"
@@ -1539,47 +1548,41 @@ def gen_tree(rng: random.Random, depth: int, defs: dict, tag: list):
         return node, initial in finals
     kind = rng.choice(("flow", "qflow", "interleave", "unbounded", "call"))
     if kind == "flow":
-        left, fl = gen_tree(rng, depth - 1, defs, tag)
-        right, fr = gen_tree(rng, depth - 1, defs, tag)
+        left, fl = gen_tree(rng, depth - 1, tag)
+        right, fr = gen_tree(rng, depth - 1, tag)
         return Flow(name=name, left=left, right=right), fl and fr
     if kind == "qflow":
-        body, fb = gen_tree(rng, depth - 1, defs, tag)
+        body, fb = gen_tree(rng, depth - 1, tag)
         return QuantifiedFlow(name=name, var=f"v{tag[0]}", domain=tuple(range(rng.randint(1, 3))), body=body), fb
     if kind == "interleave":
-        body, fb = gen_tree(rng, depth - 1, defs, tag)
+        body, fb = gen_tree(rng, depth - 1, tag)
         return QuantifiedInterleave(name=name, var=f"v{tag[0]}", domain=("k",), body=body), fb
     if kind == "unbounded":
-        body, fb = gen_tree(rng, depth - 1, defs, tag)
+        body, fb = gen_tree(rng, depth - 1, tag)
         return QuantifiedInterleave(name=name, var=f"v{tag[0]}", domain=UNBOUNDED, body=body), True
-    body, fb = gen_tree(rng, depth - 1, defs, tag)
-    defs[name + "_def"] = body
-    return Call(name=name, callee=name + "_def"), fb
+    body, fb = gen_tree(rng, depth - 1, tag)
+    return Call(name=name, callee=body), fb
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_tree_laws(seed):
-    rng = random.Random(seed)
-    defs: dict = {}
-    spec, expect_final = gen_tree(rng, 3, defs, [0])
-    state = init(spec, defs=defs)
+    spec, expect_final = gen_tree(random.Random(seed), 3, [0])
+    state = init(spec)
 
-    assert is_final(spec, state, defs) == expect_final
+    assert is_final(spec, state) == expect_final
 
     # refusal totality: an alien event leaves no trace
     before = dump_state(state)
-    assert step(spec, state, Event("nope", ("k",)), defs=defs) is None
+    assert step(spec, state, Event("nope", ("k",))) is None
     assert dump_state(state) == before
 
     # liveness: every leaf has an enabled transition on "go"
-    result = step(spec, state, Event("go", ("k",)), defs=defs)
+    result = step(spec, state, Event("go", ("k",)))
     assert result is not None
 
     # determinism: an identical rebuild replays to an identical dump
-    rng2 = random.Random(seed)
-    defs2: dict = {}
-    spec2, _ = gen_tree(rng2, 3, defs2, [0])
-    state2 = init(spec2, defs=defs2)
-    replay = step(spec2, state2, Event("go", ("k",)), defs=defs2)
+    spec2, _ = gen_tree(random.Random(seed), 3, [0])
+    replay = step(spec2, init(spec2), Event("go", ("k",)))
     assert dump_state(replay[0]) == dump_state(result[0])
 
 
@@ -1591,12 +1594,11 @@ RANDOM_TREE_DIGEST = "943d1f412a95a92471e8769a7dc89e35595dd992e090adb31373b768c9
 def test_random_tree_digest():
     digest = hashlib.sha256()
     for seed in range(40):
-        defs: dict = {}
-        spec, _ = gen_tree(random.Random(seed), 3, defs, [0])
-        state = init(spec, defs=defs)
-        digest.update(repr(is_final(spec, state, defs)).encode())
+        spec, _ = gen_tree(random.Random(seed), 3, [0])
+        state = init(spec)
+        digest.update(repr(is_final(spec, state)).encode())
         for name in ("go", "nope", "go"):
-            result = step(spec, state, Event(name, ("k",)), defs=defs)
+            result = step(spec, state, Event(name, ("k",)))
             if result is not None:
                 state = result[0]
             digest.update(dump_state(state).encode())

@@ -334,11 +334,11 @@ def test_build_spec_shape():
     # The README's machine block pins the tree: each node's kind and name, its
     # attributes, variable and domain, the callee under the call, and each
     # transition.  Every automaton matches the one pattern object.
-    root, defs = build_spec(PipelineConfig())
+    root, _ = build_spec(PipelineConfig())
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("`describe(*build_spec(PipelineConfig()))`", 1)[1]
-    assert describe(root, defs) == block.split("```text\n", 1)[1].split("\n```", 1)[0]
-    automata = [node for _, node in walk(root, defs) if isinstance(node, Automaton)]
+    block = readme.split("`describe(build_spec(PipelineConfig())[0])`", 1)[1]
+    assert describe(root) == block.split("```text\n", 1)[1].split("\n```", 1)[0]
+    automata = [node for _, node in walk(root) if isinstance(node, Automaton)]
     assert len({id(t.pattern) for node in automata for t in node.transitions}) == 1
 
 
@@ -350,8 +350,8 @@ def test_build_spec_shape():
 def test_the_tree_is_one_size_for_any_set_of_detectors(names):
     # Quantified Flow keeps the specification concise: the models it combines
     # are its domain, so the domain line is the one line they change.
-    full = describe(*build_spec(PipelineConfig())).splitlines()
-    lines = describe(*build_spec(PipelineConfig(detectors={n: {} for n in names}))).splitlines()
+    full = describe(build_spec(PipelineConfig())[0]).splitlines()
+    lines = describe(build_spec(PipelineConfig(detectors={n: {} for n in names}))[0]).splitlines()
     (at,) = [i for i, line in enumerate(full) if line.lstrip().startswith("detectors ")]
     assert lines[:at] + lines[at + 1 :] == full[:at] + full[at + 1 :]
     assert lines[at] == full[at].replace("['kde', 'kmeans', 'lof']", repr(list(names)))
@@ -361,7 +361,7 @@ def test_the_window_fold_is_the_last_action_of_a_step():
     # The fold is the one action that writes in place, so it must run after
     # every action that can raise: the parser, last in the walk, is the right
     # operand of the per-user flow, and no node above it has an action.
-    nodes = list(walk(*build_spec(PipelineConfig())))
+    nodes = list(walk(build_spec(PipelineConfig())[0]))
     above, (depth, parser) = [node for d, node in nodes if d < 2], nodes[-1]
     assert [(node.name, node.action) for node in above] == [("users", None), ("per_user", None)]
     assert (parser.name, depth) == ("parser", 2)
@@ -388,7 +388,7 @@ def test_no_action_mutates_a_bound_value():
 def test_the_tree_binds_pairwise_disjoint_names(monkeypatch):
     # Disjoint names mean no bind of a step ever shadows one, so the engine
     # never allocates to remember what a bind hid.
-    nodes = [node for _, node in walk(*build_spec(PipelineConfig()))]
+    nodes = [node for _, node in walk(build_spec(PipelineConfig())[0])]
     captures = {
         s.name for node in nodes if isinstance(node, Automaton)
         for t in node.transitions for s in t.pattern.slots if isinstance(s, Capture)
@@ -399,9 +399,9 @@ def test_the_tree_binds_pairwise_disjoint_names(monkeypatch):
     assert not any(node.args for node in nodes if isinstance(node, Call))  # no call binds a parameter
     step_env = set()
 
-    def recording(spec, state, event, env, defs):
+    def recording(spec, state, event, env):
         step_env.update(env)
-        return engine.step(spec, state, event, env, defs=defs)
+        return engine.step(spec, state, event, env)
 
     monkeypatch.setattr(pipeline_module, "step", recording)
     Pipeline(PipelineConfig()).process_event(Event("e", ("alice", stamp(0, 0, 9), "a-1")))
@@ -798,10 +798,10 @@ def test_a_fit_leaves_the_other_users_detectors_unfitted():
 
 def test_the_built_tree_deep_copies_and_the_copy_steps_alike():
     # The shared unfitted detectors are held in an Env, which copies, so the
-    # whole tree and its defs copy; the copy compiles and fits on its own.
+    # whole tree copies; the copy compiles and fits on its own.
     pipeline, twin = Pipeline(weekly_config()), Pipeline(weekly_config())
-    twin.spec, twin.defs = copy.deepcopy((pipeline.spec, pipeline.defs))
-    twin.state = init(twin.spec, defs=twin.defs)
+    twin.spec = copy.deepcopy(pipeline.spec)
+    twin.state = init(twin.spec)
     assert twin.dump() == pipeline.dump()
     for event in weekday_events("alice", 4) + weekday_events("bob", 1):  # alice fits from event 31
         assert twin.process_event(event) == pipeline.process_event(event)
@@ -810,6 +810,11 @@ def test_the_built_tree_deep_copies_and_the_copy_steps_alike():
     assert twin.counters == pipeline.counters and pipeline.counters.retrains > 0
     for name, detector in detectors_of(twin, "alice").items():
         assert detector is not detectors_of(pipeline, "alice")[name]
+    # The copy shares at-rest states as the original does: bob never fits, so
+    # one call state stands for each of his detectors.
+    for machine in (pipeline, twin):
+        calls = machine.state.instances["bob"].left.left.instances.values()
+        assert len(calls) == 3 and len({id(call) for call in calls}) == 1
 
 
 def test_a_pipeline_event_matches_its_pattern_once(monkeypatch):
@@ -844,9 +849,9 @@ def test_a_fanout_event_makes_a_fixed_number_of_python_calls():
     # timing noise moves: one event of a warmed user whose window has not
     # filled, under the default config, makes exactly these Python-level
     # calls.  The engine's share is ``step``, ``_check_shape``, the users'
-    # and the detectors' functions, one callee resolution, the detector
-    # instance's function per detector, and one ``_drop`` when no detector
-    # fires; the rest is the parse, the six guards, the fold and the vote.
+    # and the detectors' functions, the detector instance's function per
+    # detector, and one ``_drop`` when no detector fires; the rest is the
+    # parse, the six guards, the fold and the vote.
     pipeline = Pipeline()
     for n in range(12):
         pipeline.process_event(Event("e", (f"u{n % 3}", f"01/0{4 + n % 2}/2010 0{n % 9}:00:00", f"e-{n}")))
@@ -866,7 +871,7 @@ def test_a_fanout_event_makes_a_fixed_number_of_python_calls():
         sys.setprofile(profiling)
         if collecting:
             gc.enable()
-    assert sum(calls.values()) == 24, sorted(calls.items())
+    assert sum(calls.values()) == 23, sorted(calls.items())
     assert calls["_bind"] == calls["match"] == 0
 
 
