@@ -240,6 +240,10 @@ class _UnboundedDomain:
     def __repr__(self) -> str:
         return "UNBOUNDED"
 
+    def __reduce__(self) -> str:
+        # The module-level name, so copies and pickles are ``UNBOUNDED`` itself.
+        return "UNBOUNDED"
+
 
 #: Marker domain for ``QuantifiedInterleave`` over an open set of values.
 UNBOUNDED = _UnboundedDomain()

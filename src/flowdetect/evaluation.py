@@ -1,4 +1,8 @@
-"""Detection-rate and ROC evaluation of a scored run against labels."""
+"""Detection-rate and ROC evaluation of a scored run against labels.
+
+A scores file is read once into three columns (event id, ``alert``, swept
+value); no decoded record is kept.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 
@@ -64,7 +68,7 @@ _decoder = json.JSONDecoder()
 #: Decodes one value and says where it ended, in one scanner call.
 _raw_decode = _decoder.raw_decode
 #: The decoder ``json.loads`` ends in, without its per-call argument and BOM
-#: checks; ``load_scores`` restores the BOM message when a line fails.
+#: checks; ``_decoded`` restores the BOM message when a line fails.
 _decode = _decoder.decode
 #: The label column's two accepted texts and the values they read as.
 _LABELS = {"0": 0, "1": 1}
@@ -78,12 +82,17 @@ def load_scores(path: str) -> list[dict[str, Any]]:
     readers skip one; a line further on that opens with one is not valid
     JSON, and so is a line nested too deeply for the decoder.  A line that
     fails is named by its path and number with ``json.loads``' own message.
+    """
+    return list(_decoded(path))
+
+
+def _decoded(path: str) -> Iterator[Any]:
+    """``load_scores``' values, one line at a time.
 
     Each stripped line is decoded in one scanner call, and kept when the
     value ends the line.  A value followed by more text is decoded again the
     way ``json.loads`` decodes it, only for that message.
     """
-    records = []
     with open(path, encoding="utf-8-sig") as handle:
         try:
             for lineno, line in enumerate(handle, start=1):
@@ -97,7 +106,6 @@ def load_scores(path: str) -> list[dict[str, Any]]:
                     record, end = _raw_decode(line)
                     if end != len(line):
                         record = _decode(line)  # raises json's "Extra data" error
-                    records.append(record)
                 except json.JSONDecodeError as exc:
                     if line[0] == "\ufeff":  # the hint json.loads gives and decode skips
                         exc = json.JSONDecodeError(
@@ -106,9 +114,9 @@ def load_scores(path: str) -> list[dict[str, Any]]:
                     raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
                 except RecursionError as exc:  # nested deeper than the scanner goes
                     raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+                yield record
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not valid UTF-8: {exc}") from None
-    return records
 
 
 def load_labels(path: str) -> dict[str, int]:
@@ -198,56 +206,76 @@ def _swept(field: str, value: Any) -> float:
     return value
 
 
-def evaluate(
-    records: Sequence[Mapping[str, Any]],
-    labels: Mapping[str, int],
-    field: str = "votes",
-) -> EvalReport:
-    """Score a run: confusion at the alert decision, ROC over ``field``.
+class _Failed:
+    """A lookup that raised, kept in its column until the checks reach it."""
 
-    ``field`` is ``"votes"`` or a detector name (its raw score is swept; the
-    few records where that detector cast no vote are left out of the curve).
-    Every scored event must be labelled 0 or 1.  ``alert`` must be ``True``
-    or ``False``, and each swept value a number that is not a bool: JSON
-    ``true`` and ``"3"`` are no vote counts.  No swept value may be NaN,
-    which has no place in the ranking; infinite values are kept.
-    """
-    tp = fp = tn = fn = 0
-    alert_count = 0
-    missing: list[str] = []
-    values: list[float] = []
-    swept_labels: list[int] = []
-    for number, record in enumerate(records, start=1):
+    __slots__ = ("error",)
+
+    def __init__(self, error: Exception):
+        self.error = error.with_traceback(None)  # no frame, so no cycle
+
+
+def _columns(records: Iterable[Mapping[str, Any]], field: str) -> tuple[list[Any], ...]:
+    """Each record's event id, ``alert`` and swept value (``None`` where the
+    field's detector cast no vote), in one pass; what fails is a ``_Failed``."""
+    ids, alerts, values = columns = [], [], []
+    for record in records:
         try:
-            label = labels.get(record["eventId"])
-            if label is None:
-                missing.append(record["eventId"])
-                continue
+            event_id = record["eventId"]
+        except (KeyError, TypeError, AttributeError) as exc:
+            event_id = _Failed(exc)
+        try:
             alerted = record["alert"]
-            if alerted is not True and alerted is not False:
-                raise ValueError(f"alert is {alerted!r}, not true or false")
+        except (KeyError, TypeError, AttributeError) as exc:
+            alerted = _Failed(exc)
+        try:
             if field == "votes":
                 value = _swept(field, record["votes"])
             else:
                 entry = record["detectors"].get(field)
                 value = None if entry is None else _swept(field, entry["raw"])
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+            value = _Failed(exc)
+        ids.append(event_id)
+        alerts.append(alerted)
+        values.append(value)
+    return columns
+
+
+def _report(columns: tuple[list[Any], ...], labels: Mapping[str, int], field: str) -> EvalReport:
+    """Check each record's id, label, ``alert`` and value in turn, then sweep;
+    a record without a label is left out before its ``alert`` is checked."""
+    tp = fp = tn = fn = alert_count = 0
+    missing: list[str] = []
+    values: list[float] = []
+    swept_labels: list[int] = []
+    for number, (event_id, alerted, value) in enumerate(zip(*columns), start=1):
+        try:
+            if type(event_id) is _Failed:
+                raise event_id.error
+            label = labels.get(event_id)
+            if label is None:
+                missing.append(event_id)
+                continue
+            if alerted is not True and alerted is not False:
+                if type(alerted) is _Failed:
+                    raise alerted.error
+                raise ValueError(f"alert is {alerted!r}, not true or false")
+            if type(value) is _Failed:
+                raise value.error
         except KeyError as exc:
             raise InputError(f"score record {number} has no {exc.args[0]!r} field") from None
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"score record {number} is malformed: {exc}") from None
         alert_count += int(alerted)
         if label == 1:
-            if alerted:
-                tp += 1
-            else:
-                fn += 1
+            tp += alerted
+            fn += not alerted
         elif label == 0:
-            if alerted:
-                fp += 1
-            else:
-                tn += 1
+            fp += alerted
+            tn += not alerted
         else:
-            raise InputError(f"label of {record['eventId']!r} must be 0 or 1, got {label!r}")
+            raise InputError(f"label of {event_id!r} must be 0 or 1, got {label!r}")
         if value is not None:
             values.append(value)
             swept_labels.append(label)
@@ -258,17 +286,30 @@ def evaluate(
         raise InputError(f"no records carry scores for field {field!r}")
     points, auc = roc_curve(values, swept_labels)
     rate = tp / (tp + fn) if tp + fn else 0.0
-    return EvalReport(
-        detection_rate=rate,
-        roc_points=points,
-        auc=auc,
-        alert_count=alert_count,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-    )
+    return EvalReport(rate, points, auc, alert_count, tp, fp, tn, fn)
+
+
+def evaluate(
+    records: Iterable[Mapping[str, Any]],
+    labels: Mapping[str, int],
+    field: str = "votes",
+) -> EvalReport:
+    """Score a run: confusion at the alert decision, ROC over ``field``.
+
+    ``records`` is any iterable of score records, read once.  ``field`` is
+    ``"votes"`` or a detector name (its raw score is swept; the few records
+    where that detector cast no vote are left out of the curve).  Every
+    scored event must be labelled 0 or 1.  ``alert`` must be ``True`` or
+    ``False``, and each swept value a number that is not a bool: JSON
+    ``true`` and ``"3"`` are no vote counts.  No swept value may be NaN,
+    which has no place in the ranking; infinite values are kept.  Records
+    are checked in order, and the first that fails is named by its number.
+    """
+    return _report(_columns(records, field), labels, field)
 
 
 def evaluate_files(scores_path: str, labels_path: str, field: str = "votes") -> EvalReport:
-    return evaluate(load_scores(scores_path), load_labels(labels_path), field)
+    """``evaluate`` of the two files, reading the scores file once into its
+    columns; its every error is raised before the labels file is read."""
+    columns = _columns(_decoded(scores_path), field)
+    return _report(columns, load_labels(labels_path), field)

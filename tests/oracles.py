@@ -12,8 +12,8 @@ tests compare them with these using ``==``; a plain-Python loop would add in
 another order.  The next holds the detectors' scores and the default-layout
 timestamp reading as they were, for the same ``==`` comparisons.  The next
 holds the loaders that ``load_labels`` and
-``load_scores`` replaced, whose results and messages they must keep.  The
-next is the detection pipeline as a plain loop over the package's own
+``load_scores`` replaced, and ``evaluate_files`` as it was composed,
+whose results and messages they must keep.  The next is the detection pipeline as a plain loop over the package's own
 windows, detectors and vote: it checks how the machine tree assembles them,
 so it shares the parts and none of the assembly.  The last is the engine's
 step as the interpreter it was before it was compiled: it reads the same
@@ -585,7 +585,7 @@ def parse_timestamp_fields(text, date_format="%m/%d/%Y %H:%M:%S"):
 
 
 # ---------------------------------------------------------------------------
-# The replaced loaders, for exact comparisons
+# The replaced loaders and evaluation, for exact comparisons
 # ---------------------------------------------------------------------------
 
 
@@ -630,6 +630,77 @@ def load_scores_decode(path: str) -> list:
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not valid UTF-8: {exc}") from None
     return records
+
+
+def evaluate_loop(records, labels, field="votes"):
+    """``evaluate`` as it was: one loop over decoded records, which reads
+    each field as it checks it.  It shares ``_swept`` and ``roc_curve``."""
+    from flowdetect.evaluation import EvalReport, _swept, roc_curve
+
+    tp = fp = tn = fn = 0
+    alert_count = 0
+    missing = []
+    values = []
+    swept_labels = []
+    for number, record in enumerate(records, start=1):
+        try:
+            label = labels.get(record["eventId"])
+            if label is None:
+                missing.append(record["eventId"])
+                continue
+            alerted = record["alert"]
+            if alerted is not True and alerted is not False:
+                raise ValueError(f"alert is {alerted!r}, not true or false")
+            if field == "votes":
+                value = _swept(field, record["votes"])
+            else:
+                entry = record["detectors"].get(field)
+                value = None if entry is None else _swept(field, entry["raw"])
+        except KeyError as exc:
+            raise InputError(f"score record {number} has no {exc.args[0]!r} field") from None
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"score record {number} is malformed: {exc}") from None
+        alert_count += int(alerted)
+        if label == 1:
+            if alerted:
+                tp += 1
+            else:
+                fn += 1
+        elif label == 0:
+            if alerted:
+                fp += 1
+            else:
+                tn += 1
+        else:
+            raise InputError(f"label of {record['eventId']!r} must be 0 or 1, got {label!r}")
+        if value is not None:
+            values.append(value)
+            swept_labels.append(label)
+    if missing:
+        shown = ", ".join(map(str, missing[:5]))
+        raise InputError(f"{len(missing)} scored events have no label (first: {shown})")
+    if not values:
+        raise InputError(f"no records carry scores for field {field!r}")
+    points, auc = roc_curve(values, swept_labels)
+    rate = tp / (tp + fn) if tp + fn else 0.0
+    return EvalReport(
+        detection_rate=rate,
+        roc_points=points,
+        auc=auc,
+        alert_count=alert_count,
+        tp=tp,
+        fp=fp,
+        tn=tn,
+        fn=fn,
+    )
+
+
+def evaluate_files_reference(scores_path, labels_path, field="votes"):
+    """``evaluate_files`` as it was: every record decoded, then the labels
+    read, then one loop over both."""
+    from flowdetect.evaluation import load_labels, load_scores
+
+    return evaluate_loop(load_scores(scores_path), load_labels(labels_path), field)
 
 
 # ---------------------------------------------------------------------------

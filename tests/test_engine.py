@@ -125,6 +125,19 @@ def test_env_copies_and_pickles_are_envs():
     assert copy.copy(env)["b"] is env["b"]
 
 
+def test_unbounded_is_one_object_through_copies_and_pickles():
+    from flowdetect.pipeline import PipelineConfig, build_spec
+
+    assert copy.copy(UNBOUNDED) is UNBOUNDED
+    assert copy.deepcopy(UNBOUNDED) is UNBOUNDED
+    assert pickle.loads(pickle.dumps(UNBOUNDED)) is UNBOUNDED
+    assert all(twin is UNBOUNDED for twin in pickle.loads(pickle.dumps([UNBOUNDED, UNBOUNDED])))
+    spec = build_spec(PipelineConfig())[0]  # its lambdas do not pickle
+    twin = copy.deepcopy(spec)
+    assert twin.domain is UNBOUNDED
+    assert describe(twin) == describe(spec)
+
+
 def test_env_equals_other_mappings_and_keeps_its_repr():
     env = Env({"a": 1, "b": 2})
     assert env == {"b": 2, "a": 1} and {"a": 1, "b": 2} == env

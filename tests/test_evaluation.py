@@ -6,7 +6,9 @@ import csv
 import json
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -376,6 +378,151 @@ def test_a_score_line_that_is_no_object_loads_and_is_malformed(tmp_path, line, m
     records = load_scores(str(path))
     with pytest.raises(InputError, match=re.escape(f"score record 2 is malformed: {message}")):
         evaluate(records, {"E1": 0})
+
+
+# ------------------------------------------------ evaluate_files parity
+
+#: Label files for the parity runs: one that labels E1 and E2, one that is
+#: refused for its header.
+GOOD_LABELS = b"id,label\nE1,0\nE2,1\n"
+BAD_LABELS = b"event,flag\nE1,0\n"
+
+
+def _line(event_id="E1", **fields):
+    """One score line with ``fields`` changed; a field set to ``...`` is left out."""
+    merged = {**record(event_id, False, 1, {"kde": {"raw": 0.5, "binary": 0}}), **fields}
+    return json.dumps({k: v for k, v in merged.items() if v is not ...}).encode() + b"\n"
+
+
+#: Score and label files that are each broken, or that break two ways at
+#: once, so the first error ``evaluate_files`` raises is the one its parts
+#: raised in turn.  ``None`` names a file that is not there.
+BROKEN_PAIRS = {
+    "no_alert_then_bad_json": (_line("E1", alert=...) + b"not json\n", GOOD_LABELS),
+    "bad_json_and_no_label_header": (b"not json\n", BAD_LABELS),
+    "no_scores_file_and_bad_labels": (None, BAD_LABELS),
+    "unlabelled_without_alert": (_line("E1") + _line("E9", alert=...), GOOD_LABELS),
+    "unlabelled_then_malformed": (_line("E9") + b"[1]\n", GOOD_LABELS),
+    "unlabelled_then_no_event_id": (_line("E9") + _line(eventId=...), GOOD_LABELS),
+    "unhashable_event_id": (_line("E1") + _line(["E2"]), GOOD_LABELS),
+    "detectors_a_list": (_line("E1") + _line("E2", detectors=[]), GOOD_LABELS),
+    "raw_too_large": (_line("E1") + _line("E2", detectors={"kde": {"raw": 10**400}}), GOOD_LABELS),
+    "raw_null": (_line("E1") + _line("E2", detectors={"kde": {"raw": None}}), GOOD_LABELS),
+    "no_raw_and_alert_text": (
+        _line("E1") + _line("E2", alert="true", detectors={"kde": {}}), GOOD_LABELS
+    ),
+    "sweeps": (_line("E1") + _line("E2", alert=True, votes=3), GOOD_LABELS),
+}
+
+
+def _report_outcome(evaluate_files, scores, labels, field):
+    try:
+        return "report", evaluate_files(scores, labels, field).to_json()
+    except (InputError, OSError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _pair_outcomes(tmp_path, scores_bytes, labels_bytes, field):
+    scores, labels = tmp_path / "scores.jsonl", tmp_path / "labels.csv"
+    scores.unlink(missing_ok=True)
+    if scores_bytes is not None:
+        scores.write_bytes(scores_bytes)
+    labels.write_bytes(labels_bytes)
+    return [
+        _report_outcome(run, str(scores), str(labels), field)
+        for run in (evaluate_files, oracles.evaluate_files_reference)
+    ]
+
+
+@pytest.mark.parametrize("field", ["votes", "kde"])
+@pytest.mark.parametrize("labels", [GOOD_LABELS, BAD_LABELS], ids=["good_labels", "bad_labels"])
+@pytest.mark.parametrize("name", sorted(SCORE_FILES))
+def test_evaluate_files_matches_the_loop_over_loaded_scores(tmp_path, name, labels, field):
+    got, oracle = _pair_outcomes(tmp_path, SCORE_FILES[name], labels, field)
+    assert got == oracle
+
+
+@pytest.mark.parametrize("field", ["votes", "kde"])
+@pytest.mark.parametrize("name", sorted(BROKEN_PAIRS))
+def test_evaluate_files_raises_the_first_error_the_loop_raised(tmp_path, name, field):
+    got, oracle = _pair_outcomes(tmp_path, *BROKEN_PAIRS[name], field)
+    assert got == oracle
+
+
+def test_evaluate_files_parity_cases_reach_each_outcome(tmp_path):
+    # The broken pairs must pin which error comes first, not only agree.
+    seen = {
+        (name, field): _pair_outcomes(tmp_path, *BROKEN_PAIRS[name], field)[0]
+        for name in BROKEN_PAIRS
+        for field in ("votes", "kde")
+    }
+    for field in ("votes", "kde"):
+        assert seen["no_alert_then_bad_json", field][1].endswith(":2: not valid JSON: "
+            "Expecting value: line 1 column 1 (char 0)")
+        assert seen["bad_json_and_no_label_header", field][1].endswith(":1: not valid JSON: "
+            "Expecting value: line 1 column 1 (char 0)")
+        assert seen["no_scores_file_and_bad_labels", field][0] == "FileNotFoundError"
+        assert seen["unlabelled_without_alert", field] == (
+            "InputError", "1 scored events have no label (first: E9)")
+        assert seen["unlabelled_then_malformed", field] == (
+            "InputError", "score record 2 is malformed: list indices must be integers or slices, not str")
+        assert seen["unlabelled_then_no_event_id", field] == (
+            "InputError", "score record 2 has no 'eventId' field")
+        assert seen["unhashable_event_id", field] == (
+            "InputError", "score record 2 is malformed: unhashable type: 'list'")
+        assert seen["no_raw_and_alert_text", field] == (
+            "InputError", "score record 2 is malformed: alert is 'true', not true or false")
+    assert seen["detectors_a_list", "kde"] == (
+        "InputError", "score record 2 is malformed: 'list' object has no attribute 'get'")
+    assert seen["raw_too_large", "kde"] == (
+        "InputError", "score record 2 is malformed: int too large to convert to float")
+    assert seen["raw_null", "kde"] == ("InputError", "score record 2 is malformed: kde is None, not a number")
+    for name in ("detectors_a_list", "raw_too_large", "raw_null", "sweeps"):
+        assert seen[name, "votes"][0] == "report", name
+    assert seen["sweeps", "kde"][0] == "report"
+
+
+def test_evaluate_reads_any_iterable_once():
+    records = FIXTURE + [
+        record("E7", True, 1, {"kde": {"raw": 0.5, "binary": 0}}),
+        record("E8", False, 0, {"kde": {"raw": 0.25, "binary": 0}}),
+    ]
+    labels = {**LABELS, "E7": 1, "E8": 0}
+    for field in ("votes", "kde"):
+        expected = oracles.evaluate_loop(records, labels, field).to_json()
+        assert evaluate(records, labels, field).to_json() == expected
+        assert evaluate(iter(records), labels, field).to_json() == expected
+        assert evaluate((dict(r) for r in records), labels, field).to_json() == expected
+
+
+def test_evaluate_files_keeps_no_score_record(tmp_path):
+    # A decoded record of a run costs about 2,100 bytes; the three columns
+    # and the sweep hold about 300 to 400 per record, labels included.
+    count = 20_000
+    line = (
+        '{"alert": %s, "cast": 3, "detectors": {"kde": {"binary": %d, "raw": %r}, '
+        '"kmeans": {"binary": %d, "raw": %r}, "lof": {"binary": %d, "raw": %r}}, '
+        '"eventDate": "03/08/2010 14:56:03", "eventId": "E%06d", "userId": "U%04d", "votes": %d}\n'
+    )
+    rng = np.random.default_rng(7)
+    raws = rng.normal(size=(count, 3))
+    binaries = (raws > 1.0).astype(int)
+    votes = binaries.sum(axis=1)
+    anomalous = rng.random(count) < 0.05 + 0.3 * votes
+    scores, labels = tmp_path / "scores.jsonl", tmp_path / "labels.csv"
+    scores.write_text("".join(
+        line % ("true" if v >= 2 else "false", b[0], r[0], b[1], r[1], b[2], r[2], i, i % 50, v)
+        for i, (r, b, v) in enumerate(zip(raws.tolist(), binaries.tolist(), votes.tolist()))
+    ))
+    labels.write_text("id,label\n" + "".join(f"E{i:06d},{int(a)}\n" for i, a in enumerate(anomalous.tolist())))
+    tracemalloc.start()
+    try:
+        report = evaluate_files(str(scores), str(labels), "lof")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.alert_count > 0 and len(report.roc_points) > count // 2
+    assert peak / count < 600, f"{peak / count:.0f} bytes per record"
 
 
 def test_load_labels_requires_header(tmp_path):
